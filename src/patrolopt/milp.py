@@ -72,6 +72,9 @@ class MilpModel:
         self.variables: List[Variable] = []
         self.constraints: List[Constraint] = []
         self._objective: Dict[int, float] = {}
+        # An assignment offered with a proven bound on the optimum; solve
+        # returns it without search when it is feasible and reaches the bound.
+        self.certificate: Optional[Tuple[np.ndarray, float]] = None
 
     # ----- construction -------------------------------------------------
 
@@ -220,10 +223,16 @@ def solve(
 ) -> MilpSolution:
     """Solve to proven optimality or until the deadline.
 
-    warm_start is a full assignment used as the initial incumbent by the
-    reference backend; the HiGHS backend has no warm-start hook and ignores it.
+    A model certificate that checks out is the answer, on either backend:
+    status optimal, gap 0, no nodes.  warm_start is a full assignment used as
+    the initial incumbent by the reference backend; the HiGHS backend has no
+    warm-start hook and ignores it.
     """
     model.validate()
+    if model.certificate is not None:
+        certified = _certified_solution(model)
+        if certified is not None:
+            return certified
     if backend == "highs":
         return _solve_highs(model, time_limit)
     if backend == "reference":
@@ -231,29 +240,32 @@ def solve(
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def _certified_solution(model: MilpModel) -> Optional[MilpSolution]:
+    """The certificate as an optimal solution, or None if it is infeasible or short."""
+    t0 = time.perf_counter()
+    x, bound = model.certificate
+    if check_assignment(model, x):
+        return None
+    value = float(model.objective_vector() @ x)
+    shortfall = bound - value if model.sense == "max" else value - bound
+    if shortfall > RELATIVE_GAP_TOL * max(1.0, abs(bound)):
+        return None
+    return MilpSolution(OPTIMAL, x, value, 0.0, time.perf_counter() - t0, 0)
+
+
 # ---------------------------------------------------------------------------
 # HiGHS through scipy
 # ---------------------------------------------------------------------------
 
 
-def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
-    t0 = time.perf_counter()
+def _scipy_solve(model, lo, hi, integrality, options=None):
+    """scipy.optimize.milp on the model under the given bounds; (objective, result)."""
     c = model.objective_vector()
     sign = -1.0 if model.sense == "max" else 1.0
-    lo, hi = model.bounds_arrays()
-    integrality = np.zeros(model.num_variables)
-    bins = model.binary_indices()
-    if bins.size:
-        integrality[bins] = 1
     constraints = None
     if model.constraints:
         a, row_lb, row_ub = model.constraint_matrix()
         constraints = LinearConstraint(a, row_lb, row_ub)
-    # The default HiGHS relative MIP gap (1e-4) is far too loose to compare
-    # objectives against an exhaustive oracle, so pin it down.
-    options = {"mip_rel_gap": RELATIVE_GAP_TOL}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
     res = _scipy_milp(
         sign * c,
         constraints=constraints,
@@ -261,6 +273,22 @@ def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
         bounds=Bounds(lo, hi),
         options=options,
     )
+    return c, res
+
+
+def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
+    t0 = time.perf_counter()
+    lo, hi = model.bounds_arrays()
+    integrality = np.zeros(model.num_variables)
+    bins = model.binary_indices()
+    if bins.size:
+        integrality[bins] = 1
+    # The default HiGHS relative MIP gap (1e-4) is far too loose to compare
+    # objectives against an exhaustive oracle, so pin it down.
+    options = {"mip_rel_gap": RELATIVE_GAP_TOL}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    c, res = _scipy_solve(model, lo, hi, integrality, options)
     elapsed = time.perf_counter() - t0
     nodes = int(getattr(res, "mip_node_count", 0) or 0)
     if res.status == 0:
@@ -420,42 +448,11 @@ def complete_with_lp(model: MilpModel, fixed: Dict[int, float]) -> Optional[np.n
     objective, so free continuous variables take their best values.
     """
     model.validate()
-    c = model.objective_vector()
-    obj = c if model.sense == "max" else -c
     lo, hi = model.bounds_arrays()
-    lo = lo.copy()
-    hi = hi.copy()
     for idx, val in fixed.items():
         lo[idx] = val
         hi[idx] = val
-    a_ub = b_ub = a_eq = b_eq = None
-    if model.constraints:
-        a, row_lb, row_ub = model.constraint_matrix()
-        ub_rows = np.isfinite(row_ub) & ~np.isfinite(row_lb)
-        lb_rows = np.isfinite(row_lb) & ~np.isfinite(row_ub)
-        eq_rows = np.isfinite(row_lb) & np.isfinite(row_ub)
-        a_ub_parts, b_ub_parts = [], []
-        if ub_rows.any():
-            a_ub_parts.append(a[ub_rows])
-            b_ub_parts.append(row_ub[ub_rows])
-        if lb_rows.any():
-            a_ub_parts.append(-a[lb_rows])
-            b_ub_parts.append(-row_lb[lb_rows])
-        if a_ub_parts:
-            a_ub = sp.vstack(a_ub_parts).tocsr()
-            b_ub = np.concatenate(b_ub_parts)
-        if eq_rows.any():
-            a_eq = a[eq_rows]
-            b_eq = row_lb[eq_rows]
-    res = linprog(
-        -obj,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lo, hi]),
-        method="highs",
-    )
+    _, res = _scipy_solve(model, lo, hi, np.zeros(model.num_variables))
     if res.status != 0:
         return None
     return np.asarray(res.x)

@@ -17,6 +17,17 @@ big-M of l_max over the shortest edge, per-vertex flow balance, the travel
 budget, and a single-commodity flow that leaves the depot carrying one unit
 per visited vertex and drops one at each, which rules out subtours detached
 from the depot.
+
+Certified rounds: ``build_tocp`` also runs the greedy planner on c_hat and
+attaches its plan, repaired and encoded, as the model's certificate, but
+only when that plan visits every vertex whose depot round trip fits the
+budget (within the solver's feasibility tolerance).  With c_hat >= 0 such a
+plan collects the sum of c_hat over those vertices, and no plan can collect
+more, so ``milp.solve`` returns it as optimal without calling HiGHS once it
+checks out against every row.  Ties therefore break towards visiting: a
+certified round visits everything reachable, zero-valued vertices included.
+Rounds greedy cannot certify are solved by HiGHS as before.  ``build_top``
+never gets a certificate: greedy walks rarely satisfy its single-visit rule.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .graph import DEPOT, DistanceMatrix, Graph, all_pairs_shortest, validate, walk_length
-from .milp import MilpModel, MilpSolution, ModelError, complete_with_lp
+from .milp import FEASIBILITY_TOL, MilpModel, MilpSolution, ModelError, complete_with_lp
 
 
 class RouteIntegrityError(ValueError):
@@ -92,7 +103,31 @@ def build_tocp(
     must_visit vertices whose round trip to the depot is infinite are rejected
     up front (no budget could ever fix that); a finite round trip that exceeds
     l_max is left to the solver, which will report infeasibility.
+
+    The model carries a greedy certificate when one exists (see
+    greedy_certificate), so milp.solve can skip the search on it.
     """
+    model, handles = _build_fleet_model(
+        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents, tight_u_bound
+    )
+    if dist is None:
+        dist = all_pairs_shortest(graph)
+    model.certificate = greedy_certificate(graph, dist, np.asarray(c_hat, dtype=float),
+                                           model, handles)
+    return model, handles
+
+
+def _build_fleet_model(
+    graph: Graph,
+    c_hat: np.ndarray,
+    num_agents: int,
+    l_max: float,
+    must_visit: Sequence[int],
+    dist: Optional[DistanceMatrix],
+    allow_idle_agents: bool,
+    tight_u_bound: bool,
+) -> Tuple[MilpModel, VariableHandles]:
+    """The repeat-visit rows and variables shared by build_tocp and build_top."""
     problem = validate(graph)
     if problem is not None:
         raise ModelError(f"graph invalid: {problem}")
@@ -264,15 +299,8 @@ def build_top(
     Same variable layout as build_tocp plus one row per vertex, so routes
     cannot pass through an already-visited vertex, not even another agent's.
     """
-    model, handles = build_tocp(
-        graph,
-        c_hat,
-        num_agents,
-        l_max,
-        must_visit,
-        dist=dist,
-        allow_idle_agents=allow_idle_agents,
-        tight_u_bound=tight_u_bound,
+    model, handles = _build_fleet_model(
+        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents, tight_u_bound
     )
     model.name = "top"
     n = graph.num_vertices
@@ -378,8 +406,9 @@ def plan_to_assignment(
     Only plans whose walks use each directed edge at most once fit the binary
     edge variables, and the continuous flow is filled in by LP, which also
     weeds out plans the model would not accept (an idle agent under the
-    exactly-one depot departure, say).  Intended for warm starts, so failure
-    is an answer, not an error.
+    exactly-one depot departure, say).  greedy_certificate encodes its
+    candidate plans with it, and the reference backend's warm start reuses
+    it, so failure is an answer, not an error.
     """
     fixed: Dict[int, float] = {}
     for key, idx in handles.x.items():
@@ -406,6 +435,91 @@ def plan_to_assignment(
     for v in visited_any:
         fixed[handles.z[v]] = 1.0
     return complete_with_lp(model, fixed)
+
+
+def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
+    """Reshape a closed walk into one the model can encode, or None if that fails.
+
+    The model allows one depot departure per agent and each directed edge at
+    most once.  Doubled edges go by simplify_walk.  A pass through the depot
+    mid-walk, x, 1, y, becomes the shortest x -> y path that avoids the depot,
+    and a bounce x, 1, x becomes x; with no such path the walk is beyond
+    repair.  The visited set never shrinks, but the walk may get longer.
+    """
+    route = simplify_walk(route, graph)
+    if DEPOT not in route[1:-1]:
+        return route
+    around = all_pairs_shortest(
+        Graph(graph.num_vertices, {e: l for e, l in graph.lengths.items() if DEPOT not in e})
+    )
+    out = [DEPOT]
+    k = 1
+    while k < len(route) - 1:
+        if route[k] != DEPOT:
+            out.append(route[k])
+            k += 1
+            continue
+        x, y = out[-1], route[k + 1]
+        if x != y:
+            path = around.shortest_path(x, y)
+            if path is None:
+                return None
+            out.extend(path[1:])
+        k += 2
+    out.append(DEPOT)
+    return simplify_walk(out, graph)
+
+
+def greedy_certificate(
+    graph: Graph,
+    dist: DistanceMatrix,
+    c_hat: np.ndarray,
+    model: MilpModel,
+    handles: VariableHandles,
+) -> Optional[Tuple[np.ndarray, float]]:
+    """The greedy plan as a full assignment plus the bound it reaches, or None.
+
+    The bound sums c_hat over every vertex whose depot round trip fits the
+    budget, with the solver's feasibility slack added, since HiGHS accepts a
+    walk that far over l_max.  A greedy plan that visits all of those
+    vertices collects the bound when c_hat >= 0, so no plan can beat it.
+    Greedy plans that miss one are dropped.  That fixes the tie rule: a
+    certified round visits everything reachable, zero-valued vertices too.
+    Routes pass through repair_walk.  An idle agent takes the cheapest depot
+    out-and-back, unless the model lets agents idle.
+    """
+    from .greedy import greedy_plan  # greedy imports FleetPlan from this module
+
+    d = dist.dist
+    reachable = {
+        v for v in range(2, graph.num_vertices + 1)
+        if d[DEPOT, v] + d[v, DEPOT] <= handles.l_max + FEASIBILITY_TOL
+    }
+    try:
+        plan = greedy_plan(
+            graph, dist, c_hat, handles.num_agents, handles.l_max, handles.must_visit
+        )
+    except UnreachableMustVisitError:
+        return None
+    if not reachable <= plan.visited():
+        return None
+    routes: List[List[int]] = []
+    for route in plan.routes:
+        if len(route) > 1:
+            route = repair_walk(route, graph)
+        elif not handles.allow_idle_agents:
+            hops = graph.out_neighbors(DEPOT)
+            if not hops:
+                return None
+            route = [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
+        if route is None or walk_length(graph, route) > handles.l_max:
+            return None
+        routes.append(route)
+    lengths = [walk_length(graph, route) for route in routes]
+    assignment = plan_to_assignment(FleetPlan(routes, lengths), model, handles, graph)
+    if assignment is None:
+        return None
+    return assignment, float(sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable)))
 
 
 def audit_solution(

@@ -1,0 +1,216 @@
+"""The greedy certificate that lets milp.solve skip HiGHS on tocp rounds.
+
+A certified round must be a real optimum: feasible for the model as built,
+and worth the round-trip bound that no plan can beat.  Anything short of
+that has to fall through to HiGHS, which is checked here by spying on the
+HiGHS backend, and the property test holds both paths to the brute-force
+oracle on random tiny graphs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from patrolopt import milp
+from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
+from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
+from patrolopt.oracle import brute_force_single_iteration
+from patrolopt.tocp import (
+    FleetPlan,
+    audit_solution,
+    build_top,
+    build_tocp,
+    extract_routes,
+    plan_to_assignment,
+    repair_walk,
+)
+
+from conftest import make_graph
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Count the models that reach the HiGHS backend."""
+    calls = []
+    real = milp._solve_highs
+
+    def spy(model, time_limit):
+        calls.append(model.name)
+        return real(model, time_limit)
+
+    monkeypatch.setattr(milp, "_solve_highs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ("bridge", "star"))
+def test_certified_round_skips_highs_and_is_the_optimum(fixture, request, highs_calls):
+    graph, dist, c_hat, l_max = request.getfixturevalue(fixture)
+    model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
+    assert model.certificate is not None
+    sol = solve(model)
+    assert highs_calls == []
+    assert sol.status == OPTIMAL
+    assert sol.node_count == 0
+    assert sol.gap == 0.0
+    ref = brute_force_single_iteration(graph, c_hat, 1, l_max, dist=dist)
+    assert abs(sol.objective_value - ref.reward) < 1e-9
+    assert audit_solution(graph, sol, handles) == []
+    assert extract_routes(sol, handles, graph).visited() == set(range(1, graph.num_vertices + 1))
+
+
+def test_candidate_with_a_violated_row_falls_through(bridge, highs_calls):
+    graph, dist, c_hat, l_max = bridge
+    model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
+    forged, bound = model.certificate
+    forged = forged.copy()
+    forged[handles.x[(3, 2, 1)]] = 0.0  # vertex 3 is entered but never left
+    assert len(check_assignment(model, forged)) >= 1
+    model.certificate = (forged, bound)
+    sol = solve(model)
+    assert highs_calls == ["tocp"]
+    assert sol.status == OPTIMAL
+    assert check_assignment(model, sol.assignment) == []
+    assert abs(sol.objective_value - 10.1) < 1e-9
+
+
+def test_candidate_below_the_bound_falls_through(bridge, highs_calls):
+    graph, dist, c_hat, l_max = bridge
+    model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
+    short = plan_to_assignment(FleetPlan([[1, 2, 1]], [2.0]), model, handles, graph)
+    assert check_assignment(model, short) == []
+    model.certificate = (short, model.certificate[1])
+    sol = solve(model)
+    assert highs_calls == ["tocp"]
+    assert abs(sol.objective_value - 10.1) < 1e-9
+    assert extract_routes(sol, handles, graph).routes == [[1, 2, 3, 2, 1]]
+
+
+def test_mid_walk_depot_passes_are_bypassed():
+    # loose-exact structure 9's greedy route had this shape: two loops glued
+    # at the depot, which the model's single depot departure cannot encode
+    g = make_graph(13, [(1, 9, 1.0), (9, 6, 1.0), (6, 1, 1.0), (1, 13, 1.0),
+                        (13, 10, 1.0), (10, 1, 1.0), (6, 7, 1.0), (7, 13, 1.0)])
+    walk = [1, 9, 6, 1, 13, 10, 1]
+    repaired = repair_walk(walk, g)
+    assert repaired == [1, 9, 6, 7, 13, 10, 1]
+    assert repaired.count(DEPOT) == 2
+    assert set(walk) <= set(repaired)
+    # a bounce through the depot collapses onto the vertex it left from
+    bounce = make_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)])
+    assert repair_walk([1, 2, 3, 1, 3, 4, 1], bounce) == [1, 2, 3, 4, 1]
+    # with the depot as a cut vertex there is no way around it
+    spokes = make_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
+    assert repair_walk([1, 2, 1, 3, 1], spokes) is None
+
+
+def test_bypass_over_budget_falls_back_to_highs(highs_calls):
+    # greedy reaches 3 from 2 through the depot; the depot-free way is 10 long
+    g = make_graph(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 10.0)])
+    dist = all_pairs_shortest(g)
+    c_hat = np.array([0.0, 0.0, 1.0, 1.0])
+    model, handles = build_tocp(g, c_hat, 1, 4.0, dist=dist)
+    assert model.certificate is None
+    sol = solve(model)
+    assert highs_calls == ["tocp"]
+    ref = brute_force_single_iteration(g, c_hat, 1, 4.0, dist=dist)
+    assert abs(sol.objective_value - ref.reward) < 1e-9
+    assert audit_solution(g, sol, handles) == []
+
+
+def test_zero_valued_reachable_vertex_blocks_the_certificate(highs_calls):
+    # greedy never chases a vertex worth nothing, so it cannot certify the
+    # round; the tie rule says a certified round visits everything reachable
+    g = make_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
+    c_hat = np.array([0.0, 0.0, 1.0, 0.0])
+    model, _ = build_tocp(g, c_hat, 1, 4.0)
+    assert model.certificate is None
+    assert abs(solve(model).objective_value - 1.0) < 1e-9
+    assert highs_calls == ["tocp"]
+
+
+def test_idle_agents_take_the_cheapest_out_and_back(bridge, highs_calls):
+    graph, dist, c_hat, l_max = bridge
+    model, handles = build_tocp(graph, c_hat, 2, l_max, dist=dist)
+    sol = solve(model)
+    assert highs_calls == []
+    assert extract_routes(sol, handles, graph).routes == [[1, 2, 3, 2, 1], [1, 2, 1]]
+
+
+def test_single_visit_model_never_carries_a_candidate(bridge, star):
+    for graph, dist, c_hat, l_max in (bridge, star):
+        model, _ = build_top(graph, c_hat, 1, l_max, dist=dist)
+        assert model.certificate is None
+
+
+@pytest.mark.parametrize("far_value", (0.0, 5.0))
+def test_bound_covers_walks_within_the_solver_tolerance(far_value, highs_calls):
+    # vertex 3's round trip is l_max + 5e-7: over budget for greedy and the
+    # oracle, inside the slack HiGHS grants a budget row
+    g = make_graph(3, [(1, 2, 1.0), (1, 3, 2.0 + 2.5e-7)])
+    dist = all_pairs_shortest(g)
+    assert dist.dist[1, 3] + dist.dist[3, 1] == pytest.approx(4.0 + 5e-7, abs=1e-12)
+    c_hat = np.array([0.0, 0.0, 1.0, far_value])
+    model, handles = build_tocp(g, c_hat, 1, 4.0, dist=dist)
+    # greedy visits everything within the exact budget, yet must not certify
+    assert model.certificate is None
+    sol = solve(model)
+    assert highs_calls == ["tocp"]
+    assert sol.status == OPTIMAL
+    if far_value == 0.0:
+        ref = brute_force_single_iteration(g, c_hat, 1, 4.0, dist=dist)
+        assert abs(sol.objective_value - ref.reward) < 1e-9
+
+
+@st.composite
+def tiny_rounds(draw):
+    """A connected graph on at most 6 vertices, rewards with zeros, 1-2 agents."""
+    n = draw(st.integers(2, 6))
+    length = st.sampled_from([1.0, 1.5, 2.0])
+    edges = {}
+    for v in range(2, n + 1):
+        edges[(draw(st.integers(1, v - 1)), v)] = draw(length)
+    for a, b in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3)):
+        if a != b:
+            edges[(min(a, b), max(a, b))] = draw(length)
+    graph = make_graph(n, [(a, b, l) for (a, b), l in sorted(edges.items())])
+    rewards = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n - 1,
+                            max_size=n - 1))
+    c_hat = np.array([0.0, 0.0] + rewards)
+    agents = draw(st.integers(1, 2))
+    l_max = draw(st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.0]))
+    must = draw(st.sets(st.integers(2, n), max_size=1))
+    return graph, c_hat, agents, l_max, sorted(must)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tiny_rounds())
+def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
+    graph, c_hat, agents, l_max, must = case
+    dist = all_pairs_shortest(graph)
+    oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, dist=dist)
+    model, handles = build_tocp(graph, c_hat, agents, l_max, must, dist=dist)
+    certificate = model.certificate
+    sol = solve(model)
+    if not oracle.feasible:
+        assert certificate is None
+        assert sol.status == INFEASIBLE
+        return
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective_value - oracle.reward) <= 1e-6
+    assert audit_solution(graph, sol, handles) == []
+    if certificate is None:
+        return
+    if np.array_equal(sol.assignment, certificate[0]):
+        plan = extract_routes(sol, handles, graph)
+        reachable = {v for v in range(1, graph.num_vertices + 1)
+                     if dist.dist[1, v] + dist.dist[v, 1] <= l_max}
+        assert reachable <= plan.visited()
+        assert all(walk_length(graph, r) <= l_max for r in plan.routes)
+    model.certificate = None
+    plain = solve(model)
+    assert plain.status == OPTIMAL
+    assert abs(plain.objective_value - oracle.reward) <= 1e-6
