@@ -258,7 +258,13 @@ def _certified_solution(model: MilpModel) -> Optional[MilpSolution]:
 # ---------------------------------------------------------------------------
 
 
-def _scipy_solve(model, lo, hi, integrality, options=None):
+def _scipy_solve(
+    model: MilpModel,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    integrality: np.ndarray,
+    options: Optional[dict] = None,
+):
     """scipy.optimize.milp on the model under the given bounds; (objective, result)."""
     c = model.objective_vector()
     sign = -1.0 if model.sense == "max" else 1.0

@@ -37,7 +37,15 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .graph import DEPOT, DistanceMatrix, Graph, all_pairs_shortest, validate, walk_length
+from .graph import (
+    DEPOT,
+    DistanceMatrix,
+    Graph,
+    all_pairs_shortest,
+    reachable_round_trip,
+    validate,
+    walk_length,
+)
 from .milp import FEASIBILITY_TOL, MilpModel, MilpSolution, ModelError, complete_with_lp
 
 
@@ -490,11 +498,7 @@ def greedy_certificate(
     """
     from .greedy import greedy_plan  # greedy imports FleetPlan from this module
 
-    d = dist.dist
-    reachable = {
-        v for v in range(2, graph.num_vertices + 1)
-        if d[DEPOT, v] + d[v, DEPOT] <= handles.l_max + FEASIBILITY_TOL
-    }
+    reachable = reachable_round_trip(graph, dist, handles.l_max + FEASIBILITY_TOL)
     try:
         plan = greedy_plan(
             graph, dist, c_hat, handles.num_agents, handles.l_max, handles.must_visit
@@ -503,7 +507,7 @@ def greedy_certificate(
         return None
     if not reachable <= plan.visited():
         return None
-    routes: List[List[int]] = []
+    repaired = FleetPlan(routes=[], lengths=[])
     for route in plan.routes:
         if len(route) > 1:
             route = repair_walk(route, graph)
@@ -512,14 +516,18 @@ def greedy_certificate(
             if not hops:
                 return None
             route = [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
-        if route is None or walk_length(graph, route) > handles.l_max:
+        if route is None:
             return None
-        routes.append(route)
-    lengths = [walk_length(graph, route) for route in routes]
-    assignment = plan_to_assignment(FleetPlan(routes, lengths), model, handles, graph)
+        length = walk_length(graph, route)
+        if length > handles.l_max:
+            return None
+        repaired.routes.append(route)
+        repaired.lengths.append(length)
+    assignment = plan_to_assignment(repaired, model, handles, graph)
     if assignment is None:
         return None
-    return assignment, float(sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable)))
+    bound = sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable) if v != DEPOT)
+    return assignment, float(bound)
 
 
 def audit_solution(
