@@ -451,9 +451,10 @@ def complete_with_lp(model: MilpModel, fixed: Dict[int, float]) -> Optional[np.n
 
     Used to turn a combinatorial plan (values for the binaries) into a full
     assignment including the continuous variables.  The LP keeps the model
-    objective, so free continuous variables take their best values.
+    objective, so free continuous variables take their best values.  The
+    model is not validated here: solve validates it before it reads any
+    assignment built this way.
     """
-    model.validate()
     lo, hi = model.bounds_arrays()
     for idx, val in fixed.items():
         lo[idx] = val

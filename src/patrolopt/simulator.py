@@ -6,7 +6,9 @@ accrued cost (which feeds the estimator), and the leftover cost on the graph
 is charged to the episode.  A planner that produces nothing this round (model
 infeasible, or the deadline passed with no incumbent) leaves the fleet at the
 depot: only the depot is visited, the iteration is charged in full, and the
-episode is flagged as failed.
+episode is flagged as failed.  The planners' constraints never read the
+predictions, so once a round is proven infeasible every later round of the
+episode is charged as infeasible without planning it again.
 """
 
 from __future__ import annotations
@@ -79,9 +81,12 @@ def run_episode(
         cost.advance()
         c_hat = est.predicted_cost(t)
         t0 = time.perf_counter()
-        plan, status = _plan_round(
-            planner, graph, dm, c_hat, instance, time_limit, backend
-        )
+        if statuses and statuses[-1] == milp.INFEASIBLE:
+            plan, status = None, milp.INFEASIBLE
+        else:
+            plan, status = _plan_round(
+                planner, graph, dm, c_hat, instance, time_limit, backend
+            )
         seconds.append(time.perf_counter() - t0)
         statuses.append(status)
         if plan is None:

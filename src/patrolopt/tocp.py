@@ -26,12 +26,17 @@ plan collects the sum of c_hat over those vertices, and no plan can collect
 more, so ``milp.solve`` returns it as optimal without calling HiGHS once it
 checks out against every row.  Ties therefore break towards visiting: a
 certified round visits everything reachable, zero-valued vertices included.
-Rounds greedy cannot certify are solved by HiGHS as before.  ``build_top``
-never gets a certificate: greedy walks rarely satisfy its single-visit rule.
+Rounds greedy cannot certify are solved by HiGHS as before.  Greedy walks
+rarely satisfy the single-visit rule, so ``build_top`` builds its
+certificate differently: one simple depot cycle per agent, no two sharing a
+non-depot vertex, grown by farthest insertion until together they visit the
+same reachable set (see cover_certificate).  A ``top`` round with no such
+cover goes to HiGHS.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -306,6 +311,8 @@ def build_top(
 
     Same variable layout as build_tocp plus one row per vertex, so routes
     cannot pass through an already-visited vertex, not even another agent's.
+    The model carries a cycle-cover certificate when one is found (see
+    cover_certificate).
     """
     model, handles = _build_fleet_model(
         graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents, tight_u_bound
@@ -323,6 +330,10 @@ def build_top(
         ]
         model.add_constraint(terms, "<=", 1.0, name=f"visit_once_{i}")
     handles.variant = "top"
+    if dist is None:
+        dist = all_pairs_shortest(graph)
+    model.certificate = cover_certificate(graph, dist, np.asarray(c_hat, dtype=float),
+                                          model, handles)
     return model, handles
 
 
@@ -507,7 +518,7 @@ def greedy_certificate(
         return None
     if not reachable <= plan.visited():
         return None
-    repaired = FleetPlan(routes=[], lengths=[])
+    repaired: List[List[int]] = []
     for route in plan.routes:
         if len(route) > 1:
             route = repair_walk(route, graph)
@@ -518,12 +529,150 @@ def greedy_certificate(
             route = [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
         if route is None:
             return None
-        length = walk_length(graph, route)
-        if length > handles.l_max:
-            return None
-        repaired.routes.append(route)
-        repaired.lengths.append(length)
-    assignment = plan_to_assignment(repaired, model, handles, graph)
+        repaired.append(route)
+    return _certificate(repaired, reachable, c_hat, graph, model, handles)
+
+
+def cover_certificate(
+    graph: Graph,
+    dist: DistanceMatrix,
+    c_hat: np.ndarray,
+    model: MilpModel,
+    handles: VariableHandles,
+) -> Optional[Tuple[np.ndarray, float]]:
+    """A vertex-disjoint cycle cover as a full assignment plus its bound, or None.
+
+    The targets are the vertices greedy_certificate must visit: every vertex
+    whose depot round trip fits the budget plus the solver's feasibility
+    slack.  Each agent gets one simple depot cycle and no two cycles share a
+    non-depot vertex, so the cover satisfies the single-visit rows; when it
+    visits every target it reaches the same round-trip bound.  A required
+    vertex outside the targets makes the round infeasible, so it gets no
+    certificate.
+
+    Each agent needs its own first vertex, so the candidates are the depot
+    neighbours whose out-and-back fits l_max, sorted by (edge length,
+    index).  The M nearest are tried first as start vertices, then every set
+    that swaps one of them for a farther candidate: 1 + M(d - M) sets for d
+    candidates, each grown by _insertion_cover until one covers everything.
+    """
+    reachable = reachable_round_trip(graph, dist, handles.l_max + FEASIBILITY_TOL)
+    targets = reachable - {DEPOT}
+    firsts = sorted(
+        (v for v in graph.out_neighbors(DEPOT) if 2 * graph.lengths[(DEPOT, v)] <= handles.l_max),
+        key=lambda v: (graph.lengths[(DEPOT, v)], v),
+    )
+    m_count = handles.num_agents
+    if len(firsts) < m_count or not targets.issuperset(handles.must_visit):
+        return None
+    nearest = firsts[:m_count]
+    start_sets = [nearest] + [
+        nearest[:k] + [far] + nearest[k + 1:]
+        for far in firsts[m_count:]
+        for k in reversed(range(m_count))
+    ]
+    for starts in start_sets:
+        routes = _insertion_cover(graph, targets, starts, handles.l_max)
+        if routes is not None:
+            return _certificate(routes, reachable, c_hat, graph, model, handles)
+    return None
+
+
+def _insertion_cover(
+    graph: Graph, targets: Set[int], starts: List[int], l_max: float
+) -> Optional[List[List[int]]]:
+    """Grow out-and-backs [1, v, 1] into disjoint simple cycles covering targets, or None.
+
+    An uncovered vertex w is inserted between consecutive route vertices
+    (a, b) by the shortest a -> w path through uncovered vertices, then the
+    shortest w -> b path through uncovered vertices off the first path; its
+    cost is their length minus the edge (a, b), and the route must stay
+    within l_max.  Every step inserts the vertex whose cheapest insertion is
+    dearest (farthest insertion; ties to the lowest index), which covers the
+    whole detour.  The attempt fails once some uncovered vertex has no
+    insertion at all.
+    """
+    routes = [[DEPOT, v, DEPOT] for v in starts]
+    lengths = [walk_length(graph, route) for route in routes]
+    uncovered = set(targets) - set(starts)
+    while uncovered:
+        # The graph is symmetric, so reversing the shortest b -> w path gives
+        # the shortest w -> b one.
+        on_routes = {a for route in routes for a in route}
+        trees = {a: _paths_through(graph, a, uncovered) for a in on_routes}
+        choice = None
+        for w in sorted(uncovered):
+            cheapest = None
+            for m, route in enumerate(routes):
+                for p, (a, b) in enumerate(zip(route, route[1:])):
+                    if w not in trees[a] or w not in trees[b]:
+                        continue
+                    to_w, path_in = trees[a][w]
+                    from_w, path_back = trees[b][w]
+                    path_out = path_back[::-1]
+                    if set(path_in[1:-1]) & set(path_out[1:-1]):
+                        off = _paths_through(graph, w, uncovered - set(path_in))
+                        if b not in off:
+                            continue
+                        from_w, path_out = off[b]
+                    cost = to_w + from_w - graph.lengths[(a, b)]
+                    if lengths[m] + cost <= l_max and (cheapest is None or cost < cheapest[0]):
+                        cheapest = (cost, m, p, path_in + path_out[1:])
+            if cheapest is None:
+                return None
+            if choice is None or cheapest[0] > choice[0]:
+                choice = cheapest
+        _, m, p, detour = choice
+        routes[m] = routes[m][:p] + detour + routes[m][p + 2:]
+        lengths[m] = walk_length(graph, routes[m])
+        uncovered -= set(detour)
+    return routes
+
+
+def _paths_through(
+    graph: Graph, source: int, through: Set[int]
+) -> Dict[int, Tuple[float, List[int]]]:
+    """Shortest paths from source whose intermediate vertices all lie in through.
+
+    Maps each vertex reached to (length, path from source).  Dijkstra that
+    only expands the source and vertices of through; ties keep the path
+    found first.
+    """
+    best: Dict[int, Tuple[float, List[int]]] = {source: (0.0, [source])}
+    heap = [(0.0, source)]
+    done: Set[int] = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        path = best[v][1]
+        for u in graph.out_neighbors(v):
+            nd = d + graph.lengths[(v, u)]
+            if u not in best or nd < best[u][0]:
+                best[u] = (nd, path + [u])
+                if u in through:
+                    heapq.heappush(heap, (nd, u))
+    return best
+
+
+def _certificate(
+    routes: List[List[int]],
+    reachable: Set[int],
+    c_hat: np.ndarray,
+    graph: Graph,
+    model: MilpModel,
+    handles: VariableHandles,
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Closed walks encoded as (assignment, round-trip bound), or None if they do not fit.
+
+    The bound sums the positive c_hat over reachable; walks over l_max or
+    ones the model cannot encode give no certificate.
+    """
+    plan = FleetPlan(routes=routes, lengths=[walk_length(graph, r) for r in routes])
+    if any(length > handles.l_max for length in plan.lengths):
+        return None
+    assignment = plan_to_assignment(plan, model, handles, graph)
     if assignment is None:
         return None
     bound = sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable) if v != DEPOT)

@@ -1,9 +1,9 @@
-"""The greedy certificate that lets milp.solve skip HiGHS on tocp rounds.
+"""The certificates that let milp.solve skip HiGHS: greedy on tocp, cycle covers on top.
 
 A certified round must be a real optimum: feasible for the model as built,
 and worth the round-trip bound that no plan can beat.  Anything short of
 that has to fall through to HiGHS, which is checked here by spying on the
-HiGHS backend, and the property test holds both paths to the brute-force
+HiGHS backend, and the property tests hold both paths to the brute-force
 oracle on random tiny graphs.
 """
 
@@ -145,6 +145,103 @@ def test_single_visit_model_never_carries_a_candidate(bridge, star):
         assert model.certificate is None
 
 
+def assert_disjoint_simple_cycles(routes):
+    for route in routes:
+        assert route[0] == route[-1] == DEPOT
+        assert len(set(route[1:-1])) == len(route) - 2 and DEPOT not in route[1:-1]
+    inner = [v for route in routes for v in route[1:-1]]
+    assert len(set(inner)) == len(inner)
+
+
+def test_cycle_cover_certifies_top_and_is_the_optimum(highs_calls):
+    # two depot triangles, one per agent; vertex 3 is worth nothing but is
+    # reachable, so the tie rule still has the cover visit it
+    g = make_graph(5, [(1, 2, 1.0), (1, 4, 1.0), (1, 3, 1.5), (1, 5, 1.5),
+                       (2, 3, 1.0), (4, 5, 1.0)])
+    dist = all_pairs_shortest(g)
+    c_hat = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 3.0])
+    model, handles = build_top(g, c_hat, 2, 3.5, dist=dist)
+    assert model.certificate is not None
+    sol = solve(model)
+    assert highs_calls == []
+    assert sol.status == OPTIMAL
+    assert sol.node_count == 0
+    ref = brute_force_single_iteration(g, c_hat, 2, 3.5, variant="top", dist=dist)
+    assert abs(sol.objective_value - ref.reward) < 1e-9
+    assert audit_solution(g, sol, handles) == []
+    plan = extract_routes(sol, handles, g)
+    assert_disjoint_simple_cycles(plan.routes)
+    assert plan.visited() == {1, 2, 3, 4, 5}
+    assert all(length <= 3.5 for length in plan.lengths)
+
+
+def test_cycle_cover_swaps_a_start_vertex(highs_calls):
+    # the two nearest depot neighbours 2 and 3 leave the leaf 4 stranded;
+    # swapping 3 for 4 lets 3 join agent 1's cycle instead
+    g = make_graph(4, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (1, 4, 2.0)])
+    dist = all_pairs_shortest(g)
+    c_hat = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+    model, handles = build_top(g, c_hat, 2, 4.0, dist=dist)
+    assert model.certificate is not None
+    sol = solve(model)
+    assert highs_calls == []
+    assert extract_routes(sol, handles, g).routes == [[1, 3, 2, 1], [1, 4, 1]]
+    ref = brute_force_single_iteration(g, c_hat, 2, 4.0, variant="top", dist=dist)
+    assert abs(sol.objective_value - ref.reward) < 1e-9
+
+
+def test_detour_back_avoids_the_way_out(highs_calls):
+    # 5's shortest ways from 2 and back to 1 both run through 3; the way
+    # back must then take 4 instead, or the cycle would enter 3 twice
+    g = make_graph(5, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.5), (2, 3, 1.0), (2, 4, 2.0),
+                       (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.5)])
+    dist = all_pairs_shortest(g)
+    c_hat = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    model, handles = build_top(g, c_hat, 1, 8.0, dist=dist)
+    sol = solve(model)
+    assert highs_calls == []
+    assert extract_routes(sol, handles, g).routes == [[1, 2, 3, 5, 4, 1]]
+
+
+def test_cut_vertex_without_a_cover_falls_back_to_highs(highs_calls):
+    # the triangle 2-3-4 hangs off the depot at vertex 2: its only cycle
+    # through the depot enters 2 twice, which the single-visit rule forbids
+    g = make_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 1.0)])
+    dist = all_pairs_shortest(g)
+    c_hat = np.array([0.0, 0.0, 1.0, 5.0, 5.0])
+    model, handles = build_top(g, c_hat, 1, 6.0, dist=dist)
+    assert model.certificate is None
+    sol = solve(model)
+    assert highs_calls == ["top"]
+    ref = brute_force_single_iteration(g, c_hat, 1, 6.0, variant="top", dist=dist)
+    assert abs(sol.objective_value - ref.reward) < 1e-9
+    assert audit_solution(g, sol, handles) == []
+
+
+@pytest.mark.parametrize("allow_idle_agents", (False, True))
+def test_fewer_depot_neighbours_than_agents_gives_no_cover(allow_idle_agents, highs_calls):
+    # the out-and-back to 3 is over budget, so only 2 can start a cycle; one
+    # agent alone can take the whole bound by [1, 2, 3, 1], but the cover
+    # needs a first vertex per agent and leaves that to HiGHS
+    g = make_graph(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 2.5)])
+    dist = all_pairs_shortest(g)
+    c_hat = np.array([0.0, 0.0, 1.0, 2.0])
+    model, handles = build_top(g, c_hat, 2, 4.5, dist=dist,
+                               allow_idle_agents=allow_idle_agents)
+    assert model.certificate is None
+    sol = solve(model)
+    assert highs_calls == ["top"]
+    ref = brute_force_single_iteration(g, c_hat, 2, 4.5, variant="top", dist=dist,
+                                       allow_idle_agents=allow_idle_agents)
+    if not allow_idle_agents:
+        assert not ref.feasible
+        assert sol.status == INFEASIBLE
+        return
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective_value - ref.reward) < 1e-9
+    assert abs(sol.objective_value - 3.0) < 1e-9
+
+
 @pytest.mark.parametrize("far_value", (0.0, 5.0))
 def test_bound_covers_walks_within_the_solver_tolerance(far_value, highs_calls):
     # vertex 3's round trip is l_max + 5e-7: over budget for greedy and the
@@ -210,6 +307,30 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
                      if dist.dist[1, v] + dist.dist[v, 1] <= l_max}
         assert reachable <= plan.visited()
         assert all(walk_length(graph, r) <= l_max for r in plan.routes)
+    model.certificate = None
+    plain = solve(model)
+    assert plain.status == OPTIMAL
+    assert abs(plain.objective_value - oracle.reward) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tiny_rounds())
+def test_top_matches_brute_force_with_and_without_its_certificate(case):
+    graph, c_hat, agents, l_max, must = case
+    dist = all_pairs_shortest(graph)
+    oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, variant="top",
+                                          dist=dist)
+    model, handles = build_top(graph, c_hat, agents, l_max, must, dist=dist)
+    certificate = model.certificate
+    sol = solve(model)
+    if not oracle.feasible:
+        assert certificate is None
+        assert sol.status == INFEASIBLE
+        return
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective_value - oracle.reward) <= 1e-6
+    assert audit_solution(graph, sol, handles) == []
     model.certificate = None
     plain = solve(model)
     assert plain.status == OPTIMAL

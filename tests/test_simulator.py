@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from patrolopt import milp
 from patrolopt.cost_process import CostState
 from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
@@ -169,6 +170,30 @@ def test_unaffordable_required_vertex_fails_every_round():
         assert result.residual_costs[1] == pytest.approx(1.125, abs=1e-12)
         # depot lumps are still observed; everything else stays at the prior
         assert result.mu_hat_final == [0.0, 0.5, 0.5]
+
+
+def test_infeasible_round_settles_the_rest_of_the_episode(monkeypatch):
+    # top cannot reach vertex 3 without entering 2 twice; the rows never read
+    # the predictions, so the first proof of infeasibility covers all rounds
+    calls = []
+    real = milp.solve
+
+    def spy(model, *args, **kwargs):
+        calls.append(model.name)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(milp, "solve", spy)
+    kappa = [[0.0, 0.0, 0.0], [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
+    instance = make_instance(
+        3, [(1, 2, 1.0), (2, 3, 1.0)], l_max=4.0, horizon=3, kappa=kappa,
+        must_visit=[3],
+    )
+    result = run_episode(instance, "top")
+    assert calls == ["top"]
+    assert result.failed
+    assert result.statuses == ["infeasible", "infeasible", "infeasible"]
+    assert result.residual_costs == [0.375, 1.125, 2.25]
+    assert result.mu_hat_final == [0.0, 0.5, 0.5]
 
 
 def test_noise_free_rates_are_recovered_exactly():
