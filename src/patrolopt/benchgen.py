@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -127,6 +127,8 @@ def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Insta
         raise ValueError("seed must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if min(config.agent_choices) < 1:
+        raise ValueError("agent_choices must all be >= 1")
     for escalations in range(config.max_escalations + 1):
         effective_seed = seed + escalations * config.seed_escalation_step
         structure = draw_structure(config, effective_seed)

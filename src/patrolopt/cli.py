@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--planner", required=True, choices=PLANNERS)
     p_solve.add_argument("--iteration", type=int, default=1)
     p_solve.add_argument("--time-limit", type=float, default=None)
-    p_solve.add_argument("--backend", default="highs", choices=("highs", "reference"))
     p_solve.add_argument("--out", required=True, help="plan JSON output")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--instance", required=True)
     p_sim.add_argument("--planner", required=True, choices=PLANNERS)
     p_sim.add_argument("--time-limit", type=float, default=None)
-    p_sim.add_argument("--backend", default="highs", choices=("highs", "reference"))
     p_sim.add_argument("--out", required=True, help="results CSV output")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -78,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--planners", default="tocp,top,greedy", help="comma list")
     p_bench.add_argument("--time-limit", type=float, default=None)
     p_bench.add_argument("--jobs", type=int, default=1)
-    p_bench.add_argument("--backend", default="highs", choices=("highs", "reference"))
     p_bench.add_argument("--out", required=True, help="results CSV output")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -125,7 +122,6 @@ def _cmd_solve(args) -> int:
         args.planner,
         iteration=args.iteration,
         time_limit=args.time_limit,
-        backend=args.backend,
     )
     payload = {
         "instance": os.path.basename(args.instance),
@@ -151,9 +147,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     instance = read_instance(args.instance)
-    result = run_episode(
-        instance, args.planner, time_limit=args.time_limit, backend=args.backend
-    )
+    result = run_episode(instance, args.planner, time_limit=args.time_limit)
     results_io.write_results(args.out, [results_io.result_to_row(result)])
     print(
         f"{result.instance_id} {args.planner}: total_cost {result.total_cost!r} "
@@ -175,10 +169,10 @@ def _suite_instance_paths(suite_dir: str) -> List[str]:
     return sorted(paths, key=key)
 
 
-def _bench_episode(job: Tuple[str, str, Optional[float], str]) -> Dict[str, str]:
-    path, planner, time_limit, backend = job
+def _bench_episode(job: Tuple[str, str, Optional[float]]) -> Dict[str, str]:
+    path, planner, time_limit = job
     instance = read_instance(path)
-    result = run_episode(instance, planner, time_limit=time_limit, backend=backend)
+    result = run_episode(instance, planner, time_limit=time_limit)
     return results_io.result_to_row(result)
 
 
@@ -188,11 +182,7 @@ def _cmd_bench(args) -> int:
         if p not in PLANNERS:
             raise ValueError(f"unknown planner {p!r}; expected one of {PLANNERS}")
     paths = _suite_instance_paths(args.suite)
-    jobs = [
-        (path, planner, args.time_limit, args.backend)
-        for path in paths
-        for planner in planners
-    ]
+    jobs = [(path, planner, args.time_limit) for path in paths for planner in planners]
     rows: List[Dict[str, str]] = []
     if args.jobs <= 1:
         for i, job in enumerate(jobs):

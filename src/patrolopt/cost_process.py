@@ -7,8 +7,8 @@ Visiting a vertex collects (and zeroes) whatever has accrued there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Set
+from dataclasses import dataclass
+from typing import Set
 
 import numpy as np
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .cost_process import GrowthParams
 from .graph import Graph, symmetrize
 
 FORMAT_VERSION = 1
@@ -55,21 +54,6 @@ def instance_graph(instance: Instance) -> Graph:
         instance.num_vertices,
         symmetrize(instance.edges),
         positions=positions,
-    )
-
-
-def mu_star_array(instance: Instance) -> np.ndarray:
-    out = np.zeros(instance.num_vertices + 1)
-    out[1:] = instance.mu_star
-    return out
-
-
-def growth_params(instance: Instance) -> GrowthParams:
-    return GrowthParams(
-        mu_star=mu_star_array(instance),
-        noise_stddev=instance.noise_stddev,
-        clip_lo=CLIP_RANGE[0],
-        clip_hi=CLIP_RANGE[1],
     )
 
 

@@ -1,12 +1,10 @@
 """Small mixed-integer linear programming layer.
 
-Models are built explicitly (variables, linear constraints, one objective) and
-solved either by HiGHS through scipy.optimize.milp (the default) or by a
-self-contained best-first branch-and-bound that only relies on an LP solver.
-The second backend exists as an independent cross-check of the first: both
-must land on the same optimal objective, and tests hold them to that.
+Models are built explicitly (variables, linear constraints, one objective)
+and solved by HiGHS through scipy.optimize.milp, unless the model carries a
+certificate that proves its own optimum.
 
-Conventions shared by both backends:
+Conventions:
   * feasibility tolerance 1e-6, integrality tolerance 1e-6,
     relative optimality gap 1e-9;
   * statuses: "optimal", "infeasible", "feasible-timeout" (deadline hit with
@@ -16,14 +14,14 @@ Conventions shared by both backends:
 
 from __future__ import annotations
 
-import heapq
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as _scipy_milp
 
 FEASIBILITY_TOL = 1e-6
@@ -215,29 +213,21 @@ def check_assignment(model: MilpModel, x: np.ndarray, tol: float = FEASIBILITY_T
     return issues
 
 
-def solve(
-    model: MilpModel,
-    time_limit: Optional[float] = None,
-    backend: str = "highs",
-    warm_start: Optional[np.ndarray] = None,
-) -> MilpSolution:
-    """Solve to proven optimality or until the deadline.
+def solve(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolution:
+    """Solve to proven optimality or until the deadline (seconds, None for none).
 
-    A model certificate that checks out is the answer, on either backend:
-    status optimal, gap 0, no nodes.  warm_start is a full assignment used as
-    the initial incumbent by the reference backend; the HiGHS backend has no
-    warm-start hook and ignores it.
+    A model certificate that checks out is the answer without search: status
+    optimal, gap 0, no nodes.  A time limit that is negative or not finite
+    raises ValueError, whether or not the certificate would have answered.
     """
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
+        raise ValueError(f"time_limit must be None or finite and >= 0, got {time_limit!r}")
     model.validate()
     if model.certificate is not None:
         certified = _certified_solution(model)
         if certified is not None:
             return certified
-    if backend == "highs":
-        return _solve_highs(model, time_limit)
-    if backend == "reference":
-        return _solve_reference(model, time_limit, warm_start)
-    raise ValueError(f"unknown backend {backend!r}")
+    return _solve_highs(model, time_limit)
 
 
 def _certified_solution(model: MilpModel) -> Optional[MilpSolution]:
@@ -314,138 +304,6 @@ def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
     raise ModelError(f"solver failed: {res.message}")
 
 
-# ---------------------------------------------------------------------------
-# Reference branch-and-bound
-# ---------------------------------------------------------------------------
-
-
-def _solve_reference(
-    model: MilpModel,
-    time_limit: Optional[float],
-    warm_start: Optional[np.ndarray],
-) -> MilpSolution:
-    """Best-first branch-and-bound on the binary variables.
-
-    Node priority is the parent's LP bound; branching picks the most
-    fractional binary (ties to the lowest index).  The deadline is only
-    checked between nodes, so a single LP never gets interrupted.
-    """
-    t0 = time.perf_counter()
-    deadline = t0 + time_limit if time_limit is not None else None
-    c = model.objective_vector()
-    # Work internally with a maximization objective.
-    obj = c if model.sense == "max" else -c
-    a, row_lb, row_ub = (
-        model.constraint_matrix() if model.constraints else (None, None, None)
-    )
-    # Split rows for linprog: inequalities as A_ub, equalities as A_eq.
-    a_ub_parts, b_ub_parts = [], []
-    a_eq, b_eq = None, None
-    if a is not None:
-        ub_rows = np.isfinite(row_ub) & ~np.isfinite(row_lb)
-        lb_rows = np.isfinite(row_lb) & ~np.isfinite(row_ub)
-        eq_rows = np.isfinite(row_lb) & np.isfinite(row_ub)
-        if ub_rows.any():
-            a_ub_parts.append(a[ub_rows])
-            b_ub_parts.append(row_ub[ub_rows])
-        if lb_rows.any():
-            a_ub_parts.append(-a[lb_rows])
-            b_ub_parts.append(-row_lb[lb_rows])
-        if eq_rows.any():
-            a_eq = a[eq_rows]
-            b_eq = row_lb[eq_rows]
-    a_ub = sp.vstack(a_ub_parts).tocsr() if a_ub_parts else None
-    b_ub = np.concatenate(b_ub_parts) if b_ub_parts else None
-    base_lo, base_hi = model.bounds_arrays()
-    bins = model.binary_indices()
-
-    def lp_max(lo: np.ndarray, hi: np.ndarray):
-        """(bound, x) of the LP relaxation under these bounds, or None if infeasible."""
-        res = linprog(
-            -obj,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=np.column_stack([lo, hi]),
-            method="highs",
-        )
-        if res.status == 2:
-            return None
-        if res.status == 3:
-            raise ModelError("relaxation is unbounded; the model is missing constraints")
-        if res.status != 0:
-            raise ModelError(f"LP relaxation failed: {res.message}")
-        return float(obj @ res.x), np.asarray(res.x)
-
-    incumbent: Optional[np.ndarray] = None
-    inc_obj = -np.inf
-    if warm_start is not None:
-        ws = np.asarray(warm_start, dtype=float)
-        if not check_assignment(model, ws):
-            incumbent = ws
-            inc_obj = float(obj @ ws)
-
-    def prune_margin(value: float) -> float:
-        return RELATIVE_GAP_TOL * max(1.0, abs(value))
-
-    nodes = 0
-    seq = 0
-    timed_out = False
-    # Heap entries: (-parent_bound, seq, lo, hi); the root has no parent, so
-    # its optimistic bound is +inf and it always gets solved.
-    heap = [(float("-inf"), seq, base_lo, base_hi)]
-    remaining_bound = np.inf
-    while heap:
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            remaining_bound = -heap[0][0]
-            break
-        neg_bound, _, lo, hi = heapq.heappop(heap)
-        parent_bound = -neg_bound
-        if incumbent is not None and parent_bound <= inc_obj + prune_margin(inc_obj):
-            # Best-first order: every remaining node is at least as weak.
-            remaining_bound = parent_bound
-            heap = []
-            break
-        sol = lp_max(lo, hi)
-        nodes += 1
-        if sol is None:
-            continue
-        bound, x = sol
-        if incumbent is not None and bound <= inc_obj + prune_margin(inc_obj):
-            continue
-        if bins.size:
-            frac = np.abs(x[bins] - np.round(x[bins]))
-            worst = int(np.argmax(np.minimum(frac, 1.0 - frac)))
-            max_frac = float(frac[worst]) if frac.size else 0.0
-        else:
-            max_frac = 0.0
-        if max_frac <= INTEGRALITY_TOL:
-            if bound > inc_obj:
-                incumbent = x
-                inc_obj = bound
-            continue
-        branch_var = int(bins[worst])
-        for fixed_val in (0.0, 1.0):
-            lo2 = lo.copy()
-            hi2 = hi.copy()
-            lo2[branch_var] = fixed_val
-            hi2[branch_var] = fixed_val
-            seq += 1
-            heapq.heappush(heap, (-bound, seq, lo2, hi2))
-    elapsed = time.perf_counter() - t0
-    obj_out = None if incumbent is None else float(c @ incumbent)
-    if timed_out:
-        if incumbent is None:
-            return MilpSolution(TIMEOUT_NO_SOLUTION, None, None, np.inf, elapsed, nodes)
-        gap = max(0.0, (remaining_bound - inc_obj) / max(1.0, abs(inc_obj)))
-        return MilpSolution(FEASIBLE_TIMEOUT, incumbent, obj_out, gap, elapsed, nodes)
-    if incumbent is None:
-        return MilpSolution(INFEASIBLE, None, None, np.inf, elapsed, nodes)
-    return MilpSolution(OPTIMAL, incumbent, obj_out, 0.0, elapsed, nodes)
-
-
 def complete_with_lp(model: MilpModel, fixed: Dict[int, float]) -> Optional[np.ndarray]:
     """Fix some variables and fill in the rest by LP, or None if that is infeasible.
 
@@ -464,36 +322,3 @@ def complete_with_lp(model: MilpModel, fixed: Dict[int, float]) -> Optional[np.n
         return None
     return np.asarray(res.x)
 
-
-def write_lp(model: MilpModel) -> str:
-    """Render the model in LP file format (CPLEX dialect) for eyeballing/diffing."""
-
-    def num(v: float) -> str:
-        return f"{v:.12g}"
-
-    def term_str(idx: int, coef: float) -> str:
-        sign_ch = "-" if coef < 0 else "+"
-        return f"{sign_ch} {num(abs(coef))} {model.variables[idx].name}"
-
-    lines = [("Maximize" if model.sense == "max" else "Minimize")]
-    obj_terms = " ".join(
-        term_str(idx, coef) for idx, coef in sorted(model._objective.items())
-    )
-    lines.append(f" obj: {obj_terms}" if obj_terms else " obj: 0 x_dummy")
-    lines.append("Subject To")
-    rel_map = {"<=": "<=", ">=": ">=", "=": "="}
-    for k, con in enumerate(model.constraints):
-        label = con.name or f"c{k}"
-        body = " ".join(term_str(idx, coef) for idx, coef in con.terms)
-        lines.append(f" {label}: {body} {rel_map[con.relation]} {num(con.rhs)}")
-    lines.append("Bounds")
-    for v in model.variables:
-        if v.kind == CONTINUOUS:
-            lines.append(f" {num(v.lb)} <= {v.name} <= {num(v.ub)}")
-    bins = [v.name for v in model.variables if v.kind == BINARY]
-    if bins:
-        lines.append("Binary")
-        for name in bins:
-            lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

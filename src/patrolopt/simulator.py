@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
-import numpy as np
-
 from . import milp
 from .cost_process import CostState
 from .estimator import EstimatorState
@@ -31,7 +29,6 @@ from .tocp import (
     build_tocp,
     build_top,
     extract_routes,
-    plan_to_assignment,
 )
 
 PLANNERS = ("tocp", "top", "greedy")
@@ -56,13 +53,11 @@ def run_episode(
     instance: Instance,
     planner: str,
     time_limit: Optional[float] = None,
-    backend: str = "highs",
     keep_plans: bool = False,
 ) -> EpisodeResult:
     """Run the full horizon with one planner; returns per-iteration records.
 
-    With the reference solver backend, MIP planners get the greedy plan as a
-    warm start when it encodes; the HiGHS backend has no warm-start hook.
+    time_limit bounds each round's MIP solve in seconds; greedy ignores it.
     """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
@@ -84,9 +79,7 @@ def run_episode(
         if statuses and statuses[-1] == milp.INFEASIBLE:
             plan, status = None, milp.INFEASIBLE
         else:
-            plan, status = _plan_round(
-                planner, graph, dm, c_hat, instance, time_limit, backend
-            )
+            plan, status, _ = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
         seconds.append(time.perf_counter() - t0)
         statuses.append(status)
         if plan is None:
@@ -115,8 +108,11 @@ def run_episode(
     )
 
 
-def _plan_round(planner, graph, dm, c_hat, instance, time_limit, backend):
-    """One round of planning; (FleetPlan or None, status string)."""
+def _plan_round(planner, graph, dm, c_hat, instance, time_limit):
+    """One round of planning; (FleetPlan or None, status, (solution, model) or None).
+
+    The last item is the MIP planners' solver outcome and model; greedy has none.
+    """
     if planner == "greedy":
         try:
             plan = greedy_plan(
@@ -124,27 +120,18 @@ def _plan_round(planner, graph, dm, c_hat, instance, time_limit, backend):
                 instance.must_visit,
             )
         except UnreachableMustVisitError:
-            return None, milp.INFEASIBLE
-        return plan, STATUS_HEURISTIC
+            return None, milp.INFEASIBLE, None
+        return plan, STATUS_HEURISTIC, None
     build = build_tocp if planner == "tocp" else build_top
     model, handles = build(
         graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
         dist=dm,
     )
-    warm = None
-    if backend == "reference":
-        try:
-            seed_plan = greedy_plan(
-                graph, dm, c_hat, instance.num_agents, instance.l_max,
-                instance.must_visit,
-            )
-            warm = plan_to_assignment(seed_plan, model, handles, graph)
-        except UnreachableMustVisitError:
-            warm = None
-    solution = milp.solve(model, time_limit=time_limit, backend=backend, warm_start=warm)
+    solution = milp.solve(model, time_limit=time_limit)
+    plan = None
     if solution.status in (milp.OPTIMAL, milp.FEASIBLE_TIMEOUT):
-        return extract_routes(solution, handles, graph), solution.status
-    return None, solution.status
+        plan = extract_routes(solution, handles, graph)
+    return plan, solution.status, (solution, model)
 
 
 def solve_single_round(
@@ -152,13 +139,12 @@ def solve_single_round(
     planner: str,
     iteration: int = 1,
     time_limit: Optional[float] = None,
-    backend: str = "highs",
 ):
     """Plan one round in isolation, as if nothing had ever been visited.
 
     Predicted costs come from the untrained estimator (every vertex at the
     prior default rate times the iteration index).  Returns (plan or None,
-    status, model stats dict).
+    status, model stats dict); greedy's stats name the planner alone.
     """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
@@ -168,30 +154,16 @@ def solve_single_round(
     dm = all_pairs_shortest(graph)
     est = EstimatorState(instance.num_vertices, instance.mu_default)
     c_hat = est.predicted_cost(iteration)
-    if planner == "greedy":
-        try:
-            plan = greedy_plan(
-                graph, dm, c_hat, instance.num_agents, instance.l_max,
-                instance.must_visit,
-            )
-            return plan, STATUS_HEURISTIC, {"planner": "greedy"}
-        except UnreachableMustVisitError:
-            return None, milp.INFEASIBLE, {"planner": "greedy"}
-    build = build_tocp if planner == "tocp" else build_top
-    model, handles = build(
-        graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
-        dist=dm,
-    )
-    solution = milp.solve(model, time_limit=time_limit, backend=backend)
-    stats = {
-        "planner": planner,
-        "num_variables": model.num_variables,
-        "num_constraints": len(model.constraints),
-        "status": solution.status,
-        "objective": solution.objective_value,
-        "gap": solution.gap,
-        "node_count": solution.node_count,
-    }
-    if solution.status in (milp.OPTIMAL, milp.FEASIBLE_TIMEOUT):
-        return extract_routes(solution, handles, graph), solution.status, stats
-    return None, solution.status, stats
+    plan, status, mip = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
+    stats = {"planner": planner}
+    if mip is not None:
+        solution, model = mip
+        stats.update(
+            num_variables=model.num_variables,
+            num_constraints=len(model.constraints),
+            status=solution.status,
+            objective=solution.objective_value,
+            gap=solution.gap,
+            node_count=solution.node_count,
+        )
+    return plan, status, stats

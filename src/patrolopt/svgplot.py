@@ -8,7 +8,7 @@ rasterize, nothing non-deterministic.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graph import DEPOT
 from .instance_io import Instance

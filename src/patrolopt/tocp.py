@@ -37,7 +37,7 @@ cover goes to HiGHS.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -109,7 +109,6 @@ def build_tocp(
     *,
     dist: Optional[DistanceMatrix] = None,
     allow_idle_agents: bool = False,
-    tight_u_bound: bool = False,
 ) -> Tuple[MilpModel, VariableHandles]:
     """Build the repeat-visit model; returns the model and its variable handles.
 
@@ -121,7 +120,7 @@ def build_tocp(
     greedy_certificate), so milp.solve can skip the search on it.
     """
     model, handles = _build_fleet_model(
-        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents, tight_u_bound
+        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents
     )
     if dist is None:
         dist = all_pairs_shortest(graph)
@@ -138,7 +137,6 @@ def _build_fleet_model(
     must_visit: Sequence[int],
     dist: Optional[DistanceMatrix],
     allow_idle_agents: bool,
-    tight_u_bound: bool,
 ) -> Tuple[MilpModel, VariableHandles]:
     """The repeat-visit rows and variables shared by build_tocp and build_top."""
     problem = validate(graph)
@@ -168,7 +166,7 @@ def _build_fleet_model(
 
     edges = [e for e, _ in graph.edge_items()]
     big_m = l_max / graph.min_edge_length()
-    u_cap = float(n - 1 if tight_u_bound else n)
+    u_cap = float(n)
 
     model = MilpModel("max", name="tocp")
     x: Dict[Tuple[int, int, int], int] = {}
@@ -305,7 +303,6 @@ def build_top(
     *,
     dist: Optional[DistanceMatrix] = None,
     allow_idle_agents: bool = False,
-    tight_u_bound: bool = False,
 ) -> Tuple[MilpModel, VariableHandles]:
     """Single-visit variant: each non-depot vertex is entered at most once in total.
 
@@ -315,7 +312,7 @@ def build_top(
     cover_certificate).
     """
     model, handles = _build_fleet_model(
-        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents, tight_u_bound
+        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents
     )
     model.name = "top"
     n = graph.num_vertices
@@ -425,9 +422,8 @@ def plan_to_assignment(
     Only plans whose walks use each directed edge at most once fit the binary
     edge variables, and the continuous flow is filled in by LP, which also
     weeds out plans the model would not accept (an idle agent under the
-    exactly-one depot departure, say).  greedy_certificate encodes its
-    candidate plans with it, and the reference backend's warm start reuses
-    it, so failure is an answer, not an error.
+    exactly-one depot departure, say).  The certificates encode their
+    candidate plans with it, so failure is an answer, not an error.
     """
     fixed: Dict[int, float] = {}
     for key, idx in handles.x.items():

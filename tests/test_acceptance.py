@@ -89,7 +89,7 @@ def tiny_suite():
                 graph, c_hat, instance.num_agents, instance.l_max,
                 instance.must_visit, dist=dm,
             )
-            solution = solve(model, backend="highs")
+            solution = solve(model)
             oracle = brute_force_single_iteration(
                 graph, c_hat, instance.num_agents, instance.l_max,
                 must_visit=instance.must_visit, variant=variant, dist=dm,
@@ -175,7 +175,7 @@ def test_criterion_04_revisits_beat_single_visit_on_a_cut_vertex(bridge):
     results = {}
     for variant, build in (("tocp", build_tocp), ("top", build_top)):
         model, handles = build(graph, c_hat, 1, l_max, dist=dist)
-        solution = solve(model, backend="highs")
+        solution = solve(model)
         assert solution.status == OPTIMAL
         oracle = brute_force_single_iteration(
             graph, c_hat, 1, l_max, variant=variant, dist=dist

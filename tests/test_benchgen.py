@@ -128,3 +128,5 @@ def test_bad_arguments_are_rejected():
         generate_instance(cfg, 0, 2)
     with pytest.raises(ValueError):
         generate_instance(cfg, 1, 0)
+    with pytest.raises(ValueError, match="agent_choices"):
+        generate_instance(BenchmarkConfig(agent_choices=(0, 2)), 1, 2)

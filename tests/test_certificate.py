@@ -3,7 +3,7 @@
 A certified round must be a real optimum: feasible for the model as built,
 and worth the round-trip bound that no plan can beat.  Anything short of
 that has to fall through to HiGHS, which is checked here by spying on the
-HiGHS backend, and the property tests hold both paths to the brute-force
+HiGHS call, and the property tests hold both paths to the brute-force
 oracle on random tiny graphs.
 """
 
@@ -33,7 +33,7 @@ from conftest import make_graph
 
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """Count the models that reach the HiGHS backend."""
+    """Count the models that reach HiGHS."""
     calls = []
     real = milp._solve_highs
 

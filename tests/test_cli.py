@@ -215,3 +215,26 @@ def test_argparse_usage_errors(tmp_path):
         main(["solve", "--instance", "x.json", "--planner", "tabu",
               "--out", str(tmp_path / "p.json")])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--instance", "x.json", "--planner", "tocp",
+              "--backend", "highs", "--out", str(tmp_path / "p.json")])
+    assert info.value.code == 2
+
+
+def test_gen_rejects_zero_agents_before_writing(tmp_path, capsys):
+    out = str(tmp_path / "suite")
+    code = main(["gen", "--out", out, "--seeds", "1", "--horizons", "2",
+                 "--agent-choices", "0"])
+    assert code == 2
+    assert "agent_choices" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_negative_time_limit_exits_two(suite_dir, tmp_path, capsys):
+    instance = os.path.join(suite_dir, "H1", "seed1.json")
+    out = str(tmp_path / "plan.json")
+    code = main(["solve", "--instance", instance, "--planner", "tocp",
+                 "--time-limit", "-1", "--out", out])
+    assert code == 2
+    assert "time_limit" in capsys.readouterr().err
+    assert not os.path.exists(out)

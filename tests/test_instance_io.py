@@ -12,7 +12,6 @@ from patrolopt.instance_io import (
     instance_graph,
     instance_id,
     kappa_table,
-    mu_star_array,
     read_instance,
     write_instance,
 )
@@ -37,10 +36,6 @@ def test_instance_id_and_views(sample):
     table = kappa_table(sample)
     assert table.shape == (sample.num_vertices + 1, 4)
     assert table[0].tolist() == [0.0] * 4
-    mu = mu_star_array(sample)
-    assert mu.shape == (sample.num_vertices + 1,)
-    assert mu[0] == 0.0
-    assert mu[2] == sample.mu_star[1]
 
 
 def load_payload(tmp_path, sample):

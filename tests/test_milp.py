@@ -1,16 +1,18 @@
-"""Mixed-integer model container and the two solver backends.
+"""Mixed-integer model container and the HiGHS solve.
 
-The reference backend is cross-checked against exhaustive enumeration on
-knapsack-sized models, and both backends against each other.
+HiGHS is cross-checked against exhaustive enumeration on knapsack-sized
+models; its deadline statuses are checked on a real and on a faked run.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from patrolopt import milp
 from patrolopt.milp import (
     FEASIBLE_TIMEOUT,
     INFEASIBLE,
@@ -21,10 +23,7 @@ from patrolopt.milp import (
     check_assignment,
     complete_with_lp,
     solve,
-    write_lp,
 )
-
-BACKENDS = ("highs", "reference")
 
 
 def knapsack_model(values, weights, capacity):
@@ -44,23 +43,25 @@ def knapsack_best(values, weights, capacity):
     return best
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_knapsack_optima_match_enumeration(backend):
+def seeded_knapsack(seed, n=8):
+    rng = np.random.default_rng(seed)
+    values = [float(rng.uniform(1, 10)) for _ in range(n)]
+    weights = [float(rng.uniform(1, 5)) for _ in range(n)]
+    return values, weights, rng
+
+
+def test_knapsack_optima_match_enumeration():
     for seed in range(8):
-        rng = np.random.default_rng(seed)
-        n = 8
-        values = [float(rng.uniform(1, 10)) for _ in range(n)]
-        weights = [float(rng.uniform(1, 5)) for _ in range(n)]
+        values, weights, rng = seeded_knapsack(seed)
         cap = float(rng.uniform(5, 15))
         model, _ = knapsack_model(values, weights, cap)
-        sol = solve(model, backend=backend)
+        sol = solve(model)
         assert sol.status == OPTIMAL
         assert abs(sol.objective_value - knapsack_best(values, weights, cap)) < 1e-7
         assert check_assignment(model, sol.assignment) == []
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_equality_and_continuous_mix(backend):
+def test_equality_and_continuous_mix():
     # pick exactly two items; continuous y rides along up to the picked total
     m = MilpModel(sense="max")
     x = [m.add_binary(f"x{i}") for i in range(3)]
@@ -70,59 +71,70 @@ def test_equality_and_continuous_mix(backend):
     m.set_objective_coefficient(y, 0.5)
     m.add_constraint([(xi, 1.0) for xi in x], "=", 2.0, "pick2")
     m.add_constraint([(y, 1.0), (x[0], -4.0), (x[1], -4.0), (x[2], -4.0)], "<=", 0.0, "ylink")
-    sol = solve(m, backend=backend)
+    sol = solve(m)
     assert sol.status == OPTIMAL
     # best: items 2 and 3 (value 5) plus y = 8 at half weight
     assert abs(sol.objective_value - 9.0) < 1e-7
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_infeasible_model_is_reported(backend):
+def test_infeasible_model_is_reported():
     m = MilpModel(sense="max")
     a = m.add_binary("a")
     b = m.add_binary("b")
     m.add_constraint([(a, 1.0), (b, 1.0)], "=", 3.0, "impossible")
-    sol = solve(m, backend=backend)
+    sol = solve(m)
     assert sol.status == INFEASIBLE
     assert sol.assignment is None
 
 
-def test_reference_timeout_without_incumbent():
-    m, _ = knapsack_model([3.0, 5.0, 4.0], [2.0, 4.0, 3.0], 6.0)
-    sol = solve(m, time_limit=0.0, backend="reference")
+def test_zero_time_limit_stops_before_any_incumbent():
+    values, weights, _ = seeded_knapsack(0)
+    m, _ = knapsack_model(values, weights, 8.0)
+    sol = solve(m, time_limit=0.0)
     assert sol.status == TIMEOUT_NO_SOLUTION
+    assert sol.assignment is None
+    assert sol.objective_value is None
 
 
-def test_reference_timeout_keeps_warm_start_incumbent():
-    values, weights, cap = [3.0, 5.0, 4.0], [2.0, 4.0, 3.0], 6.0
-    m, idx = knapsack_model(values, weights, cap)
-    warm = np.zeros(m.num_variables)
-    warm[idx[0]] = 1.0
-    sol = solve(m, time_limit=0.0, backend="reference", warm_start=warm)
+def test_deadline_with_an_incumbent_is_feasible_timeout(monkeypatch):
+    m, idx = knapsack_model([3.0, 5.0, 4.0], [2.0, 4.0, 3.0], 6.0)
+    x = np.zeros(m.num_variables)
+    x[idx[0]] = 1.0
+
+    def timed_out(model, lo, hi, integrality, options=None):
+        res = SimpleNamespace(status=1, x=x, mip_gap=0.5, mip_node_count=7)
+        return model.objective_vector(), res
+
+    monkeypatch.setattr(milp, "_scipy_solve", timed_out)
+    sol = solve(m, time_limit=1.0)
     assert sol.status == FEASIBLE_TIMEOUT
     assert sol.objective_value == 3.0
-    assert sol.gap > 0.0
+    assert sol.gap == 0.5
+    assert sol.node_count == 7
+    assert sol.assignment is x
 
 
-def test_reference_rejects_infeasible_warm_start():
-    m, idx = knapsack_model([3.0, 5.0], [4.0, 4.0], 4.0)
-    warm = np.ones(m.num_variables)  # violates the capacity row
-    sol = solve(m, backend="reference", warm_start=warm)
-    assert sol.status == OPTIMAL
-    assert abs(sol.objective_value - 5.0) < 1e-9
+@pytest.mark.parametrize("time_limit", (-1.0, float("nan")))
+def test_invalid_time_limit_is_rejected(time_limit):
+    m, _ = knapsack_model([3.0, 5.0], [2.0, 4.0], 6.0)
+    with pytest.raises(ValueError, match="time_limit"):
+        solve(m, time_limit=time_limit)
+    # The same answer when a certificate would have skipped the search.
+    m.certificate = (np.ones(2), 8.0)
+    assert solve(m).assignment is m.certificate[0]
+    with pytest.raises(ValueError, match="time_limit"):
+        solve(m, time_limit=time_limit)
 
 
-def test_backends_agree_on_minimization():
+def test_minimization_optimum():
     m = MilpModel(sense="min")
     x = [m.add_binary(f"x{i}") for i in range(4)]
     for i, c in enumerate((4.0, 2.0, 5.0, 3.0)):
         m.set_objective_coefficient(x[i], c)
     m.add_constraint([(xi, 1.0) for xi in x], ">=", 2.0, "atleast2")
-    a = solve(m, backend="highs")
-    b = solve(m, backend="reference")
-    assert a.status == b.status == OPTIMAL
-    assert abs(a.objective_value - 5.0) < 1e-9
-    assert abs(b.objective_value - 5.0) < 1e-9
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective_value - 5.0) < 1e-9
 
 
 def test_check_assignment_flags_violations():
@@ -163,7 +175,7 @@ def test_validate_rejects_malformed_models():
     with pytest.raises(ModelError):
         MilpModel(sense="sideways")
 
-    # solve() validates before touching a backend
+    # solve() validates before calling HiGHS
     m = MilpModel()
     m.add_continuous("y", 2.0, 1.0)
     with pytest.raises(ModelError):
@@ -172,10 +184,9 @@ def test_validate_rejects_malformed_models():
 
 def test_gap_is_zero_at_proven_optimality():
     m, _ = knapsack_model([2.0, 3.0], [1.0, 1.0], 2.0)
-    for backend in BACKENDS:
-        sol = solve(m, backend=backend)
-        assert sol.status == OPTIMAL
-        assert sol.gap <= 1e-9
+    sol = solve(m)
+    assert sol.status == OPTIMAL
+    assert sol.gap <= 1e-9
 
 
 def test_complete_with_lp_fills_continuous_variables():
@@ -194,10 +205,3 @@ def test_complete_with_lp_fills_continuous_variables():
     m.add_constraint([(a, 1.0)], ">=", 1.0, "force")
     assert complete_with_lp(m, {a: 0.0}) is None
 
-
-def test_lp_text_round_trips_the_model_shape():
-    m, _ = knapsack_model([3.0, 5.0], [2.0, 4.0], 6.0)
-    text = write_lp(m)
-    for section in ("Maximize", "Subject To", "Binary", "End"):
-        assert section in text
-    assert "cap:" in text

@@ -254,3 +254,17 @@ def test_single_round_reports_model_stats_without_timings():
         solve_single_round(instance, "tocp", iteration=instance.horizon + 1)
     with pytest.raises(ValueError, match="unknown planner"):
         solve_single_round(instance, "lkh")
+
+
+def test_single_round_is_the_first_round_of_an_episode():
+    # solve and simulate share one planner dispatch: at t = 1 both plan on
+    # the untrained estimator's predictions, so they must agree exactly.
+    instance = bench_instance(seed=5)
+    for planner in PLANNERS:
+        plan, status, _ = solve_single_round(instance, planner)
+        result = run_episode(instance, planner, keep_plans=True)
+        assert status == result.statuses[0]
+        episode_plan = result.plans[0]
+        assert (plan is None) == (episode_plan is None)
+        if plan is not None:
+            assert plan.routes == episode_plan.routes

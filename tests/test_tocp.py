@@ -24,16 +24,15 @@ from patrolopt.tocp import (
 from conftest import make_graph
 
 
-def solved(build, graph, c_hat, m, l_max, must=(), backend="highs", **kw):
+def solved(build, graph, c_hat, m, l_max, must=(), **kw):
     dist = all_pairs_shortest(graph)
     model, handles = build(graph, c_hat, m, l_max, must, dist=dist, **kw)
-    return model, handles, solve(model, backend=backend)
+    return model, handles, solve(model)
 
 
-@pytest.mark.parametrize("backend", ("highs", "reference"))
-def test_bridge_revisit_beats_single_visit(bridge, backend):
+def test_bridge_revisit_beats_single_visit(bridge):
     graph, dist, c_hat, l_max = bridge
-    model, handles, sol = solved(build_tocp, graph, c_hat, 1, l_max, backend=backend)
+    model, handles, sol = solved(build_tocp, graph, c_hat, 1, l_max)
     assert sol.status == OPTIMAL
     assert abs(sol.objective_value - 10.1) < 1e-9
     assert audit_solution(graph, sol, handles) == []
@@ -41,7 +40,7 @@ def test_bridge_revisit_beats_single_visit(bridge, backend):
     assert plan.routes == [[1, 2, 3, 2, 1]]
     assert plan.lengths == [4.0]
 
-    model, handles, sol = solved(build_top, graph, c_hat, 1, l_max, backend=backend)
+    model, handles, sol = solved(build_top, graph, c_hat, 1, l_max)
     assert sol.status == OPTIMAL
     assert abs(sol.objective_value - 0.1) < 1e-9
     assert audit_solution(graph, sol, handles) == []
@@ -87,15 +86,6 @@ def test_big_m_and_flow_cap_values():
     _, handles = build_tocp(g, c, 1, 7.0)
     assert handles.big_m == 7.0 / 0.5
     assert handles.u_cap == 3.0
-    _, tight = build_tocp(g, c, 1, 7.0, tight_u_bound=True)
-    assert tight.u_cap == 2.0
-
-
-def test_tight_flow_bound_keeps_the_optimum(bridge, star):
-    for graph, dist, c_hat, l_max in (bridge, star):
-        _, _, a = solved(build_tocp, graph, c_hat, 1, l_max)
-        _, _, b = solved(build_tocp, graph, c_hat, 1, l_max, tight_u_bound=True)
-        assert abs(a.objective_value - b.objective_value) < 1e-9
 
 
 def test_agents_must_leave_the_depot_unless_idling_is_allowed(bridge):
