@@ -129,6 +129,8 @@ def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Insta
         raise ValueError("horizon must be >= 1")
     if min(config.agent_choices) < 1:
         raise ValueError("agent_choices must all be >= 1")
+    if min(config.vertex_choices) < 2:
+        raise ValueError("vertex_choices must all be >= 2")
     for escalations in range(config.max_escalations + 1):
         effective_seed = seed + escalations * config.seed_escalation_step
         structure = draw_structure(config, effective_seed)

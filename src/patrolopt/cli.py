@@ -19,7 +19,7 @@ from . import benchgen, results_io, stats, svgplot
 from .instance_io import InstanceFormatError, read_instance
 from .milp import ModelError
 from .simulator import PLANNERS, run_episode, solve_single_round
-from .tocp import FleetPlan, RouteIntegrityError, UnreachableMustVisitError
+from .tocp import FleetPlan, RouteIntegrityError
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -29,7 +29,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (
         InstanceFormatError,
-        UnreachableMustVisitError,
         RouteIntegrityError,
         ModelError,
         FileExistsError,
@@ -110,7 +109,11 @@ def _cmd_gen(args) -> int:
         config.vertex_choices = _parse_int_list(args.vertex_choices)
     if args.agent_choices:
         config.agent_choices = _parse_int_list(args.agent_choices)
-    written = benchgen.generate_suite(config, args.out, force=args.force)
+    try:
+        written = benchgen.generate_suite(config, args.out, force=args.force)
+    except RuntimeError as exc:  # a draw that never hosts its required vertices
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(written)} instances under {args.out}")
     return 0
 

@@ -2,7 +2,8 @@
 
 Models are built explicitly (variables, linear constraints, one objective)
 and solved by HiGHS through scipy.optimize.milp, unless the model carries a
-certificate that proves its own optimum.
+certificate that proves its own optimum or a proof that it has no feasible
+point.
 
 Conventions:
   * feasibility tolerance 1e-6, integrality tolerance 1e-6,
@@ -73,6 +74,9 @@ class MilpModel:
         # An assignment offered with a proven bound on the optimum; solve
         # returns it without search when it is feasible and reaches the bound.
         self.certificate: Optional[Tuple[np.ndarray, float]] = None
+        # Why no assignment can satisfy the rows, found where the model was
+        # built; solve then reports infeasible without search.
+        self.infeasibility_proof: Optional[str] = None
 
     # ----- construction -------------------------------------------------
 
@@ -213,16 +217,25 @@ def check_assignment(model: MilpModel, x: np.ndarray, tol: float = FEASIBILITY_T
     return issues
 
 
+def check_time_limit(time_limit: Optional[float]) -> None:
+    """Raise ValueError unless time_limit is None or a finite number of seconds >= 0."""
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
+        raise ValueError(f"time_limit must be None or finite and >= 0, got {time_limit!r}")
+
+
 def solve(model: MilpModel, time_limit: Optional[float] = None) -> MilpSolution:
     """Solve to proven optimality or until the deadline (seconds, None for none).
 
-    A model certificate that checks out is the answer without search: status
-    optimal, gap 0, no nodes.  A time limit that is negative or not finite
-    raises ValueError, whether or not the certificate would have answered.
+    A model that carries an infeasibility proof is infeasible without search:
+    gap inf, no nodes.  A model certificate that checks out is the answer
+    without search: status optimal, gap 0, no nodes.  A time limit that is
+    negative or not finite raises ValueError, whether or not a proof or the
+    certificate would have answered.
     """
-    if time_limit is not None and not (math.isfinite(time_limit) and time_limit >= 0):
-        raise ValueError(f"time_limit must be None or finite and >= 0, got {time_limit!r}")
+    check_time_limit(time_limit)
     model.validate()
+    if model.infeasibility_proof is not None:
+        return MilpSolution(INFEASIBLE, None, None, np.inf, 0.0, 0)
     if model.certificate is not None:
         certified = _certified_solution(model)
         if certified is not None:

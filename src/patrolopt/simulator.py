@@ -57,10 +57,12 @@ def run_episode(
 ) -> EpisodeResult:
     """Run the full horizon with one planner; returns per-iteration records.
 
-    time_limit bounds each round's MIP solve in seconds; greedy ignores it.
+    time_limit bounds each round's MIP solve in seconds; greedy ignores it,
+    but a negative or non-finite one raises ValueError for every planner.
     """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    milp.check_time_limit(time_limit)
     graph = instance_graph(instance)
     dm = all_pairs_shortest(graph)
     cost = CostState(kappa_table(instance))
@@ -150,6 +152,7 @@ def solve_single_round(
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
     if not 1 <= iteration <= instance.horizon:
         raise ValueError(f"iteration must be in 1..{instance.horizon}")
+    milp.check_time_limit(time_limit)
     graph = instance_graph(instance)
     dm = all_pairs_shortest(graph)
     est = EstimatorState(instance.num_vertices, instance.mu_default)
@@ -165,5 +168,6 @@ def solve_single_round(
             objective=solution.objective_value,
             gap=solution.gap,
             node_count=solution.node_count,
+            infeasibility_proof=model.infeasibility_proof,
         )
     return plan, status, stats

@@ -32,6 +32,12 @@ certificate differently: one simple depot cycle per agent, no two sharing a
 non-depot vertex, grown by farthest insertion until together they visit the
 same reachable set (see cover_certificate).  A ``top`` round with no such
 cover goes to HiGHS.
+
+Proven-infeasible rounds: a round without a certificate is checked for
+reasons no plan can exist (see infeasibility_proof), such as a must-visit
+vertex beyond every depot round trip or, under ``top``, on no simple depot
+cycle within the budget.  The model records the reason and ``milp.solve``
+reports the round infeasible without calling HiGHS.
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ class RouteIntegrityError(ValueError):
 
 
 class UnreachableMustVisitError(ValueError):
-    """A required vertex has no round trip from the depot at all."""
+    """A required vertex has no depot round trip within the budget (greedy_plan)."""
 
 
 @dataclass
@@ -112,20 +118,22 @@ def build_tocp(
 ) -> Tuple[MilpModel, VariableHandles]:
     """Build the repeat-visit model; returns the model and its variable handles.
 
-    must_visit vertices whose round trip to the depot is infinite are rejected
-    up front (no budget could ever fix that); a finite round trip that exceeds
-    l_max is left to the solver, which will report infeasibility.
-
     The model carries a greedy certificate when one exists (see
-    greedy_certificate), so milp.solve can skip the search on it.
+    greedy_certificate), so milp.solve can skip the search on it.  Without
+    one it may carry an infeasibility proof instead (see
+    infeasibility_proof): a must-visit vertex whose depot round trip, finite
+    or not, exceeds l_max, or no depot neighbour an agent can leave by and
+    still get home.  milp.solve then reports infeasible without search.
     """
     model, handles = _build_fleet_model(
-        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents
+        graph, c_hat, num_agents, l_max, must_visit, allow_idle_agents
     )
     if dist is None:
         dist = all_pairs_shortest(graph)
     model.certificate = greedy_certificate(graph, dist, np.asarray(c_hat, dtype=float),
                                            model, handles)
+    if model.certificate is None:
+        model.infeasibility_proof = infeasibility_proof(graph, dist, handles)
     return model, handles
 
 
@@ -135,7 +143,6 @@ def _build_fleet_model(
     num_agents: int,
     l_max: float,
     must_visit: Sequence[int],
-    dist: Optional[DistanceMatrix],
     allow_idle_agents: bool,
 ) -> Tuple[MilpModel, VariableHandles]:
     """The repeat-visit rows and variables shared by build_tocp and build_top."""
@@ -155,14 +162,6 @@ def _build_fleet_model(
     for v in must:
         if not 2 <= v <= n:
             raise ModelError(f"must-visit vertex {v} out of range (depot excluded)")
-    if must:
-        if dist is None:
-            dist = all_pairs_shortest(graph)
-        for v in must:
-            if not np.isfinite(dist.dist[DEPOT, v] + dist.dist[v, DEPOT]):
-                raise UnreachableMustVisitError(
-                    f"must-visit vertex {v} has no round trip to the depot"
-                )
 
     edges = [e for e, _ in graph.edge_items()]
     big_m = l_max / graph.min_edge_length()
@@ -309,10 +308,12 @@ def build_top(
     Same variable layout as build_tocp plus one row per vertex, so routes
     cannot pass through an already-visited vertex, not even another agent's.
     The model carries a cycle-cover certificate when one is found (see
-    cover_certificate).
+    cover_certificate), and otherwise may carry an infeasibility proof (see
+    infeasibility_proof), which here also covers a must-visit vertex that
+    lies on no simple depot cycle within l_max.
     """
     model, handles = _build_fleet_model(
-        graph, c_hat, num_agents, l_max, must_visit, dist, allow_idle_agents
+        graph, c_hat, num_agents, l_max, must_visit, allow_idle_agents
     )
     model.name = "top"
     n = graph.num_vertices
@@ -331,6 +332,8 @@ def build_top(
         dist = all_pairs_shortest(graph)
     model.certificate = cover_certificate(graph, dist, np.asarray(c_hat, dtype=float),
                                           model, handles)
+    if model.certificate is None:
+        model.infeasibility_proof = infeasibility_proof(graph, dist, handles)
     return model, handles
 
 
@@ -673,6 +676,116 @@ def _certificate(
         return None
     bound = sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable) if v != DEPOT)
     return assignment, float(bound)
+
+
+def infeasibility_proof(
+    graph: Graph, dist: DistanceMatrix, handles: VariableHandles
+) -> Optional[str]:
+    """Why no plan can satisfy the model's rows, or None when no reason is found.
+
+    Each test compares a lower bound on some walk the rows force against
+    l_max plus the solver's feasibility slack, the same slack the
+    certificates grant, so a proof never rejects a plan HiGHS would accept:
+      * a must-visit vertex v whose depot round trip d(1, v) + d(v, 1) is
+        over the limit (inf when there is none);
+      * unless agents may idle, fewer depot neighbours w with
+        len(1, w) + d(w, 1) within the limit than the agents need as first
+        vertices: one for tocp, where agents may share one, and M for top,
+        where nobody enters a vertex twice;
+      * top only: a must-visit v on no simple depot cycle within the limit.
+        Each agent's walk is a simple cycle through the depot, so the
+        shortest one through v is [1, v, 1] or the cheapest pair of
+        internally vertex-disjoint depot -> v paths (_disjoint_pair_length).
+    """
+    limit = handles.l_max + FEASIBILITY_TOL
+    d = dist.dist
+    for v in handles.must_visit:
+        if d[DEPOT, v] + d[v, DEPOT] > limit:
+            return (f"must-visit vertex {v} has no depot round trip within l_max: "
+                    f"{d[DEPOT, v] + d[v, DEPOT]} > {handles.l_max}")
+    single_visit = handles.variant == "top"
+    if not handles.allow_idle_agents:
+        need = handles.num_agents if single_visit else 1
+        firsts = [w for w in graph.out_neighbors(DEPOT)
+                  if graph.lengths[(DEPOT, w)] + d[w, DEPOT] <= limit]
+        if len(firsts) < need:
+            return (f"{len(firsts)} depot neighbours can start a walk within l_max "
+                    f"{handles.l_max}; the agents need {need}")
+    if single_visit:
+        for v in handles.must_visit:
+            cycle = _disjoint_pair_length(graph, v)
+            if (DEPOT, v) in graph.lengths:
+                cycle = min(cycle, 2 * graph.lengths[(DEPOT, v)])
+            if cycle > limit:
+                return (f"must-visit vertex {v} lies on no simple depot cycle within "
+                        f"l_max: {cycle} > {handles.l_max}")
+    return None
+
+
+def _disjoint_pair_length(graph: Graph, v: int) -> float:
+    """Total length of the cheapest two internally vertex-disjoint depot -> v paths.
+
+    inf when there is no such pair.  Suurballe's algorithm (Networks 4,
+    1974): a 2-unit min-cost flow from the depot to v in which every other
+    vertex u is split into an in node u and an out node u + n joined by a
+    unit arc, so no two paths share it.  The second augmentation searches
+    the residual graph with the first search's distances as potentials,
+    which keeps every reduced arc cost non-negative, so both are Dijkstra.
+    """
+    n = graph.num_vertices
+    heads: List[int] = []
+    caps: List[int] = []
+    costs: List[float] = []
+    leaving: Dict[int, List[int]] = {}
+
+    def add_arc(tail: int, head: int, cost: float) -> None:
+        # arc k's residual reverse is arc k ^ 1
+        for a, b, cap, c in ((tail, head, 1, cost), (head, tail, 0, -cost)):
+            leaving.setdefault(a, []).append(len(heads))
+            heads.append(b)
+            caps.append(cap)
+            costs.append(c)
+
+    for u in range(2, n + 1):
+        if u != v:
+            add_arc(u, u + n, 0.0)
+    for (a, b), length in graph.edge_items():
+        if a != v and b != DEPOT:
+            add_arc(a if a == DEPOT else a + n, b, length)
+
+    potential: Dict[int, float] = {}
+    total = 0.0
+    for _ in range(2):
+        best = {DEPOT: 0.0}
+        via: Dict[int, int] = {}
+        heap = [(0.0, DEPOT)]
+        done: Set[int] = set()
+        while heap:
+            dist_a, a = heapq.heappop(heap)
+            if a in done:
+                continue
+            done.add(a)
+            for k in leaving.get(a, ()):
+                b = heads[k]
+                if not caps[k] or b in done:
+                    continue
+                # clamped at 0 against rounding in the potentials
+                reduced = max(0.0, costs[k] + potential.get(a, 0.0) - potential.get(b, 0.0))
+                if dist_a + reduced < best.get(b, np.inf):
+                    best[b] = dist_a + reduced
+                    via[b] = k
+                    heapq.heappush(heap, (best[b], b))
+        if v not in best:
+            return np.inf
+        total += best[v] + potential.get(v, 0.0)
+        potential = {a: best[a] + potential.get(a, 0.0) for a in best}
+        b = v
+        while b != DEPOT:
+            k = via[b]
+            caps[k] -= 1
+            caps[k ^ 1] += 1
+            b = heads[k ^ 1]
+    return total
 
 
 def audit_solution(

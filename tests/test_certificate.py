@@ -1,21 +1,25 @@
-"""The certificates that let milp.solve skip HiGHS: greedy on tocp, cycle covers on top.
+"""What lets milp.solve skip HiGHS: certificates of optimality and proofs of infeasibility.
 
 A certified round must be a real optimum: feasible for the model as built,
 and worth the round-trip bound that no plan can beat.  Anything short of
 that has to fall through to HiGHS, which is checked here by spying on the
 HiGHS call, and the property tests hold both paths to the brute-force
-oracle on random tiny graphs.
+oracle on random tiny graphs.  An infeasibility proof must only ever name
+rounds that both the oracle and HiGHS find infeasible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from patrolopt import milp
+from patrolopt.benchgen import BenchmarkConfig, generate_instance
+from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
+from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
 from patrolopt.oracle import brute_force_single_iteration
 from patrolopt.tocp import (
@@ -335,3 +339,73 @@ def test_top_matches_brute_force_with_and_without_its_certificate(case):
     plain = solve(model)
     assert plain.status == OPTIMAL
     assert abs(plain.objective_value - oracle.reward) <= 1e-6
+
+
+@pytest.mark.parametrize("build", (build_tocp, build_top), ids=("tocp", "top"))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=tiny_rounds(), allow_idle_agents=st.booleans())
+def test_infeasibility_proofs_agree_with_brute_force_and_highs(build, case, allow_idle_agents):
+    graph, c_hat, agents, l_max, must = case
+    dist = all_pairs_shortest(graph)
+    model, _ = build(graph, c_hat, agents, l_max, must, dist=dist,
+                     allow_idle_agents=allow_idle_agents)
+    oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, variant=model.name,
+                                          dist=dist, allow_idle_agents=allow_idle_agents)
+    proof = model.infeasibility_proof
+    if proof is None:
+        event("feasible" if oracle.feasible else "infeasible, no proof")
+        return
+    event("proof")
+    assert not oracle.feasible
+    assert model.certificate is None
+    sol = solve(model)
+    assert (sol.status, sol.node_count, sol.gap) == (INFEASIBLE, 0, np.inf)
+    model.infeasibility_proof = None
+    assert solve(model).status == INFEASIBLE
+
+
+def test_proofs_grant_the_solver_tolerance(highs_calls):
+    # the required vertex 3's round trip is l_max + 5e-7, over budget for the
+    # oracle but inside the slack HiGHS grants a budget row: no proof
+    g = make_graph(3, [(1, 2, 1.0), (1, 3, 2.0 + 2.5e-7)])
+    for build in (build_tocp, build_top):
+        model, _ = build(g, np.array([0.0, 0.0, 1.0, 1.0]), 1, 4.0, [3])
+        assert model.infeasibility_proof is None
+        assert solve(model).status == OPTIMAL
+    assert highs_calls == ["tocp", "top"]
+
+
+# The tight-exact benchmark's budget law: greedy often misses the bound there.
+TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
+
+
+def first_round_top(law, seed):
+    instance = generate_instance(BenchmarkConfig(**law), seed, 1)
+    graph = instance_graph(instance)
+    c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
+    return build_top(graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
+                     dist=all_pairs_shortest(graph))
+
+
+@pytest.mark.parametrize("law, seed, vertex", [
+    ({}, 7, 5), (TIGHT_LAW, 8, 2), (TIGHT_LAW, 10, 5), (TIGHT_LAW, 12, 2), (TIGHT_LAW, 27, 4),
+], ids=("default-7", "tight-8", "tight-10", "tight-12", "tight-27"))
+def test_benchmark_rounds_without_a_simple_cycle_are_proven_without_highs(
+        law, seed, vertex, highs_calls):
+    # round-1 top models that HiGHS proves infeasible at 0 nodes in 0.5-14 s:
+    # the named must-visit vertex lies on no simple depot cycle within l_max
+    model, _ = first_round_top(law, seed)
+    assert model.infeasibility_proof.startswith(
+        f"must-visit vertex {vertex} lies on no simple depot cycle")
+    sol = solve(model)
+    assert (sol.status, sol.node_count, sol.assignment) == (INFEASIBLE, 0, None)
+    assert highs_calls == []
+
+
+@pytest.mark.parametrize("law, seed", [
+    pytest.param(TIGHT_LAW, seed, id=f"tight-{seed}") for seed in (7, 9)
+] + [pytest.param({}, seed, id=f"default-{seed}") for seed in (1, 2, 3, 4, 5, 6, 8, 9, 10)])
+def test_feasible_benchmark_rounds_carry_no_proof(law, seed):
+    model, _ = first_round_top(law, seed)
+    assert model.infeasibility_proof is None

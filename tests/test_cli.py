@@ -6,8 +6,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from patrolopt import results_io
+from patrolopt import benchgen, results_io
 from patrolopt.cli import main
+from patrolopt.graph import DEPOT
 from patrolopt.instance_io import write_instance
 
 from test_simulator import make_instance
@@ -71,8 +72,9 @@ def test_solve_writes_deterministic_plan_json(suite_dir, tmp_path):
     # model stats carry sizes and gap, never wall-clock times
     assert set(payload["model"]) == {
         "num_variables", "num_constraints", "status", "objective", "gap",
-        "node_count",
+        "node_count", "infeasibility_proof",
     }
+    assert payload["model"]["infeasibility_proof"] is None
 
 
 def test_solve_reports_infeasible_with_exit_one(tmp_path):
@@ -227,6 +229,30 @@ def test_gen_rejects_zero_agents_before_writing(tmp_path, capsys):
                  "--agent-choices", "0"])
     assert code == 2
     assert "agent_choices" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_gen_without_a_hostable_draw_exits_two_before_writing(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "suite")
+    args = ["gen", "--out", out, "--seeds", "1", "--horizons", "2"]
+    assert main(args + ["--vertex-choices", "1"]) == 2
+    assert "vertex_choices" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # no draw ever reaches a vertex within budget, so the escalation gives up
+    monkeypatch.setattr(benchgen, "reachable_round_trip", lambda graph, dm, l_max: {DEPOT})
+    assert main(args) == 2
+    assert "gave up after 50 escalations" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, limit", (("solve", "-1"), ("simulate", "nan")))
+def test_bad_time_limit_exits_two_for_greedy_too(command, limit, suite_dir, tmp_path, capsys):
+    instance = os.path.join(suite_dir, "H1", "seed1.json")
+    out = str(tmp_path / "out")
+    code = main([command, "--instance", instance, "--planner", "greedy",
+                 "--time-limit", limit, "--out", out])
+    assert code == 2
+    assert "time_limit" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -1,5 +1,7 @@
 """Episode loop: per-round accounting, failure handling, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,23 @@ def test_unaffordable_required_vertex_fails_every_round():
         assert result.residual_costs[1] == pytest.approx(1.125, abs=1e-12)
         # depot lumps are still observed; everything else stays at the prior
         assert result.mu_hat_final == [0.0, 0.5, 0.5]
+
+
+def test_must_visit_vertex_without_roads_fails_every_round_for_every_planner():
+    # default seed 2 requires vertex 12; with its roads gone there is no round
+    # trip to it at all, an infeasible round for the MIPs as for greedy
+    instance = generate_instance(BenchmarkConfig(), 2, 2)
+    assert instance.must_visit == [12]
+    cut = replace(instance, edges=[e for e in instance.edges if 12 not in e[:2]])
+    for planner in PLANNERS:
+        result = run_episode(cut, planner)
+        assert result.failed
+        assert result.statuses == ["infeasible", "infeasible"]
+    for planner in ("tocp", "top"):
+        plan, status, stats = solve_single_round(cut, planner)
+        assert (plan, status, stats["node_count"]) == (None, "infeasible", 0)
+        assert stats["infeasibility_proof"].startswith(
+            "must-visit vertex 12 has no depot round trip within l_max: inf > ")
 
 
 def test_infeasible_round_settles_the_rest_of_the_episode(monkeypatch):

@@ -12,7 +12,6 @@ from patrolopt.oracle import brute_force_single_iteration
 from patrolopt.tocp import (
     FleetPlan,
     RouteIntegrityError,
-    UnreachableMustVisitError,
     audit_solution,
     build_tocp,
     build_top,
@@ -125,10 +124,11 @@ def test_must_visit_validation(bridge):
         build_tocp(graph, c_hat, 1, l_max, [1])
     with pytest.raises(ModelError):
         build_tocp(graph, c_hat, 1, l_max, [7])
+    # no round trip at all, or a finite one over budget: an infeasible round,
+    # not a build error
     disconnected = make_graph(4, [(1, 2, 1.0), (3, 4, 1.0)])
-    with pytest.raises(UnreachableMustVisitError):
-        build_tocp(disconnected, np.zeros(5), 1, 10.0, [3])
-    # a finite but over-budget round trip is the solver's call, not a build error
+    model, _ = build_tocp(disconnected, np.zeros(5), 1, 10.0, [3])
+    assert solve(model).status == INFEASIBLE
     model, _ = build_tocp(graph, c_hat, 1, 2.0, [3])
     assert solve(model).status == INFEASIBLE
 
