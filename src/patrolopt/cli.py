@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -134,12 +135,14 @@ def _cmd_solve(args) -> int:
         "routes": None if plan is None else plan.routes,
         "lengths": None if plan is None else plan.lengths,
         "visited": None if plan is None else sorted(plan.visited()),
-        "model": {k: v for k, v in model_stats.items() if k != "planner"},
+        # JSON has no inf: a gap that is not finite (no assignment) is null
+        "model": {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                  for k, v in model_stats.items() if k != "planner"},
     }
     parent = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(parent, exist_ok=True)
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
     print(f"{args.planner}: status {status}")
     if plan is not None:

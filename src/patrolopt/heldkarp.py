@@ -1,0 +1,262 @@
+"""Exact planning rounds by Held–Karp over the vertices a tour can reach.
+
+A round's rows never read c_hat, so which vertex sets the fleet can cover
+depends on the graph, the budget and the fleet alone.  When few vertices
+lie within a depot round trip that family can be listed exactly, and the
+round's optimum is an argmax over it: orienteering (Golden, Levy and Vohra,
+NRL 34, 1987) with M tours.
+
+The targets are the non-depot vertices whose depot round trip fits
+l_max + FEASIBILITY_TOL, the slack HiGHS grants a budget row; bit b of a
+mask stands for the b-th smallest target.  Held–Karp (JACM 10, 1962) fills
+g[S, v], the shortest way from the depot through every vertex of S that
+ends at v in S, one popcount layer at a time:
+  * tocp: legs are shortest paths, and those between two targets avoid the
+    depot, because the model lets an agent leave the depot only once.  Every
+    subset of a set one tour covers is covered by a tour too.
+  * top: legs are single edges, so a tour is a simple depot cycle through
+    exactly S; [1, v, 1] counts.
+S fits one tour when min over v of g[S, v] + leg(v, 1) is within the limit.
+The fleet covers unions of M pairwise disjoint fitting sets, found by ranked
+subset convolution (Björklund, Husfeldt, Kaski and Koivisto, STOC 2007):
+exactly M nonempty ones under top, or at most M when agents may idle; at
+most M under tocp, whose spare agents take an out-and-back.  The optimum is
+the union that contains every must-visit vertex and has the largest sum of
+c_hat clipped at zero.  Tie rule: the largest such union, then the lowest
+bitmask.  No such union proves the round infeasible.
+
+The table and each of the M - 1 union steps take about 2 R^2 2^R element
+operations for R targets, and MAX_WORK caps their total; rounds above the
+cap get no answer here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple, Union
+
+import numpy as np
+
+from .graph import DEPOT, DistanceMatrix, Graph, depot_free_shortest, reachable_round_trip
+from .milp import FEASIBILITY_TOL
+
+# Element operations one round may spend (see table_work).  R = 17 targets
+# with M = 2 agents (151.6 million) fit, at about 0.45 s and 31 MiB of arrays
+# on one 2-core x86_64 machine; R = 18 with one agent does not.
+MAX_WORK = 160_000_000
+# Masks per vectorised step; bounds the (masks, R) temporaries.
+_CHUNK = 1024
+
+
+@dataclass
+class RoundOptimum:
+    """The best coverable union's clipped c_hat sum and one closed walk per set.
+
+    There are at most M walks, one per nonempty set; agents beyond them have
+    nothing to cover.
+    """
+
+    value: float
+    walks: List[List[int]]
+
+
+def table_work(num_targets: int, num_agents: int) -> int:
+    """Element operations of the table and the unions: 2 M R^2 2^R."""
+    return 2 * num_agents * num_targets ** 2 * 2 ** num_targets
+
+
+def best_round(
+    graph: Graph,
+    dist: DistanceMatrix,
+    c_hat: np.ndarray,
+    num_agents: int,
+    l_max: float,
+    must_visit: Sequence[int] = (),
+    *,
+    single_visit: bool,
+    allow_idle_agents: bool,
+) -> Union[RoundOptimum, str, None]:
+    """The round's optimum, the reason none exists (a str), or None above MAX_WORK.
+
+    single_visit selects top's simple cycles over tocp's closed walks.  The
+    walks are closed walks on real edges; under tocp they may use a
+    directed edge twice.
+    """
+    limit = l_max + FEASIBILITY_TOL
+    targets = sorted(reachable_round_trip(graph, dist, limit) - {DEPOT})
+    r = len(targets)
+    if table_work(r, num_agents) > MAX_WORK:
+        return None
+    kind = "vertex-disjoint simple depot cycles" if single_visit else "closed walks"
+    must = sorted(set(int(v) for v in must_visit))
+    proof = f"no {num_agents} {kind} within l_max {l_max} cover must-visit vertices {must}"
+    if not set(must) <= set(targets) or (r == 0 and not allow_idle_agents):
+        return proof
+
+    if single_visit:
+        adjacent = np.full((graph.num_vertices + 1,) * 2, np.inf)
+        for (a, b), length in graph.edge_items():
+            adjacent[a, b] = length
+        first, inner, close = adjacent[DEPOT], adjacent, adjacent[:, DEPOT]
+    else:
+        around = depot_free_shortest(graph)
+        first, inner, close = dist.dist[DEPOT], around.dist, dist.dist[:, DEPOT]
+    idx = np.array(targets, dtype=np.int64)
+    first, inner, close = first[idx], inner[np.ix_(idx, idx)], close[idx]
+
+    pop = _mask_sums(np.ones(r), r).astype(np.int64)
+    g, pos = _held_karp(first, inner, pop)
+    fits = np.zeros(pop.size, dtype=bool)
+    for lo in range(0, pop.size, _CHUNK):
+        tours = np.min(g[lo:lo + _CHUNK] + close, axis=1, initial=np.inf)
+        fits[lo:lo + _CHUNK] = tours <= limit
+    fits = fits[pos]
+    # the empty set is an idle agent, or under tocp one on an out-and-back
+    fits[0] = allow_idle_agents or not single_visit
+    unions = [fits]
+    if num_agents > 1:
+        fits_hat = _ranked_zeta(fits, pop)
+        for _ in range(num_agents - 1):
+            prev_hat = fits_hat if len(unions) == 1 else _ranked_zeta(unions[-1], pop)
+            unions.append(_disjoint_union(prev_hat, fits_hat, pop))
+
+    must_mask = sum(1 << targets.index(v) for v in must)
+    masks = np.arange(pop.size, dtype=np.int64)
+    eligible = unions[-1] & ((masks & must_mask) == must_mask)
+    if not eligible.any():
+        return proof
+    value = _mask_sums(np.maximum(np.asarray(c_hat, dtype=float)[idx], 0.0), r)
+    best = value[eligible].max()
+    ties = np.flatnonzero(eligible & (value == best))
+    chosen = int(ties[np.argmax(pop[ties])])
+
+    walks = []
+    for part in _split(chosen, unions):
+        order = [targets[b] for b in _tour(part, g, pos, inner, close)]
+        if single_visit:
+            walks.append([DEPOT] + order + [DEPOT])
+            continue
+        walk = dist.shortest_path(DEPOT, order[0])
+        for a, b in zip(order, order[1:]):
+            walk += around.shortest_path(a, b)[1:]
+        walks.append(walk + dist.shortest_path(order[-1], DEPOT)[1:])
+    return RoundOptimum(value=float(best), walks=walks)
+
+
+def _mask_sums(weights: np.ndarray, r: int) -> np.ndarray:
+    """Sum of weights[b] over the bits b of every mask, added in bit order."""
+    out = np.zeros(1 << r)
+    for b in range(r):
+        out.reshape(-1, 2, 1 << b)[:, 1, :] += weights[b]
+    return out
+
+
+def _held_karp(
+    first: np.ndarray, inner: np.ndarray, pop: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Held–Karp table g and pos: row pos[S] of g holds g[S, v] for every v.
+
+    g[S, v] is the shortest depot -> ... -> v path through the targets of S,
+    inf when v is not in S.  Rows are stored layer by layer, in order of
+    popcount, so each layer is a slice.  Every mask S of layer k, in chunks
+    of _CHUNK, pushes min over v of g[S, v] + inner[v, w] to g[S + w, w] for
+    each w outside S; S + w has no other way to end at w.
+    """
+    r = first.shape[0]
+    order = np.argsort(pop, kind="stable")
+    pos = np.empty(pop.size, dtype=np.int64)
+    pos[order] = np.arange(pop.size)
+    starts = np.searchsorted(pop[order], np.arange(r + 2))
+    bits = 1 << np.arange(r, dtype=np.int64)
+    g = np.full((pop.size, r), np.inf)
+    g[pos[bits], np.arange(r)] = first
+    for k in range(1, r):
+        for lo in range(starts[k], starts[k + 1], _CHUNK):
+            hi = min(lo + _CHUNK, starts[k + 1])
+            rows = g[lo:hi]
+            step = rows[:, :1] + inner[0]
+            for v in range(1, r):
+                np.minimum(step, rows[:, v:v + 1] + inner[v], out=step)
+            s = order[lo:hi]
+            i, w = np.nonzero((s[:, None] & bits) == 0)
+            g[pos[s[i] | bits[w]], w] = step[i, w]
+    return g, pos
+
+
+def _ranked_zeta(member: np.ndarray, pop: np.ndarray) -> np.ndarray:
+    """z[k, S]: how many members of popcount k lie inside S."""
+    r = int(pop[-1])
+    z = np.zeros((r + 1, member.size), dtype=np.int32)
+    hits = np.flatnonzero(member)
+    z[pop[hits], hits] = 1
+    for b in range(r):
+        view = z.reshape(r + 1, -1, 2, 1 << b)
+        view[:, :, 1, :] += view[:, :, 0, :]
+    return z
+
+
+def _disjoint_union(a_hat: np.ndarray, f_hat: np.ndarray, pop: np.ndarray) -> np.ndarray:
+    """Masks that are A | F for a disjoint pair of a member A and a member F.
+
+    From the ranked zeta transforms of both families: the product summed
+    over ranks i + j = k, turned back by the Möbius transform, counts the
+    pairs whose union is S with |A| + |F| = k, which at k = |S| are the
+    disjoint ones.
+    """
+    r = a_hat.shape[0] - 1
+    out = np.zeros(pop.size, dtype=bool)
+    h = np.empty(pop.size, dtype=np.int64)
+    term = np.empty(pop.size, dtype=np.int64)
+    for k in range(r + 1):
+        h[:] = 0
+        for i in range(k + 1):
+            h += np.multiply(a_hat[i], f_hat[k - i], out=term, dtype=np.int64)
+        for b in range(r):
+            view = h.reshape(-1, 2, 1 << b)
+            view[:, 1, :] -= view[:, 0, :]
+        out |= (pop == k) & (h > 0)
+    return out
+
+
+def _split(chosen: int, unions: List[np.ndarray]) -> List[int]:
+    """The union chosen as disjoint fitting sets, at most one per agent.
+
+    unions[j] holds the unions of j + 1 sets and unions[0] the fitting sets
+    themselves.  Each step takes the lowest-mask fitting set that holds the
+    lowest vertex still uncovered and leaves a union of one set fewer.
+    """
+    parts = []
+    rest = chosen
+    for j in range(len(unions) - 1, 0, -1):
+        if rest == 0:
+            break
+        subs = _submasks(rest)
+        ok = unions[0][subs] & unions[j - 1][rest ^ subs] & ((subs & rest & -rest) != 0)
+        part = int(subs[np.argmax(ok)])
+        parts.append(part)
+        rest ^= part
+    if rest:
+        parts.append(rest)
+    return parts
+
+
+def _submasks(mask: int) -> np.ndarray:
+    """Every submask of mask, ascending: each higher bit doubles the list above it."""
+    out = np.zeros(1, dtype=np.int64)
+    for b in range(mask.bit_length()):
+        if mask >> b & 1:
+            out = np.concatenate([out, out | (1 << b)])
+    return out
+
+
+def _tour(
+    mask: int, g: np.ndarray, pos: np.ndarray, inner: np.ndarray, close: np.ndarray
+) -> List[int]:
+    """Target indices of mask in the order of a shortest fitting tour, ties to the lowest."""
+    v = int(np.argmin(g[pos[mask]] + close))
+    order = [v]
+    while mask != 1 << v:
+        mask ^= 1 << v
+        v = int(np.argmin(g[pos[mask]] + inner[:, v]))
+        order.append(v)
+    return order[::-1]

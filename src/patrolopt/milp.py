@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -127,47 +128,65 @@ class MilpModel:
         return lo, hi
 
     def validate(self) -> None:
-        """Raise ModelError on the first structural defect found."""
+        """Raise ModelError on the first structural defect found.
+
+        The checks run over arrays; the first variable, row or objective
+        entry they flag is then checked alone for the message, so the
+        defect reported is the one a walk in model order would meet first.
+        """
         n = self.num_variables
+        lo, hi = self.bounds_arrays()
+        kinds = np.array([v.kind for v in self.variables], dtype=object)
+        binary = kinds == BINARY
+        bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)
+        bad |= binary & ((lo != 0.0) | (hi != 1.0))
+        bad |= ~binary & (kinds != CONTINUOUS)
+        names = [v.name for v in self.variables]
         seen_names = set()
-        for v in self.variables:
-            if v.name in seen_names:
-                raise ModelError(f"duplicate variable name {v.name!r}")
-            seen_names.add(v.name)
-            if not (np.isfinite(v.lb) and np.isfinite(v.ub)):
-                raise ModelError(f"variable {v.name!r} has non-finite bounds")
-            if v.lb > v.ub:
-                raise ModelError(f"variable {v.name!r} has lb > ub")
-            if v.kind == BINARY and (v.lb, v.ub) != (0.0, 1.0):
-                raise ModelError(f"binary variable {v.name!r} must have bounds [0, 1]")
-            if v.kind not in (BINARY, CONTINUOUS):
-                raise ModelError(f"variable {v.name!r} has unknown kind {v.kind!r}")
-        for k, con in enumerate(self.constraints):
-            if con.relation not in RELATIONS:
-                raise ModelError(f"constraint {k} has unknown relation {con.relation!r}")
-            if not np.isfinite(con.rhs):
-                raise ModelError(f"constraint {k} has non-finite rhs")
-            for idx, coef in con.terms:
-                if not 0 <= idx < n:
-                    raise ModelError(f"constraint {k} references unknown variable {idx}")
-                if not np.isfinite(coef):
-                    raise ModelError(f"constraint {k} has non-finite coefficient")
-        for idx in self._objective:
-            if not 0 <= idx < n:
-                raise ModelError(f"objective references unknown variable {idx}")
+        if len(set(names)) < n:
+            for i, name in enumerate(names):
+                if name in seen_names:
+                    bad[i] = True
+                    break
+                seen_names.add(name)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ModelError(_variable_defect(self.variables[i], names[i] in names[:i]))
+        rows, cols, data = self.term_arrays()
+        rhs = np.array([con.rhs for con in self.constraints])
+        bad_row = np.array([con.relation not in RELATIONS for con in self.constraints],
+                           dtype=bool)
+        bad_row |= ~np.isfinite(rhs)
+        bad_row[rows[~((cols >= 0) & (cols < n) & np.isfinite(data))]] = True
+        if bad_row.any():
+            k = int(np.argmax(bad_row))
+            raise ModelError(_constraint_defect(k, self.constraints[k], n))
+        keys = np.fromiter(self._objective, dtype=float, count=len(self._objective))
+        outside = ~((keys >= 0) & (keys < n))
+        if outside.any():
+            idx = list(self._objective)[int(np.argmax(outside))]
+            raise ModelError(f"objective references unknown variable {idx}")
 
     # ----- matrix form --------------------------------------------------
 
+    def term_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every constraint term as (row, variable index, coefficient) arrays, in row order."""
+        counts = np.fromiter((len(con.terms) for con in self.constraints), dtype=np.int64,
+                             count=len(self.constraints))
+        flat = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.chain.from_iterable(con.terms for con in self.constraints)),
+            dtype=float, count=2 * int(counts.sum()),
+        ).reshape(-1, 2)
+        rows = np.repeat(np.arange(len(self.constraints)), counts)
+        return rows, flat[:, 0], flat[:, 1]
+
     def constraint_matrix(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
         """All rows as A with per-row [lower, upper] activity bounds."""
-        rows, cols, data = [], [], []
+        rows, cols, data = self.term_arrays()
         lb = np.empty(len(self.constraints))
         ub = np.empty(len(self.constraints))
         for k, con in enumerate(self.constraints):
-            for idx, coef in con.terms:
-                rows.append(k)
-                cols.append(idx)
-                data.append(coef)
             if con.relation == "<=":
                 lb[k], ub[k] = -np.inf, con.rhs
             elif con.relation == ">=":
@@ -175,9 +194,37 @@ class MilpModel:
             else:
                 lb[k], ub[k] = con.rhs, con.rhs
         a = sp.csr_matrix(
-            (data, (rows, cols)), shape=(len(self.constraints), self.num_variables)
+            (data, (rows, cols.astype(np.int64))),
+            shape=(len(self.constraints), self.num_variables),
         )
         return a, lb, ub
+
+
+def _variable_defect(v: Variable, duplicate: bool) -> str:
+    """The first check variable v fails, in the order validate applies them."""
+    if duplicate:
+        return f"duplicate variable name {v.name!r}"
+    if not (np.isfinite(v.lb) and np.isfinite(v.ub)):
+        return f"variable {v.name!r} has non-finite bounds"
+    if v.lb > v.ub:
+        return f"variable {v.name!r} has lb > ub"
+    if v.kind == BINARY and (v.lb, v.ub) != (0.0, 1.0):
+        return f"binary variable {v.name!r} must have bounds [0, 1]"
+    return f"variable {v.name!r} has unknown kind {v.kind!r}"
+
+
+def _constraint_defect(k: int, con: Constraint, n: int) -> str:
+    """The first check row k fails, in the order validate applies them."""
+    if con.relation not in RELATIONS:
+        return f"constraint {k} has unknown relation {con.relation!r}"
+    if not np.isfinite(con.rhs):
+        return f"constraint {k} has non-finite rhs"
+    for idx, coef in con.terms:
+        if not 0 <= idx < n:
+            return f"constraint {k} references unknown variable {idx}"
+        if not np.isfinite(coef):
+            return f"constraint {k} has non-finite coefficient"
+    raise AssertionError(f"constraint {k} has no defect")
 
 
 @dataclass
@@ -195,24 +242,42 @@ class MilpSolution:
 
 
 def check_assignment(model: MilpModel, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> List[str]:
-    """Violation messages for bounds, integrality and every constraint row."""
-    issues: List[str] = []
+    """Violation messages for bounds, integrality and every constraint row.
+
+    Variables come first, in index order, each with its bound message before
+    its integrality one; then the rows in order.  Row activities add the
+    terms in row order, as a sum over the terms would.
+    """
     if x.shape != (model.num_variables,):
         return [f"assignment has shape {x.shape}, expected ({model.num_variables},)"]
     lo, hi = model.bounds_arrays()
-    for i, v in enumerate(model.variables):
-        if x[i] < lo[i] - tol or x[i] > hi[i] + tol:
-            issues.append(f"variable {v.name} = {x[i]} outside [{lo[i]}, {hi[i]}]")
-        if v.kind == BINARY and abs(x[i] - round(x[i])) > INTEGRALITY_TOL:
-            issues.append(f"binary variable {v.name} = {x[i]} not integral")
-    for k, con in enumerate(model.constraints):
-        act = sum(coef * x[idx] for idx, coef in con.terms)
+    binary = np.array([v.kind == BINARY for v in model.variables], dtype=bool)
+    outside = (x < lo - tol) | (x > hi + tol)
+    fractional = binary & (np.abs(x - np.round(x)) > INTEGRALITY_TOL)
+    issues: List[str] = []
+    for i in np.flatnonzero(outside | fractional):
+        name = model.variables[i].name
+        if outside[i]:
+            issues.append(f"variable {name} = {x[i]} outside [{lo[i]}, {hi[i]}]")
+        if fractional[i]:
+            issues.append(f"binary variable {name} = {x[i]} not integral")
+    rows, cols, data = model.term_arrays()
+    count = len(model.constraints)
+    acts = np.bincount(rows, weights=data * x[cols.astype(np.int64)], minlength=count)
+    has_terms = np.bincount(rows, minlength=count) > 0
+    rel = np.array([con.relation for con in model.constraints], dtype=object)
+    rhs = np.array([con.rhs for con in model.constraints])
+    violated = ((rel == "<=") & (acts > rhs + tol)) | ((rel == ">=") & (acts < rhs - tol))
+    violated |= (rel == "=") & (np.abs(acts - rhs) > tol)
+    for k in np.flatnonzero(violated):
+        con = model.constraints[k]
+        act = acts[k] if has_terms[k] else 0
         label = con.name or f"row{k}"
-        if con.relation == "<=" and act > con.rhs + tol:
+        if con.relation == "<=":
             issues.append(f"{label}: {act} > {con.rhs}")
-        elif con.relation == ">=" and act < con.rhs - tol:
+        elif con.relation == ">=":
             issues.append(f"{label}: {act} < {con.rhs}")
-        elif con.relation == "=" and abs(act - con.rhs) > tol:
+        else:
             issues.append(f"{label}: {act} != {con.rhs}")
     return issues
 

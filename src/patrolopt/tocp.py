@@ -26,18 +26,25 @@ plan collects the sum of c_hat over those vertices, and no plan can collect
 more, so ``milp.solve`` returns it as optimal without calling HiGHS once it
 checks out against every row.  Ties therefore break towards visiting: a
 certified round visits everything reachable, zero-valued vertices included.
-Rounds greedy cannot certify are solved by HiGHS as before.  Greedy walks
-rarely satisfy the single-visit rule, so ``build_top`` builds its
-certificate differently: one simple depot cycle per agent, no two sharing a
-non-depot vertex, grown by farthest insertion until together they visit the
-same reachable set (see cover_certificate).  A ``top`` round with no such
-cover goes to HiGHS.
+Greedy walks rarely satisfy the single-visit rule, so ``build_top`` builds
+its certificate differently: one simple depot cycle per agent, no two
+sharing a non-depot vertex, grown by farthest insertion until together they
+visit the same reachable set (see cover_certificate).
 
 Proven-infeasible rounds: a round without a certificate is checked for
 reasons no plan can exist (see infeasibility_proof), such as a must-visit
 vertex beyond every depot round trip or, under ``top``, on no simple depot
 cycle within the budget.  The model records the reason and ``milp.solve``
 reports the round infeasible without calling HiGHS.
+
+Exact rounds: a round with neither a certificate nor a proof goes to the
+Held–Karp DP of ``heldkarp.best_round`` when its table is small enough.  Its
+optimal walks, with doubled edges simplified away, become the certificate
+and its value the bound (see exact_certificate), so ``milp.solve`` checks
+them like any other certificate; when no union of tours covers the
+must-visit vertices, that is the proof.  Its tie rule takes the largest
+optimal vertex set, then the lowest bitmask.  Only rounds above the DP's cost
+cap, or whose optimal walks end up over l_max or do not encode, reach HiGHS.
 """
 
 from __future__ import annotations
@@ -48,11 +55,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from . import heldkarp
 from .graph import (
     DEPOT,
     DistanceMatrix,
     Graph,
     all_pairs_shortest,
+    depot_free_shortest,
     reachable_round_trip,
     validate,
     walk_length,
@@ -124,16 +133,17 @@ def build_tocp(
     infeasibility_proof): a must-visit vertex whose depot round trip, finite
     or not, exceeds l_max, or no depot neighbour an agent can leave by and
     still get home.  milp.solve then reports infeasible without search.
+    Failing both, the exact DP supplies the certificate or the proof (see
+    _settle_uncertified).
     """
     model, handles = _build_fleet_model(
         graph, c_hat, num_agents, l_max, must_visit, allow_idle_agents
     )
     if dist is None:
         dist = all_pairs_shortest(graph)
-    model.certificate = greedy_certificate(graph, dist, np.asarray(c_hat, dtype=float),
-                                           model, handles)
-    if model.certificate is None:
-        model.infeasibility_proof = infeasibility_proof(graph, dist, handles)
+    c_hat = np.asarray(c_hat, dtype=float)
+    model.certificate = greedy_certificate(graph, dist, c_hat, model, handles)
+    _settle_uncertified(graph, dist, c_hat, model, handles)
     return model, handles
 
 
@@ -310,7 +320,8 @@ def build_top(
     The model carries a cycle-cover certificate when one is found (see
     cover_certificate), and otherwise may carry an infeasibility proof (see
     infeasibility_proof), which here also covers a must-visit vertex that
-    lies on no simple depot cycle within l_max.
+    lies on no simple depot cycle within l_max.  Failing both, the exact DP
+    over disjoint simple cycles supplies either (see _settle_uncertified).
     """
     model, handles = _build_fleet_model(
         graph, c_hat, num_agents, l_max, must_visit, allow_idle_agents
@@ -330,11 +341,38 @@ def build_top(
     handles.variant = "top"
     if dist is None:
         dist = all_pairs_shortest(graph)
-    model.certificate = cover_certificate(graph, dist, np.asarray(c_hat, dtype=float),
-                                          model, handles)
-    if model.certificate is None:
-        model.infeasibility_proof = infeasibility_proof(graph, dist, handles)
+    c_hat = np.asarray(c_hat, dtype=float)
+    model.certificate = cover_certificate(graph, dist, c_hat, model, handles)
+    _settle_uncertified(graph, dist, c_hat, model, handles)
     return model, handles
+
+
+def _settle_uncertified(
+    graph: Graph,
+    dist: DistanceMatrix,
+    c_hat: np.ndarray,
+    model: MilpModel,
+    handles: VariableHandles,
+) -> None:
+    """Try the infeasibility proof, then the exact DP, on a round without a certificate.
+
+    The DP's optimum becomes the certificate, its absence of any covering
+    union the proof; a round above its cost cap, or whose optimal walks do
+    not fit the model, keeps neither and goes to HiGHS.
+    """
+    if model.certificate is not None:
+        return
+    model.infeasibility_proof = infeasibility_proof(graph, dist, handles)
+    if model.infeasibility_proof is not None:
+        return
+    answer = heldkarp.best_round(
+        graph, dist, c_hat, handles.num_agents, handles.l_max, handles.must_visit,
+        single_visit=handles.variant == "top", allow_idle_agents=handles.allow_idle_agents,
+    )
+    if isinstance(answer, str):
+        model.infeasibility_proof = answer
+    elif answer is not None:
+        model.certificate = exact_certificate(answer, graph, model, handles)
 
 
 def extract_routes(
@@ -467,9 +505,7 @@ def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
     route = simplify_walk(route, graph)
     if DEPOT not in route[1:-1]:
         return route
-    around = all_pairs_shortest(
-        Graph(graph.num_vertices, {e: l for e, l in graph.lengths.items() if DEPOT not in e})
-    )
+    around = depot_free_shortest(graph)
     out = [DEPOT]
     k = 1
     while k < len(route) - 1:
@@ -522,14 +558,11 @@ def greedy_certificate(
         if len(route) > 1:
             route = repair_walk(route, graph)
         elif not handles.allow_idle_agents:
-            hops = graph.out_neighbors(DEPOT)
-            if not hops:
-                return None
-            route = [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
+            route = _cheapest_out_and_back(graph)
         if route is None:
             return None
         repaired.append(route)
-    return _certificate(repaired, reachable, c_hat, graph, model, handles)
+    return _certificate(repaired, _round_trip_bound(c_hat, reachable), graph, model, handles)
 
 
 def cover_certificate(
@@ -573,7 +606,8 @@ def cover_certificate(
     for starts in start_sets:
         routes = _insertion_cover(graph, targets, starts, handles.l_max)
         if routes is not None:
-            return _certificate(routes, reachable, c_hat, graph, model, handles)
+            return _certificate(routes, _round_trip_bound(c_hat, reachable), graph, model,
+                                handles)
     return None
 
 
@@ -655,18 +689,51 @@ def _paths_through(
     return best
 
 
-def _certificate(
-    routes: List[List[int]],
-    reachable: Set[int],
-    c_hat: np.ndarray,
+def exact_certificate(
+    optimum: heldkarp.RoundOptimum,
     graph: Graph,
     model: MilpModel,
     handles: VariableHandles,
 ) -> Optional[Tuple[np.ndarray, float]]:
-    """Closed walks encoded as (assignment, round-trip bound), or None if they do not fit.
+    """The DP's optimal walks as a full assignment plus the DP value, or None.
 
-    The bound sums the positive c_hat over reachable; walks over l_max or
-    ones the model cannot encode give no certificate.
+    Each walk loses its doubled edges to simplify_walk.  Agents without a
+    walk stay home when the model lets them idle, and otherwise take the
+    cheapest depot out-and-back, as in greedy_certificate; under top the DP
+    already gave every agent its own cycle.
+    """
+    routes = [simplify_walk(walk, graph) for walk in optimum.walks]
+    while len(routes) < handles.num_agents:
+        spare = [DEPOT] if handles.allow_idle_agents else _cheapest_out_and_back(graph)
+        if spare is None:
+            return None
+        routes.append(spare)
+    return _certificate(routes, optimum.value, graph, model, handles)
+
+
+def _cheapest_out_and_back(graph: Graph) -> Optional[List[int]]:
+    """[1, v, 1] over the shortest depot edge, or None when the depot has none."""
+    hops = graph.out_neighbors(DEPOT)
+    if not hops:
+        return None
+    return [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
+
+
+def _round_trip_bound(c_hat: np.ndarray, reachable: Set[int]) -> float:
+    """Sum of the positive c_hat over reachable: no plan collects more."""
+    return float(sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable) if v != DEPOT))
+
+
+def _certificate(
+    routes: List[List[int]],
+    bound: float,
+    graph: Graph,
+    model: MilpModel,
+    handles: VariableHandles,
+) -> Optional[Tuple[np.ndarray, float]]:
+    """Closed walks encoded as (assignment, bound), or None if they do not fit.
+
+    Walks over l_max or ones the model cannot encode give no certificate.
     """
     plan = FleetPlan(routes=routes, lengths=[walk_length(graph, r) for r in routes])
     if any(length > handles.l_max for length in plan.lengths):
@@ -674,8 +741,7 @@ def _certificate(
     assignment = plan_to_assignment(plan, model, handles, graph)
     if assignment is None:
         return None
-    bound = sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable) if v != DEPOT)
-    return assignment, float(bound)
+    return assignment, bound
 
 
 def infeasibility_proof(

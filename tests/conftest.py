@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from patrolopt import heldkarp, milp
 from patrolopt.benchgen import BenchmarkConfig
 from patrolopt.graph import Graph, all_pairs_shortest, symmetrize
 from patrolopt.instance_io import Instance
@@ -12,6 +14,47 @@ from patrolopt.instance_io import Instance
 
 def make_graph(num_vertices, undirected_edges, positions=None):
     return Graph(num_vertices, symmetrize(undirected_edges), positions=positions)
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Count the models that reach HiGHS."""
+    calls = []
+    real = milp._solve_highs
+
+    def spy(model, time_limit):
+        calls.append(model.name)
+        return real(model, time_limit)
+
+    monkeypatch.setattr(milp, "_solve_highs", spy)
+    return calls
+
+
+@pytest.fixture
+def no_dp(monkeypatch):
+    """Put every round above the exact DP's cost cap, so it answers none."""
+    monkeypatch.setattr(heldkarp, "MAX_WORK", -1)
+
+
+@st.composite
+def tiny_rounds(draw):
+    """A connected graph on at most 6 vertices, rewards with zeros, 1-2 agents."""
+    n = draw(st.integers(2, 6))
+    length = st.sampled_from([1.0, 1.5, 2.0])
+    edges = {}
+    for v in range(2, n + 1):
+        edges[(draw(st.integers(1, v - 1)), v)] = draw(length)
+    for a, b in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3)):
+        if a != b:
+            edges[(min(a, b), max(a, b))] = draw(length)
+    graph = make_graph(n, [(a, b, l) for (a, b), l in sorted(edges.items())])
+    rewards = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n - 1,
+                            max_size=n - 1))
+    c_hat = np.array([0.0, 0.0] + rewards)
+    agents = draw(st.integers(1, 2))
+    l_max = draw(st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.0]))
+    must = draw(st.sets(st.integers(2, n), max_size=1))
+    return graph, c_hat, agents, l_max, sorted(must)
 
 
 @pytest.fixture

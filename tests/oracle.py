@@ -3,7 +3,9 @@
 Everything here enumerates; nothing prunes cleverly.  The point is to be
 obviously correct so the optimizing code can be checked against it, which is
 why the size guards are hard errors rather than warnings: past them the
-enumeration stops being trustworthy in reasonable time.
+enumeration stops being trustworthy in reasonable time.  A walk fits the
+budget up to milp.FEASIBILITY_TOL over l_max, the slack HiGHS grants a
+budget row, so the oracle and the solver agree on the same walks.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import DEPOT, DistanceMatrix, Graph, all_pairs_shortest
-from .instance_io import Instance, instance_graph, kappa_table
-from .tocp import FleetPlan
+from patrolopt.graph import DEPOT, DistanceMatrix, Graph, all_pairs_shortest
+from patrolopt.instance_io import Instance, instance_graph, kappa_table
+from patrolopt.milp import FEASIBILITY_TOL
+from patrolopt.tocp import FleetPlan
 
 MAX_VERTICES = 6
 MAX_AGENTS = 2
 MAX_HORIZON = 3
-LENGTH_TOL = 1e-9
 _MAX_DFS_CALLS = 10_000_000
 
 
@@ -72,12 +74,12 @@ def enumerate_closed_walks(
                 continue
             nl = length + lengths[edge]
             if w == DEPOT:
-                if nl <= l_max + LENGTH_TOL:
+                if nl <= l_max + FEASIBILITY_TOL:
                     record(nl, path + (DEPOT,))
                 continue
             if vertex_simple and w in visited:
                 continue
-            if nl + d_home[w] > l_max + LENGTH_TOL:
+            if nl + d_home[w] > l_max + FEASIBILITY_TOL:
                 continue
             dfs(w, nl, path + (w,), used | {edge}, visited | {w})
 

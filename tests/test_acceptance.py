@@ -39,11 +39,6 @@ from patrolopt.cost_process import GrowthParams, materialize_kappa
 from patrolopt.graph import all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph, kappa_table, read_instance
 from patrolopt.milp import INFEASIBLE, OPTIMAL, solve
-from patrolopt.oracle import (
-    brute_force_horizon,
-    brute_force_single_iteration,
-    chained_per_iteration,
-)
 from patrolopt.stats import (
     all_solved_ids,
     failure_counts,
@@ -53,6 +48,11 @@ from patrolopt.stats import (
 from patrolopt.simulator import run_episode
 from patrolopt.tocp import audit_solution, build_tocp, build_top, simplify_walk
 
+from oracle import (
+    brute_force_horizon,
+    brute_force_single_iteration,
+    chained_per_iteration,
+)
 from conftest import make_graph, tiny_config
 from test_simulator import make_instance
 

@@ -5,7 +5,9 @@ and worth the round-trip bound that no plan can beat.  Anything short of
 that has to fall through to HiGHS, which is checked here by spying on the
 HiGHS call, and the property tests hold both paths to the brute-force
 oracle on random tiny graphs.  An infeasibility proof must only ever name
-rounds that both the oracle and HiGHS find infeasible.
+rounds that both the oracle and HiGHS find infeasible.  Tests of the path
+to HiGHS put every round above the exact DP's cost cap (no_dp), as a large
+round is; test_heldkarp.py covers the DP.
 """
 
 from __future__ import annotations
@@ -15,38 +17,24 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from patrolopt import milp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
-from patrolopt.oracle import brute_force_single_iteration
 from patrolopt.tocp import (
     FleetPlan,
     audit_solution,
     build_top,
     build_tocp,
     extract_routes,
+    greedy_certificate,
     plan_to_assignment,
     repair_walk,
 )
 
-from conftest import make_graph
-
-
-@pytest.fixture
-def highs_calls(monkeypatch):
-    """Count the models that reach HiGHS."""
-    calls = []
-    real = milp._solve_highs
-
-    def spy(model, time_limit):
-        calls.append(model.name)
-        return real(model, time_limit)
-
-    monkeypatch.setattr(milp, "_solve_highs", spy)
-    return calls
+from conftest import make_graph, tiny_rounds
+from oracle import brute_force_single_iteration
 
 
 @pytest.mark.parametrize("fixture", ("bridge", "star"))
@@ -110,7 +98,7 @@ def test_mid_walk_depot_passes_are_bypassed():
     assert repair_walk([1, 2, 1, 3, 1], spokes) is None
 
 
-def test_bypass_over_budget_falls_back_to_highs(highs_calls):
+def test_bypass_over_budget_falls_back_to_highs(highs_calls, no_dp):
     # greedy reaches 3 from 2 through the depot; the depot-free way is 10 long
     g = make_graph(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 10.0)])
     dist = all_pairs_shortest(g)
@@ -124,7 +112,7 @@ def test_bypass_over_budget_falls_back_to_highs(highs_calls):
     assert audit_solution(g, sol, handles) == []
 
 
-def test_zero_valued_reachable_vertex_blocks_the_certificate(highs_calls):
+def test_zero_valued_reachable_vertex_blocks_the_certificate(highs_calls, no_dp):
     # greedy never chases a vertex worth nothing, so it cannot certify the
     # round; the tie rule says a certified round visits everything reachable
     g = make_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
@@ -143,7 +131,7 @@ def test_idle_agents_take_the_cheapest_out_and_back(bridge, highs_calls):
     assert extract_routes(sol, handles, graph).routes == [[1, 2, 3, 2, 1], [1, 2, 1]]
 
 
-def test_single_visit_model_never_carries_a_candidate(bridge, star):
+def test_single_visit_model_never_carries_a_candidate(bridge, star, no_dp):
     for graph, dist, c_hat, l_max in (bridge, star):
         model, _ = build_top(graph, c_hat, 1, l_max, dist=dist)
         assert model.certificate is None
@@ -207,7 +195,7 @@ def test_detour_back_avoids_the_way_out(highs_calls):
     assert extract_routes(sol, handles, g).routes == [[1, 2, 3, 5, 4, 1]]
 
 
-def test_cut_vertex_without_a_cover_falls_back_to_highs(highs_calls):
+def test_cut_vertex_without_a_cover_falls_back_to_highs(highs_calls, no_dp):
     # the triangle 2-3-4 hangs off the depot at vertex 2: its only cycle
     # through the depot enters 2 twice, which the single-visit rule forbids
     g = make_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 4, 1.0)])
@@ -223,7 +211,8 @@ def test_cut_vertex_without_a_cover_falls_back_to_highs(highs_calls):
 
 
 @pytest.mark.parametrize("allow_idle_agents", (False, True))
-def test_fewer_depot_neighbours_than_agents_gives_no_cover(allow_idle_agents, highs_calls):
+def test_fewer_depot_neighbours_than_agents_gives_no_cover(allow_idle_agents, highs_calls,
+                                                           no_dp):
     # the out-and-back to 3 is over budget, so only 2 can start a cycle; one
     # agent alone can take the whole bound by [1, 2, 3, 1], but the cover
     # needs a first vertex per agent and leaves that to HiGHS
@@ -247,9 +236,9 @@ def test_fewer_depot_neighbours_than_agents_gives_no_cover(allow_idle_agents, hi
 
 
 @pytest.mark.parametrize("far_value", (0.0, 5.0))
-def test_bound_covers_walks_within_the_solver_tolerance(far_value, highs_calls):
-    # vertex 3's round trip is l_max + 5e-7: over budget for greedy and the
-    # oracle, inside the slack HiGHS grants a budget row
+def test_bound_covers_walks_within_the_solver_tolerance(far_value, highs_calls, no_dp):
+    # vertex 3's round trip is l_max + 5e-7: over budget for greedy, inside
+    # the slack HiGHS and the oracle grant a budget row
     g = make_graph(3, [(1, 2, 1.0), (1, 3, 2.0 + 2.5e-7)])
     dist = all_pairs_shortest(g)
     assert dist.dist[1, 3] + dist.dist[3, 1] == pytest.approx(4.0 + 5e-7, abs=1e-12)
@@ -260,30 +249,9 @@ def test_bound_covers_walks_within_the_solver_tolerance(far_value, highs_calls):
     sol = solve(model)
     assert highs_calls == ["tocp"]
     assert sol.status == OPTIMAL
-    if far_value == 0.0:
-        ref = brute_force_single_iteration(g, c_hat, 1, 4.0, dist=dist)
-        assert abs(sol.objective_value - ref.reward) < 1e-9
-
-
-@st.composite
-def tiny_rounds(draw):
-    """A connected graph on at most 6 vertices, rewards with zeros, 1-2 agents."""
-    n = draw(st.integers(2, 6))
-    length = st.sampled_from([1.0, 1.5, 2.0])
-    edges = {}
-    for v in range(2, n + 1):
-        edges[(draw(st.integers(1, v - 1)), v)] = draw(length)
-    for a, b in draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3)):
-        if a != b:
-            edges[(min(a, b), max(a, b))] = draw(length)
-    graph = make_graph(n, [(a, b, l) for (a, b), l in sorted(edges.items())])
-    rewards = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n - 1,
-                            max_size=n - 1))
-    c_hat = np.array([0.0, 0.0] + rewards)
-    agents = draw(st.integers(1, 2))
-    l_max = draw(st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.0]))
-    must = draw(st.sets(st.integers(2, n), max_size=1))
-    return graph, c_hat, agents, l_max, sorted(must)
+    ref = brute_force_single_iteration(g, c_hat, 1, 4.0, dist=dist)
+    assert abs(sol.objective_value - ref.reward) < 1e-9
+    assert ref.reward == max(1.0, far_value)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -305,7 +273,8 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
     assert audit_solution(graph, sol, handles) == []
     if certificate is None:
         return
-    if np.array_equal(sol.assignment, certificate[0]):
+    greedy = greedy_certificate(graph, dist, c_hat, model, handles)
+    if greedy is not None and np.array_equal(sol.assignment, greedy[0]):
         plan = extract_routes(sol, handles, graph)
         reachable = {v for v in range(1, graph.num_vertices + 1)
                      if dist.dist[1, v] + dist.dist[v, 1] <= l_max}

@@ -93,6 +93,29 @@ def test_solve_reports_infeasible_with_exit_one(tmp_path):
     assert payload["routes"] is None
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_infeasible_plan_json_is_strict_json(tmp_path):
+    # behind the cut vertex 2, vertex 3 lies on no simple depot cycle, so the
+    # top round is proven infeasible and its gap is not finite
+    kappa = [[0.0], [0.5], [0.5]]
+    instance = make_instance(
+        3, [(1, 2, 1.0), (2, 3, 1.0)], l_max=4.0, horizon=1, kappa=kappa,
+        must_visit=[3],
+    )
+    path = str(tmp_path / "cut.json")
+    write_instance(instance, path)
+    out = str(tmp_path / "plan.json")
+    assert main(["solve", "--instance", path, "--planner", "top", "--out", out]) == 1
+    payload = json.loads(read_bytes(out), parse_constant=reject_constant)
+    assert payload["status"] == "infeasible"
+    assert payload["model"]["gap"] is None
+    assert payload["model"]["objective"] is None
+    assert payload["model"]["infeasibility_proof"].startswith("must-visit vertex 3")
+
+
 def test_simulate_row_is_stable_apart_from_timings(suite_dir, tmp_path):
     instance = os.path.join(suite_dir, "H2", "seed2.json")
     out_a = str(tmp_path / "a.csv")

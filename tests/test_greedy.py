@@ -9,9 +9,9 @@ from patrolopt.benchgen import generate_instance
 from patrolopt.graph import all_pairs_shortest, walk_length
 from patrolopt.greedy import greedy_plan
 from patrolopt.instance_io import instance_graph, kappa_table
-from patrolopt.oracle import brute_force_single_iteration
 from patrolopt.tocp import UnreachableMustVisitError
 
+from oracle import brute_force_single_iteration
 from conftest import make_graph, tiny_config
 
 

@@ -8,14 +8,14 @@ import pytest
 from patrolopt.benchgen import generate_instance
 from patrolopt.graph import all_pairs_shortest
 from patrolopt.instance_io import Instance, instance_graph, kappa_table
-from patrolopt.oracle import (
+
+from oracle import (
     OracleSizeError,
     brute_force_horizon,
     brute_force_single_iteration,
     chained_per_iteration,
     enumerate_closed_walks,
 )
-
 from conftest import make_graph, tiny_config
 
 

@@ -10,13 +10,14 @@ from patrolopt.cost_process import CostState
 from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.instance_io import Instance, instance_graph, kappa_table
-from patrolopt.oracle import brute_force_single_iteration
 from patrolopt.simulator import (
     PLANNERS,
     STATUS_HEURISTIC,
     run_episode,
     solve_single_round,
 )
+
+from oracle import brute_force_single_iteration
 
 
 def make_instance(num_vertices, edges, l_max, horizon, kappa, num_agents=1,

@@ -8,7 +8,6 @@ import pytest
 from patrolopt.graph import all_pairs_shortest, walk_length
 from patrolopt.greedy import greedy_plan
 from patrolopt.milp import INFEASIBLE, OPTIMAL, MilpSolution, ModelError, check_assignment, solve
-from patrolopt.oracle import brute_force_single_iteration
 from patrolopt.tocp import (
     FleetPlan,
     RouteIntegrityError,
@@ -20,6 +19,7 @@ from patrolopt.tocp import (
     simplify_walk,
 )
 
+from oracle import brute_force_single_iteration
 from conftest import make_graph
 
 
