@@ -142,8 +142,8 @@ class MilpModel:
         bad |= binary & ((lo != 0.0) | (hi != 1.0))
         bad |= ~binary & (kinds != CONTINUOUS)
         names = [v.name for v in self.variables]
-        seen_names = set()
         if len(set(names)) < n:
+            seen_names = set()
             for i, name in enumerate(names):
                 if name in seen_names:
                     bad[i] = True
