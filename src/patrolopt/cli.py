@@ -106,6 +106,9 @@ def _cmd_gen(args) -> int:
         seeds=_parse_int_list(args.seeds),
         horizons=_parse_int_list(args.horizons),
     )
+    if not config.seeds or not config.horizons:
+        raise ValueError(f"--seeds {args.seeds!r} and --horizons {args.horizons!r} "
+                         "must each name at least one value")
     if args.vertex_choices:
         config.vertex_choices = _parse_int_list(args.vertex_choices)
     if args.agent_choices:
@@ -184,13 +187,17 @@ def _bench_episode(job: Tuple[str, str, Optional[float]]) -> Dict[str, str]:
 
 def _cmd_bench(args) -> int:
     planners = [p for p in args.planners.split(",") if p]
+    if not planners or len(set(planners)) < len(planners):
+        raise ValueError(f"--planners wants distinct planners, got {args.planners!r}")
     for p in planners:
         if p not in PLANNERS:
             raise ValueError(f"unknown planner {p!r}; expected one of {PLANNERS}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     paths = _suite_instance_paths(args.suite)
     jobs = [(path, planner, args.time_limit) for path in paths for planner in planners]
     rows: List[Dict[str, str]] = []
-    if args.jobs <= 1:
+    if args.jobs == 1:
         for i, job in enumerate(jobs):
             rows.append(_bench_episode(job))
             print(f"bench {i + 1}/{len(jobs)} done", file=sys.stderr)

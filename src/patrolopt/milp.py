@@ -1,9 +1,10 @@
 """Small mixed-integer linear programming layer.
 
-Models are built explicitly (variables, linear constraints, one objective)
-and solved by HiGHS through scipy.optimize.milp, unless the model carries a
-certificate that proves its own optimum or a proof that it has no feasible
-point.
+Models are built explicitly (variables, linear constraints, one objective).
+solve answers a model that carries a proof that it has no feasible point, or
+a certificate that proves its own optimum, without search; only a model with
+neither reaches HiGHS, through the one scipy.optimize.milp call in
+_solve_highs.
 
 Conventions:
   * feasibility tolerance 1e-6, integrality tolerance 1e-6,
@@ -116,11 +117,6 @@ class MilpModel:
         for idx, coef in self._objective.items():
             c[idx] = coef
         return c
-
-    def binary_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, v in enumerate(self.variables) if v.kind == BINARY], dtype=np.int64
-        )
 
     def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         lo = np.array([v.lb for v in self.variables])
@@ -326,14 +322,15 @@ def _certified_solution(model: MilpModel) -> Optional[MilpSolution]:
 # ---------------------------------------------------------------------------
 
 
-def _scipy_solve(
-    model: MilpModel,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    integrality: np.ndarray,
-    options: Optional[dict] = None,
-):
-    """scipy.optimize.milp on the model under the given bounds; (objective, result)."""
+def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
+    t0 = time.perf_counter()
+    lo, hi = model.bounds_arrays()
+    integrality = np.array([v.kind == BINARY for v in model.variables], dtype=float)
+    # The default HiGHS relative MIP gap (1e-4) is far too loose to compare
+    # objectives against an exhaustive oracle, so pin it down.
+    options = {"mip_rel_gap": RELATIVE_GAP_TOL}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
     c = model.objective_vector()
     sign = -1.0 if model.sense == "max" else 1.0
     constraints = None
@@ -347,22 +344,6 @@ def _scipy_solve(
         bounds=Bounds(lo, hi),
         options=options,
     )
-    return c, res
-
-
-def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
-    t0 = time.perf_counter()
-    lo, hi = model.bounds_arrays()
-    integrality = np.zeros(model.num_variables)
-    bins = model.binary_indices()
-    if bins.size:
-        integrality[bins] = 1
-    # The default HiGHS relative MIP gap (1e-4) is far too loose to compare
-    # objectives against an exhaustive oracle, so pin it down.
-    options = {"mip_rel_gap": RELATIVE_GAP_TOL}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    c, res = _scipy_solve(model, lo, hi, integrality, options)
     elapsed = time.perf_counter() - t0
     nodes = int(getattr(res, "mip_node_count", 0) or 0)
     if res.status == 0:
@@ -380,23 +361,4 @@ def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
     if res.status == 3:
         raise ModelError("relaxation is unbounded; the model is missing constraints")
     raise ModelError(f"solver failed: {res.message}")
-
-
-def complete_with_lp(model: MilpModel, fixed: Dict[int, float]) -> Optional[np.ndarray]:
-    """Fix some variables and fill in the rest by LP, or None if that is infeasible.
-
-    Used to turn a combinatorial plan (values for the binaries) into a full
-    assignment including the continuous variables.  The LP keeps the model
-    objective, so free continuous variables take their best values.  The
-    model is not validated here: solve validates it before it reads any
-    assignment built this way.
-    """
-    lo, hi = model.bounds_arrays()
-    for idx, val in fixed.items():
-        lo[idx] = val
-        hi[idx] = val
-    _, res = _scipy_solve(model, lo, hi, np.zeros(model.num_variables))
-    if res.status != 0:
-        return None
-    return np.asarray(res.x)
 

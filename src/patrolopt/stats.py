@@ -116,7 +116,14 @@ def totals(
 def comparison_table(
     rows: List[Dict], planner_a: str, planner_b: str, welch: bool = False
 ) -> List[Dict]:
-    """Per-horizon means and the a-minus-b t-test over the all-solved subset."""
+    """Per-horizon means and the a-minus-b t-test over the all-solved subset.
+
+    A planner with no rows in the table raises ValueError.
+    """
+    present = {r["planner"] for r in rows}
+    for planner in (planner_a, planner_b):
+        if planner not in present:
+            raise ValueError(f"no rows for planner {planner!r} in the results")
     solved = all_solved_ids(rows)
     horizons = sorted({r["H"] for r in rows})
     out: List[Dict] = []

@@ -31,6 +31,12 @@ its certificate differently: one simple depot cycle per agent, no two
 sharing a non-depot vertex, grown by farthest insertion until together they
 visit the same reachable set (see cover_certificate).
 
+Encoding a certificate needs no solver: once an agent's closed walk is
+fixed, so is its flow.  The p-th edge of the walk carries one unit for each
+non-depot vertex the walk first enters after position p, which meets every
+flow row exactly (see plan_to_assignment).  A candidate whose assignment
+breaks any row is dropped before it becomes a certificate.
+
 Proven-infeasible rounds: a round without a certificate is checked for
 reasons no plan can exist (see infeasibility_proof), such as a must-visit
 vertex beyond every depot round trip or, under ``top``, on no simple depot
@@ -66,7 +72,7 @@ from .graph import (
     validate,
     walk_length,
 )
-from .milp import FEASIBILITY_TOL, MilpModel, MilpSolution, ModelError, complete_with_lp
+from .milp import FEASIBILITY_TOL, MilpModel, MilpSolution, ModelError, check_assignment
 
 
 class RouteIntegrityError(ValueError):
@@ -461,36 +467,32 @@ def plan_to_assignment(
     """Encode a fleet plan as a full solver assignment, or None if it cannot be.
 
     Only plans whose walks use each directed edge at most once fit the binary
-    edge variables, and the continuous flow is filled in by LP, which also
-    weeds out plans the model would not accept (an idle agent under the
-    exactly-one depot departure, say).  The certificates encode their
+    edge variables.  The flow is fixed by the order of each walk: its p-th
+    edge carries one unit for every non-depot vertex the walk first enters
+    after position p, so the depot sends one unit per visited vertex and each
+    keeps one where the walk first reaches it.  An assignment that breaks a
+    row (an idle agent under the exactly-one depot departure, a pass through
+    the depot mid-walk, say) is None too.  The certificates encode their
     candidate plans with it, so failure is an answer, not an error.
     """
-    fixed: Dict[int, float] = {}
-    for key, idx in handles.x.items():
-        fixed[idx] = 0.0
-    for key, idx in handles.y.items():
-        fixed[idx] = 0.0
-    for key, idx in handles.z.items():
-        fixed[idx] = 0.0
-    visited_any: Set[int] = set()
+    assign = np.zeros(model.num_variables)
     for m, route in enumerate(plan.routes, start=1):
         if len(route) == 1:
             continue  # parked at the depot: no traversal, so no visit flags
-        seen_edges: Set[Tuple[int, int]] = set()
-        for a, b in zip(route, route[1:]):
-            if (a, b) in seen_edges:
-                return None
-            seen_edges.add((a, b))
-            if (a, b, m) not in handles.x:
-                return None
-            fixed[handles.x[(a, b, m)]] = 1.0
+        edges = list(zip(route, route[1:]))
+        if len(set(edges)) < len(edges) or any((a, b, m) not in handles.x for a, b in edges):
+            return None
+        unseen = set(route) - {DEPOT}
+        for a, b in edges:
+            unseen.discard(a)
+            assign[handles.x[(a, b, m)]] = 1.0
+            assign[handles.u[(a, b, m)]] = len(unseen)
         for v in set(route):
-            fixed[handles.y[(v, m)]] = 1.0
-        visited_any.update(route)
-    for v in visited_any:
-        fixed[handles.z[v]] = 1.0
-    return complete_with_lp(model, fixed)
+            assign[handles.y[(v, m)]] = 1.0
+            assign[handles.z[v]] = 1.0
+    if check_assignment(model, assign):
+        return None
+    return assign
 
 
 def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
@@ -539,8 +541,7 @@ def greedy_certificate(
     vertices collects the bound when c_hat >= 0, so no plan can beat it.
     Greedy plans that miss one are dropped.  That fixes the tie rule: a
     certified round visits everything reachable, zero-valued vertices too.
-    Routes pass through repair_walk.  An idle agent takes the cheapest depot
-    out-and-back, unless the model lets agents idle.
+    Routes pass through repair_walk.
     """
     from .greedy import greedy_plan  # greedy imports FleetPlan from this module
 
@@ -553,15 +554,10 @@ def greedy_certificate(
         return None
     if not reachable <= plan.visited():
         return None
-    repaired: List[List[int]] = []
-    for route in plan.routes:
-        if len(route) > 1:
-            route = repair_walk(route, graph)
-        elif not handles.allow_idle_agents:
-            route = _cheapest_out_and_back(graph)
-        if route is None:
-            return None
-        repaired.append(route)
+    repaired = [repair_walk(route, graph) if len(route) > 1 else route
+                for route in plan.routes]
+    if None in repaired:
+        return None
     return _certificate(repaired, _round_trip_bound(c_hat, reachable), graph, model, handles)
 
 
@@ -697,17 +693,10 @@ def exact_certificate(
 ) -> Optional[Tuple[np.ndarray, float]]:
     """The DP's optimal walks as a full assignment plus the DP value, or None.
 
-    Each walk loses its doubled edges to simplify_walk.  Agents without a
-    walk stay home when the model lets them idle, and otherwise take the
-    cheapest depot out-and-back, as in greedy_certificate; under top the DP
+    Each walk loses its doubled edges to simplify_walk.  Under top the DP
     already gave every agent its own cycle.
     """
     routes = [simplify_walk(walk, graph) for walk in optimum.walks]
-    while len(routes) < handles.num_agents:
-        spare = [DEPOT] if handles.allow_idle_agents else _cheapest_out_and_back(graph)
-        if spare is None:
-            return None
-        routes.append(spare)
     return _certificate(routes, optimum.value, graph, model, handles)
 
 
@@ -733,8 +722,16 @@ def _certificate(
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Closed walks encoded as (assignment, bound), or None if they do not fit.
 
-    Walks over l_max or ones the model cannot encode give no certificate.
+    Agents without a walk ([1], or missing from the end of routes) stay home
+    when the model lets them idle, and otherwise take the cheapest depot
+    out-and-back.  Walks over l_max or ones the model cannot encode give no
+    certificate.
     """
+    routes = routes + [[DEPOT]] * (handles.num_agents - len(routes))
+    if not handles.allow_idle_agents:
+        routes = [_cheapest_out_and_back(graph) if len(r) == 1 else r for r in routes]
+        if None in routes:
+            return None
     plan = FleetPlan(routes=routes, lengths=[walk_length(graph, r) for r in routes])
     if any(length > handles.l_max for length in plan.lengths):
         return None

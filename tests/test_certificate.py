@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from patrolopt import milp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
@@ -349,12 +350,12 @@ def test_proofs_grant_the_solver_tolerance(highs_calls):
 TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
 
 
-def first_round_top(law, seed):
+def first_round_top(law, seed, build=build_top):
     instance = generate_instance(BenchmarkConfig(**law), seed, 1)
     graph = instance_graph(instance)
     c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
-    return build_top(graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
-                     dist=all_pairs_shortest(graph))
+    return build(graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
+                 dist=all_pairs_shortest(graph))
 
 
 @pytest.mark.parametrize("law, seed, vertex", [
@@ -378,3 +379,40 @@ def test_benchmark_rounds_without_a_simple_cycle_are_proven_without_highs(
 def test_feasible_benchmark_rounds_carry_no_proof(law, seed):
     model, _ = first_round_top(law, seed)
     assert model.infeasibility_proof is None
+
+
+@pytest.mark.parametrize("answer", ("greedy", "cover", "dp", "proof"))
+def test_answered_rounds_never_call_scipy(answer, bridge, monkeypatch):
+    # neither building nor solving a round that a certificate, the DP or a
+    # proof answers may reach scipy.optimize.milp, not even to fill in the flow
+    calls = []
+    real = milp._scipy_milp
+
+    def spy(*args, **kwargs):
+        calls.append(answer)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(milp, "_scipy_milp", spy)
+    graph, dist, c_hat, l_max = bridge
+    if answer == "greedy":
+        model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
+        assert greedy_certificate(graph, dist, c_hat, model, handles) is not None
+    elif answer == "cover":
+        g = make_graph(5, [(1, 2, 1.0), (1, 4, 1.0), (1, 3, 1.5), (1, 5, 1.5),
+                           (2, 3, 1.0), (4, 5, 1.0)])
+        model, _ = build_top(g, np.array([0.0, 0.0, 1.0, 0.0, 2.0, 3.0]), 2, 3.5)
+    elif answer == "dp":
+        model, _ = first_round_top(TIGHT_LAW, 9, build_tocp)
+        assert model.certificate is not None
+    else:
+        model, _ = first_round_top(TIGHT_LAW, 8)
+        assert model.infeasibility_proof is not None
+    sol = solve(model)
+    assert sol.status == (INFEASIBLE if answer == "proof" else OPTIMAL)
+    assert sol.node_count == 0
+    assert calls == []
+    # the spy does see a round that reaches HiGHS
+    model, _ = build_tocp(graph, c_hat, 1, l_max, dist=dist)
+    model.certificate = None
+    solve(model)
+    assert calls == [answer]

@@ -287,3 +287,39 @@ def test_negative_time_limit_exits_two(suite_dir, tmp_path, capsys):
     assert code == 2
     assert "time_limit" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("flag, value", (("--seeds", "5..2"), ("--horizons", "5..2"),
+                                         ("--seeds", "")))
+def test_gen_with_an_empty_list_exits_two(flag, value, tmp_path, capsys):
+    out = str(tmp_path / "suite")
+    args = {"--seeds": "1", "--horizons": "2", flag: value}
+    code = main(["gen", "--out", out] + [part for item in args.items() for part in item])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("extra, message", (
+    (["--jobs", "0"], "--jobs"),
+    (["--jobs", "-2"], "--jobs"),
+    (["--planners", ""], "--planners"),
+    (["--planners", "greedy,greedy"], "--planners"),
+), ids=("jobs-0", "jobs-negative", "no-planners", "duplicate-planners"))
+def test_bench_rejects_bad_jobs_and_planner_lists(extra, message, suite_dir, tmp_path, capsys):
+    out = str(tmp_path / "r.csv")
+    code = main(["bench", "--suite", suite_dir, "--out", out] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not os.path.exists(out)
+
+
+def test_stats_pair_with_a_planner_without_rows_exits_two(suite_dir, tmp_path, capsys):
+    results = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite_dir, "--planners", "greedy",
+                 "--out", results]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--results", results, "--pair", "greedy,tocp"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'tocp'" in err

@@ -21,7 +21,6 @@ from patrolopt.milp import (
     MilpModel,
     ModelError,
     check_assignment,
-    complete_with_lp,
     solve,
 )
 
@@ -101,11 +100,10 @@ def test_deadline_with_an_incumbent_is_feasible_timeout(monkeypatch):
     x = np.zeros(m.num_variables)
     x[idx[0]] = 1.0
 
-    def timed_out(model, lo, hi, integrality, options=None):
-        res = SimpleNamespace(status=1, x=x, mip_gap=0.5, mip_node_count=7)
-        return model.objective_vector(), res
+    def timed_out(c, **kwargs):
+        return SimpleNamespace(status=1, x=x, mip_gap=0.5, mip_node_count=7)
 
-    monkeypatch.setattr(milp, "_scipy_solve", timed_out)
+    monkeypatch.setattr(milp, "_scipy_milp", timed_out)
     sol = solve(m, time_limit=1.0)
     assert sol.status == FEASIBLE_TIMEOUT
     assert sol.objective_value == 3.0
@@ -187,24 +185,6 @@ def test_gap_is_zero_at_proven_optimality():
     sol = solve(m)
     assert sol.status == OPTIMAL
     assert sol.gap <= 1e-9
-
-
-def test_complete_with_lp_fills_continuous_variables():
-    m = MilpModel(sense="max")
-    a = m.add_binary("a")
-    y = m.add_continuous("y", 0.0, 5.0)
-    m.set_objective_coefficient(a, 1.0)
-    m.set_objective_coefficient(y, 1.0)
-    m.add_constraint([(y, 1.0), (a, -3.0)], "<=", 0.0, "link")
-    full = complete_with_lp(m, {a: 1.0})
-    assert full is not None
-    assert full[a] == 1.0
-    assert abs(full[y] - 3.0) < 1e-9
-    assert check_assignment(m, full) == []
-    # fixing a = 0 with a >= 1 side row has no completion
-    m.add_constraint([(a, 1.0)], ">=", 1.0, "force")
-    assert complete_with_lp(m, {a: 0.0}) is None
-
 
 
 def loop_validate(model):

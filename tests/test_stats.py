@@ -143,3 +143,8 @@ def test_comparison_table_single_instance_has_no_test():
     assert table[0]["n"] == 1
     assert np.isnan(table[0]["t"])
     assert np.isnan(table[0]["p"])
+
+
+def test_comparison_table_names_a_planner_without_rows():
+    with pytest.raises(ValueError, match="'banana'"):
+        comparison_table(synthetic_rows(), "top", "banana")

@@ -4,10 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from patrolopt.graph import all_pairs_shortest, walk_length
+from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.greedy import greedy_plan
-from patrolopt.milp import INFEASIBLE, OPTIMAL, MilpSolution, ModelError, check_assignment, solve
+from patrolopt.milp import (
+    FEASIBILITY_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    MilpSolution,
+    ModelError,
+    check_assignment,
+    solve,
+)
 from patrolopt.tocp import (
     FleetPlan,
     RouteIntegrityError,
@@ -20,7 +30,7 @@ from patrolopt.tocp import (
 )
 
 from oracle import brute_force_single_iteration
-from conftest import make_graph
+from conftest import make_graph, tiny_rounds
 
 
 def solved(build, graph, c_hat, m, l_max, must=(), **kw):
@@ -263,6 +273,82 @@ def test_plan_encoding_round_trip_and_rejections(bridge):
     # walks over non-edges cannot be encoded either
     phantom = FleetPlan(routes=[[1, 3, 1]], lengths=[2.0])
     assert plan_to_assignment(phantom, model, handles, graph) is None
+
+
+@st.composite
+def walk_plans(draw):
+    """A tiny round plus one drawn walk per agent; [1] parks the agent.
+
+    A walk steps along real edges from the depot and then takes the shortest
+    way home.  A loose walk may also step into the depot, reuse an edge or
+    stop where it is; the others avoid all three until the way home.
+    """
+    graph, c_hat, agents, l_max, must = draw(tiny_rounds())
+    dist = all_pairs_shortest(graph)
+    routes = []
+    for _ in range(agents):
+        loose = draw(st.booleans())
+        walk = [DEPOT]
+        for _ in range(draw(st.integers(0, 5))):
+            steps = [v for v in graph.out_neighbors(walk[-1])
+                     if loose or (v != DEPOT and (walk[-1], v) not in zip(walk, walk[1:]))]
+            if not steps:
+                break
+            walk.append(draw(st.sampled_from(steps)))
+        if len(walk) > 1 and not (loose and draw(st.booleans())):
+            walk += dist.shortest_path(walk[-1], DEPOT)[1:]
+        routes.append(walk)
+    return graph, c_hat, l_max, must, routes
+
+
+def broken_rules(graph, routes, handles):
+    """The walk rules a plan breaks, checked from scratch without the model."""
+    broken = []
+    for route in routes:
+        if len(route) == 1:
+            if not handles.allow_idle_agents:
+                broken.append("idle agent")
+            continue
+        edges = list(zip(route, route[1:]))
+        if route[0] != DEPOT or route[-1] != DEPOT:
+            broken.append("not closed at the depot")
+        if DEPOT in route[1:-1]:
+            broken.append("depot passed mid-walk")
+        if len(set(edges)) < len(edges):
+            broken.append("directed edge used twice")
+        if walk_length(graph, route) > handles.l_max + FEASIBILITY_TOL:
+            broken.append("over l_max")
+    entered = [v for route in routes for v in route[1:] if v != DEPOT]
+    if handles.variant == "top" and len(set(entered)) < len(entered):
+        broken.append("vertex entered twice")
+    if not set(handles.must_visit) <= set(entered):
+        broken.append("must-visit vertex missed")
+    return broken
+
+
+@pytest.mark.parametrize("build", (build_tocp, build_top), ids=("tocp", "top"))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=walk_plans(), allow_idle_agents=st.booleans())
+def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case, allow_idle_agents):
+    graph, c_hat, l_max, must, routes = case
+    model, handles = build(graph, c_hat, len(routes), l_max, must,
+                           allow_idle_agents=allow_idle_agents)
+    plan = FleetPlan(routes, [walk_length(graph, r) for r in routes])
+    assign = plan_to_assignment(plan, model, handles, graph)
+    broken = broken_rules(graph, routes, handles)
+    if assign is None:
+        event("rejected")
+        assert broken
+        return
+    event("encoded")
+    assert broken == []
+    assert check_assignment(model, assign) == []
+    sol = MilpSolution(OPTIMAL, assign, plan.reward(c_hat), 0.0, 0.0)
+    assert audit_solution(graph, sol, handles) == []
+    for route, back in zip(routes, extract_routes(sol, handles, graph).routes):
+        assert set(back) == set(route)
+        assert set(zip(back, back[1:])) == set(zip(route, route[1:]))
 
 
 def test_infeasibility_agreement_with_exhaustive_search():
