@@ -95,10 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_int_list(text: str) -> Tuple[int, ...]:
+    """An 'A..B' range or a comma list; ValueError when it names no value."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in text.split(",") if v)
+        values = tuple(range(int(lo), int(hi) + 1))
+    else:
+        values = tuple(int(v) for v in text.split(",") if v)
+    if not values:
+        raise ValueError(f"{text!r} names no values")
+    return values
 
 
 def _cmd_gen(args) -> int:
@@ -106,9 +111,6 @@ def _cmd_gen(args) -> int:
         seeds=_parse_int_list(args.seeds),
         horizons=_parse_int_list(args.horizons),
     )
-    if not config.seeds or not config.horizons:
-        raise ValueError(f"--seeds {args.seeds!r} and --horizons {args.horizons!r} "
-                         "must each name at least one value")
     if args.vertex_choices:
         config.vertex_choices = _parse_int_list(args.vertex_choices)
     if args.agent_choices:

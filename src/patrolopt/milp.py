@@ -361,4 +361,3 @@ def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
     if res.status == 3:
         raise ModelError("relaxation is unbounded; the model is missing constraints")
     raise ModelError(f"solver failed: {res.message}")
-

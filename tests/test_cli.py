@@ -290,13 +290,15 @@ def test_negative_time_limit_exits_two(suite_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", (("--seeds", "5..2"), ("--horizons", "5..2"),
-                                         ("--seeds", "")))
+                                         ("--seeds", ""), ("--horizons", ","),
+                                         ("--vertex-choices", "5..2"),
+                                         ("--agent-choices", "5..2")))
 def test_gen_with_an_empty_list_exits_two(flag, value, tmp_path, capsys):
     out = str(tmp_path / "suite")
     args = {"--seeds": "1", "--horizons": "2", flag: value}
     code = main(["gen", "--out", out] + [part for item in args.items() for part in item])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {value!r} names no values" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
