@@ -237,16 +237,27 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _read_plan_json(path: str) -> FleetPlan:
+def _read_plan_json(path: str, num_vertices: int) -> FleetPlan:
+    """The plan a solve run wrote; ValueError unless it fits a graph of num_vertices."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: plan JSON is not an object")
     routes = payload.get("routes")
     if not routes:
         raise ValueError(f"{path}: no routes recorded (status {payload.get('status')})")
-    return FleetPlan(
-        routes=[[int(v) for v in route] for route in routes],
-        lengths=[float(v) for v in payload["lengths"]],
-    )
+    lengths = payload.get("lengths")
+    if not (isinstance(routes, list) and isinstance(lengths, list)
+            and len(lengths) == len(routes)):
+        raise ValueError(f"{path}: 'routes' and 'lengths' must be lists of equal length")
+    for route in routes:
+        if not (isinstance(route, list)
+                and all(type(v) is int and 1 <= v <= num_vertices for v in route)):
+            raise ValueError(f"{path}: route {route!r} is not a list of vertices "
+                             f"1..{num_vertices}")
+    if not all(type(v) in (int, float) for v in lengths):
+        raise ValueError(f"{path}: lengths {lengths!r} are not all numbers")
+    return FleetPlan(routes=routes, lengths=[float(v) for v in lengths])
 
 
 def _cmd_plot(args) -> int:
@@ -254,7 +265,7 @@ def _cmd_plot(args) -> int:
         raise ValueError("pass exactly one of --instance or --results")
     if args.instance is not None:
         instance = read_instance(args.instance)
-        plan = _read_plan_json(args.plan) if args.plan else None
+        plan = _read_plan_json(args.plan, instance.num_vertices) if args.plan else None
         svgplot.write_svg(svgplot.render_instance(instance, plan), args.out)
     else:
         rows = results_io.read_results(args.results)

@@ -98,15 +98,6 @@ class CostState:
         """Total cost left on the graph right now (the per-iteration objective term)."""
         return float(self.accrued[1:].sum())
 
-    def check_invariant(self) -> None:
-        """Assert accrued[i] == sum of kappa[i, T[i]+1 .. t] for every vertex."""
-        for i in range(1, self.num_vertices + 1):
-            expect = float(self.kappa[i, self.T[i] + 1 : self.t + 1].sum())
-            if abs(expect - self.accrued[i]) > 1e-9:
-                raise AssertionError(
-                    f"accrual invariant broken at vertex {i}: {self.accrued[i]} vs {expect}"
-                )
-
 
 def materialize_kappa(params: GrowthParams, stream_seed: int, horizon: int) -> np.ndarray:
     """Draw the full (N+1, H+1) growth table; column 0 is zeros."""

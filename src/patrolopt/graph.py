@@ -41,10 +41,6 @@ class Graph:
             if 1 <= i <= self.num_vertices:
                 self._out[i].append(j)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.lengths)
-
     def out_neighbors(self, i: int) -> List[int]:
         """Ascending list of j with (i, j) an edge."""
         return self._out[i]
@@ -52,10 +48,6 @@ class Graph:
     def edge_items(self) -> List[Tuple[Tuple[int, int], float]]:
         """All directed edges with lengths, sorted for deterministic iteration."""
         return sorted(self.lengths.items())
-
-    def undirected_edges(self) -> List[Tuple[int, int]]:
-        """Each edge once as (i, j) with i < j."""
-        return sorted({(min(i, j), max(i, j)) for (i, j) in self.lengths})
 
     def min_edge_length(self) -> float:
         if not self.lengths:

@@ -19,11 +19,12 @@ ends at v in S, one popcount layer at a time:
 S fits one tour when min over v of g[S, v] + leg(v, 1) is within the limit.
 The fleet covers unions of M pairwise disjoint fitting sets, found by ranked
 subset convolution (Björklund, Husfeldt, Kaski and Koivisto, STOC 2007):
-exactly M nonempty ones under top, or at most M when agents may idle; at
-most M under tocp, whose spare agents take an out-and-back.  The optimum is
-the union that contains every must-visit vertex and has the largest sum of
-c_hat clipped at zero.  Tie rule: the largest such union, then the lowest
-bitmask.  No such union proves the round infeasible.
+exactly M nonempty ones under top, where every agent must leave the depot
+and no two may share a vertex; at most M under tocp, whose spare agents
+take an out-and-back.  The optimum is the union that contains every
+must-visit vertex and has the largest sum of c_hat clipped at zero.  Tie
+rule: the largest such union, then the lowest bitmask.  No such union
+proves the round infeasible.
 
 The table and each of the M - 1 union steps take about 2 R^2 2^R element
 operations for R targets, and MAX_WORK caps their total; rounds above the
@@ -74,7 +75,6 @@ def best_round(
     must_visit: Sequence[int] = (),
     *,
     single_visit: bool,
-    allow_idle_agents: bool,
 ) -> Union[RoundOptimum, str, None]:
     """The round's optimum, the reason none exists (a str), or None above MAX_WORK.
 
@@ -90,7 +90,7 @@ def best_round(
     kind = "vertex-disjoint simple depot cycles" if single_visit else "closed walks"
     must = sorted(set(int(v) for v in must_visit))
     proof = f"no {num_agents} {kind} within l_max {l_max} cover must-visit vertices {must}"
-    if not set(must) <= set(targets) or (r == 0 and not allow_idle_agents):
+    if not set(must) <= set(targets) or r == 0:
         return proof
 
     if single_visit:
@@ -111,8 +111,9 @@ def best_round(
         tours = np.min(g[lo:lo + _CHUNK] + close, axis=1, initial=np.inf)
         fits[lo:lo + _CHUNK] = tours <= limit
     fits = fits[pos]
-    # the empty set is an idle agent, or under tocp one on an out-and-back
-    fits[0] = allow_idle_agents or not single_visit
+    # the empty set: a tocp agent may take an out-and-back over a vertex
+    # another covers, but a top agent claims every vertex it enters
+    fits[0] = not single_visit
     unions = [fits]
     if num_agents > 1:
         fits_hat = _ranked_zeta(fits, pop)

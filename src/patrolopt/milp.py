@@ -1,6 +1,7 @@
 """Small mixed-integer linear programming layer.
 
-Models are built explicitly (variables, linear constraints, one objective).
+Models are built explicitly: variables, linear rows that are either "<=" or
+"=", and one objective, which is maximised.
 solve answers a model that carries a proof that it has no feasible point, or
 a certificate that proves its own optimum, without search; only a model with
 neither reaches HiGHS, through the one scipy.optimize.milp call in
@@ -39,7 +40,7 @@ TIMEOUT_NO_SOLUTION = "timeout-no-solution"
 BINARY = "binary"
 CONTINUOUS = "continuous"
 
-RELATIONS = ("<=", "=", ">=")
+RELATIONS = ("<=", "=")
 
 
 class ModelError(ValueError):
@@ -63,12 +64,9 @@ class Constraint:
 
 
 class MilpModel:
-    """A mixed binary/continuous linear program with a single linear objective."""
+    """A mixed binary/continuous linear program that maximises one linear objective."""
 
-    def __init__(self, sense: str = "max", name: str = ""):
-        if sense not in ("max", "min"):
-            raise ModelError(f"sense must be 'max' or 'min', got {sense!r}")
-        self.sense = sense
+    def __init__(self, name: str = ""):
         self.name = name
         self.variables: List[Variable] = []
         self.constraints: List[Constraint] = []
@@ -183,12 +181,8 @@ class MilpModel:
         lb = np.empty(len(self.constraints))
         ub = np.empty(len(self.constraints))
         for k, con in enumerate(self.constraints):
-            if con.relation == "<=":
-                lb[k], ub[k] = -np.inf, con.rhs
-            elif con.relation == ">=":
-                lb[k], ub[k] = con.rhs, np.inf
-            else:
-                lb[k], ub[k] = con.rhs, con.rhs
+            lb[k] = -np.inf if con.relation == "<=" else con.rhs
+            ub[k] = con.rhs
         a = sp.csr_matrix(
             (data, (rows, cols.astype(np.int64))),
             shape=(len(self.constraints), self.num_variables),
@@ -237,8 +231,8 @@ class MilpSolution:
         return self.assignment is not None
 
 
-def check_assignment(model: MilpModel, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> List[str]:
-    """Violation messages for bounds, integrality and every constraint row.
+def check_assignment(model: MilpModel, x: np.ndarray) -> List[str]:
+    """Violation messages for bounds, integrality and every constraint row, to FEASIBILITY_TOL.
 
     Variables come first, in index order, each with its bound message before
     its integrality one; then the rows in order.  Row activities add the
@@ -248,6 +242,7 @@ def check_assignment(model: MilpModel, x: np.ndarray, tol: float = FEASIBILITY_T
         return [f"assignment has shape {x.shape}, expected ({model.num_variables},)"]
     lo, hi = model.bounds_arrays()
     binary = np.array([v.kind == BINARY for v in model.variables], dtype=bool)
+    tol = FEASIBILITY_TOL
     outside = (x < lo - tol) | (x > hi + tol)
     fractional = binary & (np.abs(x - np.round(x)) > INTEGRALITY_TOL)
     issues: List[str] = []
@@ -263,18 +258,13 @@ def check_assignment(model: MilpModel, x: np.ndarray, tol: float = FEASIBILITY_T
     has_terms = np.bincount(rows, minlength=count) > 0
     rel = np.array([con.relation for con in model.constraints], dtype=object)
     rhs = np.array([con.rhs for con in model.constraints])
-    violated = ((rel == "<=") & (acts > rhs + tol)) | ((rel == ">=") & (acts < rhs - tol))
-    violated |= (rel == "=") & (np.abs(acts - rhs) > tol)
+    violated = np.where(rel == "<=", acts > rhs + tol, np.abs(acts - rhs) > tol)
     for k in np.flatnonzero(violated):
         con = model.constraints[k]
         act = acts[k] if has_terms[k] else 0
         label = con.name or f"row{k}"
-        if con.relation == "<=":
-            issues.append(f"{label}: {act} > {con.rhs}")
-        elif con.relation == ">=":
-            issues.append(f"{label}: {act} < {con.rhs}")
-        else:
-            issues.append(f"{label}: {act} != {con.rhs}")
+        sign = ">" if con.relation == "<=" else "!="
+        issues.append(f"{label}: {act} {sign} {con.rhs}")
     return issues
 
 
@@ -311,8 +301,7 @@ def _certified_solution(model: MilpModel) -> Optional[MilpSolution]:
     if check_assignment(model, x):
         return None
     value = float(model.objective_vector() @ x)
-    shortfall = bound - value if model.sense == "max" else value - bound
-    if shortfall > RELATIVE_GAP_TOL * max(1.0, abs(bound)):
+    if bound - value > RELATIVE_GAP_TOL * max(1.0, abs(bound)):
         return None
     return MilpSolution(OPTIMAL, x, value, 0.0, time.perf_counter() - t0, 0)
 
@@ -332,13 +321,12 @@ def _solve_highs(model: MilpModel, time_limit: Optional[float]) -> MilpSolution:
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     c = model.objective_vector()
-    sign = -1.0 if model.sense == "max" else 1.0
     constraints = None
     if model.constraints:
         a, row_lb, row_ub = model.constraint_matrix()
         constraints = LinearConstraint(a, row_lb, row_ub)
     res = _scipy_milp(
-        sign * c,
+        -c,  # scipy minimises
         constraints=constraints,
         integrality=integrality,
         bounds=Bounds(lo, hi),

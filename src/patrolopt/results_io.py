@@ -51,7 +51,11 @@ def write_results(path: str, rows: List[Dict[str, str]]) -> None:
 
 
 def read_results(path: str) -> List[Dict]:
-    """Rows with typed fields: H int, total_cost float, the lists split and parsed."""
+    """Rows with typed fields: H int, total_cost float, the lists split and parsed.
+
+    A row with fewer cells than the header raises ValueError naming the file
+    and the line.
+    """
     out: List[Dict] = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -59,6 +63,9 @@ def read_results(path: str) -> List[Dict]:
         if missing:
             raise ValueError(f"{path}: results table missing columns {missing}")
         for raw in reader:
+            if None in raw.values():
+                raise ValueError(f"{path}: line {reader.line_num} has fewer than "
+                                 f"{len(reader.fieldnames)} cells")
             out.append(
                 {
                     "instance_id": raw["instance_id"],

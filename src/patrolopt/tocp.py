@@ -12,11 +12,12 @@ Model shape per agent m over directed edges (i, j):
   * y_im         binary "agent m visits vertex i"
   * z_i          binary "somebody visits vertex i" (objective carrier)
   * u_ijm        continuous connectivity flow
-Constraints: unit depot departure/return, traversal/visit coupling with a
-big-M of l_max over the shortest edge, per-vertex flow balance, the travel
-budget, and a single-commodity flow that leaves the depot carrying one unit
-per visited vertex and drops one at each, which rules out subtours detached
-from the depot.
+Constraints: every agent leaves and re-enters the depot exactly once, so no
+agent idles; traversal/visit coupling with a big-M of l_max over the
+shortest edge, per-vertex flow balance, the travel budget, and a
+single-commodity flow (capped at N per edge) that leaves the depot carrying
+one unit per visited vertex and drops one at each, which rules out subtours
+detached from the depot.  Every row is "<=" or "=".
 
 Certified rounds: ``build_tocp`` also runs the greedy planner on c_hat and
 attaches its plan, repaired and encoded, as the model's certificate, but
@@ -115,10 +116,8 @@ class VariableHandles:
     num_agents: int
     l_max: float
     big_m: float
-    u_cap: float
     must_visit: Tuple[int, ...]
     variant: str
-    allow_idle_agents: bool
 
 
 def build_tocp(
@@ -129,7 +128,6 @@ def build_tocp(
     must_visit: Sequence[int] = (),
     *,
     dist: Optional[DistanceMatrix] = None,
-    allow_idle_agents: bool = False,
 ) -> Tuple[MilpModel, VariableHandles]:
     """Build the repeat-visit model; returns the model and its variable handles.
 
@@ -142,9 +140,7 @@ def build_tocp(
     Failing both, the exact DP supplies the certificate or the proof (see
     _settle_uncertified).
     """
-    model, handles = _build_fleet_model(
-        graph, c_hat, num_agents, l_max, must_visit, allow_idle_agents
-    )
+    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must_visit)
     if dist is None:
         dist = all_pairs_shortest(graph)
     c_hat = np.asarray(c_hat, dtype=float)
@@ -159,7 +155,6 @@ def _build_fleet_model(
     num_agents: int,
     l_max: float,
     must_visit: Sequence[int],
-    allow_idle_agents: bool,
 ) -> Tuple[MilpModel, VariableHandles]:
     """The repeat-visit rows and variables shared by build_tocp and build_top."""
     problem = validate(graph)
@@ -181,9 +176,9 @@ def _build_fleet_model(
 
     edges = [e for e, _ in graph.edge_items()]
     big_m = l_max / graph.min_edge_length()
-    u_cap = float(n)
+    flow_cap = float(n)
 
-    model = MilpModel("max", name="tocp")
+    model = MilpModel(name="tocp")
     x: Dict[Tuple[int, int, int], int] = {}
     y: Dict[Tuple[int, int], int] = {}
     z: Dict[int, int] = {}
@@ -198,7 +193,7 @@ def _build_fleet_model(
         z[i] = model.add_binary(f"z_{i}")
     for m in range(1, m_count + 1):
         for (i, j) in edges:
-            u[(i, j, m)] = model.add_continuous(f"u_{i}_{j}_{m}", 0.0, u_cap)
+            u[(i, j, m)] = model.add_continuous(f"u_{i}_{j}_{m}", 0.0, flow_cap)
 
     out_edges: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
     in_edges: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
@@ -210,22 +205,19 @@ def _build_fleet_model(
         model.set_objective_coefficient(z[i], float(c_hat[i]))
 
     for m in range(1, m_count + 1):
-        # Depot departure/return: exactly once per agent, or at most once when
-        # idle agents are allowed (balance then comes from the flow rows).
-        depot_rel = "<=" if allow_idle_agents else "="
+        # Depot departure/return: exactly once per agent.
         model.add_constraint(
             [(x[(e[0], e[1], m)], 1.0) for e in out_edges[DEPOT]],
-            depot_rel,
+            "=",
             1.0,
             name=f"depot_out_{m}",
         )
-        if not allow_idle_agents:
-            model.add_constraint(
-                [(x[(e[0], e[1], m)], 1.0) for e in in_edges[DEPOT]],
-                "=",
-                1.0,
-                name=f"depot_in_{m}",
-            )
+        model.add_constraint(
+            [(x[(e[0], e[1], m)], 1.0) for e in in_edges[DEPOT]],
+            "=",
+            1.0,
+            name=f"depot_in_{m}",
+        )
         # Per-vertex traversal balance: arrivals equal departures everywhere.
         for i in range(1, n + 1):
             terms = [(x[(e[0], e[1], m)], 1.0) for e in out_edges[i]]
@@ -269,7 +261,7 @@ def _build_fleet_model(
             model.add_constraint(terms, "=", 0.0, name=f"flow_use_{i}_{m}")
         for (i, j) in edges:
             model.add_constraint(
-                [(u[(i, j, m)], 1.0), (x[(i, j, m)], -u_cap)],
+                [(u[(i, j, m)], 1.0), (x[(i, j, m)], -flow_cap)],
                 "<=",
                 0.0,
                 name=f"flow_cap_{i}_{j}_{m}",
@@ -301,10 +293,8 @@ def _build_fleet_model(
         num_agents=m_count,
         l_max=float(l_max),
         big_m=big_m,
-        u_cap=u_cap,
         must_visit=must,
         variant="tocp",
-        allow_idle_agents=allow_idle_agents,
     )
     return model, handles
 
@@ -317,7 +307,6 @@ def build_top(
     must_visit: Sequence[int] = (),
     *,
     dist: Optional[DistanceMatrix] = None,
-    allow_idle_agents: bool = False,
 ) -> Tuple[MilpModel, VariableHandles]:
     """Single-visit variant: each non-depot vertex is entered at most once in total.
 
@@ -329,9 +318,7 @@ def build_top(
     lies on no simple depot cycle within l_max.  Failing both, the exact DP
     over disjoint simple cycles supplies either (see _settle_uncertified).
     """
-    model, handles = _build_fleet_model(
-        graph, c_hat, num_agents, l_max, must_visit, allow_idle_agents
-    )
+    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must_visit)
     model.name = "top"
     n = graph.num_vertices
     in_edges: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
@@ -373,7 +360,7 @@ def _settle_uncertified(
         return
     answer = heldkarp.best_round(
         graph, dist, c_hat, handles.num_agents, handles.l_max, handles.must_visit,
-        single_visit=handles.variant == "top", allow_idle_agents=handles.allow_idle_agents,
+        single_visit=handles.variant == "top",
     )
     if isinstance(answer, str):
         model.infeasibility_proof = answer
@@ -387,7 +374,8 @@ def extract_routes(
     """Turn an integral assignment into one closed walk per agent.
 
     Each agent's selected edges must form a single closed trail through the
-    depot; leftovers or an open walk raise RouteIntegrityError.  Ties in the
+    depot; an agent with no edge, leftovers or an open walk raise
+    RouteIntegrityError.  Ties in the
     stitching order go to the lowest-numbered neighbor, so the result is
     deterministic for a given assignment.
     """
@@ -400,10 +388,6 @@ def extract_routes(
         chosen = sorted(
             (i, j) for (i, j, mm), idx in handles.x.items() if mm == m and assign[idx] > 0.5
         )
-        if not chosen:
-            routes.append([DEPOT])
-            lengths.append(0.0)
-            continue
         route = _stitch_closed_walk(chosen, start=DEPOT)
         routes.append(route)
         lengths.append(walk_length(graph, route))
@@ -436,7 +420,7 @@ def _stitch_closed_walk(edges: List[Tuple[int, int]], start: int) -> List[int]:
     return circuit
 
 
-def simplify_walk(route: List[int], graph: Graph) -> List[int]:
+def simplify_walk(route: List[int]) -> List[int]:
     """Rewrite a closed walk so no directed edge is traversed twice.
 
     When an edge (a, b) appears at two positions, the stretch between the two
@@ -462,7 +446,7 @@ def simplify_walk(route: List[int], graph: Graph) -> List[int]:
 
 
 def plan_to_assignment(
-    plan: FleetPlan, model: MilpModel, handles: VariableHandles, graph: Graph
+    plan: FleetPlan, model: MilpModel, handles: VariableHandles
 ) -> Optional[np.ndarray]:
     """Encode a fleet plan as a full solver assignment, or None if it cannot be.
 
@@ -504,7 +488,7 @@ def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
     and a bounce x, 1, x becomes x; with no such path the walk is beyond
     repair.  The visited set never shrinks, but the walk may get longer.
     """
-    route = simplify_walk(route, graph)
+    route = simplify_walk(route)
     if DEPOT not in route[1:-1]:
         return route
     around = depot_free_shortest(graph)
@@ -523,7 +507,7 @@ def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
             out.extend(path[1:])
         k += 2
     out.append(DEPOT)
-    return simplify_walk(out, graph)
+    return simplify_walk(out)
 
 
 def greedy_certificate(
@@ -696,7 +680,7 @@ def exact_certificate(
     Each walk loses its doubled edges to simplify_walk.  Under top the DP
     already gave every agent its own cycle.
     """
-    routes = [simplify_walk(walk, graph) for walk in optimum.walks]
+    routes = [simplify_walk(walk) for walk in optimum.walks]
     return _certificate(routes, optimum.value, graph, model, handles)
 
 
@@ -722,20 +706,18 @@ def _certificate(
 ) -> Optional[Tuple[np.ndarray, float]]:
     """Closed walks encoded as (assignment, bound), or None if they do not fit.
 
-    Agents without a walk ([1], or missing from the end of routes) stay home
-    when the model lets them idle, and otherwise take the cheapest depot
-    out-and-back.  Walks over l_max or ones the model cannot encode give no
-    certificate.
+    Agents without a walk ([1], or missing from the end of routes) take the
+    cheapest depot out-and-back, since every agent must leave the depot.
+    Walks over l_max or ones the model cannot encode give no certificate.
     """
     routes = routes + [[DEPOT]] * (handles.num_agents - len(routes))
-    if not handles.allow_idle_agents:
-        routes = [_cheapest_out_and_back(graph) if len(r) == 1 else r for r in routes]
-        if None in routes:
-            return None
+    routes = [_cheapest_out_and_back(graph) if len(r) == 1 else r for r in routes]
+    if None in routes:
+        return None
     plan = FleetPlan(routes=routes, lengths=[walk_length(graph, r) for r in routes])
     if any(length > handles.l_max for length in plan.lengths):
         return None
-    assignment = plan_to_assignment(plan, model, handles, graph)
+    assignment = plan_to_assignment(plan, model, handles)
     if assignment is None:
         return None
     return assignment, bound
@@ -751,10 +733,9 @@ def infeasibility_proof(
     certificates grant, so a proof never rejects a plan HiGHS would accept:
       * a must-visit vertex v whose depot round trip d(1, v) + d(v, 1) is
         over the limit (inf when there is none);
-      * unless agents may idle, fewer depot neighbours w with
-        len(1, w) + d(w, 1) within the limit than the agents need as first
-        vertices: one for tocp, where agents may share one, and M for top,
-        where nobody enters a vertex twice;
+      * fewer depot neighbours w with len(1, w) + d(w, 1) within the limit
+        than the agents need as first vertices: one for tocp, where agents
+        may share one, and M for top, where nobody enters a vertex twice;
       * top only: a must-visit v on no simple depot cycle within the limit.
         Each agent's walk is a simple cycle through the depot, so the
         shortest one through v is [1, v, 1] or the cheapest pair of
@@ -767,13 +748,12 @@ def infeasibility_proof(
             return (f"must-visit vertex {v} has no depot round trip within l_max: "
                     f"{d[DEPOT, v] + d[v, DEPOT]} > {handles.l_max}")
     single_visit = handles.variant == "top"
-    if not handles.allow_idle_agents:
-        need = handles.num_agents if single_visit else 1
-        firsts = [w for w in graph.out_neighbors(DEPOT)
-                  if graph.lengths[(DEPOT, w)] + d[w, DEPOT] <= limit]
-        if len(firsts) < need:
-            return (f"{len(firsts)} depot neighbours can start a walk within l_max "
-                    f"{handles.l_max}; the agents need {need}")
+    need = handles.num_agents if single_visit else 1
+    firsts = [w for w in graph.out_neighbors(DEPOT)
+              if graph.lengths[(DEPOT, w)] + d[w, DEPOT] <= limit]
+    if len(firsts) < need:
+        return (f"{len(firsts)} depot neighbours can start a walk within l_max "
+                f"{handles.l_max}; the agents need {need}")
     if single_visit:
         for v in handles.must_visit:
             cycle = _disjoint_pair_length(graph, v)
@@ -852,16 +832,18 @@ def _disjoint_pair_length(graph: Graph, v: int) -> float:
 
 
 def audit_solution(
-    graph: Graph, solution: MilpSolution, handles: VariableHandles, tol: float = 1e-6
+    graph: Graph, solution: MilpSolution, handles: VariableHandles
 ) -> List[str]:
     """Re-check a solved assignment against the problem statement, from scratch.
 
     Deliberately ignores the model's own constraint rows and flow variables:
     degrees, budgets, coupling and must-visits are recomputed from the x/y/z
     values, and depot connectivity is certified by BFS over the chosen edges.
-    Returns a list of violation messages; empty means clean.
+    Budgets and big-M are met to FEASIBILITY_TOL.  Returns a list of
+    violation messages; empty means clean.
     """
     issues: List[str] = []
+    tol = FEASIBILITY_TOL
     if solution.assignment is None:
         return [f"no assignment to audit (status {solution.status})"]
     assign = solution.assignment
@@ -886,10 +868,7 @@ def audit_solution(
         for (i, j) in chosen:
             out_deg[i] += 1
             in_deg[j] += 1
-        if handles.allow_idle_agents:
-            if out_deg[DEPOT] > 1:
-                issues.append(f"agent {m}: depot out-degree {out_deg[DEPOT]} > 1")
-        elif out_deg[DEPOT] != 1 or in_deg[DEPOT] != 1:
+        if out_deg[DEPOT] != 1 or in_deg[DEPOT] != 1:
             issues.append(
                 f"agent {m}: depot degree out={out_deg[DEPOT]} in={in_deg[DEPOT]}, want 1/1"
             )

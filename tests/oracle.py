@@ -5,7 +5,9 @@ obviously correct so the optimizing code can be checked against it, which is
 why the size guards are hard errors rather than warnings: past them the
 enumeration stops being trustworthy in reasonable time.  A walk fits the
 budget up to milp.FEASIBILITY_TOL over l_max, the slack HiGHS grants a
-budget row, so the oracle and the solver agree on the same walks.
+budget row, so the oracle and the solver agree on the same walks.  As in
+the model, every agent leaves the depot in every round: staying home is
+never one of the choices enumerated.
 """
 
 from __future__ import annotations
@@ -95,16 +97,12 @@ def brute_force_single_iteration(
     must_visit: Sequence[int] = (),
     variant: str = "tocp",
     dist: Optional[DistanceMatrix] = None,
-    allow_idle_agents: bool = False,
 ) -> OracleResult:
     """Best one-round fleet reward by trying every combination of agent walks.
 
     Under "top" each agent's walk is a simple cycle and no non-depot vertex is
-    shared between agents.  By default every agent must actually leave the
-    depot, mirroring the optimization model's unit depot departure; idle
-    agents are admitted only when the flag says so.  Ties keep the first
-    combination in enumeration order (visited-sets sorted, so this is
-    deterministic).
+    shared between agents.  Ties keep the first combination in enumeration
+    order (visited-sets sorted, so this is deterministic).
     """
     n = graph.num_vertices
     if n > MAX_VERTICES:
@@ -116,9 +114,7 @@ def brute_force_single_iteration(
     if dist is None:
         dist = all_pairs_shortest(graph)
     walks = enumerate_closed_walks(graph, dist, l_max, vertex_simple=(variant == "top"))
-    keys = sorted(walks, key=lambda s: tuple(sorted(s)))
-    if not allow_idle_agents:
-        keys = [s for s in keys if len(s) > 1]
+    keys = sorted((s for s in walks if len(s) > 1), key=lambda s: tuple(sorted(s)))
     must = frozenset(int(v) for v in must_visit)
     c_hat = np.asarray(c_hat, dtype=float)
 
@@ -175,7 +171,6 @@ def _episode_cost_for_choices(
 def brute_force_horizon(
     instance: Instance,
     dist: Optional[DistanceMatrix] = None,
-    allow_idle_agents: bool = False,
 ) -> Tuple[float, List[FleetPlan]]:
     """Minimum total leftover cost over the whole horizon, single agent only.
 
@@ -194,9 +189,7 @@ def brute_force_horizon(
     if dist is None:
         dist = all_pairs_shortest(graph)
     walks = enumerate_closed_walks(graph, dist, instance.l_max)
-    keys = sorted(walks, key=lambda s: tuple(sorted(s)))
-    if not allow_idle_agents:
-        keys = [s for s in keys if len(s) > 1]
+    keys = sorted((s for s in walks if len(s) > 1), key=lambda s: tuple(sorted(s)))
     must = frozenset(instance.must_visit)
     if must:
         keys = [s for s in keys if must <= s]

@@ -144,7 +144,7 @@ def test_criterion_02_every_solution_passes_the_audit(tiny_suite):
 def test_criterion_03_doubled_edges_simplify_away():
     g = make_graph(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.5)])
     walk = [1, 2, 3, 2, 3, 1]  # directed edge 2->3 appears twice
-    out = simplify_walk(walk, g)
+    out = simplify_walk(walk)
     assert set(out) == set(walk)
     assert walk_length(g, out) < walk_length(g, walk)
     assert len(set(zip(out, out[1:]))) == len(out) - 1
@@ -162,7 +162,7 @@ def test_criterion_03_doubled_edges_simplify_away():
             nxt = g2.out_neighbors(route[-1])
             route.append(int(nxt[rng.integers(0, len(nxt))]))
         walk = route + route[::-1][1:]  # out and straight back: edges reused
-        out = simplify_walk(walk, g2)
+        out = simplify_walk(walk)
         assert out[0] == out[-1] == 1
         assert set(out) == set(walk)
         assert walk_length(g2, out) <= walk_length(g2, walk) + 1e-12

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
-from hypothesis import strategies as st
 
 from patrolopt import milp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
@@ -72,7 +71,7 @@ def test_candidate_with_a_violated_row_falls_through(bridge, highs_calls):
 def test_candidate_below_the_bound_falls_through(bridge, highs_calls):
     graph, dist, c_hat, l_max = bridge
     model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
-    short = plan_to_assignment(FleetPlan([[1, 2, 1]], [2.0]), model, handles, graph)
+    short = plan_to_assignment(FleetPlan([[1, 2, 1]], [2.0]), model, handles)
     assert check_assignment(model, short) == []
     model.certificate = (short, model.certificate[1])
     sol = solve(model)
@@ -211,29 +210,21 @@ def test_cut_vertex_without_a_cover_falls_back_to_highs(highs_calls, no_dp):
     assert audit_solution(g, sol, handles) == []
 
 
-@pytest.mark.parametrize("allow_idle_agents", (False, True))
-def test_fewer_depot_neighbours_than_agents_gives_no_cover(allow_idle_agents, highs_calls,
-                                                           no_dp):
+def test_fewer_depot_neighbours_than_agents_gives_no_cover(highs_calls, no_dp):
     # the out-and-back to 3 is over budget, so only 2 can start a cycle; one
-    # agent alone can take the whole bound by [1, 2, 3, 1], but the cover
-    # needs a first vertex per agent and leaves that to HiGHS
+    # agent alone could take the whole bound by [1, 2, 3, 1], but the cover
+    # needs a first vertex per agent, and so does every plan: the round is
+    # infeasible, which only HiGHS proves here
     g = make_graph(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 2.5)])
     dist = all_pairs_shortest(g)
     c_hat = np.array([0.0, 0.0, 1.0, 2.0])
-    model, handles = build_top(g, c_hat, 2, 4.5, dist=dist,
-                               allow_idle_agents=allow_idle_agents)
+    model, _ = build_top(g, c_hat, 2, 4.5, dist=dist)
     assert model.certificate is None
     sol = solve(model)
     assert highs_calls == ["top"]
-    ref = brute_force_single_iteration(g, c_hat, 2, 4.5, variant="top", dist=dist,
-                                       allow_idle_agents=allow_idle_agents)
-    if not allow_idle_agents:
-        assert not ref.feasible
-        assert sol.status == INFEASIBLE
-        return
-    assert sol.status == OPTIMAL
-    assert abs(sol.objective_value - ref.reward) < 1e-9
-    assert abs(sol.objective_value - 3.0) < 1e-9
+    ref = brute_force_single_iteration(g, c_hat, 2, 4.5, variant="top", dist=dist)
+    assert not ref.feasible
+    assert sol.status == INFEASIBLE
 
 
 @pytest.mark.parametrize("far_value", (0.0, 5.0))
@@ -314,14 +305,13 @@ def test_top_matches_brute_force_with_and_without_its_certificate(case):
 @pytest.mark.parametrize("build", (build_tocp, build_top), ids=("tocp", "top"))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=tiny_rounds(), allow_idle_agents=st.booleans())
-def test_infeasibility_proofs_agree_with_brute_force_and_highs(build, case, allow_idle_agents):
+@given(case=tiny_rounds())
+def test_infeasibility_proofs_agree_with_brute_force_and_highs(build, case):
     graph, c_hat, agents, l_max, must = case
     dist = all_pairs_shortest(graph)
-    model, _ = build(graph, c_hat, agents, l_max, must, dist=dist,
-                     allow_idle_agents=allow_idle_agents)
+    model, _ = build(graph, c_hat, agents, l_max, must, dist=dist)
     oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, variant=model.name,
-                                          dist=dist, allow_idle_agents=allow_idle_agents)
+                                          dist=dist)
     proof = model.infeasibility_proof
     if proof is None:
         event("feasible" if oracle.feasible else "infeasible, no proof")

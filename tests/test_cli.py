@@ -325,3 +325,43 @@ def test_stats_pair_with_a_planner_without_rows_exits_two(suite_dir, tmp_path, c
     assert main(["stats", "--results", results, "--pair", "greedy,tocp"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "'tocp'" in err
+
+
+@pytest.mark.parametrize("payload, message", (
+    ([], "not an object"),
+    ({"routes": [[1, 2, 1]]}, "equal length"),
+    ({"routes": [[1, 2, 1], [1, 3, 1]], "lengths": [2.0]}, "equal length"),
+    ({"routes": [None], "lengths": [0.0]}, "None is not a list of vertices"),
+    ({"routes": [[1, 99, 1]], "lengths": [2.0]}, "[1, 99, 1] is not a list of vertices"),
+    ({"routes": [[1, 0, 1]], "lengths": [2.0]}, "[1, 0, 1] is not a list of vertices"),
+    ({"routes": [[1, 2, 1]], "lengths": [None]}, "not all numbers"),
+), ids=("not-an-object", "no-lengths", "lengths-count", "null-route", "vertex-above-n",
+        "vertex-zero", "null-length"))
+def test_plot_rejects_a_malformed_plan(payload, message, suite_dir, tmp_path, capsys):
+    instance = os.path.join(suite_dir, "H1", "seed1.json")
+    plan = str(tmp_path / "plan.json")
+    with open(plan, "w") as fh:
+        json.dump(payload, fh)
+    out = str(tmp_path / "map.svg")
+    assert main(["plot", "--instance", instance, "--plan", plan, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan}: ") and message in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", (["stats"], ["plot", "--out", "curves.svg"]),
+                         ids=("stats", "plot"))
+def test_a_short_results_row_exits_two(command, suite_dir, tmp_path, capsys):
+    results = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite_dir, "--planners", "greedy",
+                 "--out", results]) == 0
+    with open(results) as fh:
+        lines = fh.read().splitlines()
+    lines[2] = lines[2].rsplit(",", 2)[0]
+    with open(results, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    command = [str(tmp_path / part) if part.endswith(".svg") else part for part in command]
+    assert main(command + ["--results", results]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {results}: line 3 has fewer than {len(results_io.COLUMNS)} cells\n")

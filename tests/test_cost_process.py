@@ -13,6 +13,16 @@ from patrolopt.cost_process import (
 )
 
 
+def check_invariant(cs):
+    """Assert accrued[i] == sum of kappa[i, T[i]+1 .. t] for every vertex."""
+    for i in range(1, cs.num_vertices + 1):
+        expect = float(cs.kappa[i, cs.T[i] + 1 : cs.t + 1].sum())
+        if abs(expect - cs.accrued[i]) > 1e-9:
+            raise AssertionError(
+                f"accrual invariant broken at vertex {i}: {cs.accrued[i]} vs {expect}"
+            )
+
+
 def params(mu, noise=0.1):
     return GrowthParams(mu_star=np.array([0.0] + list(mu)), noise_stddev=noise)
 
@@ -82,14 +92,14 @@ def test_cost_state_accrues_collects_and_reports_residual():
     collected = cs.apply_visits({1, 2}, 1)
     assert collected == 1.0
     assert cs.residual_cost() == 4.0
-    cs.check_invariant()
+    check_invariant(cs)
     cs.advance()
     # vertex 2 regrew 2, vertex 3 now carries 4 + 8
     assert cs.residual_cost() == 14.0
     assert cs.apply_visits({1, 3}, 2) == 12.0
     assert cs.residual_cost() == 2.0
     assert cs.T.tolist() == [0, 2, 1, 2]
-    cs.check_invariant()
+    check_invariant(cs)
 
 
 def test_cost_state_rejects_bad_calls():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from patrolopt import heldkarp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
@@ -37,15 +36,14 @@ TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(1
 @pytest.mark.parametrize("variant", ("tocp", "top"))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=tiny_rounds(), allow_idle_agents=st.booleans())
-def test_dp_matches_brute_force(variant, case, allow_idle_agents):
+@given(case=tiny_rounds())
+def test_dp_matches_brute_force(variant, case):
     graph, c_hat, agents, l_max, must = case
     dist = all_pairs_shortest(graph)
     answer = heldkarp.best_round(graph, dist, c_hat, agents, l_max, must,
-                                 single_visit=variant == "top",
-                                 allow_idle_agents=allow_idle_agents)
+                                 single_visit=variant == "top")
     oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, variant=variant,
-                                          dist=dist, allow_idle_agents=allow_idle_agents)
+                                          dist=dist)
     if not oracle.feasible:
         assert isinstance(answer, str)
         return
@@ -60,8 +58,7 @@ def test_dp_matches_brute_force(variant, case, allow_idle_agents):
     if variant == "top":
         inner = [v for walk in answer.walks for v in walk[1:-1]]
         assert len(inner) == len(set(inner))
-        if not allow_idle_agents:
-            assert len(answer.walks) == agents
+        assert len(answer.walks) == agents
     assert set(must) <= visited
     # the walks visit exactly the chosen union, so they collect its value
     assert sum(c_hat[v] for v in visited if v != DEPOT) == pytest.approx(answer.value)

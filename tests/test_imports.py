@@ -1,4 +1,11 @@
-"""Every name a package module imports is used somewhere in that module."""
+"""Static checks on the package source: no unused import, parameter or definition.
+
+Every name a package module imports is used in that module, every parameter
+a package function takes is read in its body, and every function and class
+the package defines is named somewhere in the code that runs it: the
+package, the benchmark (perfbench/) or the tools (tools/), never only in the
+tests.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +18,14 @@ import patrolopt
 
 PACKAGE_DIR = os.path.dirname(patrolopt.__file__)
 MODULES = sorted(f for f in os.listdir(PACKAGE_DIR) if f.endswith(".py"))
+REPO_DIR = os.path.dirname(os.path.dirname(PACKAGE_DIR))
+# The code that runs the package; a definition only tests name is dead.
+CALLER_DIRS = ("src", "perfbench", "tools")
+
+
+def read(path):
+    with open(path) as fh:
+        return fh.read()
 
 
 def unused_imports(source: str):
@@ -28,6 +43,54 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_parameters(source: str):
+    """(line, function, parameter) for each parameter its function never reads.
+
+    self, cls and names that start with an underscore are exempt.  A nested
+    function that reads an outer parameter counts as a read.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read_names = {n.id for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name)}
+        out += [(node.lineno, node.name, p.arg) for p in params
+                if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+                and p.arg not in read_names]
+    return sorted(out)
+
+
+def defined_names(source: str):
+    """(line, name) for each function and class defined, dunders aside."""
+    return sorted((node.lineno, node.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def referenced_names(sources):
+    """Every name read as a bare name or as an attribute in any of the sources."""
+    out = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def caller_sources():
+    for top in CALLER_DIRS:
+        for root, _, files in os.walk(os.path.join(REPO_DIR, top)):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    yield read(os.path.join(root, f))
+
+
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport sys\nfrom typing import List, Set\nx: List[int] = sys.argv\n"
     assert unused_imports(source) == [(1, "os"), (3, "Set")]
@@ -35,5 +98,47 @@ def test_the_check_sees_an_unused_import():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(PACKAGE_DIR, module)) as fh:
-        assert unused_imports(fh.read()) == []
+    assert unused_imports(read(os.path.join(PACKAGE_DIR, module))) == []
+
+
+def test_the_check_sees_an_unused_parameter():
+    source = (
+        "def walk(route, graph, *, _spare=None, **extra):\n"
+        "    def inner(step):\n"
+        "        return route[step]\n"
+        "    return inner(0)\n"
+        "class Plan:\n"
+        "    def size(self, unit):\n"
+        "        return 1\n"
+    )
+    assert unused_parameters(source) == [(1, "walk", "extra"), (1, "walk", "graph"),
+                                         (6, "size", "unit")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_parameters(module):
+    assert unused_parameters(read(os.path.join(PACKAGE_DIR, module))) == []
+
+
+def test_the_check_sees_a_dead_definition():
+    package = ("class Graph:\n"
+               "    def __len__(self):\n"
+               "        return 0\n"
+               "    def num_edges(self):\n"
+               "        return 0\n"
+               "def walk_length(graph):\n"
+               "    return len(graph)\n"
+               "class Unused:\n"
+               "    pass\n")
+    callers = [package, "from graph import Graph, walk_length\nwalk_length(Graph())\n"]
+    referenced = referenced_names(callers)
+    assert [d for d in defined_names(package) if d[1] not in referenced] == [
+        (4, "num_edges"), (8, "Unused")]
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    referenced = referenced_names(caller_sources())
+    dead = [(module, line, name) for module in MODULES
+            for line, name in defined_names(read(os.path.join(PACKAGE_DIR, module)))
+            if name not in referenced]
+    assert dead == []

@@ -26,7 +26,7 @@ from patrolopt.milp import (
 
 
 def knapsack_model(values, weights, capacity):
-    m = MilpModel(sense="max", name="knapsack")
+    m = MilpModel(name="knapsack")
     idx = [m.add_binary(f"x{i}") for i in range(len(values))]
     for i, v in enumerate(values):
         m.set_objective_coefficient(idx[i], v)
@@ -62,7 +62,7 @@ def test_knapsack_optima_match_enumeration():
 
 def test_equality_and_continuous_mix():
     # pick exactly two items; continuous y rides along up to the picked total
-    m = MilpModel(sense="max")
+    m = MilpModel()
     x = [m.add_binary(f"x{i}") for i in range(3)]
     y = m.add_continuous("y", 0.0, 10.0)
     for i, v in enumerate((1.0, 2.0, 3.0)):
@@ -77,7 +77,7 @@ def test_equality_and_continuous_mix():
 
 
 def test_infeasible_model_is_reported():
-    m = MilpModel(sense="max")
+    m = MilpModel()
     a = m.add_binary("a")
     b = m.add_binary("b")
     m.add_constraint([(a, 1.0), (b, 1.0)], "=", 3.0, "impossible")
@@ -124,17 +124,6 @@ def test_invalid_time_limit_is_rejected(time_limit):
         solve(m, time_limit=time_limit)
 
 
-def test_minimization_optimum():
-    m = MilpModel(sense="min")
-    x = [m.add_binary(f"x{i}") for i in range(4)]
-    for i, c in enumerate((4.0, 2.0, 5.0, 3.0)):
-        m.set_objective_coefficient(x[i], c)
-    m.add_constraint([(xi, 1.0) for xi in x], ">=", 2.0, "atleast2")
-    sol = solve(m)
-    assert sol.status == OPTIMAL
-    assert abs(sol.objective_value - 5.0) < 1e-9
-
-
 def test_check_assignment_flags_violations():
     m, idx = knapsack_model([1.0, 1.0], [3.0, 3.0], 4.0)
     bad = np.array([1.0, 1.0])
@@ -169,9 +158,6 @@ def test_validate_rejects_malformed_models():
     m.add_constraint([(i, 1.0)], "<>", 1.0, "badrel")
     with pytest.raises(ModelError, match="relation"):
         m.validate()
-
-    with pytest.raises(ModelError):
-        MilpModel(sense="sideways")
 
     # solve() validates before calling HiGHS
     m = MilpModel()
@@ -219,8 +205,9 @@ def loop_validate(model):
     return None
 
 
-def loop_check_assignment(model, x, tol=milp.FEASIBILITY_TOL):
+def loop_check_assignment(model, x):
     """check_assignment as a walk over every variable and row, term by term."""
+    tol = milp.FEASIBILITY_TOL
     issues = []
     lo, hi = model.bounds_arrays()
     for i, v in enumerate(model.variables):
@@ -233,8 +220,6 @@ def loop_check_assignment(model, x, tol=milp.FEASIBILITY_TOL):
         label = con.name or f"row{k}"
         if con.relation == "<=" and act > con.rhs + tol:
             issues.append(f"{label}: {act} > {con.rhs}")
-        elif con.relation == ">=" and act < con.rhs - tol:
-            issues.append(f"{label}: {act} < {con.rhs}")
         elif con.relation == "=" and abs(act - con.rhs) > tol:
             issues.append(f"{label}: {act} != {con.rhs}")
     return issues
@@ -254,7 +239,7 @@ def random_model(rng, defects):
             m.variables[-1] = milp.Variable(name, str(rng.choice(["binary", "continuous", "odd"])),
                                             float(rng.choice([0.0, 0.5, np.inf])),
                                             float(rng.choice([1.0, -1.0, np.nan])))
-    relations = ["<=", "=", ">="] + (["<>"] if defects else [])
+    relations = ["<=", "="] + (["<>", ">="] if defects else [])
     for k in range(int(rng.integers(0, 6))):
         terms = [(int(rng.integers(-1, n + 1)) if defects else int(rng.integers(0, n)),
                   float(rng.choice([1.0, -2.0, 0.1, 0.7] + ([np.nan] if defects else []))))

@@ -80,10 +80,6 @@ def test_agents_may_not_stay_home_by_default():
     c = np.array([0.0, 0.0, 1.0])
     strict = brute_force_single_iteration(g, c, 1, 3.0, dist=dist)
     assert not strict.feasible  # round trip costs 4
-    relaxed = brute_force_single_iteration(g, c, 1, 3.0, dist=dist, allow_idle_agents=True)
-    assert relaxed.feasible
-    assert relaxed.reward == 0.0
-    assert relaxed.plan.routes == [[1]]
 
 
 def test_size_guards():

@@ -92,9 +92,9 @@ def test_variable_layout_on_complete_triangle():
 def test_big_m_and_flow_cap_values():
     g = make_graph(3, [(1, 2, 0.5), (2, 3, 2.0)])
     c = np.zeros(4)
-    _, handles = build_tocp(g, c, 1, 7.0)
+    model, handles = build_tocp(g, c, 1, 7.0)
     assert handles.big_m == 7.0 / 0.5
-    assert handles.u_cap == 3.0
+    assert {model.variables[idx].ub for idx in handles.u.values()} == {3.0}
 
 
 def test_agents_must_leave_the_depot_unless_idling_is_allowed(bridge):
@@ -102,11 +102,6 @@ def test_agents_must_leave_the_depot_unless_idling_is_allowed(bridge):
     # no closed walk fits in a budget below the shortest out-and-back
     _, _, sol = solved(build_tocp, graph, c_hat, 1, 1.5)
     assert sol.status == INFEASIBLE
-    _, handles, sol = solved(build_tocp, graph, c_hat, 1, 1.5, allow_idle_agents=True)
-    assert sol.status == OPTIMAL
-    assert sol.objective_value == 0.0
-    assert audit_solution(graph, sol, handles) == []
-    assert extract_routes(sol, handles, graph).routes == [[1]]
 
 
 def test_extra_agents_do_not_change_the_collectable_total(bridge):
@@ -186,18 +181,23 @@ def test_route_extraction_rejects_detached_cycles():
     )
     with pytest.raises(RouteIntegrityError):
         extract_routes(sol3, handles, g)
+    # an agent that never leaves the depot breaks its departure row
+    idle = MilpSolution(status=OPTIMAL, assignment=np.zeros(model.num_variables),
+                        objective_value=0.0, gap=0.0, solve_seconds=0.0)
+    with pytest.raises(RouteIntegrityError, match="never leave vertex 1"):
+        extract_routes(idle, handles, g)
 
 
 def test_simplify_walk_drops_doubly_used_edges():
     g = make_graph(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
     walk = [1, 2, 3, 2, 3, 1]  # uses (2, 3) twice
-    out = simplify_walk(walk, g)
+    out = simplify_walk(walk)
     assert out == [1, 2, 3, 1]
     assert set(out) == set(walk)
     assert walk_length(g, out) < walk_length(g, walk)
     # already-simple walks come back unchanged
-    assert simplify_walk([1, 2, 3, 1], g) == [1, 2, 3, 1]
-    assert simplify_walk([1], g) == [1]
+    assert simplify_walk([1, 2, 3, 1]) == [1, 2, 3, 1]
+    assert simplify_walk([1]) == [1]
 
 
 def test_simplify_walk_random_property():
@@ -213,7 +213,7 @@ def test_simplify_walk_random_property():
             route.append(int(nxt[rng.integers(0, len(nxt))]))
         back = route[::-1]
         walk = route + back[1:]  # palindrome: returns to 1, reuses edges freely
-        out = simplify_walk(walk, g)
+        out = simplify_walk(walk)
         assert out[0] == out[-1] == 1
         assert set(out) == set(walk)
         assert walk_length(g, out) <= walk_length(g, walk) + 1e-12
@@ -240,7 +240,7 @@ def test_audit_catches_budget_overrun():
     g = make_graph(2, [(1, 2, 3.0)])
     model, handles = build_tocp(g, np.array([0.0, 0.0, 1.0]), 1, 10.0)
     plan = FleetPlan(routes=[[1, 2, 1]], lengths=[6.0])
-    assign = plan_to_assignment(plan, model, handles, g)
+    assign = plan_to_assignment(plan, model, handles)
     assert assign is not None
     tight, tight_handles = build_tocp(g, np.array([0.0, 0.0, 1.0]), 1, 5.0)
     bad = MilpSolution(OPTIMAL, assign, 1.0, 0.0, 0.0)
@@ -252,27 +252,22 @@ def test_plan_encoding_round_trip_and_rejections(bridge):
     graph, dist, c_hat, l_max = bridge
     model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
     plan = greedy_plan(graph, dist, c_hat, 1, l_max)
-    assign = plan_to_assignment(plan, model, handles, graph)
+    assign = plan_to_assignment(plan, model, handles)
     assert assign is not None
     assert check_assignment(model, assign) == []
     sol = MilpSolution(OPTIMAL, assign, plan.reward(c_hat), 0.0, 0.0)
     assert audit_solution(graph, sol, handles) == []
 
-    # an idle agent cannot be encoded while departure is mandatory...
+    # an idle agent cannot be encoded: departure is mandatory
     idle = FleetPlan(routes=[[1]], lengths=[0.0])
-    assert plan_to_assignment(idle, model, handles, graph) is None
-    # ...but encodes once it is allowed
-    relaxed_model, relaxed_handles = build_tocp(
-        graph, c_hat, 1, l_max, dist=dist, allow_idle_agents=True
-    )
-    assert plan_to_assignment(idle, relaxed_model, relaxed_handles, graph) is not None
+    assert plan_to_assignment(idle, model, handles) is None
 
     # walks that reuse a directed edge do not fit binary edge variables
     doubled = FleetPlan(routes=[[1, 2, 1, 2, 1]], lengths=[4.0])
-    assert plan_to_assignment(doubled, model, handles, graph) is None
+    assert plan_to_assignment(doubled, model, handles) is None
     # walks over non-edges cannot be encoded either
     phantom = FleetPlan(routes=[[1, 3, 1]], lengths=[2.0])
-    assert plan_to_assignment(phantom, model, handles, graph) is None
+    assert plan_to_assignment(phantom, model, handles) is None
 
 
 @st.composite
@@ -306,8 +301,7 @@ def broken_rules(graph, routes, handles):
     broken = []
     for route in routes:
         if len(route) == 1:
-            if not handles.allow_idle_agents:
-                broken.append("idle agent")
+            broken.append("idle agent")
             continue
         edges = list(zip(route, route[1:]))
         if route[0] != DEPOT or route[-1] != DEPOT:
@@ -329,13 +323,12 @@ def broken_rules(graph, routes, handles):
 @pytest.mark.parametrize("build", (build_tocp, build_top), ids=("tocp", "top"))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=walk_plans(), allow_idle_agents=st.booleans())
-def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case, allow_idle_agents):
+@given(case=walk_plans())
+def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case):
     graph, c_hat, l_max, must, routes = case
-    model, handles = build(graph, c_hat, len(routes), l_max, must,
-                           allow_idle_agents=allow_idle_agents)
+    model, handles = build(graph, c_hat, len(routes), l_max, must)
     plan = FleetPlan(routes, [walk_length(graph, r) for r in routes])
-    assign = plan_to_assignment(plan, model, handles, graph)
+    assign = plan_to_assignment(plan, model, handles)
     broken = broken_rules(graph, routes, handles)
     if assign is None:
         event("rejected")
