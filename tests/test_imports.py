@@ -18,7 +18,7 @@ import patrolopt
 
 PACKAGE_DIR = os.path.dirname(patrolopt.__file__)
 MODULES = sorted(f for f in os.listdir(PACKAGE_DIR) if f.endswith(".py"))
-REPO_DIR = os.path.dirname(os.path.dirname(PACKAGE_DIR))
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The code that runs the package; a definition only tests name is dead.
 CALLER_DIRS = ("src", "perfbench", "tools")
 
