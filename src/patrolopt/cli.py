@@ -263,6 +263,8 @@ def _read_plan_json(path: str, num_vertices: int) -> FleetPlan:
 def _cmd_plot(args) -> int:
     if (args.instance is None) == (args.results is None):
         raise ValueError("pass exactly one of --instance or --results")
+    if args.plan is not None and args.instance is None:
+        raise ValueError("--plan needs --instance: a plan is drawn on its instance")
     if args.instance is not None:
         instance = read_instance(args.instance)
         plan = _read_plan_json(args.plan, instance.num_vertices) if args.plan else None

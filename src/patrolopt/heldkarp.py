@@ -17,6 +17,9 @@ ends at v in S, one popcount layer at a time:
   * top: legs are single edges, so a tour is a simple depot cycle through
     exactly S; [1, v, 1] counts.
 S fits one tour when min over v of g[S, v] + leg(v, 1) is within the limit.
+No tour that leaves v last gets home in less than the shortest path from v
+to the depot, so an entry above the limit less that path is stored as inf
+and never extended; the table stops at the first layer with no finite entry.
 The fleet covers unions of M pairwise disjoint fitting sets, found by ranked
 subset convolution (Björklund, Husfeldt, Kaski and Koivisto, STOC 2007):
 exactly M nonempty ones under top, where every agent must leave the depot
@@ -26,9 +29,10 @@ must-visit vertex and has the largest sum of c_hat clipped at zero.  Tie
 rule: the largest such union, then the lowest bitmask.  No such union
 proves the round infeasible.
 
-The table and each of the M - 1 union steps take about 2 R^2 2^R element
-operations for R targets, and MAX_WORK caps their total; rounds above the
-cap get no answer here.
+The unions run only over the ranks the fitting sets reach.  When every set
+fits, nothing is pruned: the table and each of the M - 1 union steps then
+take about 2 R^2 2^R element operations for R targets, and MAX_WORK caps
+that dense worst case; rounds above the cap get no answer here.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ import numpy as np
 from .graph import DEPOT, DistanceMatrix, Graph, depot_free_shortest, reachable_round_trip
 from .milp import FEASIBILITY_TOL
 
-# Element operations one round may spend (see table_work).  R = 17 targets
-# with M = 2 agents (151.6 million) fit, at about 0.45 s and 31 MiB of arrays
-# on one 2-core x86_64 machine; R = 18 with one agent does not.
+# Element operations one round may spend in the dense worst case (see
+# table_work).  R = 17 targets with M = 2 agents (151.6 million) fit, at about
+# 0.3 s and 33 MiB of arrays when every set fits one tour, on one 2-core
+# x86_64 machine; pruning brings default seed 1's round 1 (R = 17, M = 2) to
+# 0.11-0.15 s.  R = 18 with one agent does not fit.
 MAX_WORK = 160_000_000
 # Masks per vectorised step; bounds the (masks, R) temporaries.
 _CHUNK = 1024
@@ -62,7 +68,7 @@ class RoundOptimum:
 
 
 def table_work(num_targets: int, num_agents: int) -> int:
-    """Element operations of the table and the unions: 2 M R^2 2^R."""
+    """Element operations of the table and the unions when every set fits: 2 M R^2 2^R."""
     return 2 * num_agents * num_targets ** 2 * 2 ** num_targets
 
 
@@ -104,8 +110,11 @@ def best_round(
     idx = np.array(targets, dtype=np.int64)
     first, inner, close = first[idx], inner[np.ix_(idx, idx)], close[idx]
 
+    # no tour that leaves v last comes home in less than the shortest path
+    # v -> depot; the margin is far above any float rounding of these sums
+    slack = limit - dist.dist[idx, DEPOT] + 1e-9 * (1.0 + limit)
     pop = _mask_sums(np.ones(r), r).astype(np.int64)
-    g, pos = _held_karp(first, inner, pop)
+    g, pos = _held_karp(first, inner, slack, pop)
     fits = np.zeros(pop.size, dtype=bool)
     for lo in range(0, pop.size, _CHUNK):
         tours = np.min(g[lo:lo + _CHUNK] + close, axis=1, initial=np.inf)
@@ -153,15 +162,17 @@ def _mask_sums(weights: np.ndarray, r: int) -> np.ndarray:
 
 
 def _held_karp(
-    first: np.ndarray, inner: np.ndarray, pop: np.ndarray
+    first: np.ndarray, inner: np.ndarray, slack: np.ndarray, pop: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Held–Karp table g and pos: row pos[S] of g holds g[S, v] for every v.
 
     g[S, v] is the shortest depot -> ... -> v path through the targets of S,
-    inf when v is not in S.  Rows are stored layer by layer, in order of
-    popcount, so each layer is a slice.  Every mask S of layer k, in chunks
+    inf when v is not in S or when it exceeds slack[v], since no tour then
+    fits.  Rows are stored layer by layer, in order of popcount, so each
+    layer is a slice.  Every mask S of layer k with a finite entry, in chunks
     of _CHUNK, pushes min over v of g[S, v] + inner[v, w] to g[S + w, w] for
-    each w outside S; S + w has no other way to end at w.
+    each w outside S; S + w has no other way to end at w.  The first layer
+    without a finite entry ends the table: every layer above it stays inf.
     """
     r = first.shape[0]
     order = np.argsort(pop, kind="stable")
@@ -170,28 +181,36 @@ def _held_karp(
     starts = np.searchsorted(pop[order], np.arange(r + 2))
     bits = 1 << np.arange(r, dtype=np.int64)
     g = np.full((pop.size, r), np.inf)
-    g[pos[bits], np.arange(r)] = first
+    near = first <= slack
+    g[pos[bits[near]], np.flatnonzero(near)] = first[near]
     for k in range(1, r):
-        for lo in range(starts[k], starts[k + 1], _CHUNK):
-            hi = min(lo + _CHUNK, starts[k + 1])
-            rows = g[lo:hi]
+        live = starts[k] + np.flatnonzero(np.isfinite(g[starts[k]:starts[k + 1]]).any(axis=1))
+        if live.size == 0:
+            break
+        for lo in range(0, live.size, _CHUNK):
+            at = live[lo:lo + _CHUNK]
+            rows = g[at]
             step = rows[:, :1] + inner[0]
             for v in range(1, r):
                 np.minimum(step, rows[:, v:v + 1] + inner[v], out=step)
-            s = order[lo:hi]
-            i, w = np.nonzero((s[:, None] & bits) == 0)
+            s = order[at]
+            i, w = np.nonzero(((s[:, None] & bits) == 0) & (step <= slack))
             g[pos[s[i] | bits[w]], w] = step[i, w]
     return g, pos
 
 
 def _ranked_zeta(member: np.ndarray, pop: np.ndarray) -> np.ndarray:
-    """z[k, S]: how many members of popcount k lie inside S."""
+    """z[k, S]: how many members of popcount k lie inside S.
+
+    Only ranks up to the largest member's popcount are kept; the counts are
+    int32, wrapping as _disjoint_union allows.
+    """
     r = int(pop[-1])
-    z = np.zeros((r + 1, member.size), dtype=np.int32)
     hits = np.flatnonzero(member)
+    z = np.zeros((int(pop[hits].max(initial=0)) + 1, member.size), dtype=np.int32)
     z[pop[hits], hits] = 1
     for b in range(r):
-        view = z.reshape(r + 1, -1, 2, 1 << b)
+        view = z.reshape(z.shape[0], -1, 2, 1 << b)
         view[:, :, 1, :] += view[:, :, 0, :]
     return z
 
@@ -202,16 +221,20 @@ def _disjoint_union(a_hat: np.ndarray, f_hat: np.ndarray, pop: np.ndarray) -> np
     From the ranked zeta transforms of both families: the product summed
     over ranks i + j = k, turned back by the Möbius transform, counts the
     pairs whose union is S with |A| + |F| = k, which at k = |S| are the
-    disjoint ones.
+    disjoint ones.  Every step adds, subtracts or multiplies, so int32 that
+    wraps computes each count mod 2^32; the only counts read, at k = |S|,
+    are ordered pairs (A, S - A) and so at most 2^|S| <= 2^17 < 2^31, which
+    makes them exact.  Ranks run only as far as the two transforms reach.
     """
-    r = a_hat.shape[0] - 1
+    r = int(pop[-1])
+    ra, rf = a_hat.shape[0] - 1, f_hat.shape[0] - 1
     out = np.zeros(pop.size, dtype=bool)
-    h = np.empty(pop.size, dtype=np.int64)
-    term = np.empty(pop.size, dtype=np.int64)
-    for k in range(r + 1):
+    h = np.empty(pop.size, dtype=np.int32)
+    term = np.empty(pop.size, dtype=np.int32)
+    for k in range(min(r, ra + rf) + 1):
         h[:] = 0
-        for i in range(k + 1):
-            h += np.multiply(a_hat[i], f_hat[k - i], out=term, dtype=np.int64)
+        for i in range(max(0, k - rf), min(k, ra) + 1):
+            h += np.multiply(a_hat[i], f_hat[k - i], out=term)
         for b in range(r):
             view = h.reshape(-1, 2, 1 << b)
             view[:, 1, :] -= view[:, 0, :]

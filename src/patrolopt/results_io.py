@@ -53,8 +53,8 @@ def write_results(path: str, rows: List[Dict[str, str]]) -> None:
 def read_results(path: str) -> List[Dict]:
     """Rows with typed fields: H int, total_cost float, the lists split and parsed.
 
-    A row with fewer cells than the header raises ValueError naming the file
-    and the line.
+    A row with fewer or more cells than the header raises ValueError naming
+    the file and the line.
     """
     out: List[Dict] = []
     with open(path, newline="") as fh:
@@ -65,6 +65,9 @@ def read_results(path: str) -> List[Dict]:
         for raw in reader:
             if None in raw.values():
                 raise ValueError(f"{path}: line {reader.line_num} has fewer than "
+                                 f"{len(reader.fieldnames)} cells")
+            if None in raw:  # DictReader files the extra cells under the key None
+                raise ValueError(f"{path}: line {reader.line_num} has more than "
                                  f"{len(reader.fieldnames)} cells")
             out.append(
                 {

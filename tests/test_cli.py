@@ -365,3 +365,35 @@ def test_a_short_results_row_exits_two(command, suite_dir, tmp_path, capsys):
     assert main(command + ["--results", results]) == 2
     assert capsys.readouterr().err == (
         f"error: {results}: line 3 has fewer than {len(results_io.COLUMNS)} cells\n")
+
+
+@pytest.mark.parametrize("command", (["stats"], ["plot", "--out", "curves.svg"]),
+                         ids=("stats", "plot"))
+def test_a_long_results_row_exits_two(command, suite_dir, tmp_path, capsys):
+    results = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite_dir, "--planners", "greedy",
+                 "--out", results]) == 0
+    with open(results) as fh:
+        lines = fh.read().splitlines()
+    lines[1] += ",extra"
+    with open(results, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    command = [str(tmp_path / part) if part.endswith(".svg") else part for part in command]
+    assert main(command + ["--results", results]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {results}: line 2 has more than {len(results_io.COLUMNS)} cells\n")
+    assert not os.path.exists(str(tmp_path / "curves.svg"))
+
+
+def test_plot_plan_without_an_instance_exits_two(suite_dir, tmp_path, capsys):
+    results = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite_dir, "--planners", "greedy",
+                 "--out", results]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "curves.svg")
+    missing = str(tmp_path / "no-such-plan.json")
+    assert main(["plot", "--results", results, "--plan", missing, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: --plan needs --instance: a plan is drawn on its instance\n")
+    assert not os.path.exists(out)

@@ -132,3 +132,53 @@ def test_optimum_over_l_max_within_the_slack_goes_to_highs(highs_calls):
     assert model.certificate is None and model.infeasibility_proof is None
     assert solve(model).objective_value == pytest.approx(5.0)
     assert highs_calls == ["tocp"]
+
+
+def _pairwise_unions(family, other):
+    return {a | f for a in family for f in other if a & f == 0}
+
+
+@pytest.mark.parametrize("agents", (2, 3))
+@pytest.mark.parametrize("with_empty", (False, True), ids=("no-empty", "empty"))
+@pytest.mark.parametrize("seed", range(6))
+def test_ranked_unions_match_pair_enumeration(seed, with_empty, agents):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 11))
+    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    member = rng.random(1 << r) < rng.choice((0.05, 0.2, 0.5))
+    member[0] = with_empty
+    family = set(np.flatnonzero(member).tolist())
+    f_hat = heldkarp._ranked_zeta(member, pop)
+    for k in range(f_hat.shape[0]):
+        inside = [sum(1 for a in family if a & s == a and pop[a] == k) for s in range(1 << r)]
+        assert f_hat[k].tolist() == inside
+    expect, unions = family, member
+    for _ in range(agents - 1):
+        expect = _pairwise_unions(expect, family)
+        unions = heldkarp._disjoint_union(heldkarp._ranked_zeta(unions, pop), f_hat, pop)
+        assert set(np.flatnonzero(unions).tolist()) == expect
+
+
+def test_ranked_union_of_every_set_of_17_is_every_set():
+    # ranked sums reach C(34, 17) > 2^31 before the Möbius transform; the
+    # int32 counts wrap, yet every union is read back exactly
+    r = 17
+    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    f_hat = heldkarp._ranked_zeta(np.ones(1 << r, dtype=bool), pop)
+    assert heldkarp._disjoint_union(f_hat, f_hat, pop).all()
+
+
+@pytest.mark.parametrize("single_visit, value, walks", [
+    (False, 8.5, [[1, 2, 7, 16, 9, 10, 17, 14, 3, 1],
+                  [1, 2, 16, 11, 4, 18, 6, 5, 12, 13, 8, 15, 1]]),
+    (True, 8.0, [[1, 2, 18, 12, 5, 6, 4, 11, 16, 9, 1],
+                 [1, 15, 13, 8, 14, 17, 10, 3, 1]]),
+], ids=("tocp", "top"))
+def test_default_seed_1_round_1_answer_is_pinned(single_visit, value, walks):
+    # R = 17 targets and M = 2: the largest table under MAX_WORK
+    instance = generate_instance(BenchmarkConfig(), 1, 1)
+    graph = instance_graph(instance)
+    c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
+    answer = heldkarp.best_round(graph, all_pairs_shortest(graph), c_hat, instance.num_agents,
+                                 instance.l_max, instance.must_visit, single_visit=single_visit)
+    assert answer == heldkarp.RoundOptimum(value=value, walks=walks)
