@@ -110,8 +110,8 @@ def best_round(
     idx = np.array(targets, dtype=np.int64)
     first, inner, close = first[idx], inner[np.ix_(idx, idx)], close[idx]
 
-    # no tour that leaves v last comes home in less than the shortest path
-    # v -> depot; the margin is far above any float rounding of these sums
+    # the margin, far above any float rounding of these sums, keeps every
+    # entry that only rounding would push past the limit
     slack = limit - dist.dist[idx, DEPOT] + 1e-9 * (1.0 + limit)
     pop = _mask_sums(np.ones(r), r).astype(np.int64)
     g, pos = _held_karp(first, inner, slack, pop)
