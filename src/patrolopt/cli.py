@@ -175,7 +175,11 @@ def _suite_instance_paths(suite_dir: str) -> List[str]:
     def key(path: str):
         h_part = os.path.basename(os.path.dirname(path))
         s_part = os.path.basename(path)
-        return (int(h_part[1:]), int(s_part[4:-5]))
+        try:
+            return (int(h_part[1:]), int(s_part[4:-5]))
+        except ValueError:
+            raise ValueError(f"{path}: suite files are named H<horizon>/seed<seed>.json "
+                             f"with integer horizon and seed") from None
 
     return sorted(paths, key=key)
 

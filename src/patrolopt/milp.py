@@ -301,9 +301,14 @@ def _certified_solution(model: MilpModel) -> Optional[MilpSolution]:
     if check_assignment(model, x):
         return None
     value = float(model.objective_vector() @ x)
-    if bound - value > RELATIVE_GAP_TOL * max(1.0, abs(bound)):
+    if not reaches_bound(value, bound):
         return None
     return MilpSolution(OPTIMAL, x, value, 0.0, time.perf_counter() - t0, 0)
+
+
+def reaches_bound(value: float, bound: float) -> bool:
+    """Whether a plan worth value proves optimal against a bound on the optimum."""
+    return bound - value <= RELATIVE_GAP_TOL * max(1.0, abs(bound))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .simulator import EpisodeResult
 
@@ -53,10 +53,12 @@ def write_results(path: str, rows: List[Dict[str, str]]) -> None:
 def read_results(path: str) -> List[Dict]:
     """Rows with typed fields: H int, total_cost float, the lists split and parsed.
 
-    A row with fewer or more cells than the header raises ValueError naming
-    the file and the line.
+    A row with fewer or more cells than the header, or a second row for the
+    same (instance_id, planner) pair, raises ValueError naming the file and
+    the line.
     """
     out: List[Dict] = []
+    seen: Dict[Tuple[str, str], int] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in COLUMNS if c not in (reader.fieldnames or [])]
@@ -69,6 +71,11 @@ def read_results(path: str) -> List[Dict]:
             if None in raw:  # DictReader files the extra cells under the key None
                 raise ValueError(f"{path}: line {reader.line_num} has more than "
                                  f"{len(reader.fieldnames)} cells")
+            pair = (raw["instance_id"], raw["planner"])
+            if pair in seen:
+                raise ValueError(f"{path}: line {reader.line_num} repeats {pair[0]},{pair[1]} "
+                                 f"from line {seen[pair]}")
+            seen[pair] = reader.line_num
             out.append(
                 {
                     "instance_id": raw["instance_id"],

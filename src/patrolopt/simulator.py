@@ -8,7 +8,10 @@ infeasible, or the deadline passed with no incumbent) leaves the fleet at the
 depot: only the depot is visited, the iteration is charged in full, and the
 episode is flagged as failed.  The planners' constraints never read the
 predictions, so once a round is proven infeasible every later round of the
-episode is charged as infeasible without planning it again.
+episode is charged as infeasible without planning it again.  The MIP
+planners' rounds go through tocp.plan_round: a round a certificate, the
+exact DP or an infeasibility proof answers builds no model, and only a round
+HiGHS must solve builds one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .tocp import (
     build_tocp,
     build_top,
     extract_routes,
+    plan_round,
 )
 
 PLANNERS = ("tocp", "top", "greedy")
@@ -81,7 +85,7 @@ def run_episode(
         if statuses and statuses[-1] == milp.INFEASIBLE:
             plan, status = None, milp.INFEASIBLE
         else:
-            plan, status, _ = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
+            plan, status = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
         seconds.append(time.perf_counter() - t0)
         statuses.append(status)
         if plan is None:
@@ -111,10 +115,7 @@ def run_episode(
 
 
 def _plan_round(planner, graph, dm, c_hat, instance, time_limit):
-    """One round of planning; (FleetPlan or None, status, (solution, model) or None).
-
-    The last item is the MIP planners' solver outcome and model; greedy has none.
-    """
+    """One round of planning: (FleetPlan or None, status)."""
     if planner == "greedy":
         try:
             plan = greedy_plan(
@@ -122,18 +123,10 @@ def _plan_round(planner, graph, dm, c_hat, instance, time_limit):
                 instance.must_visit,
             )
         except UnreachableMustVisitError:
-            return None, milp.INFEASIBLE, None
-        return plan, STATUS_HEURISTIC, None
-    build = build_tocp if planner == "tocp" else build_top
-    model, handles = build(
-        graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
-        dist=dm,
-    )
-    solution = milp.solve(model, time_limit=time_limit)
-    plan = None
-    if solution.status in (milp.OPTIMAL, milp.FEASIBLE_TIMEOUT):
-        plan = extract_routes(solution, handles, graph)
-    return plan, solution.status, (solution, model)
+            return None, milp.INFEASIBLE
+        return plan, STATUS_HEURISTIC
+    return plan_round(graph, dm, c_hat, instance.num_agents, instance.l_max,
+                      instance.must_visit, planner, time_limit)
 
 
 def solve_single_round(
@@ -146,7 +139,9 @@ def solve_single_round(
 
     Predicted costs come from the untrained estimator (every vertex at the
     prior default rate times the iteration index).  Returns (plan or None,
-    status, model stats dict); greedy's stats name the planner alone.
+    status, model stats dict); greedy's stats name the planner alone.  The
+    MIP planners build their model here even when answer_round answers the
+    round, since the stats report its size and the solver's outcome.
     """
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
@@ -157,17 +152,23 @@ def solve_single_round(
     dm = all_pairs_shortest(graph)
     est = EstimatorState(instance.num_vertices, instance.mu_default)
     c_hat = est.predicted_cost(iteration)
-    plan, status, mip = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
-    stats = {"planner": planner}
-    if mip is not None:
-        solution, model = mip
-        stats.update(
-            num_variables=model.num_variables,
-            num_constraints=len(model.constraints),
-            status=solution.status,
-            objective=solution.objective_value,
-            gap=solution.gap,
-            node_count=solution.node_count,
-            infeasibility_proof=model.infeasibility_proof,
-        )
-    return plan, status, stats
+    if planner == "greedy":
+        plan, status = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
+        return plan, status, {"planner": planner}
+    build = build_tocp if planner == "tocp" else build_top
+    model, handles = build(
+        graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit, dist=dm,
+    )
+    solution = milp.solve(model, time_limit=time_limit)
+    plan = extract_routes(solution, handles, graph) if solution.has_assignment else None
+    stats = {
+        "planner": planner,
+        "num_variables": model.num_variables,
+        "num_constraints": len(model.constraints),
+        "status": solution.status,
+        "objective": solution.objective_value,
+        "gap": solution.gap,
+        "node_count": solution.node_count,
+        "infeasibility_proof": model.infeasibility_proof,
+    }
+    return plan, solution.status, stats

@@ -19,46 +19,52 @@ single-commodity flow (capped at N per edge) that leaves the depot carrying
 one unit per visited vertex and drops one at each, which rules out subtours
 detached from the depot.  Every row is "<=" or "=".
 
-Certified rounds: ``build_tocp`` also runs the greedy planner on c_hat and
-attaches its plan, repaired and encoded, as the model's certificate, but
-only when that plan visits every vertex whose depot round trip fits the
-budget (within the solver's feasibility tolerance).  With c_hat >= 0 such a
-plan collects the sum of c_hat over those vertices, and no plan can collect
-more, so ``milp.solve`` returns it as optimal without calling HiGHS once it
-checks out against every row.  Ties therefore break towards visiting: a
-certified round visits everything reachable, zero-valued vertices included.
-Greedy walks rarely satisfy the single-visit rule, so ``build_top`` builds
-its certificate differently: one simple depot cycle per agent, no two
-sharing a non-depot vertex, grown by farthest insertion until together they
-visit the same reachable set (see cover_certificate).
+Answered rounds: answer_round settles most rounds without the model, by a
+certificate, an infeasibility proof or the exact DP, in that order.
 
-Encoding a certificate needs no solver: once an agent's closed walk is
-fixed, so is its flow.  The p-th edge of the walk carries one unit for each
-non-depot vertex the walk first enters after position p, which meets every
-flow row exactly (see plan_to_assignment).  A candidate whose assignment
-breaks any row is dropped before it becomes a certificate.
+Certified rounds: under tocp the greedy planner runs on c_hat, and its
+plan, repaired, is the certificate, but only when it visits every vertex
+whose depot round trip fits the budget (within the solver's feasibility
+tolerance).  With c_hat >= 0 such a plan collects the sum of c_hat over
+those vertices, and no plan can collect more, so it is optimal once its
+walks break none of the rules of broken_rules.  Ties therefore break
+towards visiting: a certified round visits everything reachable,
+zero-valued vertices included.  Greedy walks rarely satisfy the
+single-visit rule, so top's certificate is built differently: one simple
+depot cycle per agent, no two sharing a non-depot vertex, grown by farthest
+insertion until together they visit the same reachable set (see
+cover_certificate).
 
 Proven-infeasible rounds: a round without a certificate is checked for
 reasons no plan can exist (see infeasibility_proof), such as a must-visit
 vertex beyond every depot round trip or, under ``top``, on no simple depot
-cycle within the budget.  The model records the reason and ``milp.solve``
-reports the round infeasible without calling HiGHS.
+cycle within the budget.
 
 Exact rounds: a round with neither a certificate nor a proof goes to the
 Held–Karp DP of ``heldkarp.best_round`` when its table is small enough.  Its
-optimal walks, with doubled edges simplified away, become the certificate
-and its value the bound (see exact_certificate), so ``milp.solve`` checks
-them like any other certificate; when no union of tours covers the
-must-visit vertices, that is the proof.  Its tie rule takes the largest
-optimal vertex set, then the lowest bitmask.  Only rounds above the DP's cost
-cap, or whose optimal walks end up over l_max or do not encode, reach HiGHS.
+optimal walks, with doubled edges simplified away, are the answer and its
+value the bound; when no union of tours covers the must-visit vertices,
+that is the proof.  Its tie rule takes the largest optimal vertex set, then
+the lowest bitmask.  Only rounds above the DP's cost cap, or whose optimal
+walks end up over l_max, reach HiGHS.
+
+Two consumers take the answer.  plan_round, which the simulator's episode
+loop calls, restitches the walks into routes as extract_routes would, so
+certified and proven rounds build no model; it builds one only for a round
+HiGHS must solve.  build_tocp and build_top build the model and attach the
+answer: the walks as the certificate, encoded without a solver (once an
+agent's closed walk is fixed, so is its flow: the p-th edge carries one unit
+for each non-depot vertex the walk first enters after position p, see
+plan_to_assignment), or the proof, so milp.solve skips HiGHS on it.  The
+walks plan_to_assignment encodes are exactly those that break no rule of
+broken_rules, so checking the rules stands in for checking every row.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -73,7 +79,17 @@ from .graph import (
     validate,
     walk_length,
 )
-from .milp import FEASIBILITY_TOL, MilpModel, MilpSolution, ModelError, check_assignment
+from .milp import (
+    FEASIBILITY_TOL,
+    INFEASIBLE,
+    OPTIMAL,
+    MilpModel,
+    MilpSolution,
+    ModelError,
+    check_assignment,
+    reaches_bound,
+    solve,
+)
 
 
 class RouteIntegrityError(ValueError):
@@ -131,38 +147,103 @@ def build_tocp(
 ) -> Tuple[MilpModel, VariableHandles]:
     """Build the repeat-visit model; returns the model and its variable handles.
 
-    The model carries a greedy certificate when one exists (see
-    greedy_certificate), so milp.solve can skip the search on it.  Without
-    one it may carry an infeasibility proof instead (see
-    infeasibility_proof): a must-visit vertex whose depot round trip, finite
-    or not, exceeds l_max, or no depot neighbour an agent can leave by and
-    still get home.  milp.solve then reports infeasible without search.
-    Failing both, the exact DP supplies the certificate or the proof (see
-    _settle_uncertified).
+    The model carries the answer of answer_round: its walks, encoded by
+    plan_to_assignment, as the certificate, or its infeasibility proof.
+    milp.solve then skips the search on it.
     """
-    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must_visit)
-    if dist is None:
-        dist = all_pairs_shortest(graph)
-    c_hat = np.asarray(c_hat, dtype=float)
-    model.certificate = greedy_certificate(graph, dist, c_hat, model, handles)
-    _settle_uncertified(graph, dist, c_hat, model, handles)
-    return model, handles
+    return _build_answered(graph, c_hat, num_agents, l_max, must_visit, dist, "tocp")
 
 
-def _build_fleet_model(
+def build_top(
+    graph: Graph,
+    c_hat: np.ndarray,
+    num_agents: int,
+    l_max: float,
+    must_visit: Sequence[int] = (),
+    *,
+    dist: Optional[DistanceMatrix] = None,
+) -> Tuple[MilpModel, VariableHandles]:
+    """Single-visit variant: each non-depot vertex is entered at most once in total.
+
+    Same variable layout as build_tocp plus one row per vertex, so routes
+    cannot pass through an already-visited vertex, not even another agent's.
+    The answer of answer_round rides along as in build_tocp.
+    """
+    return _build_answered(graph, c_hat, num_agents, l_max, must_visit, dist, "top")
+
+
+def _build_answered(
     graph: Graph,
     c_hat: np.ndarray,
     num_agents: int,
     l_max: float,
     must_visit: Sequence[int],
+    dist: Optional[DistanceMatrix],
+    variant: str,
 ) -> Tuple[MilpModel, VariableHandles]:
-    """The repeat-visit rows and variables shared by build_tocp and build_top."""
+    """The model with answer_round's walks encoded as its certificate, or its proof."""
+    c_hat, must = _check_round(graph, c_hat, num_agents, l_max, must_visit)
+    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must, variant)
+    if dist is None:
+        dist = all_pairs_shortest(graph)
+    answer = answer_round(graph, dist, c_hat, num_agents, l_max, must, variant)
+    if isinstance(answer, str):
+        model.infeasibility_proof = answer
+    elif answer is not None:
+        walks, bound = answer
+        plan = FleetPlan(walks, [walk_length(graph, w) for w in walks])
+        assignment = plan_to_assignment(plan, model, handles)
+        if assignment is not None:
+            model.certificate = (assignment, bound)
+    return model, handles
+
+
+def plan_round(
+    graph: Graph,
+    dist: DistanceMatrix,
+    c_hat: np.ndarray,
+    num_agents: int,
+    l_max: float,
+    must_visit: Sequence[int],
+    variant: str,
+    time_limit: Optional[float],
+) -> Tuple[Optional[FleetPlan], str]:
+    """One round of the tocp or top planner: (plan or None, status).
+
+    Gives what extract_routes(milp.solve(build_tocp or build_top)) gives,
+    but builds the model only when answer_round has no answer, or when its
+    walks fall short of their bound (as milp.solve would find), so HiGHS
+    must search.  Walks are restitched as extract_routes restitches the
+    encoded edges, so the routes match it exactly.
+    """
+    c_hat, must = _check_round(graph, c_hat, num_agents, l_max, must_visit)
+    answer = answer_round(graph, dist, c_hat, num_agents, l_max, must, variant)
+    if isinstance(answer, str):
+        return None, INFEASIBLE
+    if answer is not None:
+        walks, bound = answer
+        plan = _stitched_plan([list(zip(w, w[1:])) for w in walks], graph)
+        if reaches_bound(plan.reward(c_hat), bound):
+            return plan, OPTIMAL
+    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must, variant)
+    solution = solve(model, time_limit=time_limit)
+    plan = extract_routes(solution, handles, graph) if solution.has_assignment else None
+    return plan, solution.status
+
+
+def _check_round(
+    graph: Graph,
+    c_hat: np.ndarray,
+    num_agents: int,
+    l_max: float,
+    must_visit: Sequence[int],
+) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """Raise ModelError on inputs no round can be planned on; (c_hat, sorted must-visits)."""
     problem = validate(graph)
     if problem is not None:
         raise ModelError(f"graph invalid: {problem}")
     n = graph.num_vertices
-    m_count = int(num_agents)
-    if m_count < 1:
+    if int(num_agents) < 1:
         raise ModelError("need at least one agent")
     if l_max <= 0:
         raise ModelError("travel budget must be positive")
@@ -173,12 +254,29 @@ def _build_fleet_model(
     for v in must:
         if not 2 <= v <= n:
             raise ModelError(f"must-visit vertex {v} out of range (depot excluded)")
+    return c_hat, must
 
+
+def _build_fleet_model(
+    graph: Graph,
+    c_hat: np.ndarray,
+    num_agents: int,
+    l_max: float,
+    must: Tuple[int, ...],
+    variant: str,
+) -> Tuple[MilpModel, VariableHandles]:
+    """The rows and variables of one round, on inputs _check_round accepted.
+
+    Both variants share the repeat-visit rows; top adds one visit-once row
+    per non-depot vertex.
+    """
+    n = graph.num_vertices
+    m_count = int(num_agents)
     edges = [e for e, _ in graph.edge_items()]
     big_m = l_max / graph.min_edge_length()
     flow_cap = float(n)
 
-    model = MilpModel(name="tocp")
+    model = MilpModel(name=variant)
     x: Dict[Tuple[int, int, int], int] = {}
     y: Dict[Tuple[int, int], int] = {}
     z: Dict[int, int] = {}
@@ -285,6 +383,12 @@ def _build_fleet_model(
     for v in must:
         model.add_constraint([(z[v], 1.0)], "=", 1.0, name=f"must_visit_{v}")
 
+    if variant == "top":
+        for i in range(2, n + 1):
+            terms = [(x[(e[0], e[1], m)], 1.0) for m in range(1, m_count + 1)
+                     for e in in_edges[i]]
+            model.add_constraint(terms, "<=", 1.0, name=f"visit_once_{i}")
+
     handles = VariableHandles(
         x=x,
         y=y,
@@ -294,78 +398,43 @@ def _build_fleet_model(
         l_max=float(l_max),
         big_m=big_m,
         must_visit=must,
-        variant="tocp",
+        variant=variant,
     )
     return model, handles
 
 
-def build_top(
-    graph: Graph,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must_visit: Sequence[int] = (),
-    *,
-    dist: Optional[DistanceMatrix] = None,
-) -> Tuple[MilpModel, VariableHandles]:
-    """Single-visit variant: each non-depot vertex is entered at most once in total.
-
-    Same variable layout as build_tocp plus one row per vertex, so routes
-    cannot pass through an already-visited vertex, not even another agent's.
-    The model carries a cycle-cover certificate when one is found (see
-    cover_certificate), and otherwise may carry an infeasibility proof (see
-    infeasibility_proof), which here also covers a must-visit vertex that
-    lies on no simple depot cycle within l_max.  Failing both, the exact DP
-    over disjoint simple cycles supplies either (see _settle_uncertified).
-    """
-    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must_visit)
-    model.name = "top"
-    n = graph.num_vertices
-    in_edges: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(1, n + 1)}
-    for (i, j), _ in graph.edge_items():
-        in_edges[j].append((i, j))
-    for i in range(2, n + 1):
-        terms = [
-            (handles.x[(e[0], e[1], m)], 1.0)
-            for m in range(1, handles.num_agents + 1)
-            for e in in_edges[i]
-        ]
-        model.add_constraint(terms, "<=", 1.0, name=f"visit_once_{i}")
-    handles.variant = "top"
-    if dist is None:
-        dist = all_pairs_shortest(graph)
-    c_hat = np.asarray(c_hat, dtype=float)
-    model.certificate = cover_certificate(graph, dist, c_hat, model, handles)
-    _settle_uncertified(graph, dist, c_hat, model, handles)
-    return model, handles
-
-
-def _settle_uncertified(
+def answer_round(
     graph: Graph,
     dist: DistanceMatrix,
     c_hat: np.ndarray,
-    model: MilpModel,
-    handles: VariableHandles,
-) -> None:
-    """Try the infeasibility proof, then the exact DP, on a round without a certificate.
+    num_agents: int,
+    l_max: float,
+    must_visit: Tuple[int, ...],
+    variant: str,
+) -> Union[Tuple[List[List[int]], float], str, None]:
+    """A round's answer without the model: (walks, bound), a proof string, or None.
 
-    The DP's optimum becomes the certificate, its absence of any covering
-    union the proof; a round above its cost cap, or whose optimal walks do
-    not fit the model, keeps neither and goes to HiGHS.
+    The certificate comes first: greedy_certificate under tocp,
+    cover_certificate under top.  A round without one is checked for an
+    infeasibility proof, then handed to the exact DP, whose optimal walks,
+    with doubled edges simplified away, come with its value as the bound and
+    whose absence of any covering union is the proof.  Walks always break
+    none of broken_rules; None (a round above the DP's cost cap, or whose
+    optimal walks end up over l_max) means only HiGHS can answer.
     """
-    if model.certificate is not None:
-        return
-    model.infeasibility_proof = infeasibility_proof(graph, dist, handles)
-    if model.infeasibility_proof is not None:
-        return
-    answer = heldkarp.best_round(
-        graph, dist, c_hat, handles.num_agents, handles.l_max, handles.must_visit,
-        single_visit=handles.variant == "top",
-    )
-    if isinstance(answer, str):
-        model.infeasibility_proof = answer
-    elif answer is not None:
-        model.certificate = exact_certificate(answer, graph, model, handles)
+    certify = greedy_certificate if variant == "tocp" else cover_certificate
+    found = certify(graph, dist, c_hat, num_agents, l_max, must_visit)
+    if found is not None:
+        return found
+    proof = infeasibility_proof(graph, dist, num_agents, l_max, must_visit, variant)
+    if proof is not None:
+        return proof
+    optimum = heldkarp.best_round(graph, dist, c_hat, num_agents, l_max, must_visit,
+                                  single_visit=variant == "top")
+    if optimum is None or isinstance(optimum, str):
+        return optimum
+    walks = [simplify_walk(walk) for walk in optimum.walks]
+    return _certificate(walks, optimum.value, graph, num_agents, l_max, must_visit, variant)
 
 
 def extract_routes(
@@ -382,16 +451,17 @@ def extract_routes(
     if solution.assignment is None:
         raise RouteIntegrityError(f"solution has no assignment (status {solution.status})")
     assign = solution.assignment
-    routes: List[List[int]] = []
-    lengths: List[float] = []
-    for m in range(1, handles.num_agents + 1):
-        chosen = sorted(
-            (i, j) for (i, j, mm), idx in handles.x.items() if mm == m and assign[idx] > 0.5
-        )
-        route = _stitch_closed_walk(chosen, start=DEPOT)
-        routes.append(route)
-        lengths.append(walk_length(graph, route))
-    return FleetPlan(routes=routes, lengths=lengths)
+    return _stitched_plan(
+        [[(i, j) for (i, j, mm), idx in handles.x.items() if mm == m and assign[idx] > 0.5]
+         for m in range(1, handles.num_agents + 1)],
+        graph,
+    )
+
+
+def _stitched_plan(edge_lists: List[List[Tuple[int, int]]], graph: Graph) -> FleetPlan:
+    """One closed walk per agent from its directed edges, stitched in sorted order."""
+    routes = [_stitch_closed_walk(sorted(edges), start=DEPOT) for edges in edge_lists]
+    return FleetPlan(routes=routes, lengths=[walk_length(graph, r) for r in routes])
 
 
 def _stitch_closed_walk(edges: List[Tuple[int, int]], start: int) -> List[int]:
@@ -514,10 +584,11 @@ def greedy_certificate(
     graph: Graph,
     dist: DistanceMatrix,
     c_hat: np.ndarray,
-    model: MilpModel,
-    handles: VariableHandles,
-) -> Optional[Tuple[np.ndarray, float]]:
-    """The greedy plan as a full assignment plus the bound it reaches, or None.
+    num_agents: int,
+    l_max: float,
+    must_visit: Tuple[int, ...],
+) -> Optional[Tuple[List[List[int]], float]]:
+    """The greedy plan's walks plus the bound they reach, or None.
 
     The bound sums c_hat over every vertex whose depot round trip fits the
     budget, with the solver's feasibility slack added, since HiGHS accepts a
@@ -525,15 +596,14 @@ def greedy_certificate(
     vertices collects the bound when c_hat >= 0, so no plan can beat it.
     Greedy plans that miss one are dropped.  That fixes the tie rule: a
     certified round visits everything reachable, zero-valued vertices too.
-    Routes pass through repair_walk.
+    Routes pass through repair_walk, and walks that still break a rule of
+    broken_rules under tocp give no certificate.
     """
     from .greedy import greedy_plan  # greedy imports FleetPlan from this module
 
-    reachable = reachable_round_trip(graph, dist, handles.l_max + FEASIBILITY_TOL)
+    reachable = reachable_round_trip(graph, dist, l_max + FEASIBILITY_TOL)
     try:
-        plan = greedy_plan(
-            graph, dist, c_hat, handles.num_agents, handles.l_max, handles.must_visit
-        )
+        plan = greedy_plan(graph, dist, c_hat, num_agents, l_max, must_visit)
     except UnreachableMustVisitError:
         return None
     if not reachable <= plan.visited():
@@ -542,17 +612,19 @@ def greedy_certificate(
                 for route in plan.routes]
     if None in repaired:
         return None
-    return _certificate(repaired, _round_trip_bound(c_hat, reachable), graph, model, handles)
+    return _certificate(repaired, _round_trip_bound(c_hat, reachable), graph, num_agents,
+                        l_max, must_visit, "tocp")
 
 
 def cover_certificate(
     graph: Graph,
     dist: DistanceMatrix,
     c_hat: np.ndarray,
-    model: MilpModel,
-    handles: VariableHandles,
-) -> Optional[Tuple[np.ndarray, float]]:
-    """A vertex-disjoint cycle cover as a full assignment plus its bound, or None.
+    num_agents: int,
+    l_max: float,
+    must_visit: Tuple[int, ...],
+) -> Optional[Tuple[List[List[int]], float]]:
+    """A vertex-disjoint cycle cover's walks plus its bound, or None.
 
     The targets are the vertices greedy_certificate must visit: every vertex
     whose depot round trip fits the budget plus the solver's feasibility
@@ -568,14 +640,14 @@ def cover_certificate(
     that swaps one of them for a farther candidate: 1 + M(d - M) sets for d
     candidates, each grown by _insertion_cover until one covers everything.
     """
-    reachable = reachable_round_trip(graph, dist, handles.l_max + FEASIBILITY_TOL)
+    reachable = reachable_round_trip(graph, dist, l_max + FEASIBILITY_TOL)
     targets = reachable - {DEPOT}
     firsts = sorted(
-        (v for v in graph.out_neighbors(DEPOT) if 2 * graph.lengths[(DEPOT, v)] <= handles.l_max),
+        (v for v in graph.out_neighbors(DEPOT) if 2 * graph.lengths[(DEPOT, v)] <= l_max),
         key=lambda v: (graph.lengths[(DEPOT, v)], v),
     )
-    m_count = handles.num_agents
-    if len(firsts) < m_count or not targets.issuperset(handles.must_visit):
+    m_count = num_agents
+    if len(firsts) < m_count or not targets.issuperset(must_visit):
         return None
     nearest = firsts[:m_count]
     start_sets = [nearest] + [
@@ -584,10 +656,10 @@ def cover_certificate(
         for k in reversed(range(m_count))
     ]
     for starts in start_sets:
-        routes = _insertion_cover(graph, targets, starts, handles.l_max)
+        routes = _insertion_cover(graph, targets, starts, l_max)
         if routes is not None:
-            return _certificate(routes, _round_trip_bound(c_hat, reachable), graph, model,
-                                handles)
+            return _certificate(routes, _round_trip_bound(c_hat, reachable), graph, num_agents,
+                                l_max, must_visit, "top")
     return None
 
 
@@ -669,21 +741,6 @@ def _paths_through(
     return best
 
 
-def exact_certificate(
-    optimum: heldkarp.RoundOptimum,
-    graph: Graph,
-    model: MilpModel,
-    handles: VariableHandles,
-) -> Optional[Tuple[np.ndarray, float]]:
-    """The DP's optimal walks as a full assignment plus the DP value, or None.
-
-    Each walk loses its doubled edges to simplify_walk.  Under top the DP
-    already gave every agent its own cycle.
-    """
-    routes = [simplify_walk(walk) for walk in optimum.walks]
-    return _certificate(routes, optimum.value, graph, model, handles)
-
-
 def _cheapest_out_and_back(graph: Graph) -> Optional[List[int]]:
     """[1, v, 1] over the shortest depot edge, or None when the depot has none."""
     hops = graph.out_neighbors(DEPOT)
@@ -701,30 +758,77 @@ def _certificate(
     routes: List[List[int]],
     bound: float,
     graph: Graph,
-    model: MilpModel,
-    handles: VariableHandles,
-) -> Optional[Tuple[np.ndarray, float]]:
-    """Closed walks encoded as (assignment, bound), or None if they do not fit.
+    num_agents: int,
+    l_max: float,
+    must_visit: Tuple[int, ...],
+    variant: str,
+) -> Optional[Tuple[List[List[int]], float]]:
+    """Closed walks, one per agent, with their bound, or None if they are no plan.
 
     Agents without a walk ([1], or missing from the end of routes) take the
     cheapest depot out-and-back, since every agent must leave the depot.
-    Walks over l_max or ones the model cannot encode give no certificate.
+    Walks over l_max or ones that break a rule of broken_rules give no
+    certificate.
     """
-    routes = routes + [[DEPOT]] * (handles.num_agents - len(routes))
+    routes = routes + [[DEPOT]] * (num_agents - len(routes))
     routes = [_cheapest_out_and_back(graph) if len(r) == 1 else r for r in routes]
-    if None in routes:
+    if None in routes or any(walk_length(graph, r) > l_max for r in routes):
         return None
-    plan = FleetPlan(routes=routes, lengths=[walk_length(graph, r) for r in routes])
-    if any(length > handles.l_max for length in plan.lengths):
+    if broken_rules(graph, routes, num_agents, l_max, must_visit, variant):
         return None
-    assignment = plan_to_assignment(plan, model, handles)
-    if assignment is None:
-        return None
-    return assignment, bound
+    return routes, bound
+
+
+def broken_rules(
+    graph: Graph,
+    routes: List[List[int]],
+    num_agents: int,
+    l_max: float,
+    must_visit: Sequence[int],
+    variant: str,
+) -> List[str]:
+    """The walk rules a fleet plan breaks; empty when every row of the model holds.
+
+    One closed walk per agent, from the depot and back, on real edges, with
+    no directed edge used twice, no pass through the depot mid-walk and a
+    length within l_max plus the solver's feasibility slack; the walks cover
+    every must-visit vertex, and under top no vertex is entered twice.
+    plan_to_assignment encodes exactly the plans that break none of these,
+    so checking the rules stands in for encoding and checking every row.
+    """
+    broken = []
+    if len(routes) != num_agents:
+        broken.append(f"{len(routes)} walks for {num_agents} agents")
+    for route in routes:
+        if len(route) == 1:
+            broken.append("idle agent")
+            continue
+        edges = list(zip(route, route[1:]))
+        if route[0] != DEPOT or route[-1] != DEPOT:
+            broken.append("not closed at the depot")
+        if DEPOT in route[1:-1]:
+            broken.append("depot passed mid-walk")
+        if len(set(edges)) < len(edges):
+            broken.append("directed edge used twice")
+        if not all(e in graph.lengths for e in edges):
+            broken.append("not on real edges")
+        elif walk_length(graph, route) > l_max + FEASIBILITY_TOL:
+            broken.append("over l_max")
+    entered = [v for route in routes for v in route[1:] if v != DEPOT]
+    if variant == "top" and len(set(entered)) < len(entered):
+        broken.append("vertex entered twice")
+    if not set(must_visit) <= set(entered):
+        broken.append("must-visit vertex missed")
+    return broken
 
 
 def infeasibility_proof(
-    graph: Graph, dist: DistanceMatrix, handles: VariableHandles
+    graph: Graph,
+    dist: DistanceMatrix,
+    num_agents: int,
+    l_max: float,
+    must_visit: Tuple[int, ...],
+    variant: str,
 ) -> Optional[str]:
     """Why no plan can satisfy the model's rows, or None when no reason is found.
 
@@ -741,27 +845,27 @@ def infeasibility_proof(
         shortest one through v is [1, v, 1] or the cheapest pair of
         internally vertex-disjoint depot -> v paths (_disjoint_pair_length).
     """
-    limit = handles.l_max + FEASIBILITY_TOL
+    limit = l_max + FEASIBILITY_TOL
     d = dist.dist
-    for v in handles.must_visit:
+    for v in must_visit:
         if d[DEPOT, v] + d[v, DEPOT] > limit:
             return (f"must-visit vertex {v} has no depot round trip within l_max: "
-                    f"{d[DEPOT, v] + d[v, DEPOT]} > {handles.l_max}")
-    single_visit = handles.variant == "top"
-    need = handles.num_agents if single_visit else 1
+                    f"{d[DEPOT, v] + d[v, DEPOT]} > {l_max}")
+    single_visit = variant == "top"
+    need = num_agents if single_visit else 1
     firsts = [w for w in graph.out_neighbors(DEPOT)
               if graph.lengths[(DEPOT, w)] + d[w, DEPOT] <= limit]
     if len(firsts) < need:
         return (f"{len(firsts)} depot neighbours can start a walk within l_max "
-                f"{handles.l_max}; the agents need {need}")
+                f"{l_max}; the agents need {need}")
     if single_visit:
-        for v in handles.must_visit:
+        for v in must_visit:
             cycle = _disjoint_pair_length(graph, v)
             if (DEPOT, v) in graph.lengths:
                 cycle = min(cycle, 2 * graph.lengths[(DEPOT, v)])
             if cycle > limit:
                 return (f"must-visit vertex {v} lies on no simple depot cycle within "
-                        f"l_max: {cycle} > {handles.l_max}")
+                        f"l_max: {cycle} > {l_max}")
     return None
 
 

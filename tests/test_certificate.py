@@ -265,8 +265,9 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
     assert audit_solution(graph, sol, handles) == []
     if certificate is None:
         return
-    greedy = greedy_certificate(graph, dist, c_hat, model, handles)
-    if greedy is not None and np.array_equal(sol.assignment, greedy[0]):
+    greedy = greedy_certificate(graph, dist, c_hat, agents, l_max, handles.must_visit)
+    if greedy is not None and np.array_equal(sol.assignment, plan_to_assignment(
+            FleetPlan(greedy[0], [walk_length(graph, r) for r in greedy[0]]), model, handles)):
         plan = extract_routes(sol, handles, graph)
         reachable = {v for v in range(1, graph.num_vertices + 1)
                      if dist.dist[1, v] + dist.dist[v, 1] <= l_max}
@@ -385,8 +386,8 @@ def test_answered_rounds_never_call_scipy(answer, bridge, monkeypatch):
     monkeypatch.setattr(milp, "_scipy_milp", spy)
     graph, dist, c_hat, l_max = bridge
     if answer == "greedy":
-        model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
-        assert greedy_certificate(graph, dist, c_hat, model, handles) is not None
+        model, _ = build_tocp(graph, c_hat, 1, l_max, dist=dist)
+        assert greedy_certificate(graph, dist, c_hat, 1, l_max, ()) is not None
     elif answer == "cover":
         g = make_graph(5, [(1, 2, 1.0), (1, 4, 1.0), (1, 3, 1.5), (1, 5, 1.5),
                            (2, 3, 1.0), (4, 5, 1.0)])

@@ -397,3 +397,44 @@ def test_plot_plan_without_an_instance_exits_two(suite_dir, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --plan needs --instance: a plan is drawn on its instance\n")
     assert not os.path.exists(out)
+
+
+def copy_suite_file(suite_dir, name, dest_dir, new_name):
+    os.makedirs(os.path.dirname(os.path.join(dest_dir, new_name)), exist_ok=True)
+    with open(os.path.join(dest_dir, new_name), "wb") as fh:
+        fh.write(read_bytes(os.path.join(suite_dir, name)))
+
+
+def test_stats_and_plot_reject_a_repeated_instance_and_planner(suite_dir, tmp_path, capsys):
+    # H2/seed9.json holds seed 1, so bench writes two H2_seed1 rows per planner
+    suite = str(tmp_path / "suite")
+    copy_suite_file(suite_dir, os.path.join("H2", "seed1.json"), suite,
+                    os.path.join("H2", "seed1.json"))
+    copy_suite_file(suite_dir, os.path.join("H2", "seed1.json"), suite,
+                    os.path.join("H2", "seed9.json"))
+    copy_suite_file(suite_dir, os.path.join("H2", "seed2.json"), suite,
+                    os.path.join("H2", "seed2.json"))
+    results = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite, "--planners", "greedy,tocp",
+                 "--out", results]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--results", results, "--pair", "tocp,greedy"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {results}: line 6 repeats H2_seed1,greedy from line 2" in err
+    assert main(["plot", "--results", results, "--out", str(tmp_path / "c.svg")]) == 2
+    assert "repeats H2_seed1,greedy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", (os.path.join("H2", "seedcopy.json"),
+                                  os.path.join("Hx", "seed1.json")),
+                         ids=("seed", "horizon"))
+def test_bench_names_a_suite_file_it_cannot_parse(name, suite_dir, tmp_path, capsys):
+    suite = str(tmp_path / "suite")
+    copy_suite_file(suite_dir, os.path.join("H2", "seed1.json"), suite,
+                    os.path.join("H2", "seed1.json"))
+    copy_suite_file(suite_dir, os.path.join("H2", "seed1.json"), suite, name)
+    out = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite, "--planners", "greedy", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {os.path.join(suite, name)}: suite files are named" in err
+    assert not os.path.exists(out)

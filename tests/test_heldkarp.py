@@ -82,7 +82,8 @@ def test_benchmark_rounds_without_a_certificate_skip_highs(law, seed, build, opt
     model, handles = build(graph, c_hat, instance.num_agents, instance.l_max,
                            instance.must_visit, dist=dist)
     certify = greedy_certificate if build is build_tocp else cover_certificate
-    assert certify(graph, dist, c_hat, model, handles) is None
+    assert certify(graph, dist, c_hat, instance.num_agents, instance.l_max,
+                   handles.must_visit) is None
     sol = solve(model)
     assert highs_calls == []
     assert (sol.status, sol.node_count, sol.gap) == (OPTIMAL, 0, 0.0)

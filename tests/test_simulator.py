@@ -1,22 +1,27 @@
 """Episode loop: per-round accounting, failure handling, and determinism."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
 
-from patrolopt import milp
+from patrolopt import heldkarp, milp, tocp
 from patrolopt.cost_process import CostState
 from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
+from patrolopt.graph import all_pairs_shortest
 from patrolopt.instance_io import Instance, instance_graph, kappa_table
 from patrolopt.simulator import (
     PLANNERS,
     STATUS_HEURISTIC,
+    _plan_round,
     run_episode,
     solve_single_round,
 )
 
+from conftest import tiny_rounds
 from oracle import brute_force_single_iteration
 
 
@@ -196,13 +201,13 @@ def test_infeasible_round_settles_the_rest_of_the_episode(monkeypatch):
     # top cannot reach vertex 3 without entering 2 twice; the rows never read
     # the predictions, so the first proof of infeasibility covers all rounds
     calls = []
-    real = milp.solve
+    real = tocp.infeasibility_proof
 
-    def spy(model, *args, **kwargs):
-        calls.append(model.name)
-        return real(model, *args, **kwargs)
+    def spy(graph, dist, num_agents, l_max, must_visit, variant):
+        calls.append(variant)
+        return real(graph, dist, num_agents, l_max, must_visit, variant)
 
-    monkeypatch.setattr(milp, "solve", spy)
+    monkeypatch.setattr(tocp, "infeasibility_proof", spy)
     kappa = [[0.0, 0.0, 0.0], [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
     instance = make_instance(
         3, [(1, 2, 1.0), (2, 3, 1.0)], l_max=4.0, horizon=3, kappa=kappa,
@@ -277,8 +282,9 @@ def test_single_round_reports_model_stats_without_timings():
 
 
 def test_single_round_is_the_first_round_of_an_episode():
-    # solve and simulate share one planner dispatch: at t = 1 both plan on
-    # the untrained estimator's predictions, so they must agree exactly.
+    # solve answers through the model and simulate without it, from one
+    # cascade: at t = 1 both plan on the untrained estimator's predictions,
+    # so they must agree exactly.
     instance = bench_instance(seed=5)
     for planner in PLANNERS:
         plan, status, _ = solve_single_round(instance, planner)
@@ -288,3 +294,64 @@ def test_single_round_is_the_first_round_of_an_episode():
         assert (plan is None) == (episode_plan is None)
         if plan is not None:
             assert plan.routes == episode_plan.routes
+
+
+@pytest.fixture
+def model_builds(monkeypatch):
+    """Name the model of every round that builds one."""
+    calls = []
+    real = tocp._build_fleet_model
+
+    def spy(*args):
+        model, handles = real(*args)
+        calls.append(model.name)
+        return model, handles
+
+    monkeypatch.setattr(tocp, "_build_fleet_model", spy)
+    return calls
+
+
+def test_only_rounds_highs_must_answer_build_a_model(model_builds, highs_calls, no_dp):
+    kappa = [[0.0, 0.0], [0.25, 0.5], [0.125, 0.25]]
+    path = [(1, 2, 1.0), (2, 3, 1.0)]
+    # greedy's [1, 2, 3, 2, 1] visits everything: certified every round
+    result = run_episode(make_instance(3, path, 4.0, 2, kappa), "tocp")
+    assert result.statuses == ["optimal", "optimal"]
+    # top must enter 2 twice to reach the required 3: proven infeasible
+    result = run_episode(make_instance(3, path, 4.0, 2, kappa, must_visit=[3]), "top")
+    assert result.statuses == ["infeasible", "infeasible"]
+    assert model_builds == []
+    # 3's out-and-back is l_max + 5e-7, inside the slack but over l_max, so
+    # no certificate holds, no proof exists and the DP is off: HiGHS answers
+    spoke = make_instance(3, [(1, 2, 1.0), (1, 3, 2.0 + 2.5e-7)], 4.0, 1,
+                          [row[:1] for row in kappa])
+    assert run_episode(spoke, "tocp").statuses == ["optimal"]
+    assert model_builds == ["tocp"]
+    assert highs_calls == ["tocp"]
+
+
+@pytest.mark.parametrize("variant", ("tocp", "top"))
+@pytest.mark.parametrize("dp", (True, False), ids=("dp", "no_dp"))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=tiny_rounds())
+def test_planned_round_matches_the_solved_model(variant, dp, case):
+    # the episode loop answers rounds without the model; it must plan what
+    # extract_routes(milp.solve(build_*)) plans, byte for byte
+    graph, c_hat, agents, l_max, must = case
+    dist = all_pairs_shortest(graph)
+    build = tocp.build_tocp if variant == "tocp" else tocp.build_top
+    round_spec = SimpleNamespace(num_agents=agents, l_max=l_max, must_visit=must)
+    with pytest.MonkeyPatch.context() as mp:
+        if not dp:
+            mp.setattr(heldkarp, "MAX_WORK", -1)
+        plan, status = _plan_round(variant, graph, dist, c_hat, round_spec, None)
+        model, handles = build(graph, c_hat, agents, l_max, must, dist=dist)
+        solution = milp.solve(model)
+    event("proof" if model.infeasibility_proof else
+          "certificate" if model.certificate is not None else "highs")
+    assert status == solution.status
+    if solution.has_assignment:
+        assert plan == tocp.extract_routes(solution, handles, graph)
+    else:
+        assert plan is None

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.greedy import greedy_plan
 from patrolopt.milp import (
-    FEASIBILITY_TOL,
     INFEASIBLE,
     OPTIMAL,
     MilpSolution,
@@ -22,6 +21,7 @@ from patrolopt.tocp import (
     FleetPlan,
     RouteIntegrityError,
     audit_solution,
+    broken_rules,
     build_tocp,
     build_top,
     extract_routes,
@@ -296,30 +296,6 @@ def walk_plans(draw):
     return graph, c_hat, l_max, must, routes
 
 
-def broken_rules(graph, routes, handles):
-    """The walk rules a plan breaks, checked from scratch without the model."""
-    broken = []
-    for route in routes:
-        if len(route) == 1:
-            broken.append("idle agent")
-            continue
-        edges = list(zip(route, route[1:]))
-        if route[0] != DEPOT or route[-1] != DEPOT:
-            broken.append("not closed at the depot")
-        if DEPOT in route[1:-1]:
-            broken.append("depot passed mid-walk")
-        if len(set(edges)) < len(edges):
-            broken.append("directed edge used twice")
-        if walk_length(graph, route) > handles.l_max + FEASIBILITY_TOL:
-            broken.append("over l_max")
-    entered = [v for route in routes for v in route[1:] if v != DEPOT]
-    if handles.variant == "top" and len(set(entered)) < len(entered):
-        broken.append("vertex entered twice")
-    if not set(handles.must_visit) <= set(entered):
-        broken.append("must-visit vertex missed")
-    return broken
-
-
 @pytest.mark.parametrize("build", (build_tocp, build_top), ids=("tocp", "top"))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -329,7 +305,7 @@ def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case):
     model, handles = build(graph, c_hat, len(routes), l_max, must)
     plan = FleetPlan(routes, [walk_length(graph, r) for r in routes])
     assign = plan_to_assignment(plan, model, handles)
-    broken = broken_rules(graph, routes, handles)
+    broken = broken_rules(graph, routes, len(routes), l_max, must, model.name)
     if assign is None:
         event("rejected")
         assert broken
@@ -342,6 +318,19 @@ def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case):
     for route, back in zip(routes, extract_routes(sol, handles, graph).routes):
         assert set(back) == set(route)
         assert set(zip(back, back[1:])) == set(zip(route, route[1:]))
+
+
+def test_walks_off_the_real_edges_break_a_rule_and_do_not_encode(bridge):
+    # the drawn walks above only step along real edges; 1 -> 3 is no road
+    graph, dist, c_hat, l_max = bridge
+    for build in (build_tocp, build_top):
+        model, handles = build(graph, c_hat, 1, l_max, dist=dist)
+        for route in ([1, 3, 1], [1, 2, 3, 1]):
+            assert broken_rules(graph, [route], 1, l_max, (), model.name) == [
+                "not on real edges"]
+            plan = FleetPlan(routes=[route], lengths=[2.0])
+            assert plan_to_assignment(plan, model, handles) is None
+        assert broken_rules(graph, [[1, 2, 1]], 1, l_max, (), model.name) == []
 
 
 def test_infeasibility_agreement_with_exhaustive_search():

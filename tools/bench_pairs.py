@@ -15,7 +15,9 @@ neither), the change's median over the parent's, and the gap between the
 medians over the parent's interquartile range.  It also records each run's
 digest, checks and failed operations, failed_round_frac and
 residual_cost_mean, the machine of the first run (nproc, Python, numpy,
-scipy), and each checkout's commit and the git tree of its src/.
+scipy), and each checkout's commit and the git tree of its src/.  Per
+workload, digests_match is true when every pair's two runs have the same
+digest (so the same outputs), and it is printed with the metrics.
 """
 
 from __future__ import annotations
@@ -119,9 +121,12 @@ def main() -> int:
                 print(f"{workload} pair {k + 1}/{pairs} seed {seed} {side}: "
                       f"{runs[side][-1]['elapsed_s']:.1f} s", file=sys.stderr, flush=True)
         report.setdefault("machine", runs["parent"][0]["env"])
+        digests_match = all(p["digest"] is not None and p["digest"] == c["digest"]
+                            for p, c in zip(runs["parent"], runs["change"]))
         report["workloads"][workload] = {
             "pairs": pairs,
             "seeds": [args.first_seed + k for k in range(pairs)],
+            "digests_match": digests_match,
             "metrics": {m["name"]: compare(runs["parent"], runs["change"], m["name"],
                                            m["better"]) for m in bench["end_to_end"]},
             "runs": runs,
@@ -129,6 +134,7 @@ def main() -> int:
         for name, c in report["workloads"][workload]["metrics"].items():
             print(f"{workload} {name}: {c['parent']['median']:.6g} -> "
                   f"{c['change']['median']:.6g} (won {c['pairs_won']}/{pairs})")
+        print(f"{workload} digests_match: {str(digests_match).lower()}")
     out = f"BENCH_{args.label}.json"
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1)
