@@ -34,6 +34,7 @@ from patrolopt.benchgen import (
     generate_instance,
     generate_suite,
 )
+from patrolopt.certify import simplify_walk
 from patrolopt.cli import main
 from patrolopt.cost_process import GrowthParams, materialize_kappa
 from patrolopt.graph import all_pairs_shortest, walk_length
@@ -46,7 +47,7 @@ from patrolopt.stats import (
     totals,
 )
 from patrolopt.simulator import run_episode
-from patrolopt.tocp import audit_solution, build_tocp, build_top, simplify_walk
+from patrolopt.tocp import audit_solution, build_tocp, build_top
 
 from oracle import (
     brute_force_horizon,

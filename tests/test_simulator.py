@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 
-from patrolopt import heldkarp, milp, tocp
+from patrolopt import certify, heldkarp, milp, tocp
 from patrolopt.cost_process import CostState
 from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
@@ -201,13 +201,13 @@ def test_infeasible_round_settles_the_rest_of_the_episode(monkeypatch):
     # top cannot reach vertex 3 without entering 2 twice; the rows never read
     # the predictions, so the first proof of infeasibility covers all rounds
     calls = []
-    real = tocp.infeasibility_proof
+    real = certify.infeasibility_proof
 
     def spy(graph, dist, num_agents, l_max, must_visit, variant):
         calls.append(variant)
         return real(graph, dist, num_agents, l_max, must_visit, variant)
 
-    monkeypatch.setattr(tocp, "infeasibility_proof", spy)
+    monkeypatch.setattr(certify, "infeasibility_proof", spy)
     kappa = [[0.0, 0.0, 0.0], [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
     instance = make_instance(
         3, [(1, 2, 1.0), (2, 3, 1.0)], l_max=4.0, horizon=3, kappa=kappa,

@@ -17,16 +17,15 @@ from patrolopt.milp import (
     check_assignment,
     solve,
 )
+from patrolopt.certify import broken_rules, simplify_walk
 from patrolopt.tocp import (
     FleetPlan,
     RouteIntegrityError,
     audit_solution,
-    broken_rules,
     build_tocp,
     build_top,
     extract_routes,
     plan_to_assignment,
-    simplify_walk,
 )
 
 from oracle import brute_force_single_iteration
