@@ -3,8 +3,12 @@
 answer_round settles most rounds by a certificate, an infeasibility proof
 or the exact DP, in that order, and hands back closed walks with the bound
 they reach, a proof string, or None when only HiGHS can answer.  It reads
-the round's structure and c_hat, never a model; tocp.plan_round and
-tocp.build_tocp / build_top consume its answer.
+a Structure and c_hat, never a model; tocp.plan_round and tocp.build_tocp /
+build_top consume its answer.  Across an episode only c_hat changes: the
+graph, the fleet, the budget and the must-visit vertices stay, and so do
+the model's rows.  A Structure holds those, checked once, and keeps what
+the cascade derives from them alone (the targets, the proof, top's cover
+walks and the DP's table), so the episode loop pays for each once.
 
 Certified rounds: under tocp the greedy planner runs on c_hat, and its
 plan, repaired, is the certificate, but only when it visits every vertex
@@ -25,7 +29,7 @@ vertex beyond every depot round trip or, under ``top``, on no simple depot
 cycle within the budget.
 
 Exact rounds: a round with neither a certificate nor a proof goes to the
-Held–Karp DP of ``heldkarp.best_round`` when its table is small enough.  Its
+Held–Karp DP of ``heldkarp`` when its table is small enough.  Its
 optimal walks, with doubled edges simplified away, are the answer and its
 value the bound; when no union of tours covers the must-visit vertices,
 that is the proof.  Its tie rule takes the largest optimal vertex set, then
@@ -36,6 +40,7 @@ walks end up over l_max, reach HiGHS.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -45,21 +50,110 @@ from .graph import (
     DEPOT,
     DistanceMatrix,
     Graph,
-    depot_free_shortest,
+    all_pairs_shortest,
     reachable_round_trip,
+    validate,
     walk_length,
 )
-from .milp import FEASIBILITY_TOL
+from .milp import FEASIBILITY_TOL, ModelError
+
+
+class Structure:
+    """All a round reads except c_hat, checked once, with what the cascade derives from it.
+
+    The constructor raises ModelError on inputs no round can be planned on;
+    dist, when None, is computed from the graph.  limit is l_max plus the
+    slack HiGHS grants a budget row, and the targets are the non-depot
+    vertices whose depot round trip fits it.  The rest is computed on first
+    use and kept; a round adds only what reads c_hat.
+    """
+
+    def __init__(self, graph: Graph, dist: Optional[DistanceMatrix], num_agents: int,
+                 l_max: float, must_visit: Sequence[int], variant: str):
+        problem = validate(graph)
+        if problem is not None:
+            raise ModelError(f"graph invalid: {problem}")
+        if int(num_agents) < 1:
+            raise ModelError("need at least one agent")
+        if l_max <= 0:
+            raise ModelError("travel budget must be positive")
+        self.must = tuple(sorted(set(int(v) for v in must_visit)))
+        for v in self.must:
+            if not 2 <= v <= graph.num_vertices:
+                raise ModelError(f"must-visit vertex {v} out of range (depot excluded)")
+        self.graph = graph
+        self.dist = all_pairs_shortest(graph) if dist is None else dist
+        self.num_agents = int(num_agents)
+        self.l_max = l_max
+        self.variant = variant
+        self.limit = l_max + FEASIBILITY_TOL
+        self.targets = tuple(sorted(reachable_round_trip(graph, self.dist, self.limit) - {DEPOT}))
+
+    def check_c_hat(self, c_hat: np.ndarray) -> np.ndarray:
+        """c_hat as floats; ModelError unless it has one entry per vertex plus slot 0."""
+        c_hat = np.asarray(c_hat, dtype=float)
+        if c_hat.shape != (self.graph.num_vertices + 1,):
+            raise ModelError(f"c_hat must have shape ({self.graph.num_vertices + 1},)")
+        return c_hat
+
+    @cached_property
+    def around(self) -> DistanceMatrix:
+        """Shortest paths in the graph with every depot edge removed."""
+        n, lengths = self.graph.num_vertices, self.graph.lengths
+        return all_pairs_shortest(Graph(n, {e: l for e, l in lengths.items() if DEPOT not in e}))
+
+    @cached_property
+    def proof(self) -> Optional[str]:
+        """infeasibility_proof of this structure."""
+        return infeasibility_proof(self)
+
+    @cached_property
+    def cover_walks(self) -> Optional[List[List[int]]]:
+        """The walks of a cycle cover of the targets, or None (see cover_certificate).
+
+        Each agent needs its own first vertex: a depot neighbour whose
+        out-and-back fits l_max, by (edge length, index).  The M nearest
+        start, then every set that swaps one of them for a farther one:
+        1 + M(d - M) sets for d candidates, each grown by _insertion_cover
+        until one covers the targets.  A required vertex outside them gets
+        no cover, since the round is infeasible.
+        """
+        graph, l_max, m_count = self.graph, self.l_max, self.num_agents
+        firsts = sorted(
+            (v for v in graph.out_neighbors(DEPOT) if 2 * graph.lengths[(DEPOT, v)] <= l_max),
+            key=lambda v: (graph.lengths[(DEPOT, v)], v),
+        )
+        if len(firsts) < m_count or not set(self.must) <= set(self.targets):
+            return None
+        nearest = firsts[:m_count]
+        start_sets = [nearest] + [
+            nearest[:k] + [far] + nearest[k + 1:]
+            for far in firsts[m_count:]
+            for k in reversed(range(m_count))
+        ]
+        for starts in start_sets:
+            routes = _insertion_cover(graph, self.targets, starts, l_max)
+            if routes is not None:
+                return _fleet_walks(self, routes)
+        return None
+
+    @cached_property
+    def table(self) -> Union[heldkarp.FleetTable, str, None]:
+        """The DP's table, the proof that no union of tours covers the must-visit
+        vertices, or None above heldkarp.MAX_WORK."""
+        kind = "vertex-disjoint simple depot cycles" if self.variant == "top" else "closed walks"
+        proof = (f"no {self.num_agents} {kind} within l_max {self.l_max} cover "
+                 f"must-visit vertices {list(self.must)}")
+        if not self.targets or not set(self.must) <= set(self.targets):
+            return proof
+        table = heldkarp.fleet_table(
+            self.graph, self.dist, self.around if self.variant == "tocp" else None,
+            self.targets, self.num_agents, self.limit, self.must)
+        return proof if table is not None and not table.eligible.any() else table
 
 
 def answer_round(
-    graph: Graph,
-    dist: DistanceMatrix,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must_visit: Tuple[int, ...],
-    variant: str,
+    structure: Structure, c_hat: np.ndarray
 ) -> Union[Tuple[List[List[int]], float], str, None]:
     """A round's answer without the model: (walks, bound), a proof string, or None.
 
@@ -71,41 +165,34 @@ def answer_round(
     none of broken_rules; None (a round above the DP's cost cap, or whose
     optimal walks end up over l_max) means only HiGHS can answer.
     """
-    find_certificate = greedy_certificate if variant == "tocp" else cover_certificate
-    found = find_certificate(graph, dist, c_hat, num_agents, l_max, must_visit)
+    find_certificate = (greedy_certificate if structure.variant == "tocp"
+                        else cover_certificate)
+    found = find_certificate(structure, c_hat)
     if found is not None:
         return found
-    proof = infeasibility_proof(graph, dist, num_agents, l_max, must_visit, variant)
-    if proof is not None:
-        return proof
-    optimum = heldkarp.best_round(graph, dist, c_hat, num_agents, l_max, must_visit,
-                                  single_visit=variant == "top")
-    if optimum is None or isinstance(optimum, str):
-        return optimum
-    walks = [simplify_walk(walk) for walk in optimum.walks]
-    return _certificate(walks, optimum.value, graph, num_agents, l_max, must_visit, variant)
+    if structure.proof is not None:
+        return structure.proof
+    table = structure.table
+    if table is None or isinstance(table, str):
+        return table
+    optimum = heldkarp.best_round(table, c_hat)
+    walks = _fleet_walks(structure, [simplify_walk(walk) for walk in optimum.walks])
+    return None if walks is None else (walks, optimum.value)
 
 
-def broken_rules(
-    graph: Graph,
-    routes: List[List[int]],
-    num_agents: int,
-    l_max: float,
-    must_visit: Sequence[int],
-    variant: str,
-) -> List[str]:
+def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:
     """The walk rules a fleet plan breaks; empty when every row of the model holds.
 
     One closed walk per agent, from the depot and back, on real edges, with
     no directed edge used twice, no pass through the depot mid-walk and a
-    length within l_max plus the solver's feasibility slack; the walks cover
-    every must-visit vertex, and under top no vertex is entered twice.
-    plan_to_assignment encodes exactly the plans that break none of these,
-    so checking the rules stands in for encoding and checking every row.
+    length within the limit; the walks cover every must-visit vertex, and
+    under top no vertex is entered twice.  plan_to_assignment encodes
+    exactly the plans that break none of these, so checking the rules
+    stands in for encoding and checking every row.
     """
     broken = []
-    if len(routes) != num_agents:
-        broken.append(f"{len(routes)} walks for {num_agents} agents")
+    if len(routes) != structure.num_agents:
+        broken.append(f"{len(routes)} walks for {structure.num_agents} agents")
     for route in routes:
         if len(route) == 1:
             broken.append("idle agent")
@@ -117,41 +204,32 @@ def broken_rules(
             broken.append("depot passed mid-walk")
         if len(set(edges)) < len(edges):
             broken.append("directed edge used twice")
-        if not all(e in graph.lengths for e in edges):
+        if not all(e in structure.graph.lengths for e in edges):
             broken.append("not on real edges")
-        elif walk_length(graph, route) > l_max + FEASIBILITY_TOL:
+        elif walk_length(structure.graph, route) > structure.limit:
             broken.append("over l_max")
     entered = [v for route in routes for v in route[1:] if v != DEPOT]
-    if variant == "top" and len(set(entered)) < len(entered):
+    if structure.variant == "top" and len(set(entered)) < len(entered):
         broken.append("vertex entered twice")
-    if not set(must_visit) <= set(entered):
+    if not set(structure.must) <= set(entered):
         broken.append("must-visit vertex missed")
     return broken
 
 
-def _certificate(
-    routes: List[List[int]],
-    bound: float,
-    graph: Graph,
-    num_agents: int,
-    l_max: float,
-    must_visit: Tuple[int, ...],
-    variant: str,
-) -> Optional[Tuple[List[List[int]], float]]:
-    """Closed walks, one per agent, with their bound, or None if they are no plan.
+def _fleet_walks(structure: Structure, routes: List[List[int]]) -> Optional[List[List[int]]]:
+    """Closed walks, one per agent, or None when one is over l_max or breaks a rule.
 
     Agents without a walk ([1], or missing from the end of routes) take the
     cheapest depot out-and-back, since every agent must leave the depot.
-    Walks over l_max or ones that break a rule of broken_rules give no
-    certificate.
     """
-    routes = routes + [[DEPOT]] * (num_agents - len(routes))
+    graph = structure.graph
+    routes = routes + [[DEPOT]] * (structure.num_agents - len(routes))
     routes = [_cheapest_out_and_back(graph) if len(r) == 1 else r for r in routes]
-    if None in routes or any(walk_length(graph, r) > l_max for r in routes):
+    if None in routes or any(walk_length(graph, r) > structure.l_max for r in routes):
         return None
-    if broken_rules(graph, routes, num_agents, l_max, must_visit, variant):
+    if broken_rules(structure, routes):
         return None
-    return routes, bound
+    return routes
 
 
 def _cheapest_out_and_back(graph: Graph) -> Optional[List[int]]:
@@ -162,50 +240,43 @@ def _cheapest_out_and_back(graph: Graph) -> Optional[List[int]]:
     return [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
 
 
-def _round_trip_bound(c_hat: np.ndarray, reachable: Set[int]) -> float:
-    """Sum of the positive c_hat over reachable: no plan collects more."""
-    return float(sum(max(float(c_hat[v]), 0.0) for v in sorted(reachable) if v != DEPOT))
+def _round_trip_bound(c_hat: np.ndarray, targets: Sequence[int]) -> float:
+    """Sum of the positive c_hat over the targets: no plan collects more."""
+    return float(sum(max(float(c_hat[v]), 0.0) for v in targets))
 
 
 def greedy_certificate(
-    graph: Graph,
-    dist: DistanceMatrix,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must_visit: Tuple[int, ...],
+    structure: Structure, c_hat: np.ndarray
 ) -> Optional[Tuple[List[List[int]], float]]:
     """The greedy plan's walks plus the bound they reach, or None.
 
-    The bound sums c_hat over every vertex whose depot round trip fits the
-    budget, with the solver's feasibility slack added, since HiGHS accepts a
-    walk that far over l_max.  A greedy plan that visits all of those
-    vertices collects the bound when c_hat >= 0, so no plan can beat it.
-    Greedy plans that miss one are dropped.  That fixes the tie rule: a
-    certified round visits everything reachable, zero-valued vertices too.
-    Routes pass through repair_walk, and walks that still break a rule of
-    broken_rules under tocp give no certificate.
+    The bound sums c_hat over the targets, every vertex whose depot round
+    trip fits the limit, since HiGHS accepts a walk that far over l_max.  A
+    greedy plan that visits all of those vertices collects the bound when
+    c_hat >= 0, so no plan can beat it.  Greedy plans that miss one are
+    dropped.  That fixes the tie rule: a certified round visits everything
+    reachable, zero-valued vertices too.  Routes pass through repair_walk,
+    and walks that still break a rule of broken_rules give no certificate.
     """
     # greedy imports from tocp, which imports this module
     from .greedy import greedy_plan
     from .tocp import UnreachableMustVisitError
 
-    reachable = reachable_round_trip(graph, dist, l_max + FEASIBILITY_TOL)
+    s = structure
     try:
-        plan = greedy_plan(graph, dist, c_hat, num_agents, l_max, must_visit)
+        plan = greedy_plan(s.graph, s.dist, c_hat, s.num_agents, s.l_max, s.must)
     except UnreachableMustVisitError:
         return None
-    if not reachable <= plan.visited():
+    if not plan.visited().issuperset(s.targets):
         return None
-    repaired = [repair_walk(route, graph) if len(route) > 1 else route
-                for route in plan.routes]
+    repaired = [repair_walk(route, s) if len(route) > 1 else route for route in plan.routes]
     if None in repaired:
         return None
-    return _certificate(repaired, _round_trip_bound(c_hat, reachable), graph, num_agents,
-                        l_max, must_visit, "tocp")
+    walks = _fleet_walks(s, repaired)
+    return None if walks is None else (walks, _round_trip_bound(c_hat, s.targets))
 
 
-def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
+def repair_walk(route: List[int], structure: Structure) -> Optional[List[int]]:
     """Reshape a closed walk into one the model can encode, or None if that fails.
 
     The model allows one depot departure per agent and each directed edge at
@@ -217,7 +288,6 @@ def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
     route = simplify_walk(route)
     if DEPOT not in route[1:-1]:
         return route
-    around = depot_free_shortest(graph)
     out = [DEPOT]
     k = 1
     while k < len(route) - 1:
@@ -227,7 +297,7 @@ def repair_walk(route: List[int], graph: Graph) -> Optional[List[int]]:
             continue
         x, y = out[-1], route[k + 1]
         if x != y:
-            path = around.shortest_path(x, y)
+            path = structure.around.shortest_path(x, y)
             if path is None:
                 return None
             out.extend(path[1:])
@@ -262,54 +332,23 @@ def simplify_walk(route: List[int]) -> List[int]:
 
 
 def cover_certificate(
-    graph: Graph,
-    dist: DistanceMatrix,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must_visit: Tuple[int, ...],
+    structure: Structure, c_hat: np.ndarray
 ) -> Optional[Tuple[List[List[int]], float]]:
     """A vertex-disjoint cycle cover's walks plus its bound, or None.
 
-    The targets are the vertices greedy_certificate must visit: every vertex
-    whose depot round trip fits the budget plus the solver's feasibility
-    slack.  Each agent gets one simple depot cycle and no two cycles share a
-    non-depot vertex, so the cover satisfies the single-visit rows; when it
-    visits every target it reaches the same round-trip bound.  A required
-    vertex outside the targets makes the round infeasible, so it gets no
-    certificate.
-
-    Each agent needs its own first vertex, so the candidates are the depot
-    neighbours whose out-and-back fits l_max, sorted by (edge length,
-    index).  The M nearest are tried first as start vertices, then every set
-    that swaps one of them for a farther candidate: 1 + M(d - M) sets for d
-    candidates, each grown by _insertion_cover until one covers everything.
+    The cover visits the vertices greedy_certificate must visit, the
+    targets.  Each agent gets one simple depot cycle and no two cycles share
+    a non-depot vertex, so the cover satisfies the single-visit rows; when
+    it visits every target it reaches the same round-trip bound.  The
+    cycles ignore c_hat, so the structure finds them once (cover_walks) and
+    a round adds only the bound.
     """
-    reachable = reachable_round_trip(graph, dist, l_max + FEASIBILITY_TOL)
-    targets = reachable - {DEPOT}
-    firsts = sorted(
-        (v for v in graph.out_neighbors(DEPOT) if 2 * graph.lengths[(DEPOT, v)] <= l_max),
-        key=lambda v: (graph.lengths[(DEPOT, v)], v),
-    )
-    m_count = num_agents
-    if len(firsts) < m_count or not targets.issuperset(must_visit):
-        return None
-    nearest = firsts[:m_count]
-    start_sets = [nearest] + [
-        nearest[:k] + [far] + nearest[k + 1:]
-        for far in firsts[m_count:]
-        for k in reversed(range(m_count))
-    ]
-    for starts in start_sets:
-        routes = _insertion_cover(graph, targets, starts, l_max)
-        if routes is not None:
-            return _certificate(routes, _round_trip_bound(c_hat, reachable), graph, num_agents,
-                                l_max, must_visit, "top")
-    return None
+    walks = structure.cover_walks
+    return None if walks is None else (walks, _round_trip_bound(c_hat, structure.targets))
 
 
 def _insertion_cover(
-    graph: Graph, targets: Set[int], starts: List[int], l_max: float
+    graph: Graph, targets: Sequence[int], starts: List[int], l_max: float
 ) -> Optional[List[List[int]]]:
     """Grow out-and-backs [1, v, 1] into disjoint simple cycles covering targets, or None.
 
@@ -386,19 +425,12 @@ def _paths_through(
     return best
 
 
-def infeasibility_proof(
-    graph: Graph,
-    dist: DistanceMatrix,
-    num_agents: int,
-    l_max: float,
-    must_visit: Tuple[int, ...],
-    variant: str,
-) -> Optional[str]:
+def infeasibility_proof(structure: Structure) -> Optional[str]:
     """Why no plan can satisfy the model's rows, or None when no reason is found.
 
     Each test compares a lower bound on some walk the rows force against
-    l_max plus the solver's feasibility slack, the same slack the
-    certificates grant, so a proof never rejects a plan HiGHS would accept:
+    the limit, l_max plus the same feasibility slack the certificates
+    grant, so a proof never rejects a plan HiGHS would accept:
       * a must-visit vertex v whose depot round trip d(1, v) + d(v, 1) is
         over the limit (inf when there is none);
       * fewer depot neighbours w with len(1, w) + d(w, 1) within the limit
@@ -409,21 +441,21 @@ def infeasibility_proof(
         shortest one through v is [1, v, 1] or the cheapest pair of
         internally vertex-disjoint depot -> v paths (_disjoint_pair_length).
     """
-    limit = l_max + FEASIBILITY_TOL
-    d = dist.dist
-    for v in must_visit:
+    graph, l_max, limit = structure.graph, structure.l_max, structure.limit
+    d = structure.dist.dist
+    for v in structure.must:
         if d[DEPOT, v] + d[v, DEPOT] > limit:
             return (f"must-visit vertex {v} has no depot round trip within l_max: "
                     f"{d[DEPOT, v] + d[v, DEPOT]} > {l_max}")
-    single_visit = variant == "top"
-    need = num_agents if single_visit else 1
+    single_visit = structure.variant == "top"
+    need = structure.num_agents if single_visit else 1
     firsts = [w for w in graph.out_neighbors(DEPOT)
               if graph.lengths[(DEPOT, w)] + d[w, DEPOT] <= limit]
     if len(firsts) < need:
         return (f"{len(firsts)} depot neighbours can start a walk within l_max "
                 f"{l_max}; the agents need {need}")
     if single_visit:
-        for v in must_visit:
+        for v in structure.must:
             cycle = _disjoint_pair_length(graph, v)
             if (DEPOT, v) in graph.lengths:
                 cycle = min(cycle, 2 * graph.lengths[(DEPOT, v)])

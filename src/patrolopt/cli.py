@@ -168,6 +168,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _suite_instance_paths(suite_dir: str) -> List[str]:
+    """The suite's files in (horizon, seed) order; ValueError names the first file
+    whose H<horizon>/seed<seed>.json name does not parse or disagrees with its instance."""
     paths = glob(os.path.join(suite_dir, "H*", "seed*.json"))
     if not paths:
         raise FileNotFoundError(f"no instance files under {suite_dir}")
@@ -181,7 +183,13 @@ def _suite_instance_paths(suite_dir: str) -> List[str]:
             raise ValueError(f"{path}: suite files are named H<horizon>/seed<seed>.json "
                              f"with integer horizon and seed") from None
 
-    return sorted(paths, key=key)
+    paths.sort(key=key)
+    for path in paths:
+        instance = read_instance(path)
+        if (instance.horizon, instance.seed) != key(path):
+            raise ValueError(f"{path}: holds horizon {instance.horizon} and seed "
+                             f"{instance.seed}, not what its name says")
+    return paths
 
 
 def _bench_episode(job: Tuple[str, str, Optional[float]]) -> Dict[str, str]:

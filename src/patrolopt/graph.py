@@ -142,13 +142,6 @@ def all_pairs_shortest(graph: Graph) -> DistanceMatrix:
     return DistanceMatrix(dist=dist, next_hop=nxt)
 
 
-def depot_free_shortest(graph: Graph) -> DistanceMatrix:
-    """All-pairs shortest paths in the graph with every depot edge removed."""
-    return all_pairs_shortest(
-        Graph(graph.num_vertices, {e: l for e, l in graph.lengths.items() if DEPOT not in e})
-    )
-
-
 def reachable_round_trip(graph: Graph, dm: DistanceMatrix, l_max: float) -> Set[int]:
     """Vertices that can be visited and returned from within the budget.
 

@@ -29,6 +29,9 @@ must-visit vertex and has the largest sum of c_hat clipped at zero.  Tie
 rule: the largest such union, then the lowest bitmask.  No such union
 proves the round infeasible.
 
+Only that argmax reads c_hat: fleet_table builds the rest once per episode
+(certify.Structure keeps it), and best_round takes each round's argmax.
+
 The unions run only over the ranks the fitting sets reach.  When every set
 fits, nothing is pruned: the table and each of the M - 1 union steps then
 take about 2 R^2 2^R element operations for R targets, and MAX_WORK caps
@@ -38,12 +41,11 @@ that dense worst case; rounds above the cap get no answer here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import DEPOT, DistanceMatrix, Graph, depot_free_shortest, reachable_round_trip
-from .milp import FEASIBILITY_TOL
+from .graph import DEPOT, DistanceMatrix, Graph
 
 # Element operations one round may spend in the dense worst case (see
 # table_work).  R = 17 targets with M = 2 agents (151.6 million) fit, at about
@@ -67,45 +69,57 @@ class RoundOptimum:
     walks: List[List[int]]
 
 
+@dataclass
+class FleetTable:
+    """What a round's optimum needs that c_hat does not change (see fleet_table).
+
+    g and pos are _held_karp's table, pop every mask's popcount, unions[j]
+    the unions of j + 1 disjoint fitting sets, and eligible the last unions
+    that hold every must-visit vertex (none: no plan exists).  inner and
+    close are the legs; dist and around expand tocp's into paths.
+    """
+
+    targets: List[int]
+    g: np.ndarray
+    pos: np.ndarray
+    pop: np.ndarray
+    unions: List[np.ndarray]
+    eligible: np.ndarray
+    inner: np.ndarray
+    close: np.ndarray
+    dist: DistanceMatrix
+    around: Optional[DistanceMatrix]
+
+
 def table_work(num_targets: int, num_agents: int) -> int:
     """Element operations of the table and the unions when every set fits: 2 M R^2 2^R."""
     return 2 * num_agents * num_targets ** 2 * 2 ** num_targets
 
 
-def best_round(
+def fleet_table(
     graph: Graph,
     dist: DistanceMatrix,
-    c_hat: np.ndarray,
+    around: Optional[DistanceMatrix],
+    targets: Sequence[int],
     num_agents: int,
-    l_max: float,
-    must_visit: Sequence[int] = (),
-    *,
-    single_visit: bool,
-) -> Union[RoundOptimum, str, None]:
-    """The round's optimum, the reason none exists (a str), or None above MAX_WORK.
+    limit: float,
+    must: Sequence[int],
+) -> Optional[FleetTable]:
+    """The table and unions of a round's structure, or None above MAX_WORK.
 
-    single_visit selects top's simple cycles over tocp's closed walks.  The
-    walks are closed walks on real edges; under tocp they may use a
-    directed edge twice.
+    targets, ascending, must hold every must-visit vertex.  around is the
+    depot-free distance matrix under tocp and None under top, whose legs
+    are single edges.
     """
-    limit = l_max + FEASIBILITY_TOL
-    targets = sorted(reachable_round_trip(graph, dist, limit) - {DEPOT})
     r = len(targets)
     if table_work(r, num_agents) > MAX_WORK:
         return None
-    kind = "vertex-disjoint simple depot cycles" if single_visit else "closed walks"
-    must = sorted(set(int(v) for v in must_visit))
-    proof = f"no {num_agents} {kind} within l_max {l_max} cover must-visit vertices {must}"
-    if not set(must) <= set(targets) or r == 0:
-        return proof
-
-    if single_visit:
+    if around is None:
         adjacent = np.full((graph.num_vertices + 1,) * 2, np.inf)
         for (a, b), length in graph.edge_items():
             adjacent[a, b] = length
         first, inner, close = adjacent[DEPOT], adjacent, adjacent[:, DEPOT]
     else:
-        around = depot_free_shortest(graph)
         first, inner, close = dist.dist[DEPOT], around.dist, dist.dist[:, DEPOT]
     idx = np.array(targets, dtype=np.int64)
     first, inner, close = first[idx], inner[np.ix_(idx, idx)], close[idx]
@@ -122,7 +136,7 @@ def best_round(
     fits = fits[pos]
     # the empty set: a tocp agent may take an out-and-back over a vertex
     # another covers, but a top agent claims every vertex it enters
-    fits[0] = not single_visit
+    fits[0] = around is not None
     unions = [fits]
     if num_agents > 1:
         fits_hat = _ranked_zeta(fits, pop)
@@ -133,23 +147,31 @@ def best_round(
     must_mask = sum(1 << targets.index(v) for v in must)
     masks = np.arange(pop.size, dtype=np.int64)
     eligible = unions[-1] & ((masks & must_mask) == must_mask)
-    if not eligible.any():
-        return proof
-    value = _mask_sums(np.maximum(np.asarray(c_hat, dtype=float)[idx], 0.0), r)
+    return FleetTable(list(targets), g, pos, pop, unions, eligible, inner, close, dist, around)
+
+
+def best_round(table: FleetTable, c_hat: np.ndarray) -> RoundOptimum:
+    """The round's optimum over the table's eligible unions, of which there must be one.
+
+    The walks are closed walks on real edges; under tocp they may use a
+    directed edge twice.
+    """
+    targets, pop, eligible = table.targets, table.pop, table.eligible
+    value = _mask_sums(np.maximum(np.asarray(c_hat, dtype=float)[targets], 0.0), len(targets))
     best = value[eligible].max()
     ties = np.flatnonzero(eligible & (value == best))
     chosen = int(ties[np.argmax(pop[ties])])
 
     walks = []
-    for part in _split(chosen, unions):
-        order = [targets[b] for b in _tour(part, g, pos, inner, close)]
-        if single_visit:
+    for part in _split(chosen, table.unions):
+        order = [targets[b] for b in _tour(part, table)]
+        if table.around is None:
             walks.append([DEPOT] + order + [DEPOT])
             continue
-        walk = dist.shortest_path(DEPOT, order[0])
+        walk = table.dist.shortest_path(DEPOT, order[0])
         for a, b in zip(order, order[1:]):
-            walk += around.shortest_path(a, b)[1:]
-        walks.append(walk + dist.shortest_path(order[-1], DEPOT)[1:])
+            walk += table.around.shortest_path(a, b)[1:]
+        walks.append(walk + table.dist.shortest_path(order[-1], DEPOT)[1:])
     return RoundOptimum(value=float(best), walks=walks)
 
 
@@ -273,14 +295,12 @@ def _submasks(mask: int) -> np.ndarray:
     return out
 
 
-def _tour(
-    mask: int, g: np.ndarray, pos: np.ndarray, inner: np.ndarray, close: np.ndarray
-) -> List[int]:
+def _tour(mask: int, table: FleetTable) -> List[int]:
     """Target indices of mask in the order of a shortest fitting tour, ties to the lowest."""
-    v = int(np.argmin(g[pos[mask]] + close))
+    v = int(np.argmin(table.g[table.pos[mask]] + table.close))
     order = [v]
     while mask != 1 << v:
         mask ^= 1 << v
-        v = int(np.argmin(g[pos[mask]] + inner[:, v]))
+        v = int(np.argmin(table.g[table.pos[mask]] + table.inner[:, v]))
         order.append(v)
     return order[::-1]

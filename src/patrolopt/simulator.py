@@ -11,7 +11,10 @@ predictions, so once a round is proven infeasible every later round of the
 episode is charged as infeasible without planning it again.  The MIP
 planners' rounds go through tocp.plan_round: a round a certificate, the
 exact DP or an infeasibility proof answers builds no model, and only a round
-HiGHS must solve builds one.
+HiGHS must solve builds one.  Each MIP episode checks its graph, fleet,
+budget and must-visit vertices once, in one certify.Structure, which keeps
+the proof, top's cover and the DP's table for every round after the first
+that needs them.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from . import milp
+from .certify import Structure
 from .cost_process import CostState
 from .estimator import EstimatorState
 from .graph import DEPOT, all_pairs_shortest
@@ -69,6 +73,8 @@ def run_episode(
     milp.check_time_limit(time_limit)
     graph = instance_graph(instance)
     dm = all_pairs_shortest(graph)
+    structure = None if planner == "greedy" else Structure(
+        graph, dm, instance.num_agents, instance.l_max, instance.must_visit, planner)
     cost = CostState(kappa_table(instance))
     est = EstimatorState(instance.num_vertices, instance.mu_default)
 
@@ -84,8 +90,10 @@ def run_episode(
         t0 = time.perf_counter()
         if statuses and statuses[-1] == milp.INFEASIBLE:
             plan, status = None, milp.INFEASIBLE
+        elif structure is None:
+            plan, status = _greedy_round(graph, dm, c_hat, instance)
         else:
-            plan, status = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
+            plan, status = plan_round(structure, c_hat, time_limit)
         seconds.append(time.perf_counter() - t0)
         statuses.append(status)
         if plan is None:
@@ -114,19 +122,15 @@ def run_episode(
     )
 
 
-def _plan_round(planner, graph, dm, c_hat, instance, time_limit):
-    """One round of planning: (FleetPlan or None, status)."""
-    if planner == "greedy":
-        try:
-            plan = greedy_plan(
-                graph, dm, c_hat, instance.num_agents, instance.l_max,
-                instance.must_visit,
-            )
-        except UnreachableMustVisitError:
-            return None, milp.INFEASIBLE
-        return plan, STATUS_HEURISTIC
-    return plan_round(graph, dm, c_hat, instance.num_agents, instance.l_max,
-                      instance.must_visit, planner, time_limit)
+def _greedy_round(graph, dm, c_hat, instance):
+    """One round of the greedy planner: (FleetPlan or None, status)."""
+    try:
+        plan = greedy_plan(
+            graph, dm, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
+        )
+    except UnreachableMustVisitError:
+        return None, milp.INFEASIBLE
+    return plan, STATUS_HEURISTIC
 
 
 def solve_single_round(
@@ -153,7 +157,7 @@ def solve_single_round(
     est = EstimatorState(instance.num_vertices, instance.mu_default)
     c_hat = est.predicted_cost(iteration)
     if planner == "greedy":
-        plan, status = _plan_round(planner, graph, dm, c_hat, instance, time_limit)
+        plan, status = _greedy_round(graph, dm, c_hat, instance)
         return plan, status, {"planner": planner}
     build = build_tocp if planner == "tocp" else build_top
     model, handles = build(

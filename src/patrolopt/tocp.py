@@ -21,11 +21,13 @@ detached from the depot.  Every row is "<=" or "=".
 
 Answered rounds: certify.answer_round settles most rounds without the
 model, by a certificate, an infeasibility proof or the exact DP (see the
-certify module).  Two consumers take its answer.  plan_round, which the
-simulator's episode loop calls, restitches the walks into routes as
-extract_routes would, so certified and proven rounds build no model; it
-builds one only for a round HiGHS must solve.  build_tocp and build_top
-build the model and attach the answer: the walks as the certificate,
+certify module), from a certify.Structure that holds everything of the
+round but c_hat.  Two consumers take its answer.  plan_round, which the
+simulator's episode loop calls with the Structure it builds once per
+episode, restitches the walks into routes as extract_routes would, so
+certified and proven rounds build no model; it builds one only for a round
+HiGHS must solve.  build_tocp and build_top build a fresh Structure per
+call, then the model, and attach the answer: the walks as the certificate,
 encoded without a solver (once an agent's closed walk is fixed, so is its
 flow: the p-th edge carries one unit for each non-depot vertex the walk
 first enters after position p, see plan_to_assignment), or the proof, so
@@ -41,15 +43,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .certify import answer_round
-from .graph import DEPOT, DistanceMatrix, Graph, all_pairs_shortest, validate, walk_length
+from .certify import Structure, answer_round
+from .graph import DEPOT, DistanceMatrix, Graph, walk_length
 from .milp import (
     FEASIBILITY_TOL,
     INFEASIBLE,
     OPTIMAL,
     MilpModel,
     MilpSolution,
-    ModelError,
     check_assignment,
     reaches_bound,
     solve,
@@ -93,11 +94,8 @@ class VariableHandles:
     y: Dict[Tuple[int, int], int]
     z: Dict[int, int]
     u: Dict[Tuple[int, int, int], int]
-    num_agents: int
-    l_max: float
     big_m: float
-    must_visit: Tuple[int, ...]
-    variant: str
+    structure: Structure  # the round's graph, fleet, budget and must-visit vertices
 
 
 def build_tocp(
@@ -115,7 +113,7 @@ def build_tocp(
     plan_to_assignment, as the certificate, or its infeasibility proof.
     milp.solve then skips the search on it.
     """
-    return _build_answered(graph, c_hat, num_agents, l_max, must_visit, dist, "tocp")
+    return _build_answered(Structure(graph, dist, num_agents, l_max, must_visit, "tocp"), c_hat)
 
 
 def build_top(
@@ -133,29 +131,19 @@ def build_top(
     cannot pass through an already-visited vertex, not even another agent's.
     The answer of answer_round rides along as in build_tocp.
     """
-    return _build_answered(graph, c_hat, num_agents, l_max, must_visit, dist, "top")
+    return _build_answered(Structure(graph, dist, num_agents, l_max, must_visit, "top"), c_hat)
 
 
-def _build_answered(
-    graph: Graph,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must_visit: Sequence[int],
-    dist: Optional[DistanceMatrix],
-    variant: str,
-) -> Tuple[MilpModel, VariableHandles]:
+def _build_answered(structure: Structure, c_hat: np.ndarray) -> Tuple[MilpModel, VariableHandles]:
     """The model with answer_round's walks encoded as its certificate, or its proof."""
-    c_hat, must = _check_round(graph, c_hat, num_agents, l_max, must_visit)
-    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must, variant)
-    if dist is None:
-        dist = all_pairs_shortest(graph)
-    answer = answer_round(graph, dist, c_hat, num_agents, l_max, must, variant)
+    c_hat = structure.check_c_hat(c_hat)
+    model, handles = _build_fleet_model(structure, c_hat)
+    answer = answer_round(structure, c_hat)
     if isinstance(answer, str):
         model.infeasibility_proof = answer
     elif answer is not None:
         walks, bound = answer
-        plan = FleetPlan(walks, [walk_length(graph, w) for w in walks])
+        plan = FleetPlan(walks, [walk_length(structure.graph, w) for w in walks])
         assignment = plan_to_assignment(plan, model, handles)
         if assignment is not None:
             model.certificate = (assignment, bound)
@@ -163,14 +151,7 @@ def _build_answered(
 
 
 def plan_round(
-    graph: Graph,
-    dist: DistanceMatrix,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must_visit: Sequence[int],
-    variant: str,
-    time_limit: Optional[float],
+    structure: Structure, c_hat: np.ndarray, time_limit: Optional[float]
 ) -> Tuple[Optional[FleetPlan], str]:
     """One round of the tocp or top planner: (plan or None, status).
 
@@ -180,8 +161,9 @@ def plan_round(
     must search.  Walks are restitched as extract_routes restitches the
     encoded edges, so the routes match it exactly.
     """
-    c_hat, must = _check_round(graph, c_hat, num_agents, l_max, must_visit)
-    answer = answer_round(graph, dist, c_hat, num_agents, l_max, must, variant)
+    graph = structure.graph
+    c_hat = structure.check_c_hat(c_hat)
+    answer = answer_round(structure, c_hat)
     if isinstance(answer, str):
         return None, INFEASIBLE
     if answer is not None:
@@ -189,58 +171,28 @@ def plan_round(
         plan = _stitched_plan([list(zip(w, w[1:])) for w in walks], graph)
         if reaches_bound(plan.reward(c_hat), bound):
             return plan, OPTIMAL
-    model, handles = _build_fleet_model(graph, c_hat, num_agents, l_max, must, variant)
+    model, handles = _build_fleet_model(structure, c_hat)
     solution = solve(model, time_limit=time_limit)
     plan = extract_routes(solution, handles, graph) if solution.has_assignment else None
     return plan, solution.status
 
 
-def _check_round(
-    graph: Graph,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must_visit: Sequence[int],
-) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Raise ModelError on inputs no round can be planned on; (c_hat, sorted must-visits)."""
-    problem = validate(graph)
-    if problem is not None:
-        raise ModelError(f"graph invalid: {problem}")
-    n = graph.num_vertices
-    if int(num_agents) < 1:
-        raise ModelError("need at least one agent")
-    if l_max <= 0:
-        raise ModelError("travel budget must be positive")
-    c_hat = np.asarray(c_hat, dtype=float)
-    if c_hat.shape != (n + 1,):
-        raise ModelError(f"c_hat must have shape ({n + 1},)")
-    must = tuple(sorted(set(int(v) for v in must_visit)))
-    for v in must:
-        if not 2 <= v <= n:
-            raise ModelError(f"must-visit vertex {v} out of range (depot excluded)")
-    return c_hat, must
-
-
 def _build_fleet_model(
-    graph: Graph,
-    c_hat: np.ndarray,
-    num_agents: int,
-    l_max: float,
-    must: Tuple[int, ...],
-    variant: str,
+    structure: Structure, c_hat: np.ndarray
 ) -> Tuple[MilpModel, VariableHandles]:
-    """The rows and variables of one round, on inputs _check_round accepted.
+    """The rows and variables of one round of structure.
 
     Both variants share the repeat-visit rows; top adds one visit-once row
     per non-depot vertex.
     """
+    graph, l_max, must = structure.graph, structure.l_max, structure.must
     n = graph.num_vertices
-    m_count = int(num_agents)
+    m_count = structure.num_agents
     edges = [e for e, _ in graph.edge_items()]
     big_m = l_max / graph.min_edge_length()
     flow_cap = float(n)
 
-    model = MilpModel(name=variant)
+    model = MilpModel(name=structure.variant)
     x: Dict[Tuple[int, int, int], int] = {}
     y: Dict[Tuple[int, int], int] = {}
     z: Dict[int, int] = {}
@@ -347,24 +299,13 @@ def _build_fleet_model(
     for v in must:
         model.add_constraint([(z[v], 1.0)], "=", 1.0, name=f"must_visit_{v}")
 
-    if variant == "top":
+    if structure.variant == "top":
         for i in range(2, n + 1):
             terms = [(x[(e[0], e[1], m)], 1.0) for m in range(1, m_count + 1)
                      for e in in_edges[i]]
             model.add_constraint(terms, "<=", 1.0, name=f"visit_once_{i}")
 
-    handles = VariableHandles(
-        x=x,
-        y=y,
-        z=z,
-        u=u,
-        num_agents=m_count,
-        l_max=float(l_max),
-        big_m=big_m,
-        must_visit=must,
-        variant=variant,
-    )
-    return model, handles
+    return model, VariableHandles(x=x, y=y, z=z, u=u, big_m=big_m, structure=structure)
 
 
 def extract_routes(
@@ -383,7 +324,7 @@ def extract_routes(
     assign = solution.assignment
     return _stitched_plan(
         [[(i, j) for (i, j, mm), idx in handles.x.items() if mm == m and assign[idx] > 0.5]
-         for m in range(1, handles.num_agents + 1)],
+         for m in range(1, handles.structure.num_agents + 1)],
         graph,
     )
 
@@ -470,6 +411,7 @@ def audit_solution(
     if solution.assignment is None:
         return [f"no assignment to audit (status {solution.status})"]
     assign = solution.assignment
+    structure = handles.structure
 
     def val(idx: int) -> float:
         return float(assign[idx])
@@ -484,7 +426,7 @@ def audit_solution(
     y_sel = {(i, m): round(val(idx)) for (i, m), idx in handles.y.items()}
     z_sel = {i: round(val(idx)) for i, idx in handles.z.items()}
 
-    for m in range(1, handles.num_agents + 1):
+    for m in range(1, structure.num_agents + 1):
         chosen = [(i, j) for (i, j, mm), v in x_sel.items() if mm == m and v == 1]
         out_deg = {i: 0 for i in range(1, n + 1)}
         in_deg = {i: 0 for i in range(1, n + 1)}
@@ -501,8 +443,8 @@ def audit_solution(
                     f"agent {m}: vertex {i} unbalanced (out {out_deg[i]}, in {in_deg[i]})"
                 )
         spent = sum(graph.lengths[(i, j)] for (i, j) in chosen)
-        if spent > handles.l_max + tol:
-            issues.append(f"agent {m}: budget {spent} exceeds {handles.l_max}")
+        if spent > structure.limit:
+            issues.append(f"agent {m}: budget {spent} exceeds {structure.l_max}")
         for i in range(1, n + 1):
             visits = y_sel[(i, m)]
             if visits == 1 and out_deg[i] == 0:
@@ -530,13 +472,13 @@ def audit_solution(
                 issues.append(f"agent {m}: edges around {stranded} unreachable from depot")
 
     for i in range(1, n + 1):
-        any_visit = any(y_sel[(i, m)] == 1 for m in range(1, handles.num_agents + 1))
+        any_visit = any(y_sel[(i, m)] == 1 for m in range(1, structure.num_agents + 1))
         if bool(z_sel[i]) != any_visit:
             issues.append(f"vertex {i}: z={z_sel[i]} but per-agent visits say {any_visit}")
-    for v in handles.must_visit:
+    for v in structure.must:
         if z_sel[v] != 1:
             issues.append(f"must-visit vertex {v} not visited")
-    if handles.variant == "top":
+    if structure.variant == "top":
         for i in range(2, n + 1):
             arrivals = sum(
                 v for (a, b, m), v in x_sel.items() if b == i

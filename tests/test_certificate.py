@@ -22,7 +22,7 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
-from patrolopt.certify import greedy_certificate, repair_walk
+from patrolopt.certify import Structure, greedy_certificate, repair_walk
 from patrolopt.tocp import (
     FleetPlan,
     audit_solution,
@@ -85,16 +85,17 @@ def test_mid_walk_depot_passes_are_bypassed():
     g = make_graph(13, [(1, 9, 1.0), (9, 6, 1.0), (6, 1, 1.0), (1, 13, 1.0),
                         (13, 10, 1.0), (10, 1, 1.0), (6, 7, 1.0), (7, 13, 1.0)])
     walk = [1, 9, 6, 1, 13, 10, 1]
-    repaired = repair_walk(walk, g)
+    repaired = repair_walk(walk, Structure(g, None, 1, 6.0, (), "tocp"))
     assert repaired == [1, 9, 6, 7, 13, 10, 1]
     assert repaired.count(DEPOT) == 2
     assert set(walk) <= set(repaired)
     # a bounce through the depot collapses onto the vertex it left from
     bounce = make_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)])
-    assert repair_walk([1, 2, 3, 1, 3, 4, 1], bounce) == [1, 2, 3, 4, 1]
+    repaired = repair_walk([1, 2, 3, 1, 3, 4, 1], Structure(bounce, None, 1, 6.0, (), "tocp"))
+    assert repaired == [1, 2, 3, 4, 1]
     # with the depot as a cut vertex there is no way around it
     spokes = make_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
-    assert repair_walk([1, 2, 1, 3, 1], spokes) is None
+    assert repair_walk([1, 2, 1, 3, 1], Structure(spokes, None, 1, 4.0, (), "tocp")) is None
 
 
 def test_bypass_over_budget_falls_back_to_highs(highs_calls, no_dp):
@@ -264,7 +265,7 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
     assert audit_solution(graph, sol, handles) == []
     if certificate is None:
         return
-    greedy = greedy_certificate(graph, dist, c_hat, agents, l_max, handles.must_visit)
+    greedy = greedy_certificate(handles.structure, c_hat)
     if greedy is not None and np.array_equal(sol.assignment, plan_to_assignment(
             FleetPlan(greedy[0], [walk_length(graph, r) for r in greedy[0]]), model, handles)):
         plan = extract_routes(sol, handles, graph)
@@ -386,7 +387,7 @@ def test_answered_rounds_never_call_scipy(answer, bridge, monkeypatch):
     graph, dist, c_hat, l_max = bridge
     if answer == "greedy":
         model, _ = build_tocp(graph, c_hat, 1, l_max, dist=dist)
-        assert greedy_certificate(graph, dist, c_hat, 1, l_max, ()) is not None
+        assert greedy_certificate(Structure(graph, dist, 1, l_max, (), "tocp"), c_hat) is not None
     elif answer == "cover":
         g = make_graph(5, [(1, 2, 1.0), (1, 4, 1.0), (1, 3, 1.5), (1, 5, 1.5),
                            (2, 3, 1.0), (4, 5, 1.0)])

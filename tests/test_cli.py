@@ -406,17 +406,19 @@ def copy_suite_file(suite_dir, name, dest_dir, new_name):
 
 
 def test_stats_and_plot_reject_a_repeated_instance_and_planner(suite_dir, tmp_path, capsys):
-    # H2/seed9.json holds seed 1, so bench writes two H2_seed1 rows per planner
+    # the results table repeats its first row as line 6
     suite = str(tmp_path / "suite")
-    copy_suite_file(suite_dir, os.path.join("H2", "seed1.json"), suite,
-                    os.path.join("H2", "seed1.json"))
-    copy_suite_file(suite_dir, os.path.join("H2", "seed1.json"), suite,
-                    os.path.join("H2", "seed9.json"))
-    copy_suite_file(suite_dir, os.path.join("H2", "seed2.json"), suite,
-                    os.path.join("H2", "seed2.json"))
+    for name in ("seed1.json", "seed2.json"):
+        copy_suite_file(suite_dir, os.path.join("H2", name), suite, os.path.join("H2", name))
     results = str(tmp_path / "r.csv")
     assert main(["bench", "--suite", suite, "--planners", "greedy,tocp",
                  "--out", results]) == 0
+    rows = results_io.read_results(results)
+    assert len(rows) == 4
+    with open(results) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(results, "a") as fh:
+        fh.write(lines[1])
     capsys.readouterr()
     assert main(["stats", "--results", results, "--pair", "tocp,greedy"]) == 2
     err = capsys.readouterr().err
@@ -437,4 +439,19 @@ def test_bench_names_a_suite_file_it_cannot_parse(name, suite_dir, tmp_path, cap
     assert main(["bench", "--suite", suite, "--planners", "greedy", "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"error: {os.path.join(suite, name)}: suite files are named" in err
+    assert not os.path.exists(out)
+
+
+def test_bench_rejects_a_suite_file_named_after_another_instance(suite_dir, tmp_path, capsys):
+    # H2/seed9.json holds seed 1: its rows would repeat H2_seed1's
+    suite = str(tmp_path / "suite")
+    for name in ("seed1.json", "seed2.json"):
+        copy_suite_file(suite_dir, os.path.join("H2", name), suite, os.path.join("H2", name))
+    copy_suite_file(suite_dir, os.path.join("H2", "seed1.json"), suite,
+                    os.path.join("H2", "seed9.json"))
+    out = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite, "--planners", "greedy", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {os.path.join(suite, 'H2', 'seed9.json')}: holds horizon 2 and seed 1, "
+        f"not what its name says\n")
     assert not os.path.exists(out)

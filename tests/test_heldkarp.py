@@ -18,7 +18,7 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, solve
-from patrolopt.certify import cover_certificate, greedy_certificate
+from patrolopt.certify import Structure, cover_certificate, greedy_certificate
 from patrolopt.tocp import audit_solution, build_top, build_tocp, extract_routes
 
 from conftest import make_graph, tiny_rounds
@@ -34,13 +34,13 @@ TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(1
 def test_dp_matches_brute_force(variant, case):
     graph, c_hat, agents, l_max, must = case
     dist = all_pairs_shortest(graph)
-    answer = heldkarp.best_round(graph, dist, c_hat, agents, l_max, must,
-                                 single_visit=variant == "top")
+    table = Structure(graph, dist, agents, l_max, must, variant).table
     oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, variant=variant,
                                           dist=dist)
     if not oracle.feasible:
-        assert isinstance(answer, str)
+        assert isinstance(table, str)
         return
+    answer = heldkarp.best_round(table, c_hat)
     assert isinstance(answer, heldkarp.RoundOptimum)
     assert answer.value == pytest.approx(oracle.reward, abs=1e-9)
     assert len(answer.walks) <= agents
@@ -76,8 +76,7 @@ def test_benchmark_rounds_without_a_certificate_skip_highs(law, seed, build, opt
     model, handles = build(graph, c_hat, instance.num_agents, instance.l_max,
                            instance.must_visit, dist=dist)
     certify = greedy_certificate if build is build_tocp else cover_certificate
-    assert certify(graph, dist, c_hat, instance.num_agents, instance.l_max,
-                   handles.must_visit) is None
+    assert certify(handles.structure, c_hat) is None
     sol = solve(model)
     assert highs_calls == []
     assert (sol.status, sol.node_count, sol.gap) == (OPTIMAL, 0, 0.0)
@@ -174,6 +173,7 @@ def test_default_seed_1_round_1_answer_is_pinned(single_visit, value, walks):
     instance = generate_instance(BenchmarkConfig(), 1, 1)
     graph = instance_graph(instance)
     c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
-    answer = heldkarp.best_round(graph, all_pairs_shortest(graph), c_hat, instance.num_agents,
-                                 instance.l_max, instance.must_visit, single_visit=single_visit)
+    table = Structure(graph, all_pairs_shortest(graph), instance.num_agents, instance.l_max,
+                      instance.must_visit, "top" if single_visit else "tocp").table
+    answer = heldkarp.best_round(table, c_hat)
     assert answer == heldkarp.RoundOptimum(value=value, walks=walks)

@@ -1,7 +1,6 @@
 """Episode loop: per-round accounting, failure handling, and determinism."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,15 +10,9 @@ from patrolopt import certify, heldkarp, milp, tocp
 from patrolopt.cost_process import CostState
 from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
-from patrolopt.graph import all_pairs_shortest
+from patrolopt.graph import DEPOT, all_pairs_shortest, validate
 from patrolopt.instance_io import Instance, instance_graph, kappa_table
-from patrolopt.simulator import (
-    PLANNERS,
-    STATUS_HEURISTIC,
-    _plan_round,
-    run_episode,
-    solve_single_round,
-)
+from patrolopt.simulator import PLANNERS, STATUS_HEURISTIC, run_episode, solve_single_round
 
 from conftest import tiny_rounds
 from oracle import brute_force_single_iteration
@@ -203,9 +196,9 @@ def test_infeasible_round_settles_the_rest_of_the_episode(monkeypatch):
     calls = []
     real = certify.infeasibility_proof
 
-    def spy(graph, dist, num_agents, l_max, must_visit, variant):
-        calls.append(variant)
-        return real(graph, dist, num_agents, l_max, must_visit, variant)
+    def spy(structure):
+        calls.append(structure.variant)
+        return real(structure)
 
     monkeypatch.setattr(certify, "infeasibility_proof", spy)
     kappa = [[0.0, 0.0, 0.0], [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
@@ -341,11 +334,11 @@ def test_planned_round_matches_the_solved_model(variant, dp, case):
     graph, c_hat, agents, l_max, must = case
     dist = all_pairs_shortest(graph)
     build = tocp.build_tocp if variant == "tocp" else tocp.build_top
-    round_spec = SimpleNamespace(num_agents=agents, l_max=l_max, must_visit=must)
     with pytest.MonkeyPatch.context() as mp:
         if not dp:
             mp.setattr(heldkarp, "MAX_WORK", -1)
-        plan, status = _plan_round(variant, graph, dist, c_hat, round_spec, None)
+        structure = certify.Structure(graph, dist, agents, l_max, must, variant)
+        plan, status = tocp.plan_round(structure, c_hat, None)
         model, handles = build(graph, c_hat, agents, l_max, must, dist=dist)
         solution = milp.solve(model)
     event("proof" if model.infeasibility_proof else
@@ -355,3 +348,77 @@ def test_planned_round_matches_the_solved_model(variant, dp, case):
         assert plan == tocp.extract_routes(solution, handles, graph)
     else:
         assert plan is None
+
+
+@pytest.mark.parametrize("variant, edges", [
+    # greedy reaches 3 from 2 through the depot, so no certificate holds
+    ("tocp", [(1, 2, 1.0), (1, 3, 1.0)]),
+    # 3 is reached only by entering 2 twice, so no cycle cover holds
+    ("top", [(1, 2, 1.0), (2, 3, 1.0)]),
+])
+def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
+    # the graph check, the cover, the proof and the DP's table read no
+    # predictions: every round reaches them, yet an episode computes each once
+    calls = []
+
+    def counted(name, real):
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+        return spy
+
+    for module in (tocp, certify):  # whichever of them checks the graph
+        monkeypatch.setattr(module, "validate", counted("validate", validate), raising=False)
+    for module, name in ((certify, "_insertion_cover"), (certify, "infeasibility_proof"),
+                         (heldkarp, "_held_karp")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    kappa = [[0.0] * 3, [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
+    result = run_episode(make_instance(3, edges, 4.0, 3, kappa), variant)
+    assert result.statuses == ["optimal"] * 3
+    expected = ["validate", "infeasibility_proof", "_held_karp"]
+    if variant == "top":
+        expected.insert(1, "_insertion_cover")
+    assert calls == expected
+
+
+def _rebuilt_episode(instance, planner):
+    """Routes, statuses and residuals of an episode whose every round builds and solves
+    its model afresh, as the traced loop of perfbench/tracing.py does."""
+    graph = instance_graph(instance)
+    dist = all_pairs_shortest(graph)
+    build = tocp.build_tocp if planner == "tocp" else tocp.build_top
+    cost = CostState(kappa_table(instance))
+    est = EstimatorState(instance.num_vertices, instance.mu_default)
+    routes, statuses, residuals = [], [], []
+    for t in range(1, instance.horizon + 1):
+        cost.advance()
+        model, handles = build(graph, est.predicted_cost(t), instance.num_agents,
+                               instance.l_max, instance.must_visit, dist=dist)
+        solution = milp.solve(model)
+        plan = tocp.extract_routes(solution, handles, graph) if solution.has_assignment else None
+        visited = {DEPOT} if plan is None else plan.visited() | {DEPOT}
+        lumps = {v: float(cost.accrued[v]) for v in visited}
+        cost.apply_visits(visited, t)
+        for v in sorted(visited):
+            est.observe(v, lumps[v], t)
+        routes.append(None if plan is None else plan.routes)
+        statuses.append(solution.status)
+        residuals.append(cost.residual_cost())
+    return routes, statuses, residuals
+
+
+TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
+
+
+@pytest.mark.parametrize("law, seed", [
+    pytest.param({}, seed, id=f"default-{seed}") for seed in (1, 6, 15, 16)
+] + [pytest.param(TIGHT_LAW, seed, id=f"tight-{seed}") for seed in (1, 9, 11, 12)])
+def test_episode_matches_rounds_built_afresh(law, seed):
+    # the episode keeps its structure's proof, cover and DP table across
+    # rounds; none of them may carry anything over from an earlier c_hat
+    instance = generate_instance(BenchmarkConfig(**law), seed, 4)
+    for planner in ("tocp", "top"):
+        result = run_episode(instance, planner, keep_plans=True)
+        episode = ([None if p is None else p.routes for p in result.plans], result.statuses,
+                   result.residual_costs)
+        assert episode == _rebuilt_episode(instance, planner)

@@ -304,7 +304,7 @@ def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case):
     model, handles = build(graph, c_hat, len(routes), l_max, must)
     plan = FleetPlan(routes, [walk_length(graph, r) for r in routes])
     assign = plan_to_assignment(plan, model, handles)
-    broken = broken_rules(graph, routes, len(routes), l_max, must, model.name)
+    broken = broken_rules(handles.structure, routes)
     if assign is None:
         event("rejected")
         assert broken
@@ -325,11 +325,10 @@ def test_walks_off_the_real_edges_break_a_rule_and_do_not_encode(bridge):
     for build in (build_tocp, build_top):
         model, handles = build(graph, c_hat, 1, l_max, dist=dist)
         for route in ([1, 3, 1], [1, 2, 3, 1]):
-            assert broken_rules(graph, [route], 1, l_max, (), model.name) == [
-                "not on real edges"]
+            assert broken_rules(handles.structure, [route]) == ["not on real edges"]
             plan = FleetPlan(routes=[route], lengths=[2.0])
             assert plan_to_assignment(plan, model, handles) is None
-        assert broken_rules(graph, [[1, 2, 1]], 1, l_max, (), model.name) == []
+        assert broken_rules(handles.structure, [[1, 2, 1]]) == []
 
 
 def test_infeasibility_agreement_with_exhaustive_search():
