@@ -21,7 +21,7 @@ zero-valued vertices included.  Greedy walks rarely satisfy the
 single-visit rule, so top's certificate is built differently: one simple
 depot cycle per agent, no two sharing a non-depot vertex, grown by farthest
 insertion until together they visit the same reachable set (see
-cover_certificate).
+Structure.cover_walks).
 
 Proven-infeasible rounds: a round without a certificate is checked for
 reasons no plan can exist (see infeasibility_proof), such as a must-visit
@@ -109,7 +109,13 @@ class Structure:
 
     @cached_property
     def cover_walks(self) -> Optional[List[List[int]]]:
-        """The walks of a cycle cover of the targets, or None (see cover_certificate).
+        """top's certificate: the walks of a vertex-disjoint cycle cover, or None.
+
+        The cover visits the vertices greedy_certificate must visit, the
+        targets.  Each agent gets one simple depot cycle and no two cycles
+        share a non-depot vertex, so the cover satisfies the single-visit
+        rows; when it visits every target it reaches the same round-trip
+        bound.  The cycles ignore c_hat, so an episode finds them once.
 
         Each agent needs its own first vertex: a depot neighbour whose
         out-and-back fits l_max, by (edge length, index).  The M nearest
@@ -157,19 +163,20 @@ def answer_round(
 ) -> Union[Tuple[List[List[int]], float], str, None]:
     """A round's answer without the model: (walks, bound), a proof string, or None.
 
-    The certificate comes first: greedy_certificate under tocp,
-    cover_certificate under top.  A round without one is checked for an
-    infeasibility proof, then handed to the exact DP, whose optimal walks,
-    with doubled edges simplified away, come with its value as the bound and
-    whose absence of any covering union is the proof.  Walks always break
-    none of broken_rules; None (a round above the DP's cost cap, or whose
-    optimal walks end up over l_max) means only HiGHS can answer.
+    The certificate comes first: greedy_certificate under tocp, the
+    structure's cover_walks under top, each with the round-trip bound.  A
+    round without one is checked for an infeasibility proof, then handed to
+    the exact DP, whose optimal walks, with doubled edges simplified away,
+    come with its value as the bound and whose absence of any covering union
+    is the proof.  Walks always break none of broken_rules; None (a round
+    above the DP's cost cap, or whose optimal walks end up over l_max) means
+    only HiGHS can answer.
     """
-    find_certificate = (greedy_certificate if structure.variant == "tocp"
-                        else cover_certificate)
-    found = find_certificate(structure, c_hat)
-    if found is not None:
-        return found
+    certified = (greedy_certificate(structure, c_hat) if structure.variant == "tocp"
+                 else structure.cover_walks)
+    if certified is not None:
+        # no plan collects more than the positive c_hat over the targets
+        return certified, float(sum(max(float(c_hat[v]), 0.0) for v in structure.targets))
     if structure.proof is not None:
         return structure.proof
     table = structure.table
@@ -240,15 +247,8 @@ def _cheapest_out_and_back(graph: Graph) -> Optional[List[int]]:
     return [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
 
 
-def _round_trip_bound(c_hat: np.ndarray, targets: Sequence[int]) -> float:
-    """Sum of the positive c_hat over the targets: no plan collects more."""
-    return float(sum(max(float(c_hat[v]), 0.0) for v in targets))
-
-
-def greedy_certificate(
-    structure: Structure, c_hat: np.ndarray
-) -> Optional[Tuple[List[List[int]], float]]:
-    """The greedy plan's walks plus the bound they reach, or None.
+def greedy_certificate(structure: Structure, c_hat: np.ndarray) -> Optional[List[List[int]]]:
+    """The greedy plan's walks when they reach the round-trip bound, or None.
 
     The bound sums c_hat over the targets, every vertex whose depot round
     trip fits the limit, since HiGHS accepts a walk that far over l_max.  A
@@ -272,8 +272,7 @@ def greedy_certificate(
     repaired = [repair_walk(route, s) if len(route) > 1 else route for route in plan.routes]
     if None in repaired:
         return None
-    walks = _fleet_walks(s, repaired)
-    return None if walks is None else (walks, _round_trip_bound(c_hat, s.targets))
+    return _fleet_walks(s, repaired)
 
 
 def repair_walk(route: List[int], structure: Structure) -> Optional[List[int]]:
@@ -329,22 +328,6 @@ def simplify_walk(route: List[int]) -> List[int]:
         p1, p2 = dup
         middle = route[p1 + 1 : p2 + 1]  # runs from b ... a
         route = route[: p1 + 1] + middle[::-1][1:] + route[p2 + 2 :]
-
-
-def cover_certificate(
-    structure: Structure, c_hat: np.ndarray
-) -> Optional[Tuple[List[List[int]], float]]:
-    """A vertex-disjoint cycle cover's walks plus its bound, or None.
-
-    The cover visits the vertices greedy_certificate must visit, the
-    targets.  Each agent gets one simple depot cycle and no two cycles share
-    a non-depot vertex, so the cover satisfies the single-visit rows; when
-    it visits every target it reaches the same round-trip bound.  The
-    cycles ignore c_hat, so the structure finds them once (cover_walks) and
-    a round adds only the bound.
-    """
-    walks = structure.cover_walks
-    return None if walks is None else (walks, _round_trip_bound(c_hat, structure.targets))
 
 
 def _insertion_cover(

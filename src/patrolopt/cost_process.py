@@ -14,19 +14,20 @@ import numpy as np
 
 from .graph import DEPOT
 
+# Every growth increment is clipped into this interval.
+CLIP_RANGE = (0.0, 1.0)
+
 
 @dataclass
 class GrowthParams:
     """True growth-rate model for one instance.
 
     mu_star is an (N+1,) array with slot 0 unused; noise_stddev is shared by
-    all vertices.  Increments are clipped into [clip_lo, clip_hi].
+    all vertices.  Increments are clipped into CLIP_RANGE.
     """
 
     mu_star: np.ndarray
     noise_stddev: float = 0.1
-    clip_lo: float = 0.0
-    clip_hi: float = 1.0
 
 
 def sample_growth(params: GrowthParams, stream_seed: int, t: int) -> np.ndarray:
@@ -40,7 +41,7 @@ def sample_growth(params: GrowthParams, stream_seed: int, t: int) -> np.ndarray:
     rng = np.random.default_rng((stream_seed, t))
     mu = np.asarray(params.mu_star, dtype=float)
     draws = rng.normal(loc=mu, scale=params.noise_stddev)
-    draws = np.clip(draws, params.clip_lo, params.clip_hi)
+    draws = np.clip(draws, *CLIP_RANGE)
     draws[0] = 0.0
     return draws
 

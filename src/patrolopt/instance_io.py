@@ -16,10 +16,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .cost_process import CLIP_RANGE
 from .graph import Graph, symmetrize
 
 FORMAT_VERSION = 1
-CLIP_RANGE = (0.0, 1.0)
 
 
 class InstanceFormatError(ValueError):

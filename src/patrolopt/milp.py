@@ -13,6 +13,13 @@ Conventions:
   * statuses: "optimal", "infeasible", "feasible-timeout" (deadline hit with
     an incumbent in hand), "timeout-no-solution";
   * an unbounded relaxation is a modelling bug and raises ModelError.
+
+MilpModel.validate and check_assignment are plain walks over the variables,
+rows and terms.  The episode loop answers its rounds without a model (see
+tocp.plan_round), so these checks run only where a model is built: solve,
+build_tocp / build_top and rounds that go on to HiGHS.  There a walk costs a
+few milliseconds against a search that takes far longer, and one plain
+statement of each check is worth more than the time an array form saves.
 """
 
 from __future__ import annotations
@@ -122,49 +129,42 @@ class MilpModel:
         return lo, hi
 
     def validate(self) -> None:
-        """Raise ModelError on the first structural defect found.
+        """Raise ModelError on the first structural defect, in model order.
 
-        The checks run over arrays; the first variable, row or objective
-        entry they flag is then checked alone for the message, so the
-        defect reported is the one a walk in model order would meet first.
+        Variables come first, then the rows term by term, then the objective.
         """
         n = self.num_variables
-        lo, hi = self.bounds_arrays()
-        kinds = np.array([v.kind for v in self.variables], dtype=object)
-        binary = kinds == BINARY
-        bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo > hi)
-        bad |= binary & ((lo != 0.0) | (hi != 1.0))
-        bad |= ~binary & (kinds != CONTINUOUS)
-        names = [v.name for v in self.variables]
-        if len(set(names)) < n:
-            seen_names = set()
-            for i, name in enumerate(names):
-                if name in seen_names:
-                    bad[i] = True
-                    break
-                seen_names.add(name)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ModelError(_variable_defect(self.variables[i], names[i] in names[:i]))
-        rows, cols, data = self.term_arrays()
-        rhs = np.array([con.rhs for con in self.constraints])
-        bad_row = np.array([con.relation not in RELATIONS for con in self.constraints],
-                           dtype=bool)
-        bad_row |= ~np.isfinite(rhs)
-        bad_row[rows[~((cols >= 0) & (cols < n) & np.isfinite(data))]] = True
-        if bad_row.any():
-            k = int(np.argmax(bad_row))
-            raise ModelError(_constraint_defect(k, self.constraints[k], n))
-        keys = np.fromiter(self._objective, dtype=float, count=len(self._objective))
-        outside = ~((keys >= 0) & (keys < n))
-        if outside.any():
-            idx = list(self._objective)[int(np.argmax(outside))]
-            raise ModelError(f"objective references unknown variable {idx}")
+        seen = set()
+        for v in self.variables:
+            if v.name in seen:
+                raise ModelError(f"duplicate variable name {v.name!r}")
+            seen.add(v.name)
+            if not (math.isfinite(v.lb) and math.isfinite(v.ub)):
+                raise ModelError(f"variable {v.name!r} has non-finite bounds")
+            if v.lb > v.ub:
+                raise ModelError(f"variable {v.name!r} has lb > ub")
+            if v.kind == BINARY and (v.lb, v.ub) != (0.0, 1.0):
+                raise ModelError(f"binary variable {v.name!r} must have bounds [0, 1]")
+            if v.kind not in (BINARY, CONTINUOUS):
+                raise ModelError(f"variable {v.name!r} has unknown kind {v.kind!r}")
+        for k, con in enumerate(self.constraints):
+            if con.relation not in RELATIONS:
+                raise ModelError(f"constraint {k} has unknown relation {con.relation!r}")
+            if not math.isfinite(con.rhs):
+                raise ModelError(f"constraint {k} has non-finite rhs")
+            for idx, coef in con.terms:
+                if not 0 <= idx < n:
+                    raise ModelError(f"constraint {k} references unknown variable {idx}")
+                if not math.isfinite(coef):
+                    raise ModelError(f"constraint {k} has non-finite coefficient")
+        for idx in self._objective:
+            if not 0 <= idx < n:
+                raise ModelError(f"objective references unknown variable {idx}")
 
     # ----- matrix form --------------------------------------------------
 
-    def term_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every constraint term as (row, variable index, coefficient) arrays, in row order."""
+    def constraint_matrix(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+        """All rows as A with per-row [lower, upper] activity bounds."""
         counts = np.fromiter((len(con.terms) for con in self.constraints), dtype=np.int64,
                              count=len(self.constraints))
         flat = np.fromiter(
@@ -173,48 +173,16 @@ class MilpModel:
             dtype=float, count=2 * int(counts.sum()),
         ).reshape(-1, 2)
         rows = np.repeat(np.arange(len(self.constraints)), counts)
-        return rows, flat[:, 0], flat[:, 1]
-
-    def constraint_matrix(self) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-        """All rows as A with per-row [lower, upper] activity bounds."""
-        rows, cols, data = self.term_arrays()
         lb = np.empty(len(self.constraints))
         ub = np.empty(len(self.constraints))
         for k, con in enumerate(self.constraints):
             lb[k] = -np.inf if con.relation == "<=" else con.rhs
             ub[k] = con.rhs
         a = sp.csr_matrix(
-            (data, (rows, cols.astype(np.int64))),
+            (flat[:, 1], (rows, flat[:, 0].astype(np.int64))),
             shape=(len(self.constraints), self.num_variables),
         )
         return a, lb, ub
-
-
-def _variable_defect(v: Variable, duplicate: bool) -> str:
-    """The first check variable v fails, in the order validate applies them."""
-    if duplicate:
-        return f"duplicate variable name {v.name!r}"
-    if not (np.isfinite(v.lb) and np.isfinite(v.ub)):
-        return f"variable {v.name!r} has non-finite bounds"
-    if v.lb > v.ub:
-        return f"variable {v.name!r} has lb > ub"
-    if v.kind == BINARY and (v.lb, v.ub) != (0.0, 1.0):
-        return f"binary variable {v.name!r} must have bounds [0, 1]"
-    return f"variable {v.name!r} has unknown kind {v.kind!r}"
-
-
-def _constraint_defect(k: int, con: Constraint, n: int) -> str:
-    """The first check row k fails, in the order validate applies them."""
-    if con.relation not in RELATIONS:
-        return f"constraint {k} has unknown relation {con.relation!r}"
-    if not np.isfinite(con.rhs):
-        return f"constraint {k} has non-finite rhs"
-    for idx, coef in con.terms:
-        if not 0 <= idx < n:
-            return f"constraint {k} references unknown variable {idx}"
-        if not np.isfinite(coef):
-            return f"constraint {k} has non-finite coefficient"
-    raise AssertionError(f"constraint {k} has no defect")
 
 
 @dataclass
@@ -235,36 +203,25 @@ def check_assignment(model: MilpModel, x: np.ndarray) -> List[str]:
     """Violation messages for bounds, integrality and every constraint row, to FEASIBILITY_TOL.
 
     Variables come first, in index order, each with its bound message before
-    its integrality one; then the rows in order.  Row activities add the
-    terms in row order, as a sum over the terms would.
+    its integrality one; then the rows in order, each activity summed term
+    by term.
     """
     if x.shape != (model.num_variables,):
         return [f"assignment has shape {x.shape}, expected ({model.num_variables},)"]
-    lo, hi = model.bounds_arrays()
-    binary = np.array([v.kind == BINARY for v in model.variables], dtype=bool)
     tol = FEASIBILITY_TOL
-    outside = (x < lo - tol) | (x > hi + tol)
-    fractional = binary & (np.abs(x - np.round(x)) > INTEGRALITY_TOL)
     issues: List[str] = []
-    for i in np.flatnonzero(outside | fractional):
-        name = model.variables[i].name
-        if outside[i]:
-            issues.append(f"variable {name} = {x[i]} outside [{lo[i]}, {hi[i]}]")
-        if fractional[i]:
-            issues.append(f"binary variable {name} = {x[i]} not integral")
-    rows, cols, data = model.term_arrays()
-    count = len(model.constraints)
-    acts = np.bincount(rows, weights=data * x[cols.astype(np.int64)], minlength=count)
-    has_terms = np.bincount(rows, minlength=count) > 0
-    rel = np.array([con.relation for con in model.constraints], dtype=object)
-    rhs = np.array([con.rhs for con in model.constraints])
-    violated = np.where(rel == "<=", acts > rhs + tol, np.abs(acts - rhs) > tol)
-    for k in np.flatnonzero(violated):
-        con = model.constraints[k]
-        act = acts[k] if has_terms[k] else 0
+    for i, v in enumerate(model.variables):
+        if x[i] < v.lb - tol or x[i] > v.ub + tol:
+            issues.append(f"variable {v.name} = {x[i]} outside [{v.lb}, {v.ub}]")
+        if v.kind == BINARY and abs(x[i] - np.round(x[i])) > INTEGRALITY_TOL:
+            issues.append(f"binary variable {v.name} = {x[i]} not integral")
+    for k, con in enumerate(model.constraints):
+        act = sum(coef * x[idx] for idx, coef in con.terms)
         label = con.name or f"row{k}"
-        sign = ">" if con.relation == "<=" else "!="
-        issues.append(f"{label}: {act} {sign} {con.rhs}")
+        if con.relation == "<=" and act > con.rhs + tol:
+            issues.append(f"{label}: {act} > {con.rhs}")
+        elif con.relation == "=" and abs(act - con.rhs) > tol:
+            issues.append(f"{label}: {act} != {con.rhs}")
     return issues
 
 

@@ -321,9 +321,7 @@ def test_criterion_08_rate_estimates_converge():
     for seed in range(1, 101):
         mu = np.zeros(5)
         mu[1:] = rng.uniform(0.3, 0.7, size=4)
-        params = GrowthParams(
-            mu_star=mu, noise_stddev=0.1, clip_lo=0.0, clip_hi=1.0
-        )
+        params = GrowthParams(mu_star=mu, noise_stddev=0.1)
         table = materialize_kappa(params, seed, max(horizons))
         for h in horizons:
             inst = make_instance(

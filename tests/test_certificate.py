@@ -267,7 +267,7 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
         return
     greedy = greedy_certificate(handles.structure, c_hat)
     if greedy is not None and np.array_equal(sol.assignment, plan_to_assignment(
-            FleetPlan(greedy[0], [walk_length(graph, r) for r in greedy[0]]), model, handles)):
+            FleetPlan(greedy, [walk_length(graph, r) for r in greedy]), model, handles)):
         plan = extract_routes(sol, handles, graph)
         reachable = {v for v in range(1, graph.num_vertices + 1)
                      if dist.dist[1, v] + dist.dist[v, 1] <= l_max}

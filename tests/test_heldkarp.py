@@ -18,7 +18,7 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, solve
-from patrolopt.certify import Structure, cover_certificate, greedy_certificate
+from patrolopt.certify import Structure, greedy_certificate
 from patrolopt.tocp import audit_solution, build_top, build_tocp, extract_routes
 
 from conftest import make_graph, tiny_rounds
@@ -75,8 +75,10 @@ def test_benchmark_rounds_without_a_certificate_skip_highs(law, seed, build, opt
     c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
     model, handles = build(graph, c_hat, instance.num_agents, instance.l_max,
                            instance.must_visit, dist=dist)
-    certify = greedy_certificate if build is build_tocp else cover_certificate
-    assert certify(handles.structure, c_hat) is None
+    if build is build_tocp:
+        assert greedy_certificate(handles.structure, c_hat) is None
+    else:
+        assert handles.structure.cover_walks is None
     sol = solve(model)
     assert highs_calls == []
     assert (sol.status, sol.node_count, sol.gap) == (OPTIMAL, 0, 0.0)

@@ -289,6 +289,14 @@ def test_single_round_is_the_first_round_of_an_episode():
             assert plan.routes == episode_plan.routes
 
 
+def counted(calls, name, real):
+    """real, appending name to calls on every call."""
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+    return spy
+
+
 @pytest.fixture
 def model_builds(monkeypatch):
     """Name the model of every round that builds one."""
@@ -360,18 +368,12 @@ def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
     # the graph check, the cover, the proof and the DP's table read no
     # predictions: every round reaches them, yet an episode computes each once
     calls = []
-
-    def counted(name, real):
-        def spy(*args):
-            calls.append(name)
-            return real(*args)
-        return spy
-
     for module in (tocp, certify):  # whichever of them checks the graph
-        monkeypatch.setattr(module, "validate", counted("validate", validate), raising=False)
+        monkeypatch.setattr(module, "validate", counted(calls, "validate", validate),
+                            raising=False)
     for module, name in ((certify, "_insertion_cover"), (certify, "infeasibility_proof"),
                          (heldkarp, "_held_karp")):
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
     kappa = [[0.0] * 3, [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
     result = run_episode(make_instance(3, edges, 4.0, 3, kappa), variant)
     assert result.statuses == ["optimal"] * 3
@@ -422,3 +424,22 @@ def test_episode_matches_rounds_built_afresh(law, seed):
         episode = ([None if p is None else p.routes for p in result.plans], result.statuses,
                    result.residual_costs)
         assert episode == _rebuilt_episode(instance, planner)
+
+
+def test_benchmark_structures_plan_without_a_model(model_builds, monkeypatch):
+    # the benchmark's exact workloads (default structures 1-10 at H = 1,
+    # tight-law 7-10 at H = 2) are answered by the cascade alone: no round
+    # builds, validates or re-checks a model
+    checks = []
+    monkeypatch.setattr(milp.MilpModel, "validate",
+                        counted(checks, "validate", milp.MilpModel.validate))
+    for module in (milp, tocp):
+        monkeypatch.setattr(module, "check_assignment",
+                            counted(checks, "check_assignment", milp.check_assignment))
+    for law, seeds, horizon in (({}, range(1, 11), 1), (TIGHT_LAW, range(7, 11), 2)):
+        for seed in seeds:
+            instance = generate_instance(BenchmarkConfig(**law), seed, horizon)
+            for planner in ("tocp", "top"):
+                assert len(run_episode(instance, planner).statuses) == horizon
+    assert model_builds == []
+    assert checks == []
