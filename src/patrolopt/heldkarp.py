@@ -19,39 +19,46 @@ ends at v in S, one popcount layer at a time:
 S fits one tour when min over v of g[S, v] + leg(v, 1) is within the limit.
 No tour that leaves v last gets home in less than the shortest path from v
 to the depot, so an entry above the limit less that path is stored as inf
-and never extended; the table stops at the first layer with no finite entry.
-The fleet covers unions of M pairwise disjoint fitting sets, found by ranked
-subset convolution (Björklund, Husfeldt, Kaski and Koivisto, STOC 2007):
-exactly M nonempty ones under top, where every agent must leave the depot
-and no two may share a vertex; at most M under tocp, whose spare agents
-take an out-and-back.  The optimum is the union that contains every
-must-visit vertex and has the largest sum of c_hat clipped at zero.  Tie
-rule: the largest such union, then the lowest bitmask.  No such union
-proves the round infeasible.
+and never extended.  A layer keeps only its live rows, those with a finite
+entry, as ascending masks and their rows; the table stops at the first
+layer with none.
+The fleet covers unions of M pairwise disjoint fitting sets: exactly M
+nonempty ones under top, where every agent must leave the depot and no two
+may share a vertex; at most M under tocp, whose spare agents take an
+out-and-back.  Under tocp, where the fitting sets are closed under subsets,
+these unions are the subsets of unions of M maximal fitting sets, which
+are few; under top, or when the maximal sets are many, ranked subset
+convolution (Björklund, Husfeldt, Kaski and Koivisto, STOC 2007) finds
+them.  The optimum is the union that contains every must-visit vertex and
+has the largest sum of c_hat clipped at zero.  Tie rule: the largest such
+union, then the lowest bitmask.  No such union proves the round infeasible.
 
 Only that argmax reads c_hat: fleet_table builds the rest once per episode
 (certify.Structure keeps it), and best_round takes each round's argmax.
 
-The unions run only over the ranks the fitting sets reach.  When every set
-fits, nothing is pruned: the table and each of the M - 1 union steps then
-take about 2 R^2 2^R element operations for R targets, and MAX_WORK caps
-that dense worst case; rounds above the cap get no answer here.
+The ranked unions run only over the ranks the fitting sets reach.  When
+every set fits, nothing is pruned: the table and each of top's M - 1 union
+steps then take about 2 R^2 2^R element operations for R targets, and
+MAX_WORK caps that dense worst case; rounds above the cap get no answer
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .graph import DEPOT, DistanceMatrix, Graph
 
 # Element operations one round may spend in the dense worst case (see
-# table_work).  R = 17 targets with M = 2 agents (151.6 million) fit, at about
-# 0.3 s and 33 MiB of arrays when every set fits one tour, on one 2-core
-# x86_64 machine; pruning brings default seed 1's round 1 (R = 17, M = 2) to
-# 0.11-0.15 s.  R = 18 with one agent does not fit.
+# table_work).  R = 17 targets with M = 2 agents (151.6 million) fit: when
+# every set fits one tour the table takes 0.21-0.26 s under tocp and
+# 0.29-0.35 s under top, with 28-30 MiB of traced arrays, on one 2-core
+# x86_64 machine.  Default seed 1's round 1 (R = 17, M = 2) keeps few live
+# rows and takes 0.018 s (tocp) and 0.05-0.06 s (top).  R = 18 with one
+# agent does not fit.
 MAX_WORK = 160_000_000
 # Masks per vectorised step; bounds the (masks, R) temporaries.
 _CHUNK = 1024
@@ -73,15 +80,15 @@ class RoundOptimum:
 class FleetTable:
     """What a round's optimum needs that c_hat does not change (see fleet_table).
 
-    g and pos are _held_karp's table, pop every mask's popcount, unions[j]
-    the unions of j + 1 disjoint fitting sets, and eligible the last unions
-    that hold every must-visit vertex (none: no plan exists).  inner and
-    close are the legs; dist and around expand tocp's into paths.
+    layers are _held_karp's live rows, layers[k - 1] those of popcount k;
+    pop is every mask's popcount, unions[j] the unions of j + 1 disjoint
+    fitting sets (under tocp from the maximal ones), and eligible the last
+    unions that hold every must-visit vertex (none: no plan exists).  inner
+    and close are the legs; dist and around expand tocp's into paths.
     """
 
     targets: List[int]
-    g: np.ndarray
-    pos: np.ndarray
+    layers: List[Tuple[np.ndarray, np.ndarray]]
     pop: np.ndarray
     unions: List[np.ndarray]
     eligible: np.ndarray
@@ -92,7 +99,11 @@ class FleetTable:
 
 
 def table_work(num_targets: int, num_agents: int) -> int:
-    """Element operations of the table and the unions when every set fits: 2 M R^2 2^R."""
+    """Element operations of the table and top's unions when every set fits: 2 M R^2 2^R.
+
+    Under tocp every set fitting leaves one maximal set, so its unions cost
+    nothing next to the table; the bound is the same for both variants.
+    """
     return 2 * num_agents * num_targets ** 2 * 2 ** num_targets
 
 
@@ -127,27 +138,17 @@ def fleet_table(
     # the margin, far above any float rounding of these sums, keeps every
     # entry that only rounding would push past the limit
     slack = limit - dist.dist[idx, DEPOT] + 1e-9 * (1.0 + limit)
-    pop = _mask_sums(np.ones(r), r).astype(np.int64)
-    g, pos = _held_karp(first, inner, slack, pop)
-    fits = np.zeros(pop.size, dtype=bool)
-    for lo in range(0, pop.size, _CHUNK):
-        tours = np.min(g[lo:lo + _CHUNK] + close, axis=1, initial=np.inf)
-        fits[lo:lo + _CHUNK] = tours <= limit
-    fits = fits[pos]
+    layers, fits = _held_karp(first, np.column_stack([inner, close]), slack, limit)
     # the empty set: a tocp agent may take an out-and-back over a vertex
     # another covers, but a top agent claims every vertex it enters
     fits[0] = around is not None
-    unions = [fits]
-    if num_agents > 1:
-        fits_hat = _ranked_zeta(fits, pop)
-        for _ in range(num_agents - 1):
-            prev_hat = fits_hat if len(unions) == 1 else _ranked_zeta(unions[-1], pop)
-            unions.append(_disjoint_union(prev_hat, fits_hat, pop))
+    pop = _mask_sums(np.ones(r), r).astype(np.int64)
+    unions = _unions(fits, pop, num_agents, closed=around is not None)
 
     must_mask = sum(1 << targets.index(v) for v in must)
     masks = np.arange(pop.size, dtype=np.int64)
     eligible = unions[-1] & ((masks & must_mask) == must_mask)
-    return FleetTable(list(targets), g, pos, pop, unions, eligible, inner, close, dist, around)
+    return FleetTable(list(targets), layers, pop, unions, eligible, inner, close, dist, around)
 
 
 def best_round(table: FleetTable, c_hat: np.ndarray) -> RoundOptimum:
@@ -175,50 +176,126 @@ def best_round(table: FleetTable, c_hat: np.ndarray) -> RoundOptimum:
     return RoundOptimum(value=float(best), walks=walks)
 
 
+def _bit_halves(a: np.ndarray, r: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """(b, lower, upper) views for every bit b < r of the 2^r masks along a's last axis.
+
+    lower holds masks without b and upper the same masks with b, bit by bit
+    in ascending order, so a transform updates one from the other in place.
+    Bits 0-2 come one column pair at a time from a (..., 2^(b + 1)) view: a
+    (..., 2, 2^b) view would give them blocks of 1-4 elements, through
+    which numpy steps slowly.
+    """
+    for b in range(r):
+        if b < 3:
+            cols = a.reshape(a.shape[:-1] + (-1, 2 << b))
+            for c in range(1 << b):
+                yield b, cols[..., c], cols[..., c | 1 << b]
+        else:
+            view = a.reshape(a.shape[:-1] + (-1, 2, 1 << b))
+            yield b, view[..., 0, :], view[..., 1, :]
+
+
 def _mask_sums(weights: np.ndarray, r: int) -> np.ndarray:
     """Sum of weights[b] over the bits b of every mask, added in bit order."""
     out = np.zeros(1 << r)
-    for b in range(r):
-        out.reshape(-1, 2, 1 << b)[:, 1, :] += weights[b]
+    for b, _, upper in _bit_halves(out, r):
+        upper += weights[b]
     return out
 
 
 def _held_karp(
-    first: np.ndarray, inner: np.ndarray, slack: np.ndarray, pop: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Held–Karp table g and pos: row pos[S] of g holds g[S, v] for every v.
+    first: np.ndarray, legs: np.ndarray, slack: np.ndarray, limit: float
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Held–Karp's live rows, one (masks, rows) layer per popcount from 1 up, and fits.
 
-    g[S, v] is the shortest depot -> ... -> v path through the targets of S,
-    inf when v is not in S or when it exceeds slack[v], since no tour then
-    fits.  Rows are stored layer by layer, in order of popcount, so each
-    layer is a slice.  Every mask S of layer k with a finite entry, in chunks
-    of _CHUNK, pushes min over v of g[S, v] + inner[v, w] to g[S + w, w] for
-    each w outside S; S + w has no other way to end at w.  The first layer
-    without a finite entry ends the table: every layer above it stays inf.
+    masks ascend, and rows[i, v] is g[masks[i], v], the shortest
+    depot -> ... -> v path through the targets of the mask: inf when v is not
+    in the mask or when the path exceeds slack[v], since no tour then fits.
+    A row is stored only when it holds a finite entry.  legs is inner with
+    close as one more column.  Every row of layer k, in chunks of _CHUNK,
+    takes min over v of g[S, v] + legs[v, w]: for each w outside S it is
+    pushed to g[S + w, w], and in the last column it is S's shortest tour,
+    which sets fits[S] when within limit.  S + w has no other way to end at
+    w, so the next layer's rows are a scatter of the pushes.  Two arrays over
+    all masks, reused by every layer, merge the pushes without a sort: seen
+    marks the pushed masks, which read back in ascending order, and slot
+    maps each to its row.  The table ends at the first layer with no row.
     """
     r = first.shape[0]
-    order = np.argsort(pop, kind="stable")
-    pos = np.empty(pop.size, dtype=np.int64)
-    pos[order] = np.arange(pop.size)
-    starts = np.searchsorted(pop[order], np.arange(r + 2))
     bits = 1 << np.arange(r, dtype=np.int64)
-    g = np.full((pop.size, r), np.inf)
-    near = first <= slack
-    g[pos[bits[near]], np.flatnonzero(near)] = first[near]
-    for k in range(1, r):
-        live = starts[k] + np.flatnonzero(np.isfinite(g[starts[k]:starts[k + 1]]).any(axis=1))
-        if live.size == 0:
-            break
-        for lo in range(0, live.size, _CHUNK):
-            at = live[lo:lo + _CHUNK]
-            rows = g[at]
-            step = rows[:, :1] + inner[0]
+    near = np.flatnonzero(first <= slack)
+    masks = bits[near]
+    rows = np.full((near.size, r), np.inf)
+    rows[np.arange(near.size), near] = first[near]
+    fits = np.zeros(1 << r, dtype=bool)
+    seen = np.zeros(1 << r, dtype=bool)
+    slot = np.empty(1 << r, dtype=np.int64)
+    layers = []
+    while masks.size:
+        layers.append((masks, rows))
+        heads, ends, values = [], [], []
+        for lo in range(0, masks.size, _CHUNK):
+            chunk = rows[lo:lo + _CHUNK]
+            step = chunk[:, :1] + legs[0]
             for v in range(1, r):
-                np.minimum(step, rows[:, v:v + 1] + inner[v], out=step)
-            s = order[at]
-            i, w = np.nonzero(((s[:, None] & bits) == 0) & (step <= slack))
-            g[pos[s[i] | bits[w]], w] = step[i, w]
-    return g, pos
+                np.minimum(step, chunk[:, v:v + 1] + legs[v], out=step)
+            s = masks[lo:lo + _CHUNK]
+            fits[s] = step[:, r] <= limit
+            i, w = np.nonzero(((s[:, None] & bits) == 0) & (step[:, :r] <= slack))
+            heads.append(s[i] | bits[w])
+            ends.append(w)
+            values.append(step[i, w])
+        pushed = np.concatenate(heads)
+        seen[pushed] = True
+        masks = np.flatnonzero(seen)
+        seen[masks] = False
+        slot[masks] = np.arange(masks.size)
+        rows = np.full((masks.size, r), np.inf)
+        rows[slot[pushed], np.concatenate(ends)] = np.concatenate(values)
+    return layers, fits
+
+
+def _unions(fits: np.ndarray, pop: np.ndarray, num_agents: int, closed: bool) -> List[np.ndarray]:
+    """unions[j]: the unions of j + 1 disjoint fitting sets, for j < num_agents.
+
+    closed (tocp) says every subset of a fitting set fits.  The unions of
+    j + 1 fitting sets are then the subsets of the unions of j + 1 maximal
+    ones, a fitting set with no fitting superset one bit larger: cur holds
+    the maximal unions of the last step, each step marks every cur | maximal
+    and takes the marks' downward closure.  Pairs beyond R 2^R (many maximal
+    sets, as when every set of half the targets fits) cost more than the
+    ranked subset convolution, which takes over there and under top.
+    """
+    r = int(pop[-1])
+    unions = [fits]
+    f_hat = None
+    cur = maximal = _maximal(fits, r) if closed and num_agents > 1 else None
+    while len(unions) < num_agents:
+        if cur is not None and cur.size * maximal.size <= r << r:
+            marks = np.zeros_like(fits)
+            # rows of cur per step, so that a step ORs about 64 _CHUNK pairs
+            span = max(1, (_CHUNK << 6) // maximal.size)
+            for lo in range(0, cur.size, span):
+                marks[cur[lo:lo + span, None] | maximal] = True
+            for _, lower, upper in _bit_halves(marks, r):
+                lower |= upper
+            unions.append(marks)
+            cur = _maximal(marks, r) if len(unions) < num_agents else None
+            continue
+        cur = None
+        if f_hat is None:
+            f_hat = _ranked_zeta(fits, pop)
+        prev_hat = f_hat if len(unions) == 1 else _ranked_zeta(unions[-1], pop)
+        unions.append(_disjoint_union(prev_hat, f_hat, pop))
+    return unions
+
+
+def _maximal(family: np.ndarray, r: int) -> np.ndarray:
+    """The members of a family, ascending, with no member one bit larger above them."""
+    above = np.zeros_like(family)
+    for (_, lower, _), (_, _, upper) in zip(_bit_halves(above, r), _bit_halves(family, r)):
+        lower |= upper
+    return np.flatnonzero(family & ~above)
 
 
 def _ranked_zeta(member: np.ndarray, pop: np.ndarray) -> np.ndarray:
@@ -227,13 +304,11 @@ def _ranked_zeta(member: np.ndarray, pop: np.ndarray) -> np.ndarray:
     Only ranks up to the largest member's popcount are kept; the counts are
     int32, wrapping as _disjoint_union allows.
     """
-    r = int(pop[-1])
     hits = np.flatnonzero(member)
     z = np.zeros((int(pop[hits].max(initial=0)) + 1, member.size), dtype=np.int32)
     z[pop[hits], hits] = 1
-    for b in range(r):
-        view = z.reshape(z.shape[0], -1, 2, 1 << b)
-        view[:, :, 1, :] += view[:, :, 0, :]
+    for _, lower, upper in _bit_halves(z, int(pop[-1])):
+        upper += lower
     return z
 
 
@@ -257,9 +332,8 @@ def _disjoint_union(a_hat: np.ndarray, f_hat: np.ndarray, pop: np.ndarray) -> np
         h[:] = 0
         for i in range(max(0, k - rf), min(k, ra) + 1):
             h += np.multiply(a_hat[i], f_hat[k - i], out=term)
-        for b in range(r):
-            view = h.reshape(-1, 2, 1 << b)
-            view[:, 1, :] -= view[:, 0, :]
+        for _, lower, upper in _bit_halves(h, r):
+            upper -= lower
         out |= (pop == k) & (h > 0)
     return out
 
@@ -297,10 +371,16 @@ def _submasks(mask: int) -> np.ndarray:
 
 def _tour(mask: int, table: FleetTable) -> List[int]:
     """Target indices of mask in the order of a shortest fitting tour, ties to the lowest."""
-    v = int(np.argmin(table.g[table.pos[mask]] + table.close))
+    v = int(np.argmin(_row(mask, table) + table.close))
     order = [v]
     while mask != 1 << v:
         mask ^= 1 << v
-        v = int(np.argmin(table.g[table.pos[mask]] + table.inner[:, v]))
+        v = int(np.argmin(_row(mask, table) + table.inner[:, v]))
         order.append(v)
     return order[::-1]
+
+
+def _row(mask: int, table: FleetTable) -> np.ndarray:
+    """g[mask, :], found in its popcount's layer; mask must be live."""
+    masks, rows = table.layers[mask.bit_count() - 1]
+    return rows[np.searchsorted(masks, mask)]

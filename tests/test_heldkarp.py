@@ -8,6 +8,8 @@ check which rounds no longer reach HiGHS.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -179,3 +181,102 @@ def test_default_seed_1_round_1_answer_is_pinned(single_visit, value, walks):
                       instance.must_visit, "top" if single_visit else "tocp").table
     answer = heldkarp.best_round(table, c_hat)
     assert answer == heldkarp.RoundOptimum(value=value, walks=walks)
+
+
+def _closed_family(r, case, rng):
+    """Every set, only the empty set, or the sets under a few random masks: each
+    holds every subset of its members."""
+    if case == "every-set":
+        return np.ones(1 << r, dtype=bool)
+    family = np.zeros(1 << r, dtype=bool)
+    family[0] = True
+    if case != "empty-set":
+        for top in rng.integers(0, 1 << r, size=int(rng.integers(1, 7))):
+            family[[s for s in range(1 << r) if s & top == s]] = True
+    return family
+
+
+@pytest.mark.parametrize("agents", (2, 3))
+@pytest.mark.parametrize("case", [*range(8), "every-set", "empty-set"])
+def test_maximal_set_unions_match_pair_enumeration(case, agents, monkeypatch):
+    # a closed family's unions come from its maximal sets alone: the ranked
+    # convolution must not run
+    rng = np.random.default_rng(case if isinstance(case, int) else 99)
+    r = (1, 2, 3, 5, 7, 8, 9, 10)[case] if isinstance(case, int) else 10
+    member = _closed_family(r, case, rng)
+    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    monkeypatch.setattr(heldkarp, "_ranked_zeta", None)
+    unions = heldkarp._unions(member, pop, agents, closed=True)
+    family = set(np.flatnonzero(member).tolist())
+    expect = family
+    assert len(unions) == agents and unions[0] is member
+    for union in unions[1:]:
+        expect = _pairwise_unions(expect, family)
+        assert set(np.flatnonzero(union).tolist()) == expect
+
+
+def test_many_maximal_sets_take_the_ranked_unions():
+    # every set of at most 5 of 10 targets: 252 maximal sets, whose 63,504
+    # pairs pass R 2^R = 10,240, so the ranked convolution answers
+    r = 10
+    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    member = pop <= 5
+    assert heldkarp._maximal(member, r).size == 252
+    unions = heldkarp._unions(member, pop, 3, closed=True)
+    family = set(np.flatnonzero(member).tolist())
+    expect = _pairwise_unions(family, family)
+    assert set(np.flatnonzero(unions[1]).tolist()) == expect
+    assert set(np.flatnonzero(unions[2]).tolist()) == _pairwise_unions(expect, family)
+
+
+def _plain_passes(a, r, update):
+    """update(lower, upper) for every bit through the (..., 2, 2^b) view, bit by bit."""
+    for b in range(r):
+        view = a.reshape(a.shape[:-1] + (-1, 2, 1 << b))
+        update(b, view[..., 0, :], view[..., 1, :])
+
+
+def _zeta(_, lower, upper):
+    upper += lower
+
+
+def _moebius(_, lower, upper):
+    upper -= lower
+
+
+def _closure(_, lower, upper):
+    lower |= upper
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+def test_low_bit_passes_match_the_plain_loop(r):
+    # R = 1 and 2 have fewer than 8 masks, so their columns come from a
+    # (..., 2^R) view
+    rng = np.random.default_rng(r)
+    ranked = rng.integers(-1000, 1000, size=(int(rng.integers(1, 5)), 1 << r), dtype=np.int32)
+    for update, start in ((_zeta, ranked), (_moebius, ranked), (_closure, ranked[0] > 500)):
+        expect, got = start.copy(), start.copy()
+        _plain_passes(expect, r, update)
+        for b, lower, upper in heldkarp._bit_halves(got, r):
+            update(b, lower, upper)
+        assert np.array_equal(got, expect)
+    weights = rng.random(r)
+    expect = np.zeros(1 << r)
+    _plain_passes(expect, r, lambda b, _, upper: upper.__iadd__(weights[b]))
+    assert heldkarp._mask_sums(weights, r).tobytes() == expect.tobytes()
+
+
+def test_default_seed_1_table_keeps_only_live_rows():
+    # the parent's dense 2^17 x 17 table alone was 17.8 MiB of a 27.4 MiB peak
+    instance = generate_instance(BenchmarkConfig(), 1, 1)
+    graph = instance_graph(instance)
+    structure = Structure(graph, all_pairs_shortest(graph), instance.num_agents,
+                          instance.l_max, instance.must_visit, "tocp")
+    tracemalloc.start()
+    try:
+        table = structure.table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 27.4 / 2 * 2 ** 20
+    assert sum(masks.size for masks, _ in table.layers) == 7_333
