@@ -250,8 +250,8 @@ def _closure(_, lower, upper):
 
 @pytest.mark.parametrize("r", range(1, 11))
 def test_low_bit_passes_match_the_plain_loop(r):
-    # R = 1 and 2 have fewer than 8 masks, so their columns come from a
-    # (..., 2^R) view
+    # R = 1 and 2 have fewer than 8 masks: only their bits below R take the
+    # column passes
     rng = np.random.default_rng(r)
     ranked = rng.integers(-1000, 1000, size=(int(rng.integers(1, 5)), 1 << r), dtype=np.int32)
     for update, start in ((_zeta, ranked), (_moebius, ranked), (_closure, ranked[0] > 500)):
@@ -267,7 +267,7 @@ def test_low_bit_passes_match_the_plain_loop(r):
 
 
 def test_default_seed_1_table_keeps_only_live_rows():
-    # the parent's dense 2^17 x 17 table alone was 17.8 MiB of a 27.4 MiB peak
+    # a dense 2^17 x 17 table alone is 17.8 MiB; with it the peak was 27.4 MiB
     instance = generate_instance(BenchmarkConfig(), 1, 1)
     graph = instance_graph(instance)
     structure = Structure(graph, all_pairs_shortest(graph), instance.num_agents,
