@@ -262,9 +262,12 @@ def _unions(fits: np.ndarray, pop: np.ndarray, num_agents: int, closed: bool) ->
     j + 1 fitting sets are then the subsets of the unions of j + 1 maximal
     ones, a fitting set with no fitting superset one bit larger: cur holds
     the maximal unions of the last step, each step marks every cur | maximal
-    and takes the marks' downward closure.  Pairs beyond R 2^R (many maximal
-    sets, as when every set of half the targets fits) cost more than the
-    ranked subset convolution, which takes over there and under top.
+    and takes the marks' downward closure.  Beyond R 2^R pairs, and under
+    top, the ranked subset convolution answers instead.  That crossover
+    rests on one measured family, every set of at most 8 of 17 targets
+    (24,310 maximal sets): its table took 0.18 s with the convolution and
+    2.02 s with the pairs.  No benchmark round reaches it; the round-1
+    tables of default seeds 1-60 have at most 112 maximal sets.
     """
     r = int(pop[-1])
     unions = [fits]

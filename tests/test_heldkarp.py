@@ -215,14 +215,22 @@ def test_maximal_set_unions_match_pair_enumeration(case, agents, monkeypatch):
         assert set(np.flatnonzero(union).tolist()) == expect
 
 
-def test_many_maximal_sets_take_the_ranked_unions():
+def test_many_maximal_sets_take_the_ranked_unions(monkeypatch):
     # every set of at most 5 of 10 targets: 252 maximal sets, whose 63,504
     # pairs pass R 2^R = 10,240, so the ranked convolution answers
     r = 10
     pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
     member = pop <= 5
     assert heldkarp._maximal(member, r).size == 252
+    real, calls = heldkarp._ranked_zeta, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(heldkarp, "_ranked_zeta", spy)
     unions = heldkarp._unions(member, pop, 3, closed=True)
+    assert calls
     family = set(np.flatnonzero(member).tolist())
     expect = _pairwise_unions(family, family)
     assert set(np.flatnonzero(unions[1]).tolist()) == expect

@@ -1,6 +1,6 @@
 """One digest over the exact DP's answers on a fixed set of 3,348 rounds.
 
-    PYTHONPATH=src python3 tools/dp_identity.py [--repeat 3] [--times times.json]
+    PYTHONPATH=src python3 tools/dp_identity.py [--repeat 3]
 
 The rounds are the round-1 structures of default seeds 1-60 and tight-law
 seeds 1-40 (the tight-exact workload's law), under tocp and top, each with
@@ -16,15 +16,13 @@ every round reaches the table.
 The script prints the sha256 of all records, the counts of optima, proofs
 and Nones, and the five slowest heldkarp.fleet_table calls, each the best
 of --repeat runs.  Two checkouts compute the same answers exactly when
-their digests match.  --times writes every table's time to a JSON file,
-keyed like the printed lines, to compare two checkouts table by table.
+their digests match.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import time
 
 import numpy as np
@@ -68,7 +66,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1,
                         help="runs of each fleet_table call; its time is the best")
-    parser.add_argument("--times", help="write each table's time to this JSON file")
     args = parser.parse_args()
 
     real = heldkarp.fleet_table
@@ -107,9 +104,6 @@ def main() -> None:
     print(f"fleet_table: {len(times)} tables, {sum(times.values()):.3f} s in total; slowest:")
     for label, seconds in sorted(times.items(), key=lambda item: -item[1])[:5]:
         print(f"  {seconds * 1000:8.1f} ms  {label}")
-    if args.times:
-        with open(args.times, "w") as fh:
-            json.dump(times, fh, indent=1, sort_keys=True)
 
 
 if __name__ == "__main__":
