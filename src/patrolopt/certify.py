@@ -62,10 +62,11 @@ class Structure:
     """All a round reads except c_hat, checked once, with what the cascade derives from it.
 
     The constructor raises ModelError on inputs no round can be planned on;
-    dist, when None, is computed from the graph.  limit is l_max plus the
-    slack HiGHS grants a budget row, and the targets are the non-depot
-    vertices whose depot round trip fits it.  The rest is computed on first
-    use and kept; a round adds only what reads c_hat.
+    dist, when None, is computed from the graph.  variant is the planner,
+    tocp, top or greedy; greedy reads the checked inputs alone.  limit is
+    l_max plus the slack HiGHS grants a budget row, and the targets are the
+    non-depot vertices whose depot round trip fits it.  The rest is computed
+    on first use and kept; a round adds only what reads c_hat.
     """
 
     def __init__(self, graph: Graph, dist: Optional[DistanceMatrix], num_agents: int,

@@ -49,11 +49,6 @@ class Graph:
         """All directed edges with lengths, sorted for deterministic iteration."""
         return sorted(self.lengths.items())
 
-    def min_edge_length(self) -> float:
-        if not self.lengths:
-            raise ValueError("graph has no edges")
-        return min(self.lengths.values())
-
 
 def symmetrize(edges: Iterable[Tuple[int, int, float]]) -> Dict[Tuple[int, int], float]:
     """Mirror each (i, j, length) into both directions with the same length."""

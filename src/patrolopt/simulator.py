@@ -8,20 +8,25 @@ infeasible, or the deadline passed with no incumbent) leaves the fleet at the
 depot: only the depot is visited, the iteration is charged in full, and the
 episode is flagged as failed.  The planners' constraints never read the
 predictions, so once a round is proven infeasible every later round of the
-episode is charged as infeasible without planning it again.  The MIP
-planners' rounds go through tocp.plan_round: a round a certificate, the
-exact DP or an infeasibility proof answers builds no model, and only a round
-HiGHS must solve builds one.  Each MIP episode checks its graph, fleet,
-budget and must-visit vertices once, in one certify.Structure, which keeps
-the proof, top's cover and the DP's table for every round after the first
-that needs them.
+episode is charged as infeasible without planning it again.
+
+run_episode and solve_single_round share one dispatch.  _structure checks
+the planner and the time limit and builds the run's certify.Structure (its
+graph, distances, fleet, budget and must-visit vertices, checked once), for
+greedy too; _plan_round plans one round from it with any planner.  Greedy
+runs greedy_plan; tocp and top go through tocp.plan_round, where a round a
+certificate, the exact DP or an infeasibility proof answers builds no model,
+and the Structure keeps the proof, top's cover and the DP's table for every
+round after the first that needs them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from . import milp
 from .certify import Structure
@@ -30,14 +35,7 @@ from .estimator import EstimatorState
 from .graph import DEPOT, all_pairs_shortest
 from .greedy import greedy_plan
 from .instance_io import Instance, instance_graph, instance_id, kappa_table
-from .tocp import (
-    FleetPlan,
-    UnreachableMustVisitError,
-    build_tocp,
-    build_top,
-    extract_routes,
-    plan_round,
-)
+from .tocp import FleetPlan, UnreachableMustVisitError, _build_answered, extract_routes, plan_round
 
 PLANNERS = ("tocp", "top", "greedy")
 STATUS_HEURISTIC = "heuristic"
@@ -68,13 +66,7 @@ def run_episode(
     time_limit bounds each round's MIP solve in seconds; greedy ignores it,
     but a negative or non-finite one raises ValueError for every planner.
     """
-    if planner not in PLANNERS:
-        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
-    milp.check_time_limit(time_limit)
-    graph = instance_graph(instance)
-    dm = all_pairs_shortest(graph)
-    structure = None if planner == "greedy" else Structure(
-        graph, dm, instance.num_agents, instance.l_max, instance.must_visit, planner)
+    structure = _structure(instance, planner, time_limit)
     cost = CostState(kappa_table(instance))
     est = EstimatorState(instance.num_vertices, instance.mu_default)
 
@@ -90,10 +82,8 @@ def run_episode(
         t0 = time.perf_counter()
         if statuses and statuses[-1] == milp.INFEASIBLE:
             plan, status = None, milp.INFEASIBLE
-        elif structure is None:
-            plan, status = _greedy_round(graph, dm, c_hat, instance)
         else:
-            plan, status = plan_round(structure, c_hat, time_limit)
+            plan, status = _plan_round(structure, c_hat, time_limit)
         seconds.append(time.perf_counter() - t0)
         statuses.append(status)
         if plan is None:
@@ -122,12 +112,25 @@ def run_episode(
     )
 
 
-def _greedy_round(graph, dm, c_hat, instance):
-    """One round of the greedy planner: (FleetPlan or None, status)."""
+def _structure(instance: Instance, planner: str, time_limit: Optional[float]) -> Structure:
+    """The run's Structure, after checking the planner name and the time limit."""
+    if planner not in PLANNERS:
+        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    milp.check_time_limit(time_limit)
+    graph = instance_graph(instance)
+    return Structure(graph, all_pairs_shortest(graph), instance.num_agents, instance.l_max,
+                     instance.must_visit, planner)
+
+
+def _plan_round(
+    structure: Structure, c_hat: np.ndarray, time_limit: Optional[float]
+) -> Tuple[Optional[FleetPlan], str]:
+    """One round of the structure's planner: (FleetPlan or None, status)."""
+    if structure.variant != "greedy":
+        return plan_round(structure, c_hat, time_limit)
+    s = structure
     try:
-        plan = greedy_plan(
-            graph, dm, c_hat, instance.num_agents, instance.l_max, instance.must_visit,
-        )
+        plan = greedy_plan(s.graph, s.dist, c_hat, s.num_agents, s.l_max, s.must)
     except UnreachableMustVisitError:
         return None, milp.INFEASIBLE
     return plan, STATUS_HEURISTIC
@@ -143,28 +146,23 @@ def solve_single_round(
 
     Predicted costs come from the untrained estimator (every vertex at the
     prior default rate times the iteration index).  Returns (plan or None,
-    status, model stats dict); greedy's stats name the planner alone.  The
-    MIP planners build their model here even when answer_round answers the
-    round, since the stats report its size and the solver's outcome.
+    status, model stats dict).  The setup is run_episode's: one Structure,
+    for greedy too.  Greedy plans through the episode's round call and its
+    stats name the planner alone.  The MIP planners build their model from
+    the same Structure, with answer_round's answer attached, even when that
+    answer settles the round, since the stats report the model's size and
+    the solver's outcome.
     """
-    if planner not in PLANNERS:
-        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
+    structure = _structure(instance, planner, time_limit)
     if not 1 <= iteration <= instance.horizon:
         raise ValueError(f"iteration must be in 1..{instance.horizon}")
-    milp.check_time_limit(time_limit)
-    graph = instance_graph(instance)
-    dm = all_pairs_shortest(graph)
-    est = EstimatorState(instance.num_vertices, instance.mu_default)
-    c_hat = est.predicted_cost(iteration)
+    c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(iteration)
     if planner == "greedy":
-        plan, status = _greedy_round(graph, dm, c_hat, instance)
+        plan, status = _plan_round(structure, c_hat, time_limit)
         return plan, status, {"planner": planner}
-    build = build_tocp if planner == "tocp" else build_top
-    model, handles = build(
-        graph, c_hat, instance.num_agents, instance.l_max, instance.must_visit, dist=dm,
-    )
+    model, handles = _build_answered(structure, c_hat)
     solution = milp.solve(model, time_limit=time_limit)
-    plan = extract_routes(solution, handles, graph) if solution.has_assignment else None
+    plan = extract_routes(solution, handles, structure.graph) if solution.has_assignment else None
     stats = {
         "planner": planner,
         "num_variables": model.num_variables,

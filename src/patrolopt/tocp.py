@@ -26,12 +26,13 @@ round but c_hat.  Two consumers take its answer.  plan_round, which the
 simulator's episode loop calls with the Structure it builds once per
 episode, restitches the walks into routes as extract_routes would, so
 certified and proven rounds build no model; it builds one only for a round
-HiGHS must solve.  build_tocp and build_top build a fresh Structure per
-call, then the model, and attach the answer: the walks as the certificate,
-encoded without a solver (once an agent's closed walk is fixed, so is its
-flow: the p-th edge carries one unit for each non-depot vertex the walk
-first enters after position p, see plan_to_assignment), or the proof, so
-milp.solve skips HiGHS on it.  The walks plan_to_assignment encodes are
+HiGHS must solve.  _build_answered builds a Structure's model and attaches
+the answer: the walks as the certificate, encoded without a solver (once an
+agent's closed walk is fixed, so is its flow: the p-th edge carries one
+unit for each non-depot vertex the walk first enters after position p, see
+plan_to_assignment), or the proof, so milp.solve skips HiGHS on it.
+build_tocp and build_top call it on a fresh Structure; the simulator's
+single-round solve calls it on the Structure its episode setup builds.  The walks plan_to_assignment encodes are
 exactly those that break no rule of certify.broken_rules, so checking the
 rules stands in for checking every row.
 """
@@ -189,7 +190,8 @@ def _build_fleet_model(
     n = graph.num_vertices
     m_count = structure.num_agents
     edges = [e for e, _ in graph.edge_items()]
-    big_m = l_max / graph.min_edge_length()
+    # an edgeless graph has no departures to bound, so any positive big-M does
+    big_m = l_max / min(graph.lengths.values(), default=l_max)
     flow_cap = float(n)
 
     model = MilpModel(name=structure.variant)

@@ -93,6 +93,24 @@ def test_solve_reports_infeasible_with_exit_one(tmp_path):
     assert payload["routes"] is None
 
 
+@pytest.mark.parametrize("planner", ("tocp", "top"))
+@pytest.mark.parametrize("num_vertices", (1, 3))
+def test_solve_answers_an_edgeless_instance_as_infeasible(planner, num_vertices, tmp_path):
+    # no agent can leave a depot without roads: solve proves it, as simulate
+    # does, instead of failing to build the model
+    instance = make_instance(num_vertices, [], l_max=4.0, horizon=1,
+                             kappa=[[0.5]] * num_vertices)
+    path = str(tmp_path / "edgeless.json")
+    write_instance(instance, path)
+    out = str(tmp_path / "plan.json")
+    assert main(["solve", "--instance", path, "--planner", planner, "--out", out]) == 1
+    payload = json.loads(read_bytes(out))
+    assert payload["status"] == "infeasible"
+    assert payload["routes"] is None
+    assert payload["model"]["infeasibility_proof"] == (
+        "0 depot neighbours can start a walk within l_max 4.0; the agents need 1")
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

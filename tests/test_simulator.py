@@ -51,6 +51,15 @@ def bench_instance(seed=3, horizon=3):
     return generate_instance(config, seed, horizon)
 
 
+TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
+
+
+def cut_seed_2():
+    """Default seed 2 with the roads of its must-visit vertex 12 removed."""
+    instance = generate_instance(BenchmarkConfig(), 2, 2)
+    return replace(instance, edges=[e for e in instance.edges if 12 not in e[:2]])
+
+
 def test_total_cost_is_sum_of_round_residuals():
     instance = bench_instance()
     for planner in PLANNERS:
@@ -176,9 +185,8 @@ def test_unaffordable_required_vertex_fails_every_round():
 def test_must_visit_vertex_without_roads_fails_every_round_for_every_planner():
     # default seed 2 requires vertex 12; with its roads gone there is no round
     # trip to it at all, an infeasible round for the MIPs as for greedy
-    instance = generate_instance(BenchmarkConfig(), 2, 2)
-    assert instance.must_visit == [12]
-    cut = replace(instance, edges=[e for e in instance.edges if 12 not in e[:2]])
+    cut = cut_seed_2()
+    assert cut.must_visit == [12]
     for planner in PLANNERS:
         result = run_episode(cut, planner)
         assert result.failed
@@ -277,16 +285,23 @@ def test_single_round_reports_model_stats_without_timings():
 def test_single_round_is_the_first_round_of_an_episode():
     # solve answers through the model and simulate without it, from one
     # cascade: at t = 1 both plan on the untrained estimator's predictions,
-    # so they must agree exactly.
-    instance = bench_instance(seed=5)
-    for planner in PLANNERS:
-        plan, status, _ = solve_single_round(instance, planner)
-        result = run_episode(instance, planner, keep_plans=True)
-        assert status == result.statuses[0]
-        episode_plan = result.plans[0]
-        assert (plan is None) == (episode_plan is None)
-        if plan is not None:
-            assert plan.routes == episode_plan.routes
+    # so they must agree exactly, on rounds without roads, without a round
+    # trip to a required vertex and under the tight budget law too
+    instances = [
+        bench_instance(seed=5),
+        make_instance(3, [], 4.0, 1, [[0.5]] * 3),
+        cut_seed_2(),
+        generate_instance(BenchmarkConfig(**TIGHT_LAW), 3, 2),
+    ]
+    for instance in instances:
+        for planner in PLANNERS:
+            plan, status, _ = solve_single_round(instance, planner)
+            result = run_episode(instance, planner, keep_plans=True)
+            assert status == result.statuses[0]
+            episode_plan = result.plans[0]
+            assert (plan is None) == (episode_plan is None)
+            if plan is not None:
+                assert plan.routes == episode_plan.routes
 
 
 def counted(calls, name, real):
@@ -363,10 +378,13 @@ def test_planned_round_matches_the_solved_model(variant, dp, case):
     ("tocp", [(1, 2, 1.0), (1, 3, 1.0)]),
     # 3 is reached only by entering 2 twice, so no cycle cover holds
     ("top", [(1, 2, 1.0), (2, 3, 1.0)]),
+    # greedy needs the checked graph alone
+    ("greedy", [(1, 2, 1.0), (1, 3, 1.0)]),
 ])
 def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
     # the graph check, the cover, the proof and the DP's table read no
-    # predictions: every round reaches them, yet an episode computes each once
+    # predictions: every round reaches them, yet an episode computes each
+    # once, and a single-round solve does the same work once more
     calls = []
     for module in (tocp, certify):  # whichever of them checks the graph
         monkeypatch.setattr(module, "validate", counted(calls, "validate", validate),
@@ -375,11 +393,16 @@ def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
                          (heldkarp, "_held_karp")):
         monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
     kappa = [[0.0] * 3, [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
-    result = run_episode(make_instance(3, edges, 4.0, 3, kappa), variant)
-    assert result.statuses == ["optimal"] * 3
-    expected = ["validate", "infeasibility_proof", "_held_karp"]
-    if variant == "top":
-        expected.insert(1, "_insertion_cover")
+    instance = make_instance(3, edges, 4.0, 3, kappa)
+    result = run_episode(instance, variant)
+    status = STATUS_HEURISTIC if variant == "greedy" else "optimal"
+    assert result.statuses == [status] * 3
+    expected = {"tocp": ["validate", "infeasibility_proof", "_held_karp"],
+                "top": ["validate", "_insertion_cover", "infeasibility_proof", "_held_karp"],
+                "greedy": ["validate"]}[variant]
+    assert calls == expected
+    del calls[:]
+    assert solve_single_round(instance, variant)[1] == status
     assert calls == expected
 
 
@@ -407,9 +430,6 @@ def _rebuilt_episode(instance, planner):
         statuses.append(solution.status)
         residuals.append(cost.residual_cost())
     return routes, statuses, residuals
-
-
-TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
 
 
 @pytest.mark.parametrize("law, seed", [
