@@ -32,9 +32,10 @@ agent's closed walk is fixed, so is its flow: the p-th edge carries one
 unit for each non-depot vertex the walk first enters after position p, see
 plan_to_assignment), or the proof, so milp.solve skips HiGHS on it.
 build_tocp and build_top call it on a fresh Structure; the simulator's
-single-round solve calls it on the Structure its episode setup builds.  The walks plan_to_assignment encodes are
-exactly those that break no rule of certify.broken_rules, so checking the
-rules stands in for checking every row.
+single-round solve calls it on the Structure its episode setup builds.  The
+walks plan_to_assignment encodes are exactly those that break no rule of
+certify.broken_rules, so checking the rules stands in for checking every
+row.
 """
 
 from __future__ import annotations
