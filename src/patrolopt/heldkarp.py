@@ -25,22 +25,30 @@ layer with none.
 The fleet covers unions of M pairwise disjoint fitting sets: exactly M
 nonempty ones under top, where every agent must leave the depot and no two
 may share a vertex; at most M under tocp, whose spare agents take an
-out-and-back.  Under tocp, where the fitting sets are closed under subsets,
-these unions are the subsets of unions of M maximal fitting sets, which
-are few; under top, or when the maximal sets are many, ranked subset
-convolution (Björklund, Husfeldt, Kaski and Koivisto, STOC 2007) finds
-them.  The optimum is the union that contains every must-visit vertex and
-has the largest sum of c_hat clipped at zero.  Tie rule: the largest such
-union, then the lowest bitmask.  No such union proves the round infeasible.
+out-and-back.  They are built one set at a time, by marking pairs where
+the pairs are few (see _unions):
+  * under tocp, where the fitting sets are closed under subsets, the
+    unions are the subsets of unions of M maximal fitting sets, which are
+    few: up to R 2^R pairs of maximal sets are marked;
+  * under top, a union of j + 1 sets is A | F for A a union of j and F a
+    fitting set disjoint from it that holds the lowest bit of A | F: up to
+    table_work / 3 such pairs are marked.  Of the benchmark's top
+    families only loose-exact structure 8's, with 20,776 fitting sets,
+    has more.
+A step with more pairs takes ranked subset convolution (Björklund,
+Husfeldt, Kaski and Koivisto, STOC 2007) instead.  The optimum is the
+union that contains every must-visit vertex and has the largest sum of
+c_hat clipped at zero.  Tie rule: the largest such union, then the lowest
+bitmask.  No such union proves the round infeasible.
 
 Only that argmax reads c_hat: fleet_table builds the rest once per episode
 (certify.Structure keeps it), and best_round takes each round's argmax.
 
 The ranked unions run only over the ranks the fitting sets reach.  When
 every set fits, nothing is pruned: the table and each of top's M - 1 union
-steps then take about 2 R^2 2^R element operations for R targets, and
-MAX_WORK caps that dense worst case; rounds above the cap get no answer
-here.
+steps, which then take the convolution, cost about 2 R^2 2^R element
+operations for R targets, and MAX_WORK caps that dense worst case; rounds
+above the cap get no answer here.
 """
 
 from __future__ import annotations
@@ -57,11 +65,13 @@ from .graph import DEPOT, DistanceMatrix, Graph
 # every set fits one tour the table takes 0.21-0.26 s under tocp and
 # 0.29-0.35 s under top, with 28-30 MiB of traced arrays, on one 2-core
 # x86_64 machine.  Default seed 1's round 1 (R = 17, M = 2) keeps few live
-# rows and takes 0.018 s (tocp) and 0.05-0.06 s (top).  R = 18 with one
-# agent does not fit.
+# rows and takes 0.015-0.019 s (tocp) and 0.007-0.009 s (top, whose unions
+# mark 62,229 pairs).  R = 18 with one agent does not fit.
 MAX_WORK = 160_000_000
 # Masks per vectorised step; bounds the (masks, R) temporaries.
 _CHUNK = 1024
+# table_work units one marked top pair is worth when _unions picks its path.
+_PAIR_COST = 3
 
 
 @dataclass
@@ -258,39 +268,80 @@ def _held_karp(
 def _unions(fits: np.ndarray, pop: np.ndarray, num_agents: int, closed: bool) -> List[np.ndarray]:
     """unions[j]: the unions of j + 1 disjoint fitting sets, for j < num_agents.
 
-    closed (tocp) says every subset of a fitting set fits.  The unions of
-    j + 1 fitting sets are then the subsets of the unions of j + 1 maximal
-    ones, a fitting set with no fitting superset one bit larger: cur holds
-    the maximal unions of the last step, each step marks every cur | maximal
-    and takes the marks' downward closure.  Beyond R 2^R pairs, and under
-    top, the ranked subset convolution answers instead.  That crossover
-    rests on one measured family, every set of at most 8 of 17 targets
-    (24,310 maximal sets): its table took 0.18 s with the convolution and
-    2.02 s with the pairs.  No benchmark round reaches it; the round-1
-    tables of default seeds 1-60 have at most 112 maximal sets.
+    Each step marks pairs through _mark_pairs when they are few enough, and
+    runs the ranked subset convolution otherwise.
+      * closed (tocp) says every subset of a fitting set fits.  The unions
+        of j + 1 fitting sets are then the subsets of the unions of j + 1
+        maximal ones, fitting sets with no fitting superset one bit larger:
+        a step marks every A | F for A maximal in the last step's unions
+        and F maximal fitting, overlapping or not, and takes the marks'
+        downward closure.  The pairs run up to R 2^R.  That crossover rests
+        on one measured family, every set of at most 8 of 17 targets
+        (24,310 maximal sets): its table took 0.18 s with the convolution
+        and 2.02 s with the pairs.  No benchmark round reaches it; the
+        round-1 tables of default seeds 1-60 have at most 112 maximal sets.
+      * otherwise (top) the family must not hold the empty set.  A step
+        marks A | F for A in the last step's unions and F fitting with
+        A & F == 0, and only where F holds the lowest bit of A | F: the set
+        that holds it can always be split off, so every union is still
+        marked, and A then has no bit at or below F's lowest.  The pairs
+        run up to table_work(R, M) / _PAIR_COST.
+    _PAIR_COST comes from the 79 steps of 33 top families, those of the
+    benchmark's 14 structures and of the 19 round-1 tables of default seeds
+    1-120 that reach the DP, each step timed both ways in one process on a
+    2-core x86_64 machine.  The 20 steps with 10^6 pairs or more broke even
+    where table_work was 2.7-22.6 times their pairs; the 59 smaller ones
+    marked their pairs 1.2-180 times faster than the convolution.  With 3
+    every step takes the faster path but one, default seed 34's first
+    (R = 17, M = 5, above MAX_WORK; 92 ms of pairs against 79 ms), and only
+    loose-exact structure 8 (R = 17, M = 2, 20,776 fitting sets, 131
+    million pairs) keeps the convolution.  The 54 steps under MAX_WORK took
+    0.23 s instead of 0.65 s with the convolution alone.  Default seed 1
+    (R = 17, M = 2, 620 fitting sets) marks 62,229 pairs in 0.8 ms instead
+    of 46-59 ms.
     """
     r = int(pop[-1])
     unions = [fits]
     f_hat = None
-    cur = maximal = _maximal(fits, r) if closed and num_agents > 1 else None
+    if closed:
+        maximal = _maximal(fits, r) if num_agents > 1 else None
+        most = r << r
+    else:
+        # fitting sets by their lowest bit b: masks 2^b mod 2^(b + 1)
+        lowest = [np.flatnonzero(fits[1 << b::2 << b]) * (2 << b) + (1 << b) for b in range(r)]
+        most = table_work(r, num_agents) // _PAIR_COST
     while len(unions) < num_agents:
-        if cur is not None and cur.size * maximal.size <= r << r:
+        if closed:
+            cur = maximal if len(unions) == 1 else _maximal(unions[-1], r)
+            blocks = [(cur, maximal)]
+        else:
+            # the unions with no bit at or below b: every 2^(b + 1)-th mask
+            blocks = [(np.flatnonzero(unions[-1][::2 << b]) * (2 << b), lowest[b])
+                      for b in range(r) if lowest[b].size]
+        if sum(heads.size * tails.size for heads, tails in blocks) <= most:
             marks = np.zeros_like(fits)
-            # rows of cur per step, so that a step ORs about 64 _CHUNK pairs
-            span = max(1, (_CHUNK << 6) // maximal.size)
-            for lo in range(0, cur.size, span):
-                marks[cur[lo:lo + span, None] | maximal] = True
-            for _, lower, upper in _bit_halves(marks, r):
-                lower |= upper
+            for heads, tails in blocks:
+                _mark_pairs(marks, heads, tails, disjoint=not closed)
+            if closed:
+                for _, lower, upper in _bit_halves(marks, r):
+                    lower |= upper
             unions.append(marks)
-            cur = _maximal(marks, r) if len(unions) < num_agents else None
             continue
-        cur = None
         if f_hat is None:
             f_hat = _ranked_zeta(fits, pop)
         prev_hat = f_hat if len(unions) == 1 else _ranked_zeta(unions[-1], pop)
         unions.append(_disjoint_union(prev_hat, f_hat, pop))
     return unions
+
+
+def _mark_pairs(marks: np.ndarray, heads: np.ndarray, tails: np.ndarray, disjoint: bool) -> None:
+    """Set marks[A | F] for every A in heads and F in tails, only where A & F == 0 if disjoint."""
+    # rows of heads per step, so that a step ORs about 64 _CHUNK pairs
+    span = max(1, (_CHUNK << 6) // max(tails.size, 1))
+    for lo in range(0, heads.size, span):
+        a = heads[lo:lo + span, None]
+        both = a | tails
+        marks[both[(a & tails) == 0] if disjoint else both] = True
 
 
 def _maximal(family: np.ndarray, r: int) -> np.ndarray:

@@ -237,6 +237,59 @@ def test_many_maximal_sets_take_the_ranked_unions(monkeypatch):
     assert set(np.flatnonzero(unions[2]).tolist()) == _pairwise_unions(expect, family)
 
 
+@pytest.mark.parametrize("agents", (2, 3, 4, 5))
+@pytest.mark.parametrize("r", range(1, 11))
+def test_pair_unions_of_sets_without_the_empty_one_match_pair_enumeration(r, agents, monkeypatch):
+    # top's families are not closed under subsets; sparse enough, every
+    # step marks pairs: the ranked convolution must not run
+    rng = np.random.default_rng([r, agents])
+    member = rng.random(1 << r) < rng.choice((0.05, 0.2, 0.5))
+    member[0] = False
+    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    monkeypatch.setattr(heldkarp, "_ranked_zeta", None)
+    unions = heldkarp._unions(member, pop, agents, closed=False)
+    family = set(np.flatnonzero(member).tolist())
+    expect = family
+    assert len(unions) == agents and unions[0] is member
+    for union in unions[1:]:
+        expect = _pairwise_unions(expect, family)
+        assert set(np.flatnonzero(union).tolist()) == expect
+
+
+def test_every_nonempty_set_takes_the_ranked_unions(monkeypatch):
+    # every nonempty set of 10 targets: step 1 would mark 348,502 pairs, more
+    # than table_work(10, 3) / _PAIR_COST = 204,800, so the ranked
+    # convolution answers; j + 1 disjoint nonempty sets cover exactly the
+    # sets of at least j + 1 targets
+    r = 10
+    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    member = pop >= 1
+    real, calls = heldkarp._ranked_zeta, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(heldkarp, "_ranked_zeta", spy)
+    unions = heldkarp._unions(member, pop, 3, closed=False)
+    assert calls
+    for j, union in enumerate(unions):
+        assert np.array_equal(union, pop >= j + 1)
+
+
+def test_default_seed_1_top_table_marks_pairs(monkeypatch):
+    # R = 17, M = 2 and 620 fitting sets: 62,229 pairs, far below
+    # table_work(17, 2) / _PAIR_COST
+    instance = generate_instance(BenchmarkConfig(), 1, 1)
+    graph = instance_graph(instance)
+    calls = []
+    monkeypatch.setattr(heldkarp, "_ranked_zeta", lambda *args: calls.append(args))
+    table = Structure(graph, all_pairs_shortest(graph), instance.num_agents, instance.l_max,
+                      instance.must_visit, "top").table
+    assert isinstance(table, heldkarp.FleetTable) and len(table.unions) == 2
+    assert not calls
+
+
 def _plain_passes(a, r, update):
     """update(lower, upper) for every bit through the (..., 2, 2^b) view, bit by bit."""
     for b in range(r):

@@ -14,9 +14,9 @@ structure's infeasibility proof and certificates are not consulted, so
 every round reaches the table.
 
 The script prints the sha256 of all records, the counts of optima, proofs
-and Nones, and the five slowest heldkarp.fleet_table calls, each the best
-of --repeat runs.  Two checkouts compute the same answers exactly when
-their digests match.
+and Nones, the heldkarp.fleet_table time in total and per variant, and the
+five slowest fleet_table calls, each the best of --repeat runs.  Two
+checkouts compute the same answers exactly when their digests match.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def main() -> None:
     args = parser.parse_args()
 
     real = heldkarp.fleet_table
-    times = {}
+    times, variants = {}, {}
     current = [""]
 
     def timed(*table_args):
@@ -86,6 +86,7 @@ def main() -> None:
     counts = {"optima": 0, "proofs": 0, "none": 0}
     for label, structure_args, predictions in rounds():
         current[0] = label
+        variants[label] = structure_args[-1]
         table = Structure(*structure_args).table
         for c_name, c_hat in predictions:
             if table is None:
@@ -101,7 +102,11 @@ def main() -> None:
     print(f"rounds: {sum(counts.values())} ({counts['optima']} optima, "
           f"{counts['proofs']} proofs, {counts['none']} above the cap)")
     print(f"sha256: {digest.hexdigest()}")
-    print(f"fleet_table: {len(times)} tables, {sum(times.values()):.3f} s in total; slowest:")
+    per_variant = ", ".join(
+        f"{v} {sum(t for label, t in times.items() if variants[label] == v):.3f} s"
+        for v in ("tocp", "top"))
+    print(f"fleet_table: {len(times)} tables, {sum(times.values()):.3f} s in total "
+          f"({per_variant}); slowest:")
     for label, seconds in sorted(times.items(), key=lambda item: -item[1])[:5]:
         print(f"  {seconds * 1000:8.1f} ms  {label}")
 
