@@ -32,9 +32,9 @@ the pairs are few (see _unions):
     few: up to R 2^R pairs of maximal sets are marked;
   * under top, a union of j + 1 sets is A | F for A a union of j and F a
     fitting set disjoint from it that holds the lowest bit of A | F: up to
-    table_work / 3 such pairs are marked.  Of the benchmark's top
-    families only loose-exact structure 8's, with 20,776 fitting sets,
-    has more.
+    table_work / 3 such pairs are marked.  Of the top families of the
+    benchmark's structures only loose-exact structure 8's, with 20,776
+    fitting sets, has more.
 A step with more pairs takes ranked subset convolution (Björklund,
 Husfeldt, Kaski and Koivisto, STOC 2007) instead.  The optimum is the
 union that contains every must-visit vertex and has the largest sum of

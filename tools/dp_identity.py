@@ -69,7 +69,7 @@ def main() -> None:
     args = parser.parse_args()
 
     real = heldkarp.fleet_table
-    times, variants = {}, {}
+    times = {}
     current = [""]
 
     def timed(*table_args):
@@ -86,7 +86,6 @@ def main() -> None:
     counts = {"optima": 0, "proofs": 0, "none": 0}
     for label, structure_args, predictions in rounds():
         current[0] = label
-        variants[label] = structure_args[-1]
         table = Structure(*structure_args).table
         for c_name, c_hat in predictions:
             if table is None:
@@ -103,7 +102,7 @@ def main() -> None:
           f"{counts['proofs']} proofs, {counts['none']} above the cap)")
     print(f"sha256: {digest.hexdigest()}")
     per_variant = ", ".join(
-        f"{v} {sum(t for label, t in times.items() if variants[label] == v):.3f} s"
+        f"{v} {sum(t for label, t in times.items() if label.split()[2] == v):.3f} s"
         for v in ("tocp", "top"))
     print(f"fleet_table: {len(times)} tables, {sum(times.values()):.3f} s in total "
           f"({per_variant}); slowest:")
