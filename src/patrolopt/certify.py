@@ -156,7 +156,7 @@ class Structure:
         table = heldkarp.fleet_table(
             self.graph, self.dist, self.around if self.variant == "tocp" else None,
             self.targets, self.num_agents, self.limit, self.must)
-        return proof if table is not None and not table.eligible.any() else table
+        return proof if table is not None and not table.choices.size else table
 
 
 def answer_round(

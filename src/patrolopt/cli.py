@@ -17,10 +17,9 @@ from glob import glob
 from typing import Dict, List, Optional, Tuple
 
 from . import benchgen, results_io, stats, svgplot
-from .instance_io import InstanceFormatError, read_instance
-from .milp import ModelError
+from .instance_io import read_instance
 from .simulator import PLANNERS, run_episode, solve_single_round
-from .tocp import FleetPlan, RouteIntegrityError
+from .tocp import FleetPlan
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -28,14 +27,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InstanceFormatError,
-        RouteIntegrityError,
-        ModelError,
-        FileExistsError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, FileExistsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,8 @@ c_hat clipped at zero.  Tie rule: the largest such union, then the lowest
 bitmask.  No such union proves the round infeasible.
 
 Only that argmax reads c_hat: fleet_table builds the rest once per episode
-(certify.Structure keeps it), and best_round takes each round's argmax.
+(certify.Structure keeps it) down to the maximal eligible unions, which a
+round scores before it splits its choice among the fitting sets inside it.
 
 The ranked unions run only over the ranks the fitting sets reach.  When
 every set fits, nothing is pruned: the table and each of top's M - 1 union
@@ -91,17 +92,17 @@ class FleetTable:
     """What a round's optimum needs that c_hat does not change (see fleet_table).
 
     layers are _held_karp's live rows, layers[k - 1] those of popcount k;
-    pop is every mask's popcount, unions[j] the unions of j + 1 disjoint
-    fitting sets (under tocp from the maximal ones), and eligible the last
-    unions that hold every must-visit vertex (none: no plan exists).  inner
-    and close are the legs; dist and around expand tocp's into paths.
+    unions[j] the unions of j + 1 disjoint fitting sets (under tocp from the
+    maximal ones), and choices, ascending, the eligible ones: last unions
+    that hold every must-visit vertex and have no such union one bit above
+    them (none: no plan exists).  inner and close are the legs; dist and
+    around expand tocp's into paths.
     """
 
     targets: List[int]
     layers: List[Tuple[np.ndarray, np.ndarray]]
-    pop: np.ndarray
     unions: List[np.ndarray]
-    eligible: np.ndarray
+    choices: np.ndarray
     inner: np.ndarray
     close: np.ndarray
     dist: DistanceMatrix
@@ -152,26 +153,32 @@ def fleet_table(
     # the empty set: a tocp agent may take an out-and-back over a vertex
     # another covers, but a top agent claims every vertex it enters
     fits[0] = around is not None
-    pop = _mask_sums(np.ones(r), r).astype(np.int64)
-    unions = _unions(fits, pop, num_agents, closed=around is not None)
+    unions = _unions(fits, r, num_agents, closed=around is not None)
 
     must_mask = sum(1 << targets.index(v) for v in must)
-    masks = np.arange(pop.size, dtype=np.int64)
-    eligible = unions[-1] & ((masks & must_mask) == must_mask)
-    return FleetTable(list(targets), layers, pop, unions, eligible, inner, close, dist, around)
+    choices = _maximal(unions[-1] & ((np.arange(1 << r) & must_mask) == must_mask), r)
+    return FleetTable(list(targets), layers, unions, choices, inner, close, dist, around)
 
 
 def best_round(table: FleetTable, c_hat: np.ndarray) -> RoundOptimum:
     """The round's optimum over the table's eligible unions, of which there must be one.
 
-    The walks are closed walks on real edges; under tocp they may use a
+    Only table.choices is scored, adding weights in ascending bit order and
+    0.0 for absent bits, so each value is _mask_sums' bit for bit.  With
+    c_hat clipped at zero, an eligible strict superset of the chosen union
+    (best value, then most vertices, then lowest mask) would tie it and be
+    larger, so the choice is in choices.  Under top, choices may also hold
+    unions with a larger eligible superset, but they are eligible too.  The
+    walks are closed walks on real edges; under tocp they may use a
     directed edge twice.
     """
-    targets, pop, eligible = table.targets, table.pop, table.eligible
-    value = _mask_sums(np.maximum(np.asarray(c_hat, dtype=float)[targets], 0.0), len(targets))
-    best = value[eligible].max()
-    ties = np.flatnonzero(eligible & (value == best))
-    chosen = int(ties[np.argmax(pop[ties])])
+    targets, choices = table.targets, table.choices
+    weights = np.maximum(np.asarray(c_hat, dtype=float)[targets], 0.0)
+    value = np.zeros(choices.size)
+    for b, weight in enumerate(weights):
+        value += np.where(choices >> b & 1, weight, 0.0)
+    best = value.max()
+    chosen = max(choices[value == best].tolist(), key=int.bit_count)
 
     walks = []
     for part in _split(chosen, table.unions):
@@ -265,11 +272,11 @@ def _held_karp(
     return layers, fits
 
 
-def _unions(fits: np.ndarray, pop: np.ndarray, num_agents: int, closed: bool) -> List[np.ndarray]:
-    """unions[j]: the unions of j + 1 disjoint fitting sets, for j < num_agents.
+def _unions(fits: np.ndarray, r: int, num_agents: int, closed: bool) -> List[np.ndarray]:
+    """unions[j]: the unions of j + 1 disjoint fitting sets of r targets, for j < num_agents.
 
     Each step marks pairs through _mark_pairs when they are few enough, and
-    runs the ranked subset convolution otherwise.
+    runs the ranked subset convolution, over every mask's popcount, otherwise.
       * closed (tocp) says every subset of a fitting set fits.  The unions
         of j + 1 fitting sets are then the subsets of the unions of j + 1
         maximal ones, fitting sets with no fitting superset one bit larger:
@@ -300,7 +307,6 @@ def _unions(fits: np.ndarray, pop: np.ndarray, num_agents: int, closed: bool) ->
     (R = 17, M = 2, 620 fitting sets) marks 62,229 pairs in 0.8 ms instead
     of 46-59 ms.
     """
-    r = int(pop[-1])
     unions = [fits]
     f_hat = None
     if closed:
@@ -328,6 +334,7 @@ def _unions(fits: np.ndarray, pop: np.ndarray, num_agents: int, closed: bool) ->
             unions.append(marks)
             continue
         if f_hat is None:
+            pop = _mask_sums(np.ones(r), r).astype(np.int64)
             f_hat = _ranked_zeta(fits, pop)
         prev_hat = f_hat if len(unions) == 1 else _ranked_zeta(unions[-1], pop)
         unions.append(_disjoint_union(prev_hat, f_hat, pop))
@@ -397,30 +404,22 @@ def _split(chosen: int, unions: List[np.ndarray]) -> List[int]:
 
     unions[j] holds the unions of j + 1 sets and unions[0] the fitting sets
     themselves.  Each step takes the lowest-mask fitting set that holds the
-    lowest vertex still uncovered and leaves a union of one set fewer.
+    lowest vertex still uncovered and leaves a union of one set fewer,
+    scanning only the fitting sets inside what is left.
     """
+    fitting = np.flatnonzero(unions[0])
     parts = []
     rest = chosen
     for j in range(len(unions) - 1, 0, -1):
         if rest == 0:
             break
-        subs = _submasks(rest)
-        ok = unions[0][subs] & unions[j - 1][rest ^ subs] & ((subs & rest & -rest) != 0)
-        part = int(subs[np.argmax(ok)])
+        inside = fitting[((fitting & ~rest) == 0) & ((fitting & rest & -rest) != 0)]
+        part = int(inside[np.argmax(unions[j - 1][rest ^ inside])])
         parts.append(part)
         rest ^= part
     if rest:
         parts.append(rest)
     return parts
-
-
-def _submasks(mask: int) -> np.ndarray:
-    """Every submask of mask, ascending: each higher bit doubles the list above it."""
-    out = np.zeros(1, dtype=np.int64)
-    for b in range(mask.bit_length()):
-        if mask >> b & 1:
-            out = np.concatenate([out, out | (1 << b)])
-    return out
 
 
 def _tour(mask: int, table: FleetTable) -> List[int]:

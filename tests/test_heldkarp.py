@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from patrolopt import heldkarp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
@@ -183,6 +183,49 @@ def test_default_seed_1_round_1_answer_is_pinned(single_visit, value, walks):
     assert answer == heldkarp.RoundOptimum(value=value, walks=walks)
 
 
+@pytest.mark.parametrize("variant", ("tocp", "top"))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=tiny_rounds(), seed=st.integers(0, 2 ** 32 - 1))
+def test_choice_matches_the_argmax_over_every_eligible_union(variant, case, seed):
+    # the dense argmax: every union that holds the must-visit vertices, valued
+    # by _mask_sums, then the largest, then the lowest mask
+    graph, c_hat, agents, l_max, must = case
+    rng = np.random.default_rng(seed)
+    c_hat = np.where(rng.random(c_hat.size) < 0.4, 0.0, c_hat)
+    table = Structure(graph, all_pairs_shortest(graph), agents, l_max, must, variant).table
+    if isinstance(table, str):
+        return
+    targets = table.targets
+    must_mask = sum(1 << targets.index(v) for v in must)
+    masks = np.flatnonzero(table.unions[-1])
+    masks = masks[(masks & must_mask) == must_mask]
+    value = heldkarp._mask_sums(np.maximum(c_hat[targets], 0.0), len(targets))[masks]
+    chosen = min(masks[value == value.max()].tolist(), key=lambda m: (-m.bit_count(), m))
+    answer = heldkarp.best_round(table, c_hat)
+    assert answer.value == value.max()
+    visited = {v for walk in answer.walks for v in walk} - {DEPOT}
+    assert visited == {v for b, v in enumerate(targets) if chosen >> b & 1}
+
+
+@pytest.mark.parametrize("variant", ("tocp", "top"))
+def test_default_seed_1_rounds_make_no_pass_over_every_mask(variant, monkeypatch):
+    # R = 17: a round scores the table's few maximal eligible unions instead
+    # of summing c_hat over all 2^17 masks
+    instance = generate_instance(BenchmarkConfig(), 1, 1)
+    graph = instance_graph(instance)
+    c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
+    table = Structure(graph, all_pairs_shortest(graph), instance.num_agents, instance.l_max,
+                      instance.must_visit, variant).table
+
+    def dense(*args):
+        raise AssertionError("a round summed c_hat over every mask")
+
+    monkeypatch.setattr(heldkarp, "_mask_sums", dense)
+    answer = heldkarp.best_round(table, c_hat)
+    assert answer.value == (8.5 if variant == "tocp" else 8.0)
+
+
 def _closed_family(r, case, rng):
     """Every set, only the empty set, or the sets under a few random masks: each
     holds every subset of its members."""
@@ -204,9 +247,8 @@ def test_maximal_set_unions_match_pair_enumeration(case, agents, monkeypatch):
     rng = np.random.default_rng(case if isinstance(case, int) else 99)
     r = (1, 2, 3, 5, 7, 8, 9, 10)[case] if isinstance(case, int) else 10
     member = _closed_family(r, case, rng)
-    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
     monkeypatch.setattr(heldkarp, "_ranked_zeta", None)
-    unions = heldkarp._unions(member, pop, agents, closed=True)
+    unions = heldkarp._unions(member, r, agents, closed=True)
     family = set(np.flatnonzero(member).tolist())
     expect = family
     assert len(unions) == agents and unions[0] is member
@@ -229,7 +271,7 @@ def test_many_maximal_sets_take_the_ranked_unions(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(heldkarp, "_ranked_zeta", spy)
-    unions = heldkarp._unions(member, pop, 3, closed=True)
+    unions = heldkarp._unions(member, r, 3, closed=True)
     assert calls
     family = set(np.flatnonzero(member).tolist())
     expect = _pairwise_unions(family, family)
@@ -245,9 +287,8 @@ def test_pair_unions_of_sets_without_the_empty_one_match_pair_enumeration(r, age
     rng = np.random.default_rng([r, agents])
     member = rng.random(1 << r) < rng.choice((0.05, 0.2, 0.5))
     member[0] = False
-    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
     monkeypatch.setattr(heldkarp, "_ranked_zeta", None)
-    unions = heldkarp._unions(member, pop, agents, closed=False)
+    unions = heldkarp._unions(member, r, agents, closed=False)
     family = set(np.flatnonzero(member).tolist())
     expect = family
     assert len(unions) == agents and unions[0] is member
@@ -271,7 +312,7 @@ def test_every_nonempty_set_takes_the_ranked_unions(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(heldkarp, "_ranked_zeta", spy)
-    unions = heldkarp._unions(member, pop, 3, closed=False)
+    unions = heldkarp._unions(member, r, 3, closed=False)
     assert calls
     for j, union in enumerate(unions):
         assert np.array_equal(union, pop >= j + 1)

@@ -14,9 +14,10 @@ structure's infeasibility proof and certificates are not consulted, so
 every round reaches the table.
 
 The script prints the sha256 of all records, the counts of optima, proofs
-and Nones, the heldkarp.fleet_table time in total and per variant, and the
-five slowest fleet_table calls, each the best of --repeat runs.  Two
-checkouts compute the same answers exactly when their digests match.
+and Nones, the heldkarp.best_round and heldkarp.fleet_table times in total
+and per variant, and the five slowest fleet_table calls, each call timed as
+the best of --repeat runs.  Two checkouts compute the same answers exactly
+when their digests match.
 """
 
 from __future__ import annotations
@@ -65,20 +66,24 @@ def rounds():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1,
-                        help="runs of each fleet_table call; its time is the best")
+                        help="runs of each fleet_table and best_round call; its time is the best")
     args = parser.parse_args()
 
     real = heldkarp.fleet_table
     times = {}
+    round_times = {"tocp": 0.0, "top": 0.0}
     current = [""]
 
-    def timed(*table_args):
+    def best_of(call, *call_args):
         best = float("inf")
         for _ in range(max(args.repeat, 1)):
             t0 = time.perf_counter()
-            table = real(*table_args)
+            out = call(*call_args)
             best = min(best, time.perf_counter() - t0)
-        times[current[0]] = best
+        return out, best
+
+    def timed(*table_args):
+        table, times[current[0]] = best_of(real, *table_args)
         return table
 
     heldkarp.fleet_table = timed
@@ -93,7 +98,8 @@ def main() -> None:
             elif isinstance(table, str):
                 record, kind = table, "proofs"
             else:
-                answer = heldkarp.best_round(table, c_hat)
+                answer, seconds = best_of(heldkarp.best_round, table, c_hat)
+                round_times[label.split()[2]] += seconds
                 record, kind = f"{answer.value!r} {answer.walks}", "optima"
             counts[kind] += 1
             digest.update(f"{label} c={c_name}: {record}\n".encode())
@@ -101,6 +107,8 @@ def main() -> None:
     print(f"rounds: {sum(counts.values())} ({counts['optima']} optima, "
           f"{counts['proofs']} proofs, {counts['none']} above the cap)")
     print(f"sha256: {digest.hexdigest()}")
+    print(f"best_round: {counts['optima']} optima, {sum(round_times.values()):.3f} s in total "
+          f"(tocp {round_times['tocp']:.3f} s, top {round_times['top']:.3f} s)")
     per_variant = ", ".join(
         f"{v} {sum(t for label, t in times.items() if label.split()[2] == v):.3f} s"
         for v in ("tocp", "top"))
