@@ -6,6 +6,10 @@ the edge set is symmetrized.  Budget, fleet size, growth rates, required
 vertices and the whole growth table are then drawn from fixed laws.  All
 draws come from named streams keyed by (seed, tag), so a (config, seed, H)
 triple always produces a byte-identical file.
+
+No structural draw reads the horizon, and growth column t has its own stream,
+so a suite draws each seed once and cuts every horizon's growth table from
+one table drawn at the longest horizon.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,20 +121,26 @@ def draw_structure(config: BenchmarkConfig, effective_seed: int) -> StructureDra
     )
 
 
-def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Instance:
-    """One instance, escalating the seed when the draw cannot host its required vertices.
-
-    Escalation re-rolls everything with seed + k * step and records k in the
-    file, so a reader can reproduce the exact draw without searching.
-    """
-    if seed < 1:
+def _check(config: BenchmarkConfig, seeds: Sequence[int], horizons: Sequence[int]) -> None:
+    if any(seed < 1 for seed in seeds):
         raise ValueError("seed must be >= 1")
-    if horizon < 1:
+    if any(horizon < 1 for horizon in horizons):
         raise ValueError("horizon must be >= 1")
     if min(config.agent_choices) < 1:
         raise ValueError("agent_choices must all be >= 1")
     if min(config.vertex_choices) < 2:
         raise ValueError("vertex_choices must all be >= 2")
+
+
+def _seed_instances(config: BenchmarkConfig, seed: int, horizons: Sequence[int]) -> List[Instance]:
+    """One seed's instances, one per horizon in the given order, from one draw.
+
+    Escalation re-rolls everything with seed + k * step and records k in the
+    file, so a reader can reproduce the exact draw without searching.  Growth
+    column t comes from the stream (effective seed, t) alone, so the table is
+    drawn once, at the longest horizon, and each instance keeps its first H
+    columns.
+    """
     for escalations in range(config.max_escalations + 1):
         effective_seed = seed + escalations * config.seed_escalation_step
         structure = draw_structure(config, effective_seed)
@@ -151,51 +161,64 @@ def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Insta
             mu_star=np.concatenate([[0.0], structure.mu_star]),
             noise_stddev=config.noise_stddev,
         )
-        table = materialize_kappa(params, effective_seed, horizon)
-        kappa = [[float(table[v, t]) for t in range(1, horizon + 1)]
-                 for v in range(1, structure.num_vertices + 1)]
-        return Instance(
-            seed=seed,
-            horizon=horizon,
-            num_vertices=structure.num_vertices,
-            num_agents=structure.num_agents,
-            l_max=structure.l_max,
-            positions=structure.positions,
-            edges=structure.edges,
-            must_visit=must_visit,
-            mu_star=structure.mu_star,
-            mu_default=config.mu_default,
-            noise_stddev=config.noise_stddev,
-            kappa=kappa,
-            seed_escalations=escalations,
-        )
+        table = materialize_kappa(params, effective_seed, max(horizons))[1:, 1:].tolist()
+        return [
+            Instance(
+                seed=seed,
+                horizon=horizon,
+                num_vertices=structure.num_vertices,
+                num_agents=structure.num_agents,
+                l_max=structure.l_max,
+                positions=structure.positions,
+                edges=structure.edges,
+                must_visit=must_visit,
+                mu_star=structure.mu_star,
+                mu_default=config.mu_default,
+                noise_stddev=config.noise_stddev,
+                kappa=[row[:horizon] for row in table],
+                seed_escalations=escalations,
+            )
+            for horizon in horizons
+        ]
     raise RuntimeError(
         f"seed {seed}: gave up after {config.max_escalations} escalations; "
         "the config cannot host its required vertices"
     )
 
 
+def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Instance:
+    """One instance, escalating the seed when the draw cannot host its required vertices."""
+    _check(config, (seed,), (horizon,))
+    return _seed_instances(config, seed, (horizon,))[0]
+
+
 def suite_paths(config: BenchmarkConfig, out_dir: str) -> List[Tuple[str, int, int]]:
     """Planned (path, seed, horizon) triples in generation order."""
-    out = []
-    for horizon in config.horizons:
-        for seed in config.seeds:
-            out.append((os.path.join(out_dir, f"H{horizon}", f"seed{seed}.json"), seed, horizon))
-    return out
+    return [(_instance_path(out_dir, seed, horizon), seed, horizon)
+            for horizon in config.horizons for seed in config.seeds]
+
+
+def _instance_path(out_dir: str, seed: int, horizon: int) -> str:
+    return os.path.join(out_dir, f"H{horizon}", f"seed{seed}.json")
 
 
 def generate_suite(config: BenchmarkConfig, out_dir: str, force: bool = False) -> List[str]:
-    """Write the whole suite under out_dir/H{H}/seed{seed}.json.
+    """Write the whole suite under out_dir/H{H}/seed{seed}.json; paths in suite_paths order.
 
-    Refuses to touch a directory that already has content unless forced.
+    Each seed is drawn once and its horizons cut one growth table, so the
+    files match generate_instance's byte for byte.  Only one seed's instances
+    are held at a time.  Refuses a repeated seed or horizon, which would name
+    one file twice, and a directory that already has content unless forced.
     """
+    for name, values in (("seed", config.seeds), ("horizon", config.horizons)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated {name} in {tuple(values)}")
+    _check(config, config.seeds, config.horizons)
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise FileExistsError(
             f"{out_dir} already has content; pass force=True to overwrite"
         )
-    written = []
-    for path, seed, horizon in suite_paths(config, out_dir):
-        instance = generate_instance(config, seed, horizon)
-        write_instance(instance, path)
-        written.append(path)
-    return written
+    for seed in config.seeds if config.horizons else ():
+        for instance in _seed_instances(config, seed, config.horizons):
+            write_instance(instance, _instance_path(out_dir, seed, instance.horizon))
+    return [path for path, _, _ in suite_paths(config, out_dir)]

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 
 import pytest
 
-from patrolopt.benchgen import BenchmarkConfig, draw_structure, generate_instance, generate_suite
+from patrolopt import benchgen
+from patrolopt.benchgen import (
+    BenchmarkConfig,
+    draw_structure,
+    generate_instance,
+    generate_suite,
+    suite_paths,
+)
 from patrolopt.graph import all_pairs_shortest, reachable_round_trip
 from patrolopt.instance_io import instance_graph, read_instance, write_instance
 
@@ -130,3 +138,52 @@ def test_bad_arguments_are_rejected():
         generate_instance(cfg, 1, 0)
     with pytest.raises(ValueError, match="agent_choices"):
         generate_instance(BenchmarkConfig(agent_choices=(0, 2)), 1, 2)
+
+
+# budget_base=2.0 makes seed 1 escalate 7 times (see the test above)
+ESCALATING = dict(budget_base=2.0, budget_span_per_vertex=0.0, required_draw_choices=(1,))
+
+
+def test_suite_draws_each_seed_once_with_generate_instance_bytes(tmp_path, monkeypatch):
+    cfg = tiny_config(seeds=(1, 2), horizons=(3, 1, 2), **ESCALATING)
+    draws = []
+
+    def spy(config, effective_seed):
+        draws.append(effective_seed)
+        return draw_structure(config, effective_seed)
+
+    monkeypatch.setattr(benchgen, "draw_structure", spy)
+    out = str(tmp_path / "suite")
+    written = generate_suite(cfg, out)
+    suite_draws = len(draws)
+    assert written == [path for path, _, _ in suite_paths(cfg, out)]
+    escalations = {}
+    for path, seed, horizon in suite_paths(cfg, out):
+        inst = generate_instance(cfg, seed, horizon)
+        escalations[seed] = inst.seed_escalations
+        expected = str(tmp_path / "expected.json")
+        write_instance(inst, expected)
+        with open(path, "rb") as got, open(expected, "rb") as want:
+            assert got.read() == want.read(), path
+    assert escalations[1] == 7
+    assert suite_draws == sum(1 + k for k in escalations.values())
+
+
+def test_suite_bytes_are_pinned(tmp_path):
+    # A change to the draw order, the streams or the file layout shows here;
+    # the digest was computed with the per-instance generator this suite
+    # writer replaced.
+    suites = {
+        "default": BenchmarkConfig(seeds=tuple(range(1, 6))),
+        "escalating": tiny_config(seeds=(1,), horizons=(3, 1, 2), **ESCALATING),
+    }
+    digest = hashlib.sha256()
+    for name, cfg in suites.items():
+        for path in generate_suite(cfg, str(tmp_path / name)):
+            digest.update(os.path.relpath(path, str(tmp_path)).replace(os.sep, "/").encode())
+            with open(path, "rb") as fh:
+                digest.update(fh.read())
+    assert digest.hexdigest() == (
+        "06ad254d5509c35f5a585b5b8d9e676d6b88bbcdf0603d8d6427a43adc789707"
+    )
+

@@ -273,6 +273,15 @@ def test_gen_rejects_zero_agents_before_writing(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_gen_rejects_repeated_seeds_or_horizons_before_writing(tmp_path, capsys):
+    # repeats would name one file twice, so the count printed would be wrong
+    out = str(tmp_path / "suite")
+    for seeds, horizons in (("1,1,2", "2"), ("1", "2,2")):
+        assert main(["gen", "--out", out, "--seeds", seeds, "--horizons", horizons]) == 2
+        assert "repeated" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_gen_without_a_hostable_draw_exits_two_before_writing(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "suite")
     args = ["gen", "--out", out, "--seeds", "1", "--horizons", "2"]
