@@ -28,6 +28,8 @@ from .instance_io import Instance, write_instance
 # Stream tag for the structural draws; growth draws use (seed, t) with t <= H,
 # so any tag above the largest horizon keeps the streams disjoint.
 _STRUCTURE_TAG = 101
+SQUARE_HALF_WIDTH = 5.0
+SEED_ESCALATION_STEP = 1_000_000
 
 
 @dataclass
@@ -35,7 +37,6 @@ class BenchmarkConfig:
     seeds: Tuple[int, ...] = tuple(range(1, 121))
     horizons: Tuple[int, ...] = (2, 4, 6, 8, 10)
     vertex_choices: Tuple[int, ...] = (10, 12, 14, 16, 18, 20)
-    square_half_width: float = 5.0
     out_degree_choices: Tuple[int, ...] = (3, 4, 5)
     budget_base: float = 20.0
     budget_span_per_vertex: float = 2.0  # l_max ~ budget_base + U(0, this * N)
@@ -45,7 +46,6 @@ class BenchmarkConfig:
     rate_high: float = 0.9
     noise_stddev: float = 0.1
     mu_default: float = 0.5
-    seed_escalation_step: int = 1_000_000
     max_escalations: int = 50
 
 
@@ -76,8 +76,7 @@ def draw_structure(config: BenchmarkConfig, effective_seed: int) -> StructureDra
     """
     rng = np.random.default_rng((effective_seed, _STRUCTURE_TAG))
     n = int(rng.choice(np.asarray(config.vertex_choices)))
-    hw = config.square_half_width
-    others = rng.uniform(-hw, hw, size=(n - 1, 2))
+    others = rng.uniform(-SQUARE_HALF_WIDTH, SQUARE_HALF_WIDTH, size=(n - 1, 2))
     positions: List[Tuple[float, float]] = [(0.0, 0.0)]
     positions += [(float(x), float(y)) for x, y in others]
     out_degrees = [int(v) for v in rng.choice(np.asarray(config.out_degree_choices), size=n)]
@@ -135,14 +134,14 @@ def _check(config: BenchmarkConfig, seeds: Sequence[int], horizons: Sequence[int
 def _seed_instances(config: BenchmarkConfig, seed: int, horizons: Sequence[int]) -> List[Instance]:
     """One seed's instances, one per horizon in the given order, from one draw.
 
-    Escalation re-rolls everything with seed + k * step and records k in the
-    file, so a reader can reproduce the exact draw without searching.  Growth
-    column t comes from the stream (effective seed, t) alone, so the table is
-    drawn once, at the longest horizon, and each instance keeps its first H
-    columns.
+    Escalation re-rolls everything with seed + k * SEED_ESCALATION_STEP and
+    records k in the file, so a reader can reproduce the exact draw without
+    searching.  Growth column t comes from the stream (effective seed, t)
+    alone, so the table is drawn once, at the longest horizon, and each
+    instance keeps its first H columns.
     """
     for escalations in range(config.max_escalations + 1):
-        effective_seed = seed + escalations * config.seed_escalation_step
+        effective_seed = seed + escalations * SEED_ESCALATION_STEP
         structure = draw_structure(config, effective_seed)
         required_count = min(structure.required_draw, structure.num_agents)
         graph = Graph(structure.num_vertices, symmetrize(structure.edges))
@@ -180,7 +179,7 @@ def _seed_instances(config: BenchmarkConfig, seed: int, horizons: Sequence[int])
             )
             for horizon in horizons
         ]
-    raise RuntimeError(
+    raise ValueError(
         f"seed {seed}: gave up after {config.max_escalations} escalations; "
         "the config cannot host its required vertices"
     )

@@ -1,23 +1,24 @@
-"""Answering a planning round without its MIP: certificates, proofs and the walk rules.
+"""The building blocks for answering a planning round without its MIP.
 
-answer_round settles most rounds by a certificate, an infeasibility proof
-or the exact DP, in that order, and hands back closed walks with the bound
-they reach, a proof string, or None when only HiGHS can answer.  It reads
-a Structure and c_hat, never a model; tocp.plan_round and tocp.build_tocp /
-build_top consume its answer.  Across an episode only c_hat changes: the
-graph, the fleet, the budget and the must-visit vertices stay, and so do
-the model's rows.  A Structure holds those, checked once, and keeps what
-the cascade derives from them alone (the targets, the proof, top's cover
-walks and the DP's table), so the episode loop pays for each once.
+This module holds the walk rules, the walk repairs, top's cover search and
+the infeasibility proofs.  The cascade that puts them together,
+tocp.answer_round, lives in tocp beside its callers: it settles most rounds
+by a certificate, an infeasibility proof or the exact DP, in that order,
+reading a Structure and c_hat, never a model.  This module imports neither
+greedy nor tocp.  Across an episode only c_hat changes: the graph, the
+fleet, the budget and the must-visit vertices stay, and so do the model's
+rows.  A Structure holds those, checked once, and keeps what the cascade
+derives from them alone (the targets, the proof, top's cover walks and the
+DP's table), so the episode loop pays for each once.
 
 Certified rounds: under tocp the greedy planner runs on c_hat, and its
-plan, repaired, is the certificate, but only when it visits every vertex
-whose depot round trip fits the budget (within the solver's feasibility
-tolerance).  With c_hat >= 0 such a plan collects the sum of c_hat over
-those vertices, and no plan can collect more, so it is optimal once its
-walks break none of the rules of broken_rules.  Ties therefore break
-towards visiting: a certified round visits everything reachable,
-zero-valued vertices included.  Greedy walks rarely satisfy the
+plan, repaired, is the certificate (tocp.greedy_certificate), but only
+when it visits every vertex whose depot round trip fits the budget (within
+the solver's feasibility tolerance).  With c_hat >= 0 such a plan collects
+the sum of c_hat over those vertices, and no plan can collect more, so it
+is optimal once its walks break none of the rules of broken_rules.  Ties
+therefore break towards visiting: a certified round visits everything
+reachable, zero-valued vertices included.  Greedy walks rarely satisfy the
 single-visit rule, so top's certificate is built differently: one simple
 depot cycle per agent, no two sharing a non-depot vertex, grown by farthest
 insertion until together they visit the same reachable set (see
@@ -112,7 +113,7 @@ class Structure:
     def cover_walks(self) -> Optional[List[List[int]]]:
         """top's certificate: the walks of a vertex-disjoint cycle cover, or None.
 
-        The cover visits the vertices greedy_certificate must visit, the
+        The cover visits the vertices tocp.greedy_certificate must visit, the
         targets.  Each agent gets one simple depot cycle and no two cycles
         share a non-depot vertex, so the cover satisfies the single-visit
         rows; when it visits every target it reaches the same round-trip
@@ -141,7 +142,7 @@ class Structure:
         for starts in start_sets:
             routes = _insertion_cover(graph, self.targets, starts, l_max)
             if routes is not None:
-                return _fleet_walks(self, routes)
+                return fleet_walks(self, routes)
         return None
 
     @cached_property
@@ -157,35 +158,6 @@ class Structure:
             self.graph, self.dist, self.around if self.variant == "tocp" else None,
             self.targets, self.num_agents, self.limit, self.must)
         return proof if table is not None and not table.choices.size else table
-
-
-def answer_round(
-    structure: Structure, c_hat: np.ndarray
-) -> Union[Tuple[List[List[int]], float], str, None]:
-    """A round's answer without the model: (walks, bound), a proof string, or None.
-
-    The certificate comes first: greedy_certificate under tocp, the
-    structure's cover_walks under top, each with the round-trip bound.  A
-    round without one is checked for an infeasibility proof, then handed to
-    the exact DP, whose optimal walks, with doubled edges simplified away,
-    come with its value as the bound and whose absence of any covering union
-    is the proof.  Walks always break none of broken_rules; None (a round
-    above the DP's cost cap, or whose optimal walks end up over l_max) means
-    only HiGHS can answer.
-    """
-    certified = (greedy_certificate(structure, c_hat) if structure.variant == "tocp"
-                 else structure.cover_walks)
-    if certified is not None:
-        # no plan collects more than the positive c_hat over the targets
-        return certified, float(sum(max(float(c_hat[v]), 0.0) for v in structure.targets))
-    if structure.proof is not None:
-        return structure.proof
-    table = structure.table
-    if table is None or isinstance(table, str):
-        return table
-    optimum = heldkarp.best_round(table, c_hat)
-    walks = _fleet_walks(structure, [simplify_walk(walk) for walk in optimum.walks])
-    return None if walks is None else (walks, optimum.value)
 
 
 def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:
@@ -224,7 +196,7 @@ def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:
     return broken
 
 
-def _fleet_walks(structure: Structure, routes: List[List[int]]) -> Optional[List[List[int]]]:
+def fleet_walks(structure: Structure, routes: List[List[int]]) -> Optional[List[List[int]]]:
     """Closed walks, one per agent, or None when one is over l_max or breaks a rule.
 
     Agents without a walk ([1], or missing from the end of routes) take the
@@ -246,34 +218,6 @@ def _cheapest_out_and_back(graph: Graph) -> Optional[List[int]]:
     if not hops:
         return None
     return [DEPOT, min(hops, key=lambda v: graph.lengths[(DEPOT, v)]), DEPOT]
-
-
-def greedy_certificate(structure: Structure, c_hat: np.ndarray) -> Optional[List[List[int]]]:
-    """The greedy plan's walks when they reach the round-trip bound, or None.
-
-    The bound sums c_hat over the targets, every vertex whose depot round
-    trip fits the limit, since HiGHS accepts a walk that far over l_max.  A
-    greedy plan that visits all of those vertices collects the bound when
-    c_hat >= 0, so no plan can beat it.  Greedy plans that miss one are
-    dropped.  That fixes the tie rule: a certified round visits everything
-    reachable, zero-valued vertices too.  Routes pass through repair_walk,
-    and walks that still break a rule of broken_rules give no certificate.
-    """
-    # greedy imports from tocp, which imports this module
-    from .greedy import greedy_plan
-    from .tocp import UnreachableMustVisitError
-
-    s = structure
-    try:
-        plan = greedy_plan(s.graph, s.dist, c_hat, s.num_agents, s.l_max, s.must)
-    except UnreachableMustVisitError:
-        return None
-    if not plan.visited().issuperset(s.targets):
-        return None
-    repaired = [repair_walk(route, s) if len(route) > 1 else route for route in plan.routes]
-    if None in repaired:
-        return None
-    return _fleet_walks(s, repaired)
 
 
 def repair_walk(route: List[int], structure: Structure) -> Optional[List[int]]:

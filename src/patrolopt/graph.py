@@ -2,7 +2,8 @@
 
 Vertices are 1-indexed and vertex 1 is always the depot.  Arrays keyed by
 vertex are sized N+1 with slot 0 unused so that code can write ``dist[i, j]``
-with the same indices that appear in route lists.
+with the same indices that appear in route lists.  FleetPlan is the plan
+every planner returns.
 """
 
 from __future__ import annotations
@@ -155,3 +156,24 @@ def walk_length(graph: Graph, route: List[int]) -> float:
     for a, b in zip(route, route[1:]):
         total += graph.lengths[(a, b)]
     return total
+
+
+@dataclass
+class FleetPlan:
+    """One closed walk per agent, depot to depot; [1] alone means the agent stays home."""
+
+    routes: List[List[int]]
+    lengths: List[float]
+
+    @property
+    def num_agents(self) -> int:
+        return len(self.routes)
+
+    def visited(self) -> Set[int]:
+        out: Set[int] = {DEPOT}
+        for route in self.routes:
+            out.update(route)
+        return out
+
+    def reward(self, c_hat: np.ndarray) -> float:
+        return float(sum(c_hat[v] for v in sorted(self.visited()) if v != DEPOT))

@@ -5,7 +5,8 @@ nearest still-unclaimed required vertex it can reach and return home from;
 once no required vertex is reachable it chases the best predicted-cost-per-
 distance vertex instead, and when nothing worthwhile remains it heads home.
 Vertices passed through along the way count as visited and leave the pools,
-so later agents do not re-plan trips to them.
+so later agents do not re-plan trips to them.  Under tocp the round
+cascade, tocp.answer_round, tries this plan first (tocp.greedy_certificate).
 """
 
 from __future__ import annotations
@@ -14,8 +15,11 @@ from typing import List, Sequence, Set
 
 import numpy as np
 
-from .graph import DEPOT, DistanceMatrix, Graph
-from .tocp import FleetPlan, UnreachableMustVisitError
+from .graph import DEPOT, DistanceMatrix, FleetPlan, Graph
+
+
+class UnreachableMustVisitError(ValueError):
+    """A required vertex has no depot round trip within the budget."""
 
 
 def greedy_plan(

@@ -107,6 +107,9 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     for key in required_keys:
         if key not in payload:
             fail(f"missing field {key!r}")
+    for key in ("positions", "edges", "must_visit", "mu_star", "kappa"):
+        if not isinstance(payload[key], list):
+            fail(f"{key} is not a list")
     if payload["version"] != FORMAT_VERSION:
         fail(f"unsupported version {payload['version']!r}")
     n = int(payload["N"])
@@ -124,10 +127,13 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     positions = payload["positions"]
     if len(positions) != n:
         fail(f"positions has {len(positions)} rows, want N={n}")
+    for row in positions:
+        if not isinstance(row, list) or len(row) != 2:
+            fail(f"position row {row} is not [x, y]")
     edges: List[Tuple[int, int, float]] = []
     seen_pairs = set()
     for row in payload["edges"]:
-        if len(row) != 3:
+        if not isinstance(row, list) or len(row) != 3:
             fail(f"edge row {row} is not [i, j, length]")
         i, j, l = int(row[0]), int(row[1]), float(row[2])
         if not (1 <= i <= n and 1 <= j <= n):
@@ -160,6 +166,8 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
         fail(f"kappa has {len(kappa)} rows, want N={n}")
     lo, hi = CLIP_RANGE
     for r, row in enumerate(kappa):
+        if not isinstance(row, list):
+            fail(f"kappa row {r} is not a list")
         if len(row) != h:
             fail(f"kappa row {r} has {len(row)} columns, want H={h}")
         for v in row:

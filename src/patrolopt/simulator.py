@@ -32,10 +32,10 @@ from . import milp
 from .certify import Structure
 from .cost_process import CostState
 from .estimator import EstimatorState
-from .graph import DEPOT, all_pairs_shortest
-from .greedy import greedy_plan
+from .graph import DEPOT, FleetPlan, all_pairs_shortest
+from .greedy import UnreachableMustVisitError, greedy_plan
 from .instance_io import Instance, instance_graph, instance_id, kappa_table
-from .tocp import FleetPlan, UnreachableMustVisitError, _build_answered, extract_routes, plan_round
+from .tocp import _build_answered, extract_routes, plan_round
 
 PLANNERS = ("tocp", "top", "greedy")
 STATUS_HEURISTIC = "heuristic"

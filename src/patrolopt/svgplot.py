@@ -10,9 +10,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Tuple
 
-from .graph import DEPOT
+from .graph import DEPOT, FleetPlan
 from .instance_io import Instance
-from .tocp import FleetPlan
 
 AGENT_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 PLANNER_COLORS = {"tocp": "#d62728", "top": "#1f77b4", "greedy": "#2ca02c"}

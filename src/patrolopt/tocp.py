@@ -19,10 +19,12 @@ single-commodity flow (capped at N per edge) that leaves the depot carrying
 one unit per visited vertex and drops one at each, which rules out subtours
 detached from the depot.  Every row is "<=" or "=".
 
-Answered rounds: certify.answer_round settles most rounds without the
-model, by a certificate, an infeasibility proof or the exact DP (see the
-certify module), from a certify.Structure that holds everything of the
-round but c_hat.  Two consumers take its answer.  plan_round, which the
+Answered rounds: answer_round, the cascade, settles most rounds without
+the model, by a certificate (greedy_certificate under tocp), an
+infeasibility proof or the exact DP, from a certify.Structure that holds
+everything of the round but c_hat.  Its building blocks, the walk rules,
+repairs, cover search and proofs, live in certify (see that module); the
+cascade lives here beside its two consumers.  plan_round, which the
 simulator's episode loop calls with the Structure it builds once per
 episode, restitches the walks into routes as extract_routes would, so
 certified and proven rounds build no model; it builds one only for a round
@@ -41,12 +43,14 @@ row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .certify import Structure, answer_round
-from .graph import DEPOT, DistanceMatrix, Graph, walk_length
+from . import heldkarp
+from .certify import Structure, fleet_walks, repair_walk, simplify_walk
+from .graph import DEPOT, DistanceMatrix, FleetPlan, Graph, walk_length
+from .greedy import UnreachableMustVisitError, greedy_plan
 from .milp import (
     FEASIBILITY_TOL,
     INFEASIBLE,
@@ -61,31 +65,6 @@ from .milp import (
 
 class RouteIntegrityError(ValueError):
     """A solver assignment does not decompose into closed walks from the depot."""
-
-
-class UnreachableMustVisitError(ValueError):
-    """A required vertex has no depot round trip within the budget (greedy_plan)."""
-
-
-@dataclass
-class FleetPlan:
-    """One closed walk per agent, depot to depot; [1] alone means the agent stays home."""
-
-    routes: List[List[int]]
-    lengths: List[float]
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.routes)
-
-    def visited(self) -> Set[int]:
-        out: Set[int] = {DEPOT}
-        for route in self.routes:
-            out.update(route)
-        return out
-
-    def reward(self, c_hat: np.ndarray) -> float:
-        return float(sum(c_hat[v] for v in sorted(self.visited()) if v != DEPOT))
 
 
 @dataclass
@@ -177,6 +156,59 @@ def plan_round(
     solution = solve(model, time_limit=time_limit)
     plan = extract_routes(solution, handles, graph) if solution.has_assignment else None
     return plan, solution.status
+
+
+def answer_round(
+    structure: Structure, c_hat: np.ndarray
+) -> Union[Tuple[List[List[int]], float], str, None]:
+    """A round's answer without the model: (walks, bound), a proof string, or None.
+
+    The certificate comes first: greedy_certificate under tocp, the
+    structure's cover_walks under top, each with the round-trip bound.  A
+    round without one is checked for an infeasibility proof, then handed to
+    the exact DP, whose optimal walks, with doubled edges simplified away,
+    come with its value as the bound and whose absence of any covering union
+    is the proof.  Walks always break none of broken_rules; None (a round
+    above the DP's cost cap, or whose optimal walks end up over l_max) means
+    only HiGHS can answer.
+    """
+    certified = (greedy_certificate(structure, c_hat) if structure.variant == "tocp"
+                 else structure.cover_walks)
+    if certified is not None:
+        # no plan collects more than the positive c_hat over the targets
+        return certified, float(sum(max(float(c_hat[v]), 0.0) for v in structure.targets))
+    if structure.proof is not None:
+        return structure.proof
+    table = structure.table
+    if table is None or isinstance(table, str):
+        return table
+    optimum = heldkarp.best_round(table, c_hat)
+    walks = fleet_walks(structure, [simplify_walk(walk) for walk in optimum.walks])
+    return None if walks is None else (walks, optimum.value)
+
+
+def greedy_certificate(structure: Structure, c_hat: np.ndarray) -> Optional[List[List[int]]]:
+    """The greedy plan's walks when they reach the round-trip bound, or None.
+
+    The bound sums c_hat over the targets, every vertex whose depot round
+    trip fits the limit, since HiGHS accepts a walk that far over l_max.  A
+    greedy plan that visits all of those vertices collects the bound when
+    c_hat >= 0, so no plan can beat it.  Greedy plans that miss one are
+    dropped.  That fixes the tie rule: a certified round visits everything
+    reachable, zero-valued vertices too.  Routes pass through repair_walk,
+    and walks that still break a rule of broken_rules give no certificate.
+    """
+    s = structure
+    try:
+        plan = greedy_plan(s.graph, s.dist, c_hat, s.num_agents, s.l_max, s.must)
+    except UnreachableMustVisitError:
+        return None
+    if not plan.visited().issuperset(s.targets):
+        return None
+    repaired = [repair_walk(route, s) if len(route) > 1 else route for route in plan.routes]
+    if None in repaired:
+        return None
+    return fleet_walks(s, repaired)
 
 
 def _build_fleet_model(

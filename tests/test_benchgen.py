@@ -106,7 +106,7 @@ def test_seed_escalation_is_recorded_and_bounded():
         required_draw_choices=(1,),
         max_escalations=3,
     )
-    with pytest.raises(RuntimeError, match="escalations"):
+    with pytest.raises(ValueError, match="escalations"):
         generate_instance(hopeless, 1, 1)
 
 

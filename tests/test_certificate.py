@@ -22,13 +22,14 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
-from patrolopt.certify import Structure, greedy_certificate, repair_walk
+from patrolopt.certify import Structure, repair_walk
 from patrolopt.tocp import (
     FleetPlan,
     audit_solution,
     build_top,
     build_tocp,
     extract_routes,
+    greedy_certificate,
     plan_to_assignment,
 )
 

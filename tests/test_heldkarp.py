@@ -20,8 +20,8 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, solve
-from patrolopt.certify import Structure, greedy_certificate
-from patrolopt.tocp import audit_solution, build_top, build_tocp, extract_routes
+from patrolopt.certify import Structure
+from patrolopt.tocp import audit_solution, build_top, build_tocp, extract_routes, greedy_certificate
 
 from conftest import make_graph, tiny_rounds
 from oracle import brute_force_single_iteration

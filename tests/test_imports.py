@@ -4,12 +4,14 @@ Every name a package module imports is used in that module, every parameter
 a package function takes is read in its body, and every function and class
 the package defines is named somewhere in the code that runs it: the
 package, the benchmark (perfbench/) or the tools (tools/), never only in the
-tests.
+tests.  The package's modules import each other without a cycle, and only
+at module level.
 """
 
 from __future__ import annotations
 
 import ast
+import graphlib
 import os
 
 import pytest
@@ -142,3 +144,38 @@ def test_every_definition_has_a_caller_outside_the_tests():
             for line, name in defined_names(read(os.path.join(PACKAGE_DIR, module)))
             if name not in referenced]
     assert dead == []
+
+
+def package_imports(source: str):
+    """The package modules a module imports, counting imports at every depth."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["patrolopt" if node.level else "", node.module]))
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        out.update(name.split(".")[1] for name in names if name.startswith("patrolopt.")
+                   and f"{name.split('.')[1]}.py" in MODULES)
+    return out
+
+
+def function_imports(source: str):
+    """(line, function) for each import inside a function body."""
+    return sorted({(node.lineno, fn.name) for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_modules_import_each_other_without_a_cycle_and_only_at_module_level():
+    sources = {module[:-3]: read(os.path.join(PACKAGE_DIR, module)) for module in MODULES}
+    graph = {name: package_imports(source) for name, source in sources.items()}
+    assert graph["simulator"] >= {"certify", "graph", "greedy", "milp", "tocp"}
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+    assert [(name, line, fn) for name, source in sources.items()
+            for line, fn in function_imports(source)] == []

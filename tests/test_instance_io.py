@@ -7,6 +7,7 @@ import json
 import pytest
 
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
+from patrolopt.cli import main
 from patrolopt.instance_io import (
     InstanceFormatError,
     instance_graph,
@@ -126,3 +127,27 @@ def test_error_message_names_the_file(tmp_path, sample):
     path = rewrite(tmp_path, payload, name="which.json")
     with pytest.raises(InstanceFormatError, match="which.json"):
         read_instance(path)
+
+
+def short_position(payload):
+    payload["positions"][0] = [0.0]
+
+
+def bare_edge(payload):
+    payload["edges"][0] = 2
+
+
+def bare_kappa_row(payload):
+    payload["kappa"][0] = 0.5
+
+
+@pytest.mark.parametrize("malform", (short_position, bare_edge, bare_kappa_row))
+def test_malformed_rows_are_format_errors(malform, tmp_path, sample, capsys):
+    payload, _ = load_payload(tmp_path, sample)
+    malform(payload)
+    path = rewrite(tmp_path, payload, name="malformed.json")
+    with pytest.raises(InstanceFormatError, match="malformed.json"):
+        read_instance(path)
+    out = str(tmp_path / "out.csv")
+    assert main(["simulate", "--instance", path, "--planner", "greedy", "--out", out]) == 2
+    assert "malformed.json" in capsys.readouterr().err
