@@ -8,8 +8,8 @@ draws come from named streams keyed by (seed, tag), so a (config, seed, H)
 triple always produces a byte-identical file.
 
 No structural draw reads the horizon, and growth column t has its own stream,
-so a suite draws each seed once and cuts every horizon's growth table from
-one table drawn at the longest horizon.
+so a suite draws and renders each seed once, at the longest horizon, and cuts
+every horizon's file text from that one rendering.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .cost_process import GrowthParams, materialize_kappa
 from .graph import DEPOT, Graph, all_pairs_shortest, reachable_round_trip, symmetrize
-from .instance_io import Instance, write_instance
+from .instance_io import Instance, instance_texts
 
 # Stream tag for the structural draws; growth draws use (seed, t) with t <= H,
 # so any tag above the largest horizon keeps the streams disjoint.
@@ -131,15 +131,16 @@ def _check(config: BenchmarkConfig, seeds: Sequence[int], horizons: Sequence[int
         raise ValueError("vertex_choices must all be >= 2")
 
 
-def _seed_instances(config: BenchmarkConfig, seed: int, horizons: Sequence[int]) -> List[Instance]:
-    """One seed's instances, one per horizon in the given order, from one draw.
+def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Instance:
+    """One instance, escalating the seed when the draw cannot host its required vertices.
 
     Escalation re-rolls everything with seed + k * SEED_ESCALATION_STEP and
     records k in the file, so a reader can reproduce the exact draw without
     searching.  Growth column t comes from the stream (effective seed, t)
-    alone, so the table is drawn once, at the longest horizon, and each
-    instance keeps its first H columns.
+    alone, so the instance at a shorter horizon is this one with its first H
+    columns.
     """
+    _check(config, (seed,), (horizon,))
     for escalations in range(config.max_escalations + 1):
         effective_seed = seed + escalations * SEED_ESCALATION_STEP
         structure = draw_structure(config, effective_seed)
@@ -160,35 +161,25 @@ def _seed_instances(config: BenchmarkConfig, seed: int, horizons: Sequence[int])
             mu_star=np.concatenate([[0.0], structure.mu_star]),
             noise_stddev=config.noise_stddev,
         )
-        table = materialize_kappa(params, effective_seed, max(horizons))[1:, 1:].tolist()
-        return [
-            Instance(
-                seed=seed,
-                horizon=horizon,
-                num_vertices=structure.num_vertices,
-                num_agents=structure.num_agents,
-                l_max=structure.l_max,
-                positions=structure.positions,
-                edges=structure.edges,
-                must_visit=must_visit,
-                mu_star=structure.mu_star,
-                mu_default=config.mu_default,
-                noise_stddev=config.noise_stddev,
-                kappa=[row[:horizon] for row in table],
-                seed_escalations=escalations,
-            )
-            for horizon in horizons
-        ]
+        return Instance(
+            seed=seed,
+            horizon=horizon,
+            num_vertices=structure.num_vertices,
+            num_agents=structure.num_agents,
+            l_max=structure.l_max,
+            positions=structure.positions,
+            edges=structure.edges,
+            must_visit=must_visit,
+            mu_star=structure.mu_star,
+            mu_default=config.mu_default,
+            noise_stddev=config.noise_stddev,
+            kappa=materialize_kappa(params, effective_seed, horizon)[1:, 1:].tolist(),
+            seed_escalations=escalations,
+        )
     raise ValueError(
         f"seed {seed}: gave up after {config.max_escalations} escalations; "
         "the config cannot host its required vertices"
     )
-
-
-def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Instance:
-    """One instance, escalating the seed when the draw cannot host its required vertices."""
-    _check(config, (seed,), (horizon,))
-    return _seed_instances(config, seed, (horizon,))[0]
 
 
 def suite_paths(config: BenchmarkConfig, out_dir: str) -> List[Tuple[str, int, int]]:
@@ -204,10 +195,11 @@ def _instance_path(out_dir: str, seed: int, horizon: int) -> str:
 def generate_suite(config: BenchmarkConfig, out_dir: str, force: bool = False) -> List[str]:
     """Write the whole suite under out_dir/H{H}/seed{seed}.json; paths in suite_paths order.
 
-    Each seed is drawn once and its horizons cut one growth table, so the
-    files match generate_instance's byte for byte.  Only one seed's instances
-    are held at a time.  Refuses a repeated seed or horizon, which would name
-    one file twice, and a directory that already has content unless forced.
+    Each seed is drawn and rendered once, at the longest horizon, and every
+    horizon's file text is cut from that rendering, so the files match
+    generate_instance's byte for byte.  Only one seed's instance is held at a
+    time.  Refuses a repeated seed or horizon, which would name one file
+    twice, and a directory that already has content unless forced.
     """
     for name, values in (("seed", config.seeds), ("horizon", config.horizons)):
         if len(set(values)) < len(values):
@@ -217,7 +209,12 @@ def generate_suite(config: BenchmarkConfig, out_dir: str, force: bool = False) -
         raise FileExistsError(
             f"{out_dir} already has content; pass force=True to overwrite"
         )
-    for seed in config.seeds if config.horizons else ():
-        for instance in _seed_instances(config, seed, config.horizons):
-            write_instance(instance, _instance_path(out_dir, seed, instance.horizon))
+    for k, seed in enumerate(config.seeds if config.horizons else ()):
+        instance = generate_instance(config, seed, max(config.horizons))
+        for horizon, text in zip(config.horizons, instance_texts(instance, config.horizons)):
+            path = _instance_path(out_dir, seed, horizon)
+            if k == 0:  # each H{H} directory once, after the first seed's draw succeeds
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
     return [path for path, _, _ in suite_paths(config, out_dir)]

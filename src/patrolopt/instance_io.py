@@ -4,6 +4,14 @@ An instance pins down everything an episode needs: the graph (positions plus
 undirected edges stored once and mirrored on load), the fleet size and travel
 budget, required vertices, the true growth rates, and the full pre-drawn
 growth table so that every planner sees the very same randomness.
+
+A file is laid out exactly as json.dump(payload, fh, indent=1) plus a
+newline lays it out; tests pin the bytes of a suite.  The writer does not
+call json.dump: instance_texts formats every number once, in one call to
+the C JSON encoder, and lays the cells out itself, so one rendering of an
+instance at its longest horizon yields the file text of every shorter
+horizon.  The reader turns every malformed value into an
+InstanceFormatError that names the file.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, NoReturn, Sequence, Tuple
 
 import numpy as np
 
@@ -64,27 +72,66 @@ def kappa_table(instance: Instance) -> np.ndarray:
     return table
 
 
+# One C-encoder call formats a flat list of numbers exactly as json.dump
+# does (float.__repr__, NaN and Infinity as json writes them); the
+# separator makes the cells easy to split.  json.dump with indent never
+# reaches the C encoder, so it formats and writes one token at a time.
+_encode_cells = json.JSONEncoder(separators=(",\n", ": ")).encode
+
+
+def _array(items: List[str], depth: int) -> str:
+    """A list of rendered items laid out as indent=1 lays out a list at depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * depth
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (depth - 1) + "]"
+
+
+def instance_texts(instance: Instance, horizons: Sequence[int]) -> List[str]:
+    """The file text of the instance cut to each horizon: H = h, kappa rows cut to h columns.
+
+    Each text is byte for byte what json.dump(payload, fh, indent=1) plus a
+    newline writes.  Every number is formatted once, in one encoder call,
+    and every horizon's text is cut from the same cells.
+    """
+    scalars = [instance.version, instance.seed, instance.num_vertices, instance.num_agents,
+               instance.l_max, float(instance.mu_default), float(instance.noise_stddev),
+               int(instance.seed_escalations), *horizons]
+    rows = [(float(x), float(y)) for x, y in instance.positions]
+    rows += [(int(i), int(j), float(l)) for i, j, l in instance.edges]
+    rows.append([int(v) for v in instance.must_visit])
+    rows.append([float(v) for v in instance.mu_star])
+    rows += [[float(v) for v in row] for row in instance.kappa]
+    cells = _encode_cells(scalars + [v for row in rows for v in row])[1:-1].split(",\n")
+
+    version, seed, n, m, l_max, mu_default, noise, escalations = cells[:8]
+    at = len(scalars)
+    row_cells = []
+    for row in rows:
+        row_cells.append(cells[at:at + len(row)])
+        at += len(row)
+    p = len(instance.positions)
+    e = p + len(instance.edges)
+    head = f'{{\n "version": {version},\n "seed": {seed},\n "H": '
+    middle = (f',\n "N": {n},\n "M": {m},\n "l_max": {l_max}'
+              f',\n "positions": {_array([_array(row, 3) for row in row_cells[:p]], 2)}'
+              f',\n "edges": {_array([_array(row, 3) for row in row_cells[p:e]], 2)}'
+              f',\n "must_visit": {_array(row_cells[e], 2)}'
+              f',\n "mu_star": {_array(row_cells[e + 1], 2)}'
+              f',\n "mu_default": {mu_default},\n "noise_stddev": {noise},\n "kappa": ')
+    tail = f',\n "seed_escalations": {escalations}\n}}\n'
+    kappa = row_cells[e + 2:]
+    return [
+        head + h + middle + _array([_array(row[:horizon], 3) for row in kappa], 2) + tail
+        for horizon, h in zip(horizons, cells[8:len(scalars)])
+    ]
+
+
 def write_instance(instance: Instance, path: str) -> None:
-    payload = {
-        "version": instance.version,
-        "seed": instance.seed,
-        "H": instance.horizon,
-        "N": instance.num_vertices,
-        "M": instance.num_agents,
-        "l_max": instance.l_max,
-        "positions": [[float(x), float(y)] for (x, y) in instance.positions],
-        "edges": [[int(i), int(j), float(l)] for (i, j, l) in instance.edges],
-        "must_visit": [int(v) for v in instance.must_visit],
-        "mu_star": [float(v) for v in instance.mu_star],
-        "mu_default": float(instance.mu_default),
-        "noise_stddev": float(instance.noise_stddev),
-        "kappa": [[float(v) for v in row] for row in instance.kappa],
-        "seed_escalations": int(instance.seed_escalations),
-    }
+    text = instance_texts(instance, (instance.horizon,))[0]
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_instance(path: str) -> Instance:
@@ -97,9 +144,17 @@ def read_instance(path: str) -> Instance:
 
 
 def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
-    def fail(msg: str) -> None:
+    def fail(msg: str) -> NoReturn:
         raise InstanceFormatError(f"{origin}: {msg}")
 
+    def converted(what: str, convert: Callable, value):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            fail(f"{what} holds a value that is not a number ({exc})")
+
+    if not isinstance(payload, dict):
+        fail("top level is not a JSON object")
     required_keys = [
         "version", "seed", "H", "N", "M", "l_max", "positions", "edges",
         "must_visit", "mu_star", "mu_default", "noise_stddev", "kappa",
@@ -112,16 +167,16 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
             fail(f"{key} is not a list")
     if payload["version"] != FORMAT_VERSION:
         fail(f"unsupported version {payload['version']!r}")
-    n = int(payload["N"])
-    h = int(payload["H"])
-    m = int(payload["M"])
+    n = converted("N", int, payload["N"])
+    h = converted("H", int, payload["H"])
+    m = converted("M", int, payload["M"])
     if n < 1:
         fail("N must be >= 1")
     if h < 1:
         fail("H must be >= 1")
     if m < 1:
         fail("M must be >= 1")
-    l_max = float(payload["l_max"])
+    l_max = converted("l_max", float, payload["l_max"])
     if not (math.isfinite(l_max) and l_max > 0):
         fail("l_max must be positive and finite")
     positions = payload["positions"]
@@ -130,12 +185,15 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     for row in positions:
         if not isinstance(row, list) or len(row) != 2:
             fail(f"position row {row} is not [x, y]")
-    edges: List[Tuple[int, int, float]] = []
-    seen_pairs = set()
+    positions = converted("positions", lambda rows: [(float(x), float(y)) for x, y in rows],
+                          positions)
     for row in payload["edges"]:
         if not isinstance(row, list) or len(row) != 3:
             fail(f"edge row {row} is not [i, j, length]")
-        i, j, l = int(row[0]), int(row[1]), float(row[2])
+    edges: List[Tuple[int, int, float]] = converted(
+        "edges", lambda rows: [(int(i), int(j), float(l)) for i, j, l in rows], payload["edges"])
+    seen_pairs = set()
+    for i, j, l in edges:
         if not (1 <= i <= n and 1 <= j <= n):
             fail(f"edge ({i},{j}) references an unknown vertex")
         if i >= j:
@@ -145,47 +203,47 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
         if not (math.isfinite(l) and l > 0):
             fail(f"edge ({i},{j}) has nonpositive length")
         seen_pairs.add((i, j))
-        edges.append((i, j, l))
-    must_visit = [int(v) for v in payload["must_visit"]]
+    must_visit = converted("must_visit", lambda vs: [int(v) for v in vs], payload["must_visit"])
     if len(set(must_visit)) != len(must_visit):
         fail("must_visit has duplicates")
     for v in must_visit:
         if not 2 <= v <= n:
             fail(f"must_visit vertex {v} out of range (depot excluded)")
-    mu_star = [float(v) for v in payload["mu_star"]]
+    mu_star = converted("mu_star", lambda vs: [float(v) for v in vs], payload["mu_star"])
     if len(mu_star) != n:
         fail(f"mu_star has {len(mu_star)} entries, want N={n}")
     for v in mu_star:
         if not (math.isfinite(v) and v >= 0):
             fail("mu_star entries must be finite and nonnegative")
-    noise = float(payload["noise_stddev"])
+    noise = converted("noise_stddev", float, payload["noise_stddev"])
     if noise < 0 or not math.isfinite(noise):
         fail("noise_stddev must be nonnegative")
     kappa = payload["kappa"]
     if len(kappa) != n:
         fail(f"kappa has {len(kappa)} rows, want N={n}")
-    lo, hi = CLIP_RANGE
     for r, row in enumerate(kappa):
         if not isinstance(row, list):
             fail(f"kappa row {r} is not a list")
         if len(row) != h:
             fail(f"kappa row {r} has {len(row)} columns, want H={h}")
+    kappa = converted("kappa", lambda rows: [[float(v) for v in row] for row in rows], kappa)
+    lo, hi = CLIP_RANGE
+    for row in kappa:
         for v in row:
-            fv = float(v)
-            if not (lo <= fv <= hi):
-                fail(f"kappa value {fv} outside clip range [{lo}, {hi}]")
+            if not (lo <= v <= hi):
+                fail(f"kappa value {v} outside clip range [{lo}, {hi}]")
     return Instance(
-        seed=int(payload["seed"]),
+        seed=converted("seed", int, payload["seed"]),
         horizon=h,
         num_vertices=n,
         num_agents=m,
         l_max=l_max,
-        positions=[(float(p[0]), float(p[1])) for p in positions],
+        positions=positions,
         edges=edges,
         must_visit=must_visit,
         mu_star=mu_star,
-        mu_default=float(payload["mu_default"]),
+        mu_default=converted("mu_default", float, payload["mu_default"]),
         noise_stddev=noise,
-        kappa=[[float(v) for v in row] for row in kappa],
-        seed_escalations=int(payload.get("seed_escalations", 0)),
+        kappa=kappa,
+        seed_escalations=converted("seed_escalations", int, payload.get("seed_escalations", 0)),
     )

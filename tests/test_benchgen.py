@@ -169,6 +169,28 @@ def test_suite_draws_each_seed_once_with_generate_instance_bytes(tmp_path, monke
     assert suite_draws == sum(1 + k for k in escalations.values())
 
 
+def test_suite_renders_each_seed_once_and_makes_each_directory_once(tmp_path, monkeypatch):
+    cfg = tiny_config(seeds=(1, 2, 3), horizons=(3, 1, 2))
+    renders, dirs = [], []
+    real_texts, real_makedirs = benchgen.instance_texts, os.makedirs
+
+    def texts_spy(instance, horizons):
+        renders.append((instance.seed, instance.horizon, tuple(horizons)))
+        return real_texts(instance, horizons)
+
+    def makedirs_spy(name, *args, **kwargs):
+        dirs.append(os.path.relpath(name, str(tmp_path)))
+        return real_makedirs(name, *args, **kwargs)
+
+    out = tmp_path / "suite"
+    out.mkdir()  # so that makedirs does not recurse into the suite directory itself
+    monkeypatch.setattr(benchgen, "instance_texts", texts_spy)
+    monkeypatch.setattr(os, "makedirs", makedirs_spy)
+    generate_suite(cfg, str(out))
+    assert renders == [(seed, 3, (3, 1, 2)) for seed in cfg.seeds]
+    assert sorted(dirs) == [os.path.join("suite", f"H{h}") for h in (1, 2, 3)]
+
+
 def test_suite_bytes_are_pinned(tmp_path):
     # A change to the draw order, the streams or the file layout shows here;
     # the digest was computed with the per-instance generator this suite

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.cli import main
 from patrolopt.instance_io import (
+    Instance,
     InstanceFormatError,
     instance_graph,
     instance_id,
+    instance_texts,
     kappa_table,
     read_instance,
     write_instance,
@@ -151,3 +158,111 @@ def test_malformed_rows_are_format_errors(malform, tmp_path, sample, capsys):
     out = str(tmp_path / "out.csv")
     assert main(["simulate", "--instance", path, "--planner", "greedy", "--out", out]) == 2
     assert "malformed.json" in capsys.readouterr().err
+
+
+def top_level_number(payload):
+    return 5
+
+
+def null_vertex_count(payload):
+    payload["N"] = None
+    return payload
+
+
+def null_edge_vertex(payload):
+    payload["edges"][0] = [1, None, 2.0]
+    return payload
+
+
+def null_kappa_row(payload):
+    payload["kappa"][0] = [None] * len(payload["kappa"][0])
+    return payload
+
+
+def string_rate(payload):
+    payload["mu_star"][0] = "x"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "malform", (top_level_number, null_vertex_count, null_edge_vertex, null_kappa_row, string_rate))
+def test_malformed_values_are_format_errors(malform, tmp_path, sample, capsys):
+    payload, _ = load_payload(tmp_path, sample)
+    path = rewrite(tmp_path, malform(payload), name="malformed.json")
+    with pytest.raises(InstanceFormatError, match="malformed.json"):
+        read_instance(path)
+    out = str(tmp_path / "out.csv")
+    assert main(["simulate", "--instance", path, "--planner", "greedy", "--out", out]) == 2
+    assert "malformed.json" in capsys.readouterr().err
+
+
+def reference_text(instance):
+    """The file text as json.dump(payload, fh, indent=1) plus a newline wrote it."""
+    payload = {
+        "version": instance.version,
+        "seed": instance.seed,
+        "H": instance.horizon,
+        "N": instance.num_vertices,
+        "M": instance.num_agents,
+        "l_max": instance.l_max,
+        "positions": [[float(x), float(y)] for (x, y) in instance.positions],
+        "edges": [[int(i), int(j), float(l)] for (i, j, l) in instance.edges],
+        "must_visit": [int(v) for v in instance.must_visit],
+        "mu_star": [float(v) for v in instance.mu_star],
+        "mu_default": float(instance.mu_default),
+        "noise_stddev": float(instance.noise_stddev),
+        "kappa": [[float(v) for v in row] for row in instance.kappa],
+        "seed_escalations": int(instance.seed_escalations),
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+SPECIAL_FLOATS = (-0.0, 1e-300, 1e300, 5e-324, float("inf"), float("-inf"), float("nan"))
+numbers = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+counts = st.one_of(st.integers(-3, 30), st.integers(), st.just(10**40))
+
+
+@st.composite
+def instances(draw):
+    horizon = draw(st.integers(1, 5))
+    return Instance(
+        seed=draw(counts),
+        horizon=horizon,
+        num_vertices=draw(counts),
+        num_agents=draw(counts),
+        l_max=draw(st.one_of(numbers, counts)),
+        positions=draw(st.lists(st.tuples(numbers, numbers), max_size=4)),
+        edges=draw(st.lists(st.tuples(counts, counts, numbers), max_size=4)),
+        must_visit=draw(st.lists(counts, max_size=3)),
+        mu_star=draw(st.lists(numbers, max_size=4)),
+        mu_default=draw(numbers),
+        noise_stddev=draw(numbers),
+        kappa=draw(st.lists(st.lists(numbers, min_size=horizon, max_size=horizon), max_size=4)),
+        seed_escalations=draw(counts),
+    )
+
+
+EDGE_CASES = Instance(
+    seed=10**30, horizon=2, num_vertices=2, num_agents=1, l_max=1e300,
+    positions=[(-0.0, 1e-300), (float("nan"), float("inf"))], edges=[], must_visit=[],
+    mu_star=[1e-300, 1e300], mu_default=-0.0, noise_stddev=1e300,
+    kappa=[[0.0, -0.0], [1e-300, 1.0]], seed_escalations=2**70,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(instance=instances(), cuts=st.lists(st.integers(1, 5), max_size=4, unique=True))
+@example(instance=EDGE_CASES, cuts=[1, 2])
+def test_rendered_bytes_match_json_dump(instance, cuts):
+    horizons = [h for h in cuts if h <= instance.horizon] or [instance.horizon]
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "inst.json")
+        write_instance(instance, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == reference_text(instance).encode()
+        for horizon, text in zip(horizons, instance_texts(instance, horizons), strict=True):
+            cut = dataclasses.replace(
+                instance, horizon=horizon, kappa=[row[:horizon] for row in instance.kappa])
+            write_instance(cut, path)
+            with open(path) as fh:
+                assert text == fh.read()
