@@ -3,8 +3,8 @@
     PYTHONPATH=src python3 tools/suite_identity.py [--repeat 5]
 
 The script writes the default suite (BenchmarkConfig(), seeds 1-120 by
-horizons 2, 4, 6, 8 and 10) with benchgen.generate_suite into a temporary
-directory named default, --repeat times over the same directory.  It prints
+horizons 2, 4, 6, 8 and 10) with benchgen.generate_suite into a new
+temporary directory named default, --repeat times, as `gen` does.  It prints
 the sha256 of every file's path relative to the temporary root followed by
 its bytes, in generate_suite's order (the scheme of
 tests/test_benchgen.py::test_suite_bytes_are_pinned, which covers seeds 1-5
@@ -30,18 +30,17 @@ def main() -> None:
     args = parser.parse_args()
 
     config = BenchmarkConfig()
-    with tempfile.TemporaryDirectory() as root:
-        out = os.path.join(root, "default")
-        best = float("inf")
-        for _ in range(max(args.repeat, 1)):
+    best = float("inf")
+    for _ in range(max(args.repeat, 1)):
+        with tempfile.TemporaryDirectory() as root:
             t0 = time.perf_counter()
-            paths = generate_suite(config, out, force=True)
+            paths = generate_suite(config, os.path.join(root, "default"))
             best = min(best, time.perf_counter() - t0)
-        digest = hashlib.sha256()
-        for path in paths:
-            digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode())
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
+            digest = hashlib.sha256()
+            for path in paths:
+                digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode())
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
 
     print(f"files: {len(paths)}")
     print(f"sha256: {digest.hexdigest()}")
