@@ -14,8 +14,8 @@ DP's table), so the episode loop pays for each once.
 Certified rounds: under tocp the greedy planner runs on c_hat, and its
 plan, repaired, is the certificate (tocp.greedy_certificate), but only
 when it visits every vertex whose depot round trip fits the budget (within
-the solver's feasibility tolerance).  With c_hat >= 0 such a plan collects
-the sum of c_hat over those vertices, and no plan can collect more, so it
+the solver's feasibility tolerance).  Such a plan collects the sum of the
+non-negative c_hat over those vertices, and no plan can collect more, so it
 is optimal once its walks break none of the rules of broken_rules.  Ties
 therefore break towards visiting: a certified round visits everything
 reachable, zero-valued vertices included.  Greedy walks rarely satisfy the
@@ -92,10 +92,18 @@ class Structure:
         self.targets = tuple(sorted(reachable_round_trip(graph, self.dist, self.limit) - {DEPOT}))
 
     def check_c_hat(self, c_hat: np.ndarray) -> np.ndarray:
-        """c_hat as floats; ModelError unless it has one entry per vertex plus slot 0."""
+        """c_hat as floats; ModelError unless it has one entry per vertex plus slot 0.
+
+        Every entry must be finite and >= 0, as costs grow from zero.  This
+        is the one check of that; the bounds, weights and certificates rely
+        on it.
+        """
         c_hat = np.asarray(c_hat, dtype=float)
         if c_hat.shape != (self.graph.num_vertices + 1,):
             raise ModelError(f"c_hat must have shape ({self.graph.num_vertices + 1},)")
+        # NaN fails both comparisons
+        if not (c_hat.min() >= 0.0 and c_hat.max() < np.inf):
+            raise ModelError("c_hat entries must be finite and >= 0")
         return c_hat
 
     @cached_property
@@ -166,9 +174,10 @@ def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:
     One closed walk per agent, from the depot and back, on real edges, with
     no directed edge used twice, no pass through the depot mid-walk and a
     length within the limit; the walks cover every must-visit vertex, and
-    under top no vertex is entered twice.  plan_to_assignment encodes
-    exactly the plans that break none of these, so checking the rules
-    stands in for encoding and checking every row.
+    under top no vertex is entered twice.  Every row of the model holds for
+    tocp.plan_to_assignment's encoding of a plan that breaks none of these,
+    and some row fails for a plan on real edges that breaks one, so checking
+    the rules stands in for encoding and checking every row.
     """
     broken = []
     if len(routes) != structure.num_agents:

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from glob import glob
 from typing import Dict, List, Optional, Tuple
 
@@ -199,17 +200,13 @@ def _cmd_bench(args) -> int:
     paths = _suite_instance_paths(args.suite)
     jobs = [(path, planner, args.time_limit) for path in paths for planner in planners]
     rows: List[Dict[str, str]] = []
-    if args.jobs == 1:
-        for i, job in enumerate(jobs):
-            rows.append(_bench_episode(job))
+    # --jobs 1 runs the episodes in this process.  Either way rows land in
+    # submission order regardless of completion order, so the CSV is
+    # deterministic for a given suite and planner list.
+    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext()) as pool:
+        for i, row in enumerate((map if pool is None else pool.map)(_bench_episode, jobs)):
+            rows.append(row)
             print(f"bench {i + 1}/{len(jobs)} done", file=sys.stderr)
-    else:
-        # Rows land in submission order regardless of completion order, so
-        # the CSV is deterministic for a given suite and planner list.
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for i, row in enumerate(pool.map(_bench_episode, jobs)):
-                rows.append(row)
-                print(f"bench {i + 1}/{len(jobs)} done", file=sys.stderr)
     results_io.write_results(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -26,17 +26,9 @@ class Graph:
     constructor itself is permissive so malformed inputs can be inspected.
     """
 
-    def __init__(
-        self,
-        num_vertices: int,
-        edges: Dict[Tuple[int, int], float],
-        positions: Optional[List[Tuple[float, float]]] = None,
-    ):
+    def __init__(self, num_vertices: int, edges: Dict[Tuple[int, int], float]):
         self.num_vertices = int(num_vertices)
         self.lengths: Dict[Tuple[int, int], float] = dict(edges)
-        # positions[v] for v in 1..N; slot 0 unused.  Only the generator and
-        # the SVG renderer care about these.
-        self.positions = positions
         self._out: Dict[int, List[int]] = {i: [] for i in range(1, self.num_vertices + 1)}
         for (i, j) in sorted(self.lengths):
             if 1 <= i <= self.num_vertices:

@@ -38,7 +38,8 @@ the pairs are few (see _unions):
 A step with more pairs takes ranked subset convolution (Björklund,
 Husfeldt, Kaski and Koivisto, STOC 2007) instead.  The optimum is the
 union that contains every must-visit vertex and has the largest sum of
-c_hat clipped at zero.  Tie rule: the largest such union, then the lowest
+c_hat, which certify.Structure.check_c_hat has checked to be finite and
+>= 0.  Tie rule: the largest such union, then the lowest
 bitmask.  No such union proves the round infeasible.
 
 Only that argmax reads c_hat: fleet_table builds the rest once per episode
@@ -77,7 +78,7 @@ _PAIR_COST = 3
 
 @dataclass
 class RoundOptimum:
-    """The best coverable union's clipped c_hat sum and one closed walk per set.
+    """The best coverable union's c_hat sum and one closed walk per set.
 
     There are at most M walks, one per nonempty set; agents beyond them have
     nothing to cover.
@@ -164,16 +165,16 @@ def best_round(table: FleetTable, c_hat: np.ndarray) -> RoundOptimum:
     """The round's optimum over the table's eligible unions, of which there must be one.
 
     Only table.choices is scored, adding weights in ascending bit order and
-    0.0 for absent bits, so each value is _mask_sums' bit for bit.  With
-    c_hat clipped at zero, an eligible strict superset of the chosen union
-    (best value, then most vertices, then lowest mask) would tie it and be
-    larger, so the choice is in choices.  Under top, choices may also hold
-    unions with a larger eligible superset, but they are eligible too.  The
-    walks are closed walks on real edges; under tocp they may use a
-    directed edge twice.
+    0.0 for absent bits, so each value is _mask_sums' bit for bit.  c_hat
+    must be >= 0, as certify.Structure.check_c_hat checks, so an eligible
+    strict superset of the chosen union (best value, then most vertices,
+    then lowest mask) would tie it and be larger, so the choice is in
+    choices.  Under top, choices may also hold unions with a larger eligible
+    superset, but they are eligible too.  The walks are closed walks on real
+    edges; under tocp they may use a directed edge twice.
     """
     targets, choices = table.targets, table.choices
-    weights = np.maximum(np.asarray(c_hat, dtype=float)[targets], 0.0)
+    weights = np.asarray(c_hat, dtype=float)[targets]
     value = np.zeros(choices.size)
     for b, weight in enumerate(weights):
         value += np.where(choices >> b & 1, weight, 0.0)

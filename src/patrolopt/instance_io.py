@@ -11,7 +11,8 @@ call json.dump: instance_texts formats every number once, in one call to
 the C JSON encoder, and lays the cells out itself, so one rendering of an
 instance at its longest horizon yields the file text of every shorter
 horizon.  The reader turns every malformed value into an
-InstanceFormatError that names the file.
+InstanceFormatError that names the file: counts must be JSON integers (not
+bools or fractions), and rates, mu_default included, finite and >= 0.
 """
 
 from __future__ import annotations
@@ -57,12 +58,7 @@ def instance_id(instance: Instance) -> str:
 
 
 def instance_graph(instance: Instance) -> Graph:
-    positions = [(0.0, 0.0)] + [tuple(p) for p in instance.positions]
-    return Graph(
-        instance.num_vertices,
-        symmetrize(instance.edges),
-        positions=positions,
-    )
+    return Graph(instance.num_vertices, symmetrize(instance.edges))
 
 
 def kappa_table(instance: Instance) -> np.ndarray:
@@ -153,6 +149,12 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
         except (TypeError, ValueError, OverflowError) as exc:
             fail(f"{what} holds a value that is not a number ({exc})")
 
+    def count(what: str, value) -> int:
+        # a bool, a fraction or a string is not one, though int() takes it
+        if type(value) is not int:
+            fail(f"{what} is {value!r}, not an integer")
+        return value
+
     if not isinstance(payload, dict):
         fail("top level is not a JSON object")
     required_keys = [
@@ -167,9 +169,9 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
             fail(f"{key} is not a list")
     if payload["version"] != FORMAT_VERSION:
         fail(f"unsupported version {payload['version']!r}")
-    n = converted("N", int, payload["N"])
-    h = converted("H", int, payload["H"])
-    m = converted("M", int, payload["M"])
+    n = count("N", payload["N"])
+    h = count("H", payload["H"])
+    m = count("M", payload["M"])
     if n < 1:
         fail("N must be >= 1")
     if h < 1:
@@ -190,8 +192,10 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     for row in payload["edges"]:
         if not isinstance(row, list) or len(row) != 3:
             fail(f"edge row {row} is not [i, j, length]")
+        if type(row[0]) is not int or type(row[1]) is not int:
+            fail(f"edge row {row} names a vertex that is not an integer")
     edges: List[Tuple[int, int, float]] = converted(
-        "edges", lambda rows: [(int(i), int(j), float(l)) for i, j, l in rows], payload["edges"])
+        "edges", lambda rows: [(i, j, float(l)) for i, j, l in rows], payload["edges"])
     seen_pairs = set()
     for i, j, l in edges:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -203,7 +207,7 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
         if not (math.isfinite(l) and l > 0):
             fail(f"edge ({i},{j}) has nonpositive length")
         seen_pairs.add((i, j))
-    must_visit = converted("must_visit", lambda vs: [int(v) for v in vs], payload["must_visit"])
+    must_visit = [count("must_visit vertex", v) for v in payload["must_visit"]]
     if len(set(must_visit)) != len(must_visit):
         fail("must_visit has duplicates")
     for v in must_visit:
@@ -215,6 +219,9 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     for v in mu_star:
         if not (math.isfinite(v) and v >= 0):
             fail("mu_star entries must be finite and nonnegative")
+    mu_default = converted("mu_default", float, payload["mu_default"])
+    if not (math.isfinite(mu_default) and mu_default >= 0):
+        fail("mu_default must be finite and nonnegative")
     noise = converted("noise_stddev", float, payload["noise_stddev"])
     if noise < 0 or not math.isfinite(noise):
         fail("noise_stddev must be nonnegative")
@@ -233,7 +240,7 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
             if not (lo <= v <= hi):
                 fail(f"kappa value {v} outside clip range [{lo}, {hi}]")
     return Instance(
-        seed=converted("seed", int, payload["seed"]),
+        seed=count("seed", payload["seed"]),
         horizon=h,
         num_vertices=n,
         num_agents=m,
@@ -242,8 +249,8 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
         edges=edges,
         must_visit=must_visit,
         mu_star=mu_star,
-        mu_default=converted("mu_default", float, payload["mu_default"]),
+        mu_default=mu_default,
         noise_stddev=noise,
         kappa=kappa,
-        seed_escalations=converted("seed_escalations", int, payload.get("seed_escalations", 0)),
+        seed_escalations=count("seed_escalations", payload.get("seed_escalations", 0)),
     )

@@ -3,9 +3,9 @@
 Models are built explicitly: variables, linear rows that are either "<=" or
 "=", and one objective, which is maximised.
 solve answers a model that carries a proof that it has no feasible point, or
-a certificate that proves its own optimum, without search; only a model with
-neither reaches HiGHS, through the one scipy.optimize.milp call in
-_solve_highs.
+a certificate that proves its own optimum, without search; a model with
+neither, or whose certificate fails its check, reaches HiGHS, through the
+one scipy.optimize.milp call in _solve_highs.
 
 Conventions:
   * feasibility tolerance 1e-6, integrality tolerance 1e-6,
@@ -16,10 +16,10 @@ Conventions:
 
 MilpModel.validate and check_assignment are plain walks over the variables,
 rows and terms.  The episode loop answers its rounds without a model (see
-tocp.plan_round), so these checks run only where a model is built: solve,
-build_tocp / build_top and rounds that go on to HiGHS.  There a walk costs a
-few milliseconds against a search that takes far longer, and one plain
-statement of each check is worth more than the time an array form saves.
+tocp.plan_round), so these checks run only in solve, the one place a
+certificate's rows are checked.  There a walk costs a few milliseconds
+against a search that takes far longer, and one plain statement of each
+check is worth more than the time an array form saves.
 """
 
 from __future__ import annotations

@@ -24,20 +24,21 @@ the model, by a certificate (greedy_certificate under tocp), an
 infeasibility proof or the exact DP, from a certify.Structure that holds
 everything of the round but c_hat.  Its building blocks, the walk rules,
 repairs, cover search and proofs, live in certify (see that module); the
-cascade lives here beside its two consumers.  plan_round, which the
+cascade lives here beside its two consumers.  Both first pass c_hat
+through Structure.check_c_hat, so every prediction is finite and >= 0;
+then an answer's walks break no rule of certify.broken_rules and reach its
+bound, and neither consumer tests them again.  plan_round, which the
 simulator's episode loop calls with the Structure it builds once per
 episode, restitches the walks into routes as extract_routes would, so
-certified and proven rounds build no model; it builds one only for a round
-HiGHS must solve.  _build_answered builds a Structure's model and attaches
-the answer: the walks as the certificate, encoded without a solver (once an
+answered rounds build no model; it builds one only for a round HiGHS must
+solve.  _build_answered builds a Structure's model and attaches the
+answer: the walks as the certificate, encoded without a solver (once an
 agent's closed walk is fixed, so is its flow: the p-th edge carries one
 unit for each non-depot vertex the walk first enters after position p, see
-plan_to_assignment), or the proof, so milp.solve skips HiGHS on it.
-build_tocp and build_top call it on a fresh Structure; the simulator's
-single-round solve calls it on the Structure its episode setup builds.  The
-walks plan_to_assignment encodes are exactly those that break no rule of
-certify.broken_rules, so checking the rules stands in for checking every
-row.
+plan_to_assignment), or the proof, so milp.solve, the one check of the
+certificate's rows, skips HiGHS on it.  build_tocp and build_top call it
+on a fresh Structure; the simulator's single-round solve calls it on the
+Structure its episode setup builds.
 """
 
 from __future__ import annotations
@@ -51,16 +52,7 @@ from . import heldkarp
 from .certify import Structure, fleet_walks, repair_walk, simplify_walk
 from .graph import DEPOT, DistanceMatrix, FleetPlan, Graph, walk_length
 from .greedy import UnreachableMustVisitError, greedy_plan
-from .milp import (
-    FEASIBILITY_TOL,
-    INFEASIBLE,
-    OPTIMAL,
-    MilpModel,
-    MilpSolution,
-    check_assignment,
-    reaches_bound,
-    solve,
-)
+from .milp import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, MilpModel, MilpSolution, solve
 
 
 class RouteIntegrityError(ValueError):
@@ -90,9 +82,10 @@ def build_tocp(
 ) -> Tuple[MilpModel, VariableHandles]:
     """Build the repeat-visit model; returns the model and its variable handles.
 
-    The model carries the answer of answer_round: its walks, encoded by
-    plan_to_assignment, as the certificate, or its infeasibility proof.
-    milp.solve then skips the search on it.
+    c_hat must be finite and >= 0 (ModelError otherwise).  The model carries
+    the answer of answer_round: its walks, encoded by plan_to_assignment, as
+    the certificate, or its infeasibility proof.  milp.solve then skips the
+    search on it.
     """
     return _build_answered(Structure(graph, dist, num_agents, l_max, must_visit, "tocp"), c_hat)
 
@@ -125,9 +118,7 @@ def _build_answered(structure: Structure, c_hat: np.ndarray) -> Tuple[MilpModel,
     elif answer is not None:
         walks, bound = answer
         plan = FleetPlan(walks, [walk_length(structure.graph, w) for w in walks])
-        assignment = plan_to_assignment(plan, model, handles)
-        if assignment is not None:
-            model.certificate = (assignment, bound)
+        model.certificate = (plan_to_assignment(plan, model, handles), bound)
     return model, handles
 
 
@@ -137,10 +128,11 @@ def plan_round(
     """One round of the tocp or top planner: (plan or None, status).
 
     Gives what extract_routes(milp.solve(build_tocp or build_top)) gives,
-    but builds the model only when answer_round has no answer, or when its
-    walks fall short of their bound (as milp.solve would find), so HiGHS
-    must search.  Walks are restitched as extract_routes restitches the
-    encoded edges, so the routes match it exactly.
+    but builds the model only when answer_round has no answer, so HiGHS
+    must search.  c_hat must be finite and >= 0 (ModelError otherwise); then
+    an answer's walks reach their bound, so they are the optimum.  They are
+    restitched as extract_routes restitches the encoded edges, so the routes
+    match it exactly.
     """
     graph = structure.graph
     c_hat = structure.check_c_hat(c_hat)
@@ -148,10 +140,8 @@ def plan_round(
     if isinstance(answer, str):
         return None, INFEASIBLE
     if answer is not None:
-        walks, bound = answer
-        plan = _stitched_plan([list(zip(w, w[1:])) for w in walks], graph)
-        if reaches_bound(plan.reward(c_hat), bound):
-            return plan, OPTIMAL
+        walks, _ = answer
+        return _stitched_plan([list(zip(w, w[1:])) for w in walks], graph), OPTIMAL
     model, handles = _build_fleet_model(structure, c_hat)
     solution = solve(model, time_limit=time_limit)
     plan = extract_routes(solution, handles, graph) if solution.has_assignment else None
@@ -170,13 +160,14 @@ def answer_round(
     come with its value as the bound and whose absence of any covering union
     is the proof.  Walks always break none of broken_rules; None (a round
     above the DP's cost cap, or whose optimal walks end up over l_max) means
-    only HiGHS can answer.
+    only HiGHS can answer.  c_hat must have passed Structure.check_c_hat:
+    the bounds and the DP's weights take it as non-negative.
     """
     certified = (greedy_certificate(structure, c_hat) if structure.variant == "tocp"
                  else structure.cover_walks)
     if certified is not None:
-        # no plan collects more than the positive c_hat over the targets
-        return certified, float(sum(max(float(c_hat[v]), 0.0) for v in structure.targets))
+        # no plan collects more than c_hat summed over the targets
+        return certified, float(sum(float(c_hat[v]) for v in structure.targets))
     if structure.proof is not None:
         return structure.proof
     table = structure.table
@@ -192,7 +183,7 @@ def greedy_certificate(structure: Structure, c_hat: np.ndarray) -> Optional[List
 
     The bound sums c_hat over the targets, every vertex whose depot round
     trip fits the limit, since HiGHS accepts a walk that far over l_max.  A
-    greedy plan that visits all of those vertices collects the bound when
+    greedy plan that visits all of those vertices collects the bound, as
     c_hat >= 0, so no plan can beat it.  Greedy plans that miss one are
     dropped.  That fixes the tie rule: a certified round visits everything
     reachable, zero-valued vertices too.  Routes pass through repair_walk,
@@ -398,25 +389,21 @@ def _stitch_closed_walk(edges: List[Tuple[int, int]], start: int) -> List[int]:
 
 def plan_to_assignment(
     plan: FleetPlan, model: MilpModel, handles: VariableHandles
-) -> Optional[np.ndarray]:
-    """Encode a fleet plan as a full solver assignment, or None if it cannot be.
+) -> np.ndarray:
+    """Encode a fleet plan as a full solver assignment.
 
-    Only plans whose walks use each directed edge at most once fit the binary
-    edge variables.  The flow is fixed by the order of each walk: its p-th
+    The walks must break no rule of certify.broken_rules, as
+    certify.fleet_walks guarantees for every answer; then every row of the
+    model holds.  The flow is fixed by the order of each walk: its p-th
     edge carries one unit for every non-depot vertex the walk first enters
-    after position p, so the depot sends one unit per visited vertex and each
-    keeps one where the walk first reaches it.  An assignment that breaks a
-    row (an idle agent under the exactly-one depot departure, a pass through
-    the depot mid-walk, say) is None too.  The certificates encode their
-    candidate plans with it, so failure is an answer, not an error.
+    after position p, so the depot sends one unit per visited vertex and
+    each keeps one where the walk first reaches it.  Walks on real edges
+    that break a rule encode to an assignment that breaks a row, which
+    milp.solve finds; a walk over a non-edge raises KeyError.
     """
     assign = np.zeros(model.num_variables)
     for m, route in enumerate(plan.routes, start=1):
-        if len(route) == 1:
-            continue  # parked at the depot: no traversal, so no visit flags
         edges = list(zip(route, route[1:]))
-        if len(set(edges)) < len(edges) or any((a, b, m) not in handles.x for a, b in edges):
-            return None
         unseen = set(route) - {DEPOT}
         for a, b in edges:
             unseen.discard(a)
@@ -425,8 +412,6 @@ def plan_to_assignment(
         for v in set(route):
             assign[handles.y[(v, m)]] = 1.0
             assign[handles.z[v]] = 1.0
-    if check_assignment(model, assign):
-        return None
     return assign
 
 

@@ -12,8 +12,8 @@ from patrolopt.graph import Graph, all_pairs_shortest, symmetrize
 from patrolopt.instance_io import Instance
 
 
-def make_graph(num_vertices, undirected_edges, positions=None):
-    return Graph(num_vertices, symmetrize(undirected_edges), positions=positions)
+def make_graph(num_vertices, undirected_edges):
+    return Graph(num_vertices, symmetrize(undirected_edges))
 
 
 @pytest.fixture
@@ -64,7 +64,7 @@ def bridge():
     With l_max = 4 and rewards (v2, v3) = (0.1, 10): allowing revisits collects
     10.1 via [1,2,3,2,1]; single-visit routing can only afford [1,2,1] for 0.1.
     """
-    graph = make_graph(3, [(1, 2, 1.0), (2, 3, 1.0)], positions=[(0, 0), (0, 0), (1, 0), (2, 0)])
+    graph = make_graph(3, [(1, 2, 1.0), (2, 3, 1.0)])
     dist = all_pairs_shortest(graph)
     c_hat = np.array([0.0, 0.0, 0.1, 10.0])
     return graph, dist, c_hat, 4.0
@@ -77,11 +77,7 @@ def star():
     l_max = 6 lets a revisiting walk take everything (11); at-most-once
     routing cannot pass through the hub twice, so it settles for 1.
     """
-    graph = make_graph(
-        4,
-        [(1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)],
-        positions=[(0, 0), (0, 0), (1, 0), (2, 0), (1, 1)],
-    )
+    graph = make_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)])
     dist = all_pairs_shortest(graph)
     c_hat = np.array([0.0, 0.0, 1.0, 5.0, 5.0])
     return graph, dist, c_hat, 6.0

@@ -5,13 +5,15 @@ a package function takes is read in its body, and every function and class
 the package defines is named somewhere in the code that runs it: the
 package, the benchmark (perfbench/) or the tools (tools/), never only in the
 tests.  The package's modules import each other without a cycle, and only
-at module level.
+at module level.  Every name the benchmark and the tools import from the
+package exists there, inside function bodies too.
 """
 
 from __future__ import annotations
 
 import ast
 import graphlib
+import importlib
 import os
 
 import pytest
@@ -179,3 +181,43 @@ def test_modules_import_each_other_without_a_cycle_and_only_at_module_level():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
     assert [(name, line, fn) for name, source in sources.items()
             for line, fn in function_imports(source)] == []
+
+
+def package_names_imported(source: str):
+    """(line, module, name) for each `from patrolopt... import name`, at any depth."""
+    return sorted((node.lineno, node.module, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "patrolopt"
+                  for alias in node.names)
+
+
+def unresolved(imports):
+    """The (line, module, name) imports whose module lacks name as attribute or submodule."""
+    missing = []
+    for line, module, name in imports:
+        try:
+            if not hasattr(importlib.import_module(module), name):
+                importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append((line, module, name))
+    return missing
+
+
+def test_the_check_sees_an_import_that_does_not_resolve():
+    source = ("from patrolopt import milp, no_such_module\n"
+              "def setup():\n"
+              "    from patrolopt.tocp import build_tocp, no_such_name\n")
+    assert unresolved(package_names_imported(source)) == [
+        (1, "patrolopt", "no_such_module"), (3, "patrolopt.tocp", "no_such_name")]
+
+
+@pytest.mark.parametrize("top", ("perfbench", "tools"))
+def test_benchmark_and_tools_import_only_what_the_package_has(top):
+    missing = []
+    for root, _, files in os.walk(os.path.join(REPO_DIR, top)):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(root, f)
+                missing += [(os.path.relpath(path, REPO_DIR), *entry)
+                            for entry in unresolved(package_names_imported(read(path)))]
+    assert missing == []

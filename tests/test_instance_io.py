@@ -40,7 +40,7 @@ def test_instance_id_and_views(sample):
     assert instance_id(sample) == "H3_seed11"
     g = instance_graph(sample)
     assert g.num_vertices == sample.num_vertices
-    assert g.positions[1] == (0.0, 0.0)  # depot
+    assert sample.positions[0] == (0.0, 0.0)  # depot
     table = kappa_table(sample)
     assert table.shape == (sample.num_vertices + 1, 4)
     assert table[0].tolist() == [0.0] * 4
@@ -184,8 +184,63 @@ def string_rate(payload):
     return payload
 
 
+def fractional_must_visit(payload):
+    # int() would read these as [6, 11]
+    payload["must_visit"] = [6.9, 11.9]
+    return payload
+
+
+def fractional_agent_count(payload):
+    payload["M"] = 2.5
+    return payload
+
+
+def boolean_agent_count(payload):
+    payload["M"] = True
+    return payload
+
+
+def string_horizon(payload):
+    payload["H"] = str(payload["H"])
+    return payload
+
+
+def fractional_edge_vertex(payload):
+    payload["edges"][0][1] += 0.5
+    return payload
+
+
+def boolean_seed(payload):
+    payload["seed"] = True
+    return payload
+
+
+def fractional_escalations(payload):
+    payload["seed_escalations"] = 0.5
+    return payload
+
+
+def negative_default_rate(payload):
+    # the untrained estimator would predict a negative cost
+    payload["mu_default"] = -0.5
+    return payload
+
+
+def nan_default_rate(payload):
+    payload["mu_default"] = float("nan")
+    return payload
+
+
+def infinite_default_rate(payload):
+    payload["mu_default"] = float("inf")
+    return payload
+
+
 @pytest.mark.parametrize(
-    "malform", (top_level_number, null_vertex_count, null_edge_vertex, null_kappa_row, string_rate))
+    "malform", (top_level_number, null_vertex_count, null_edge_vertex, null_kappa_row, string_rate,
+                fractional_must_visit, fractional_agent_count, boolean_agent_count,
+                string_horizon, fractional_edge_vertex, boolean_seed, fractional_escalations,
+                negative_default_rate, nan_default_rate, infinite_default_rate))
 def test_malformed_values_are_format_errors(malform, tmp_path, sample, capsys):
     payload, _ = load_payload(tmp_path, sample)
     path = rewrite(tmp_path, malform(payload), name="malformed.json")

@@ -453,9 +453,8 @@ def test_benchmark_structures_plan_without_a_model(model_builds, monkeypatch):
     checks = []
     monkeypatch.setattr(milp.MilpModel, "validate",
                         counted(checks, "validate", milp.MilpModel.validate))
-    for module in (milp, tocp):
-        monkeypatch.setattr(module, "check_assignment",
-                            counted(checks, "check_assignment", milp.check_assignment))
+    monkeypatch.setattr(milp, "check_assignment",
+                        counted(checks, "check_assignment", milp.check_assignment))
     for law, seeds, horizon in (({}, range(1, 11), 1), (TIGHT_LAW, range(7, 11), 2)):
         for seed in seeds:
             instance = generate_instance(BenchmarkConfig(**law), seed, horizon)

@@ -17,7 +17,7 @@ from patrolopt.milp import (
     check_assignment,
     solve,
 )
-from patrolopt.certify import broken_rules, simplify_walk
+from patrolopt.certify import Structure, broken_rules, simplify_walk
 from patrolopt.tocp import (
     FleetPlan,
     RouteIntegrityError,
@@ -25,6 +25,7 @@ from patrolopt.tocp import (
     build_tocp,
     build_top,
     extract_routes,
+    plan_round,
     plan_to_assignment,
 )
 
@@ -135,6 +136,23 @@ def test_must_visit_validation(bridge):
     assert solve(model).status == INFEASIBLE
     model, _ = build_tocp(graph, c_hat, 1, 2.0, [3])
     assert solve(model).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("bad", (-1.0, float("nan"), float("inf")))
+@pytest.mark.parametrize("variant, build", (("tocp", build_tocp), ("top", build_top)),
+                         ids=("tocp", "top"))
+def test_predictions_must_be_finite_and_nonnegative(bridge, variant, build, bad):
+    # costs grow from zero, so a prediction below zero or not finite is a
+    # caller's bug, whichever entry holds it
+    graph, dist, c_hat, l_max = bridge
+    structure = Structure(graph, dist, 1, l_max, (), variant)
+    for v in (0, 3):
+        wrong = c_hat.copy()
+        wrong[v] = bad
+        with pytest.raises(ModelError, match="finite and >= 0"):
+            build(graph, wrong, 1, l_max, dist=dist)
+        with pytest.raises(ModelError, match="finite and >= 0"):
+            plan_round(structure, wrong, None)
 
 
 def test_route_extraction_interleaves_two_loops():
@@ -257,16 +275,18 @@ def test_plan_encoding_round_trip_and_rejections(bridge):
     sol = MilpSolution(OPTIMAL, assign, plan.reward(c_hat), 0.0, 0.0)
     assert audit_solution(graph, sol, handles) == []
 
-    # an idle agent cannot be encoded: departure is mandatory
+    # an idle agent breaks a row: departure is mandatory
     idle = FleetPlan(routes=[[1]], lengths=[0.0])
-    assert plan_to_assignment(idle, model, handles) is None
+    assert broken_rules(handles.structure, idle.routes) == ["idle agent"]
+    assert check_assignment(model, plan_to_assignment(idle, model, handles)) != []
 
     # walks that reuse a directed edge do not fit binary edge variables
     doubled = FleetPlan(routes=[[1, 2, 1, 2, 1]], lengths=[4.0])
-    assert plan_to_assignment(doubled, model, handles) is None
-    # walks over non-edges cannot be encoded either
+    assert "directed edge used twice" in broken_rules(handles.structure, doubled.routes)
+    assert check_assignment(model, plan_to_assignment(doubled, model, handles)) != []
+    # walks over non-edges break a rule too
     phantom = FleetPlan(routes=[[1, 3, 1]], lengths=[2.0])
-    assert plan_to_assignment(phantom, model, handles) is None
+    assert broken_rules(handles.structure, phantom.routes) == ["not on real edges"]
 
 
 @st.composite
@@ -305,13 +325,13 @@ def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case):
     plan = FleetPlan(routes, [walk_length(graph, r) for r in routes])
     assign = plan_to_assignment(plan, model, handles)
     broken = broken_rules(handles.structure, routes)
-    if assign is None:
+    violated = check_assignment(model, assign)
+    if broken:
         event("rejected")
-        assert broken
+        assert violated
         return
     event("encoded")
-    assert broken == []
-    assert check_assignment(model, assign) == []
+    assert violated == []
     sol = MilpSolution(OPTIMAL, assign, plan.reward(c_hat), 0.0, 0.0)
     assert audit_solution(graph, sol, handles) == []
     for route, back in zip(routes, extract_routes(sol, handles, graph).routes):
@@ -326,8 +346,6 @@ def test_walks_off_the_real_edges_break_a_rule_and_do_not_encode(bridge):
         model, handles = build(graph, c_hat, 1, l_max, dist=dist)
         for route in ([1, 3, 1], [1, 2, 3, 1]):
             assert broken_rules(handles.structure, [route]) == ["not on real edges"]
-            plan = FleetPlan(routes=[route], lengths=[2.0])
-            assert plan_to_assignment(plan, model, handles) is None
         assert broken_rules(handles.structure, [[1, 2, 1]]) == []
 
 
