@@ -32,12 +32,11 @@ def greedy_plan(
 ) -> FleetPlan:
     """Build one closed walk per agent under the shared budget.
 
-    All ties break to the lowest vertex index.  An agent already standing on a
-    pool vertex claims it for free before weighing any move (the value-per-
-    distance rule has no answer at distance zero).  Every required vertex must
-    have a round trip within the budget, else the instance is rejected; with
-    at most one required vertex per agent that also guarantees all of them
-    get served.
+    All ties break to the lowest vertex index.  Vertices the depot cannot
+    reach never enter the pools, so every leg weighed is finite.  Every
+    required vertex must have a round trip within the budget, else the
+    instance is rejected; with at most one required vertex per agent that
+    also guarantees all of them get served.
     """
     d = dist.dist
     n = graph.num_vertices
@@ -47,8 +46,8 @@ def greedy_plan(
                 f"must-visit vertex {v} has no round trip within budget {l_max}"
             )
     required: Set[int] = set(int(v) for v in must_visit)
-    optional: Set[int] = set(range(1, n + 1)) - required
-    optional.discard(DEPOT)
+    # The depot's component only: graphs are symmetric, so every leg in it is finite.
+    optional = {v for v in range(1, n + 1) if v != DEPOT and d[DEPOT, v] < np.inf} - required
 
     routes: List[List[int]] = [[DEPOT] for _ in range(num_agents)]
     spent = [0.0 for _ in range(num_agents)]
@@ -76,24 +75,19 @@ def greedy_plan(
             if finished[m]:
                 continue
             here = position[m]
-            reachable_required = [v for v in sorted(required) if within_budget(m, v)]
+            reachable_required = [v for v in required if within_budget(m, v)]
             if reachable_required:
                 target = min(reachable_required, key=lambda v: (d[here, v], v))
                 move_to(m, target)
                 continue
-            if here in optional:
-                # Standing on it already: claim without moving.
-                optional.discard(here)
-                continue
             best = None
             best_ratio = -np.inf
             for v in sorted(optional):
-                dv = d[here, v]
-                if not np.isfinite(dv) or not within_budget(m, v):
+                if not within_budget(m, v):
                     continue
                 if c_hat[v] <= 0.0:
                     continue
-                ratio = c_hat[v] / dv
+                ratio = c_hat[v] / d[here, v]
                 if ratio > best_ratio:
                     best = v
                     best_ratio = ratio

@@ -167,7 +167,7 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     for key in ("positions", "edges", "must_visit", "mu_star", "kappa"):
         if not isinstance(payload[key], list):
             fail(f"{key} is not a list")
-    if payload["version"] != FORMAT_VERSION:
+    if count("version", payload["version"]) != FORMAT_VERSION:
         fail(f"unsupported version {payload['version']!r}")
     n = count("N", payload["N"])
     h = count("H", payload["H"])

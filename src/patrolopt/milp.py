@@ -73,8 +73,7 @@ class Constraint:
 class MilpModel:
     """A mixed binary/continuous linear program that maximises one linear objective."""
 
-    def __init__(self, name: str = ""):
-        self.name = name
+    def __init__(self):
         self.variables: List[Variable] = []
         self.constraints: List[Constraint] = []
         self._objective: Dict[int, float] = {}

@@ -117,8 +117,7 @@ def _build_answered(structure: Structure, c_hat: np.ndarray) -> Tuple[MilpModel,
         model.infeasibility_proof = answer
     elif answer is not None:
         walks, bound = answer
-        plan = FleetPlan(walks, [walk_length(structure.graph, w) for w in walks])
-        model.certificate = (plan_to_assignment(plan, model, handles), bound)
+        model.certificate = (plan_to_assignment(walks, model, handles), bound)
     return model, handles
 
 
@@ -218,7 +217,7 @@ def _build_fleet_model(
     big_m = l_max / min(graph.lengths.values(), default=l_max)
     flow_cap = float(n)
 
-    model = MilpModel(name=structure.variant)
+    model = MilpModel()
     x: Dict[Tuple[int, int, int], int] = {}
     y: Dict[Tuple[int, int], int] = {}
     z: Dict[int, int] = {}
@@ -388,9 +387,9 @@ def _stitch_closed_walk(edges: List[Tuple[int, int]], start: int) -> List[int]:
 
 
 def plan_to_assignment(
-    plan: FleetPlan, model: MilpModel, handles: VariableHandles
+    walks: Sequence[List[int]], model: MilpModel, handles: VariableHandles
 ) -> np.ndarray:
-    """Encode a fleet plan as a full solver assignment.
+    """Encode one closed walk per agent as a full solver assignment.
 
     The walks must break no rule of certify.broken_rules, as
     certify.fleet_walks guarantees for every answer; then every row of the
@@ -402,7 +401,7 @@ def plan_to_assignment(
     milp.solve finds; a walk over a non-edge raises KeyError.
     """
     assign = np.zeros(model.num_variables)
-    for m, route in enumerate(plan.routes, start=1):
+    for m, route in enumerate(walks, start=1):
         edges = list(zip(route, route[1:]))
         unseen = set(route) - {DEPOT}
         for a, b in edges:

@@ -18,12 +18,13 @@ def make_graph(num_vertices, undirected_edges):
 
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """Count the models that reach HiGHS."""
+    """Name the variant of every model that reaches HiGHS; top's alone has visit-once rows."""
     calls = []
     real = milp._solve_highs
 
     def spy(model, time_limit):
-        calls.append(model.name)
+        top = any(con.name.startswith("visit_once_") for con in model.constraints)
+        calls.append("top" if top else "tocp")
         return real(model, time_limit)
 
     monkeypatch.setattr(milp, "_solve_highs", spy)

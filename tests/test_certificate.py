@@ -24,7 +24,6 @@ from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
 from patrolopt.certify import Structure, repair_walk
 from patrolopt.tocp import (
-    FleetPlan,
     audit_solution,
     build_top,
     build_tocp,
@@ -71,7 +70,7 @@ def test_candidate_with_a_violated_row_falls_through(bridge, highs_calls):
 def test_candidate_below_the_bound_falls_through(bridge, highs_calls):
     graph, dist, c_hat, l_max = bridge
     model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
-    short = plan_to_assignment(FleetPlan([[1, 2, 1]], [2.0]), model, handles)
+    short = plan_to_assignment([[1, 2, 1]], model, handles)
     assert check_assignment(model, short) == []
     model.certificate = (short, model.certificate[1])
     sol = solve(model)
@@ -267,8 +266,8 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
     if certificate is None:
         return
     greedy = greedy_certificate(handles.structure, c_hat)
-    if greedy is not None and np.array_equal(sol.assignment, plan_to_assignment(
-            FleetPlan(greedy, [walk_length(graph, r) for r in greedy]), model, handles)):
+    if greedy is not None and np.array_equal(sol.assignment,
+                                             plan_to_assignment(greedy, model, handles)):
         plan = extract_routes(sol, handles, graph)
         reachable = {v for v in range(1, graph.num_vertices + 1)
                      if dist.dist[1, v] + dist.dist[v, 1] <= l_max}
@@ -311,9 +310,9 @@ def test_top_matches_brute_force_with_and_without_its_certificate(case):
 def test_infeasibility_proofs_agree_with_brute_force_and_highs(build, case):
     graph, c_hat, agents, l_max, must = case
     dist = all_pairs_shortest(graph)
-    model, _ = build(graph, c_hat, agents, l_max, must, dist=dist)
-    oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, variant=model.name,
-                                          dist=dist)
+    model, handles = build(graph, c_hat, agents, l_max, must, dist=dist)
+    oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must,
+                                          variant=handles.structure.variant, dist=dist)
     proof = model.infeasibility_proof
     if proof is None:
         event("feasible" if oracle.feasible else "infeasible, no proof")

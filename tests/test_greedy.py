@@ -2,17 +2,94 @@
 
 from __future__ import annotations
 
+from typing import List, Set
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolopt.benchgen import generate_instance
-from patrolopt.graph import all_pairs_shortest, walk_length
+from patrolopt.graph import DEPOT, FleetPlan, all_pairs_shortest, walk_length
 from patrolopt.greedy import greedy_plan
 from patrolopt.instance_io import instance_graph, kappa_table
 from patrolopt.tocp import UnreachableMustVisitError
 
 from oracle import brute_force_single_iteration
 from conftest import make_graph, tiny_config
+
+
+def reference_greedy_plan(graph, dist, c_hat, num_agents, l_max, must_visit=()):
+    """The loop before the depot-component pool, kept verbatim as the reference.
+
+    It tests every candidate leg for finiteness and has a claim-in-place
+    branch; greedy_plan drops both and must plan exactly as this does.
+    """
+    d = dist.dist
+    n = graph.num_vertices
+    for v in must_visit:
+        if d[DEPOT, v] + d[v, DEPOT] > l_max:
+            raise UnreachableMustVisitError(
+                f"must-visit vertex {v} has no round trip within budget {l_max}"
+            )
+    required: Set[int] = set(int(v) for v in must_visit)
+    optional: Set[int] = set(range(1, n + 1)) - required
+    optional.discard(DEPOT)
+
+    routes: List[List[int]] = [[DEPOT] for _ in range(num_agents)]
+    spent = [0.0 for _ in range(num_agents)]
+    position = [DEPOT for _ in range(num_agents)]
+    finished = [False for _ in range(num_agents)]
+
+    def within_budget(m: int, v: int) -> bool:
+        # Same association order as the spent updates, so the final walk
+        # length compares against l_max exactly as it was accumulated.
+        return (spent[m] + d[position[m], v]) + d[v, DEPOT] <= l_max
+
+    def move_to(m: int, v: int) -> None:
+        path = dist.shortest_path(position[m], v)
+        if path is None:
+            raise RuntimeError(f"no path {position[m]} -> {v} despite finite distance")
+        spent[m] += d[position[m], v]
+        routes[m].extend(path[1:])
+        for w in path:
+            required.discard(w)
+            optional.discard(w)
+        position[m] = v
+
+    while not all(finished):
+        for m in range(num_agents):
+            if finished[m]:
+                continue
+            here = position[m]
+            reachable_required = [v for v in sorted(required) if within_budget(m, v)]
+            if reachable_required:
+                target = min(reachable_required, key=lambda v: (d[here, v], v))
+                move_to(m, target)
+                continue
+            if here in optional:
+                # Standing on it already: claim without moving.
+                optional.discard(here)
+                continue
+            best = None
+            best_ratio = -np.inf
+            for v in sorted(optional):
+                dv = d[here, v]
+                if not np.isfinite(dv) or not within_budget(m, v):
+                    continue
+                if c_hat[v] <= 0.0:
+                    continue
+                ratio = c_hat[v] / dv
+                if ratio > best_ratio:
+                    best = v
+                    best_ratio = ratio
+            if best is not None:
+                move_to(m, best)
+                continue
+            move_to(m, DEPOT)
+            finished[m] = True
+
+    return FleetPlan(routes=routes, lengths=[float(s) for s in spent])
 
 
 def test_ratio_rule_prefers_value_per_distance():
@@ -116,3 +193,45 @@ def test_greedy_never_beats_exhaustive_search():
         else:
             assert plan.reward(c_hat) == 0.0
     assert checked >= 5
+
+
+@st.composite
+def split_rounds(draw):
+    """A round whose graph has vertices the depot cannot reach.
+
+    Vertices 1..k are joined only among themselves and k+1..n only among
+    themselves, each pair by chance, so the depot's side may be split too.
+    Predictions are laced with zeros, must-visit vertices lie in the depot's
+    component, and a third of the budgets are infinite.
+    """
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, n - 1))
+    length = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+    edges = [(i, j, draw(length)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if (i <= k) == (j <= k) and draw(st.booleans())]
+    graph = make_graph(n, edges)
+    dist = all_pairs_shortest(graph)
+    rewards = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    c_hat = np.array([0.0] + rewards)
+    agents = draw(st.integers(1, 3))
+    finite = st.sampled_from([0.0, 2.0, 3.0, 4.5, 6.0, 9.0, 14.0])
+    l_max = np.inf if draw(st.integers(0, 2)) == 0 else draw(finite)
+    component = [v for v in range(2, n + 1) if dist.dist[DEPOT, v] < np.inf]
+    must = draw(st.lists(st.sampled_from(component), max_size=agents, unique=True)
+                if component else st.just([]))
+    return graph, dist, c_hat, agents, l_max, must
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=split_rounds())
+def test_plans_match_the_reference_loop(case):
+    graph, dist, c_hat, agents, l_max, must = case
+    try:
+        expected = reference_greedy_plan(graph, dist, c_hat, agents, l_max, must)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            greedy_plan(graph, dist, c_hat, agents, l_max, must)
+        return
+    plan = greedy_plan(graph, dist, c_hat, agents, l_max, must)
+    assert plan.routes == expected.routes
+    assert plan.lengths == expected.lengths

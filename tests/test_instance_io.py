@@ -220,6 +220,17 @@ def fractional_escalations(payload):
     return payload
 
 
+def boolean_version(payload):
+    # true == 1, so != alone would read it as version 1
+    payload["version"] = True
+    return payload
+
+
+def fractional_version(payload):
+    payload["version"] = 1.0
+    return payload
+
+
 def negative_default_rate(payload):
     # the untrained estimator would predict a negative cost
     payload["mu_default"] = -0.5
@@ -240,7 +251,8 @@ def infinite_default_rate(payload):
     "malform", (top_level_number, null_vertex_count, null_edge_vertex, null_kappa_row, string_rate,
                 fractional_must_visit, fractional_agent_count, boolean_agent_count,
                 string_horizon, fractional_edge_vertex, boolean_seed, fractional_escalations,
-                negative_default_rate, nan_default_rate, infinite_default_rate))
+                boolean_version, fractional_version, negative_default_rate, nan_default_rate,
+                infinite_default_rate))
 def test_malformed_values_are_format_errors(malform, tmp_path, sample, capsys):
     payload, _ = load_payload(tmp_path, sample)
     path = rewrite(tmp_path, malform(payload), name="malformed.json")

@@ -26,7 +26,7 @@ from patrolopt.milp import (
 
 
 def knapsack_model(values, weights, capacity):
-    m = MilpModel(name="knapsack")
+    m = MilpModel()
     idx = [m.add_binary(f"x{i}") for i in range(len(values))]
     for i, v in enumerate(values):
         m.set_objective_coefficient(idx[i], v)

@@ -318,10 +318,9 @@ def model_builds(monkeypatch):
     calls = []
     real = tocp._build_fleet_model
 
-    def spy(*args):
-        model, handles = real(*args)
-        calls.append(model.name)
-        return model, handles
+    def spy(structure, c_hat):
+        calls.append(structure.variant)
+        return real(structure, c_hat)
 
     monkeypatch.setattr(tocp, "_build_fleet_model", spy)
     return calls

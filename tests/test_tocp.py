@@ -256,8 +256,7 @@ def test_audit_catches_tampering(star):
 def test_audit_catches_budget_overrun():
     g = make_graph(2, [(1, 2, 3.0)])
     model, handles = build_tocp(g, np.array([0.0, 0.0, 1.0]), 1, 10.0)
-    plan = FleetPlan(routes=[[1, 2, 1]], lengths=[6.0])
-    assign = plan_to_assignment(plan, model, handles)
+    assign = plan_to_assignment([[1, 2, 1]], model, handles)
     assert assign is not None
     tight, tight_handles = build_tocp(g, np.array([0.0, 0.0, 1.0]), 1, 5.0)
     bad = MilpSolution(OPTIMAL, assign, 1.0, 0.0, 0.0)
@@ -269,24 +268,23 @@ def test_plan_encoding_round_trip_and_rejections(bridge):
     graph, dist, c_hat, l_max = bridge
     model, handles = build_tocp(graph, c_hat, 1, l_max, dist=dist)
     plan = greedy_plan(graph, dist, c_hat, 1, l_max)
-    assign = plan_to_assignment(plan, model, handles)
+    assign = plan_to_assignment(plan.routes, model, handles)
     assert assign is not None
     assert check_assignment(model, assign) == []
     sol = MilpSolution(OPTIMAL, assign, plan.reward(c_hat), 0.0, 0.0)
     assert audit_solution(graph, sol, handles) == []
 
     # an idle agent breaks a row: departure is mandatory
-    idle = FleetPlan(routes=[[1]], lengths=[0.0])
-    assert broken_rules(handles.structure, idle.routes) == ["idle agent"]
+    idle = [[1]]
+    assert broken_rules(handles.structure, idle) == ["idle agent"]
     assert check_assignment(model, plan_to_assignment(idle, model, handles)) != []
 
     # walks that reuse a directed edge do not fit binary edge variables
-    doubled = FleetPlan(routes=[[1, 2, 1, 2, 1]], lengths=[4.0])
-    assert "directed edge used twice" in broken_rules(handles.structure, doubled.routes)
+    doubled = [[1, 2, 1, 2, 1]]
+    assert "directed edge used twice" in broken_rules(handles.structure, doubled)
     assert check_assignment(model, plan_to_assignment(doubled, model, handles)) != []
     # walks over non-edges break a rule too
-    phantom = FleetPlan(routes=[[1, 3, 1]], lengths=[2.0])
-    assert broken_rules(handles.structure, phantom.routes) == ["not on real edges"]
+    assert broken_rules(handles.structure, [[1, 3, 1]]) == ["not on real edges"]
 
 
 @st.composite
@@ -323,7 +321,7 @@ def test_encoded_walks_satisfy_every_row_or_break_a_rule(build, case):
     graph, c_hat, l_max, must, routes = case
     model, handles = build(graph, c_hat, len(routes), l_max, must)
     plan = FleetPlan(routes, [walk_length(graph, r) for r in routes])
-    assign = plan_to_assignment(plan, model, handles)
+    assign = plan_to_assignment(routes, model, handles)
     broken = broken_rules(handles.structure, routes)
     violated = check_assignment(model, assign)
     if broken:

@@ -15,9 +15,11 @@ neither), the change's median over the parent's, and the gap between the
 medians over the parent's interquartile range.  It also records each run's
 digest, checks and failed operations, failed_round_frac and
 residual_cost_mean, the machine of the first run (nproc, Python, numpy,
-scipy), and each checkout's commit and the git tree of its src/.  Per
-workload, digests_match is true when every pair's two runs have the same
-digest (so the same outputs), and it is printed with the metrics.
+scipy), and each checkout's commit, the git tree of its src/ and the line
+counts of the Python files under its src/ and tests/.  Per workload,
+digests_match is true when every pair's two runs have the same digest (so
+the same outputs), and it is printed with the metrics; the line counts are
+printed after them.
 """
 
 from __future__ import annotations
@@ -85,13 +87,25 @@ def compare(parent_runs, change_runs, metric, better):
     }
 
 
+def python_lines(root: str, top: str) -> int:
+    """Lines (newlines, as wc -l counts them) of the .py files under root/top."""
+    total = 0
+    for folder, _, names in os.walk(os.path.join(root, top)):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
 def checkout(root: str) -> dict:
     def git(*args):
         proc = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True)
         return proc.stdout.strip() if proc.returncode == 0 else None
 
     return {"commit": git("rev-parse", "HEAD"), "src_tree": git("rev-parse", "HEAD:src"),
-            "uncommitted": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
+            "uncommitted": bool(git("status", "--porcelain", "--", "src", "perfbench")),
+            "lines": {top: python_lines(root, top) for top in ("src", "tests")}}
 
 
 def main() -> int:
@@ -135,6 +149,9 @@ def main() -> int:
             print(f"{workload} {name}: {c['parent']['median']:.6g} -> "
                   f"{c['change']['median']:.6g} (won {c['pairs_won']}/{pairs})")
         print(f"{workload} digests_match: {str(digests_match).lower()}")
+    for top in ("src", "tests"):
+        print(f"{top} lines: {report['parent']['lines'][top]} -> "
+              f"{report['change']['lines'][top]}")
     out = f"BENCH_{args.label}.json"
     with open(out, "w") as fh:
         json.dump(report, fh, indent=1)
