@@ -7,6 +7,12 @@ vertices and the whole growth table are then drawn from fixed laws.  All
 draws come from named streams keyed by (seed, tag), so a (config, seed, H)
 triple always produces a byte-identical file.
 
+BenchmarkConfig holds the knobs a caller turns.  The rest of the law is
+fixed here: positions in a square of half-width SQUARE_HALF_WIDTH, rates
+mu_star ~ U(RATE_LOW, RATE_HIGH), growth noise NOISE_STDDEV, the prior rate
+MU_DEFAULT every file carries, and at most MAX_ESCALATIONS re-rolls, each
+SEED_ESCALATION_STEP seeds on.
+
 No structural draw reads the horizon, and growth column t has its own stream,
 so a suite draws and renders each seed once, at the longest horizon, and cuts
 every horizon's file text from that one rendering.
@@ -30,6 +36,11 @@ from .instance_io import Instance, instance_texts
 _STRUCTURE_TAG = 101
 SQUARE_HALF_WIDTH = 5.0
 SEED_ESCALATION_STEP = 1_000_000
+RATE_LOW = 0.1
+RATE_HIGH = 0.9
+NOISE_STDDEV = 0.1
+MU_DEFAULT = 0.5
+MAX_ESCALATIONS = 50
 
 
 @dataclass
@@ -42,11 +53,6 @@ class BenchmarkConfig:
     budget_span_per_vertex: float = 2.0  # l_max ~ budget_base + U(0, this * N)
     agent_choices: Tuple[int, ...] = (2, 3, 4, 5)
     required_draw_choices: Tuple[int, ...] = (1, 2, 3)  # count = min(draw, M)
-    rate_low: float = 0.1
-    rate_high: float = 0.9
-    noise_stddev: float = 0.1
-    mu_default: float = 0.5
-    max_escalations: int = 50
 
 
 @dataclass
@@ -60,7 +66,6 @@ class StructureDraw:
     num_vertices: int
     positions: List[Tuple[float, float]]
     out_degrees: List[int]
-    nn_edges: List[Tuple[int, int]]  # directed nearest-neighbor picks
     edges: List[Tuple[int, int, float]]  # symmetrized, unordered pairs once
     l_max: float
     num_agents: int
@@ -83,7 +88,7 @@ def draw_structure(config: BenchmarkConfig, effective_seed: int) -> StructureDra
     l_max = float(config.budget_base + rng.uniform(0.0, config.budget_span_per_vertex * n))
     num_agents = int(rng.choice(np.asarray(config.agent_choices)))
     required_draw = int(rng.choice(np.asarray(config.required_draw_choices)))
-    mu_star = [float(v) for v in rng.uniform(config.rate_low, config.rate_high, size=n)]
+    mu_star = [float(v) for v in rng.uniform(RATE_LOW, RATE_HIGH, size=n)]
 
     # Pairwise Euclidean lengths, computed once per unordered pair so both
     # directions carry the identical float.
@@ -96,7 +101,6 @@ def draw_structure(config: BenchmarkConfig, effective_seed: int) -> StructureDra
             pair_len[key] = math.hypot(xa - xb, ya - yb)
         return pair_len[key]
 
-    nn_edges: List[Tuple[int, int]] = []
     chosen_pairs = set()
     for i in range(1, n + 1):
         ranked = sorted(
@@ -104,14 +108,12 @@ def draw_structure(config: BenchmarkConfig, effective_seed: int) -> StructureDra
             key=lambda j: (length(i, j), j),
         )
         for j in ranked[: out_degrees[i - 1]]:
-            nn_edges.append((i, j))
             chosen_pairs.add((min(i, j), max(i, j)))
     edges = [(i, j, pair_len[(i, j)]) for (i, j) in sorted(chosen_pairs)]
     return StructureDraw(
         num_vertices=n,
         positions=positions,
         out_degrees=out_degrees,
-        nn_edges=nn_edges,
         edges=edges,
         l_max=l_max,
         num_agents=num_agents,
@@ -141,7 +143,7 @@ def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Insta
     columns.
     """
     _check(config, (seed,), (horizon,))
-    for escalations in range(config.max_escalations + 1):
+    for escalations in range(MAX_ESCALATIONS + 1):
         effective_seed = seed + escalations * SEED_ESCALATION_STEP
         structure = draw_structure(config, effective_seed)
         required_count = min(structure.required_draw, structure.num_agents)
@@ -159,7 +161,7 @@ def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Insta
         )
         params = GrowthParams(
             mu_star=np.concatenate([[0.0], structure.mu_star]),
-            noise_stddev=config.noise_stddev,
+            noise_stddev=NOISE_STDDEV,
         )
         return Instance(
             seed=seed,
@@ -171,13 +173,13 @@ def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Insta
             edges=structure.edges,
             must_visit=must_visit,
             mu_star=structure.mu_star,
-            mu_default=config.mu_default,
-            noise_stddev=config.noise_stddev,
+            mu_default=MU_DEFAULT,
+            noise_stddev=NOISE_STDDEV,
             kappa=materialize_kappa(params, effective_seed, horizon)[1:, 1:].tolist(),
             seed_escalations=escalations,
         )
     raise ValueError(
-        f"seed {seed}: gave up after {config.max_escalations} escalations; "
+        f"seed {seed}: gave up after {MAX_ESCALATIONS} escalations; "
         "the config cannot host its required vertices"
     )
 

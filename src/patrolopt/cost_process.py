@@ -27,7 +27,7 @@ class GrowthParams:
     """
 
     mu_star: np.ndarray
-    noise_stddev: float = 0.1
+    noise_stddev: float
 
 
 def sample_growth(params: GrowthParams, stream_seed: int, t: int) -> np.ndarray:

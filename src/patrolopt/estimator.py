@@ -18,7 +18,7 @@ class EstimatorState:
     C[i] / T[i] once the vertex has been visited, and mu_default before that.
     """
 
-    def __init__(self, num_vertices: int, mu_default: float = 0.5):
+    def __init__(self, num_vertices: int, mu_default: float):
         self.num_vertices = int(num_vertices)
         self.mu_default = float(mu_default)
         self.T = np.zeros(self.num_vertices + 1, dtype=np.int64)

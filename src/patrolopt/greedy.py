@@ -41,7 +41,8 @@ def greedy_plan(
     d = dist.dist
     n = graph.num_vertices
     for v in must_visit:
-        if d[DEPOT, v] + d[v, DEPOT] > l_max:
+        trip = d[DEPOT, v] + d[v, DEPOT]
+        if trip > l_max or trip == np.inf:  # inf > inf is false under an infinite budget
             raise UnreachableMustVisitError(
                 f"must-visit vertex {v} has no round trip within budget {l_max}"
             )

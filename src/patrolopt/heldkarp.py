@@ -165,13 +165,13 @@ def best_round(table: FleetTable, c_hat: np.ndarray) -> RoundOptimum:
     """The round's optimum over the table's eligible unions, of which there must be one.
 
     Only table.choices is scored, adding weights in ascending bit order and
-    0.0 for absent bits, so each value is _mask_sums' bit for bit.  c_hat
-    must be >= 0, as certify.Structure.check_c_hat checks, so an eligible
-    strict superset of the chosen union (best value, then most vertices,
-    then lowest mask) would tie it and be larger, so the choice is in
-    choices.  Under top, choices may also hold unions with a larger eligible
-    superset, but they are eligible too.  The walks are closed walks on real
-    edges; under tocp they may use a directed edge twice.
+    0.0 for absent bits.  c_hat must be >= 0, as certify.Structure.check_c_hat
+    checks, so an eligible strict superset of the chosen union (best value,
+    then most vertices, then lowest mask) would tie it and be larger, so the
+    choice is in choices.  Under top, choices may also hold unions with a
+    larger eligible superset, but they are eligible too.  The walks are
+    closed walks on real edges; under tocp they may use a directed edge
+    twice.
     """
     targets, choices = table.targets, table.choices
     weights = np.asarray(c_hat, dtype=float)[targets]
@@ -211,14 +211,6 @@ def _bit_halves(a: np.ndarray, r: int) -> Iterator[Tuple[int, np.ndarray, np.nda
         else:
             view = a.reshape(a.shape[:-1] + (-1, 2, 1 << b))
             yield b, view[..., 0, :], view[..., 1, :]
-
-
-def _mask_sums(weights: np.ndarray, r: int) -> np.ndarray:
-    """Sum of weights[b] over the bits b of every mask, added in bit order."""
-    out = np.zeros(1 << r)
-    for b, _, upper in _bit_halves(out, r):
-        upper += weights[b]
-    return out
 
 
 def _held_karp(
@@ -335,7 +327,7 @@ def _unions(fits: np.ndarray, r: int, num_agents: int, closed: bool) -> List[np.
             unions.append(marks)
             continue
         if f_hat is None:
-            pop = _mask_sums(np.ones(r), r).astype(np.int64)
+            pop = np.bitwise_count(np.arange(1 << r, dtype=np.int64))
             f_hat = _ranked_zeta(fits, pop)
         prev_hat = f_hat if len(unions) == 1 else _ranked_zeta(unions[-1], pop)
         unions.append(_disjoint_union(prev_hat, f_hat, pop))

@@ -29,6 +29,8 @@ import scipy.stats
 
 from patrolopt import results_io
 from patrolopt.benchgen import (
+    RATE_HIGH,
+    RATE_LOW,
     BenchmarkConfig,
     draw_structure,
     generate_instance,
@@ -427,7 +429,7 @@ def test_criterion_10_default_suite_statistics(tmp_path):
 
     mu_all = np.concatenate([np.asarray(d.mu_star) for d in drawn])
     assert abs(float(mu_all.mean()) - 0.5) < 0.02
-    assert mu_all.min() >= config.rate_low and mu_all.max() <= config.rate_high
+    assert mu_all.min() >= RATE_LOW and mu_all.max() <= RATE_HIGH
     print(
         f"criterion 10: 600 instances in {elapsed:.1f}s; chi2 p "
         f"N={chi_n.pvalue:.3f} M={chi_m.pvalue:.3f}, budget KS p "

@@ -36,16 +36,29 @@ def test_draws_stay_in_their_configured_ranges():
         assert all(-5.0 <= x <= 5.0 and -5.0 <= y <= 5.0 for x, y in inst.positions)
 
 
+def _nearest_neighbor_edges(s):
+    """Vertex i's out_degrees[i - 1] nearest neighbors, ranked by (length, index)
+    and rebuilt from positions, symmetrized into sorted (i, j, length) edges."""
+
+    def length(i, j):
+        (xa, ya), (xb, yb) = s.positions[i - 1], s.positions[j - 1]
+        return math.hypot(xa - xb, ya - yb)
+
+    picks = set()
+    for i in range(1, s.num_vertices + 1):
+        ranked = sorted((j for j in range(1, s.num_vertices + 1) if j != i),
+                        key=lambda j: (length(i, j), j))
+        picks.update((min(i, j), max(i, j)) for j in ranked[:s.out_degrees[i - 1]])
+    return [(i, j, length(i, j)) for i, j in sorted(picks)]
+
+
 def test_out_degrees_before_symmetrization():
     cfg = BenchmarkConfig()
     for seed in (1, 2, 3, 10, 50):
         s = draw_structure(cfg, seed)
         assert len(s.out_degrees) == s.num_vertices
         assert all(d in cfg.out_degree_choices for d in s.out_degrees)
-        assert len(s.nn_edges) == sum(s.out_degrees)
-        # every directed pick really is one of i's nearest neighbors
-        for i, j in s.nn_edges:
-            assert i != j
+        assert s.edges == _nearest_neighbor_edges(s)
 
 
 def test_edge_lengths_are_euclidean_and_stored_once():
@@ -104,7 +117,6 @@ def test_seed_escalation_is_recorded_and_bounded():
         budget_base=0.001,
         budget_span_per_vertex=0.0,
         required_draw_choices=(1,),
-        max_escalations=3,
     )
     with pytest.raises(ValueError, match="escalations"):
         generate_instance(hopeless, 1, 1)

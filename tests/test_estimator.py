@@ -17,7 +17,7 @@ def test_unvisited_vertices_use_the_default_rate():
 
 def test_estimate_is_total_collected_over_elapsed_time():
     # dyadic lumps keep the divisions exact in binary floating point
-    est = EstimatorState(2)
+    est = EstimatorState(2, mu_default=0.5)
     est.observe(1, 1.5, 2)
     assert est.mu_hat()[1] == 0.75
     est.observe(1, 0.75, 5)
@@ -26,7 +26,7 @@ def test_estimate_is_total_collected_over_elapsed_time():
 
 
 def test_prediction_counts_iterations_since_last_visit():
-    est = EstimatorState(2)
+    est = EstimatorState(2, mu_default=0.5)
     est.observe(2, 1.0, 2)  # mu_hat = 0.5, T = 2
     pred = est.predicted_cost(6)
     assert pred[2] == 0.5 * 4
@@ -34,14 +34,14 @@ def test_prediction_counts_iterations_since_last_visit():
 
 
 def test_zero_lump_gives_zero_rate():
-    est = EstimatorState(1)
+    est = EstimatorState(1, mu_default=0.5)
     est.observe(1, 0.0, 3)
     assert est.mu_hat()[1] == 0.0
     assert est.predicted_cost(7)[1] == 0.0
 
 
 def test_observe_rejects_bad_input():
-    est = EstimatorState(2)
+    est = EstimatorState(2, mu_default=0.5)
     est.observe(1, 1.0, 2)
     with pytest.raises(ValueError):
         est.observe(1, 1.0, 2)  # not after last visit
@@ -68,7 +68,7 @@ def test_interleaved_vertices_track_independently():
 
 def test_estimates_converge_under_noise():
     rng = np.random.default_rng(9)
-    est = EstimatorState(1)
+    est = EstimatorState(1, mu_default=0.5)
     true_rate = 0.6
     errs = []
     for t in range(1, 201):

@@ -151,6 +151,12 @@ def test_unreachable_must_visit_raises():
         greedy_plan(g2, all_pairs_shortest(g2), np.zeros(4), 1, 5.0, must_visit=[3])
 
 
+def test_unreachable_must_visit_raises_under_an_infinite_budget():
+    g = make_graph(4, [(1, 2, 1.0), (3, 4, 1.0)])
+    with pytest.raises(UnreachableMustVisitError):
+        greedy_plan(g, all_pairs_shortest(g), np.zeros(5), 1, np.inf, must_visit=[3])
+
+
 def test_unaffordable_rewards_are_skipped():
     g = make_graph(3, [(1, 2, 1.0), (2, 3, 10.0)])
     dist = all_pairs_shortest(g)

@@ -29,6 +29,15 @@ from oracle import brute_force_single_iteration
 TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
 
 
+def _mask_sums(weights, r):
+    """Sum of weights[b] over the bits b of every mask, added in bit order: the
+    dense reference that a round's scores and the table's popcounts match."""
+    out = np.zeros(1 << r)
+    for b, _, upper in heldkarp._bit_halves(out, r):
+        upper += weights[b]
+    return out
+
+
 @pytest.mark.parametrize("variant", ("tocp", "top"))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -142,7 +151,7 @@ def _pairwise_unions(family, other):
 def test_ranked_unions_match_pair_enumeration(seed, with_empty, agents):
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, 11))
-    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    pop = _mask_sums(np.ones(r), r).astype(np.int64)
     member = rng.random(1 << r) < rng.choice((0.05, 0.2, 0.5))
     member[0] = with_empty
     family = set(np.flatnonzero(member).tolist())
@@ -161,7 +170,7 @@ def test_ranked_union_of_every_set_of_17_is_every_set():
     # ranked sums reach C(34, 17) > 2^31 before the Möbius transform; the
     # int32 counts wrap, yet every union is read back exactly
     r = 17
-    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    pop = _mask_sums(np.ones(r), r).astype(np.int64)
     f_hat = heldkarp._ranked_zeta(np.ones(1 << r, dtype=bool), pop)
     assert heldkarp._disjoint_union(f_hat, f_hat, pop).all()
 
@@ -200,7 +209,7 @@ def test_choice_matches_the_argmax_over_every_eligible_union(variant, case, seed
     must_mask = sum(1 << targets.index(v) for v in must)
     masks = np.flatnonzero(table.unions[-1])
     masks = masks[(masks & must_mask) == must_mask]
-    value = heldkarp._mask_sums(np.maximum(c_hat[targets], 0.0), len(targets))[masks]
+    value = _mask_sums(np.maximum(c_hat[targets], 0.0), len(targets))[masks]
     chosen = min(masks[value == value.max()].tolist(), key=lambda m: (-m.bit_count(), m))
     answer = heldkarp.best_round(table, c_hat)
     assert answer.value == value.max()
@@ -219,9 +228,9 @@ def test_default_seed_1_rounds_make_no_pass_over_every_mask(variant, monkeypatch
                       instance.must_visit, variant).table
 
     def dense(*args):
-        raise AssertionError("a round summed c_hat over every mask")
+        raise AssertionError("a round passed over every mask")
 
-    monkeypatch.setattr(heldkarp, "_mask_sums", dense)
+    monkeypatch.setattr(heldkarp, "_bit_halves", dense)
     answer = heldkarp.best_round(table, c_hat)
     assert answer.value == (8.5 if variant == "tocp" else 8.0)
 
@@ -261,7 +270,7 @@ def test_many_maximal_sets_take_the_ranked_unions(monkeypatch):
     # every set of at most 5 of 10 targets: 252 maximal sets, whose 63,504
     # pairs pass R 2^R = 10,240, so the ranked convolution answers
     r = 10
-    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    pop = _mask_sums(np.ones(r), r).astype(np.int64)
     member = pop <= 5
     assert heldkarp._maximal(member, r).size == 252
     real, calls = heldkarp._ranked_zeta, []
@@ -303,7 +312,7 @@ def test_every_nonempty_set_takes_the_ranked_unions(monkeypatch):
     # convolution answers; j + 1 disjoint nonempty sets cover exactly the
     # sets of at least j + 1 targets
     r = 10
-    pop = heldkarp._mask_sums(np.ones(r), r).astype(np.int64)
+    pop = _mask_sums(np.ones(r), r).astype(np.int64)
     member = pop >= 1
     real, calls = heldkarp._ranked_zeta, []
 
@@ -365,7 +374,10 @@ def test_low_bit_passes_match_the_plain_loop(r):
     weights = rng.random(r)
     expect = np.zeros(1 << r)
     _plain_passes(expect, r, lambda b, _, upper: upper.__iadd__(weights[b]))
-    assert heldkarp._mask_sums(weights, r).tobytes() == expect.tobytes()
+    assert _mask_sums(weights, r).tobytes() == expect.tobytes()
+    # the table's popcounts, which the ranked convolution reads
+    assert np.array_equal(np.bitwise_count(np.arange(1 << r, dtype=np.int64)),
+                          _mask_sums(np.ones(r), r))
 
 
 def test_default_seed_1_table_keeps_only_live_rows():

@@ -14,9 +14,11 @@ values, median and quartiles, the pairs the change won (ties count for
 neither), the change's median over the parent's, and the gap between the
 medians over the parent's interquartile range.  It also records each run's
 digest, checks and failed operations, failed_round_frac and
-residual_cost_mean, the machine of the first run (nproc, Python, numpy,
-scipy), and each checkout's commit, the git tree of its src/ and the line
-counts of the Python files under its src/ and tests/.  Per workload,
+residual_cost_mean, each side's median attempted operations, the machine of
+the first run (nproc, Python, numpy, scipy), and each checkout's commit, the
+git tree of its src/ and the line counts of the Python files under its src/
+and tests/.  The attempted medians are printed beside peak_rss_mb, which
+grows with the passes a fixed-length run completes.  Per workload,
 digests_match is true when every pair's two runs have the same digest (so
 the same outputs), and it is printed with the metrics; the line counts are
 printed after them.
@@ -137,17 +139,22 @@ def main() -> int:
         report.setdefault("machine", runs["parent"][0]["env"])
         digests_match = all(p["digest"] is not None and p["digest"] == c["digest"]
                             for p, c in zip(runs["parent"], runs["change"]))
+        attempted = {side: statistics.median(r["attempted"] for r in side_runs)
+                     for side, side_runs in runs.items()}
         report["workloads"][workload] = {
             "pairs": pairs,
             "seeds": [args.first_seed + k for k in range(pairs)],
             "digests_match": digests_match,
+            "attempted_median": attempted,
             "metrics": {m["name"]: compare(runs["parent"], runs["change"], m["name"],
                                            m["better"]) for m in bench["end_to_end"]},
             "runs": runs,
         }
         for name, c in report["workloads"][workload]["metrics"].items():
+            passes = (f", attempted {attempted['parent']:g} -> {attempted['change']:g}"
+                      if name == "peak_rss_mb" else "")
             print(f"{workload} {name}: {c['parent']['median']:.6g} -> "
-                  f"{c['change']['median']:.6g} (won {c['pairs_won']}/{pairs})")
+                  f"{c['change']['median']:.6g} (won {c['pairs_won']}/{pairs}{passes})")
         print(f"{workload} digests_match: {str(digests_match).lower()}")
     for top in ("src", "tests"):
         print(f"{top} lines: {report['parent']['lines'][top]} -> "
