@@ -58,6 +58,9 @@ from .graph import (
 )
 from .milp import FEASIBILITY_TOL, ModelError
 
+# Each vertex's out-edges as (head, length), heads ascending.
+Adjacency = Dict[int, List[Tuple[int, float]]]
+
 
 class Structure:
     """All a round reads except c_hat, checked once, with what the cascade derives from it.
@@ -147,8 +150,10 @@ class Structure:
             for far in firsts[m_count:]
             for k in reversed(range(m_count))
         ]
+        adjacency = {v: [(u, graph.lengths[(v, u)]) for u in graph.out_neighbors(v)]
+                     for v in range(1, graph.num_vertices + 1)}
         for starts in start_sets:
-            routes = _insertion_cover(graph, self.targets, starts, l_max)
+            routes = _insertion_cover(graph, adjacency, self.targets, starts, l_max)
             if routes is not None:
                 return fleet_walks(self, routes)
         return None
@@ -285,7 +290,7 @@ def simplify_walk(route: List[int]) -> List[int]:
 
 
 def _insertion_cover(
-    graph: Graph, targets: Sequence[int], starts: List[int], l_max: float
+    graph: Graph, adjacency: Adjacency, targets: Sequence[int], starts: List[int], l_max: float
 ) -> Optional[List[List[int]]]:
     """Grow out-and-backs [1, v, 1] into disjoint simple cycles covering targets, or None.
 
@@ -296,34 +301,59 @@ def _insertion_cover(
     within l_max.  Every step inserts the vertex whose cheapest insertion is
     dearest (farthest insertion; ties to the lowest index), which covers the
     whole detour.  The attempt fails once some uncovered vertex has no
-    insertion at all.
+    insertion at all.  adjacency is the graph's out-edges as _paths_through
+    reads them.
+
+    Each step grows one _paths_through tree from every route vertex, and a
+    candidate (w, a, b) is first bounded from the trees' distances alone:
+    d(a, w) + d(b, w) - len(a, b).  The way back off the first path only
+    avoids more vertices, so its length is no shorter, bar the rounding of
+    the same edges summed in reverse, which the margin 1e-9 (1 + l_max)
+    absorbs.  A candidate whose bound less the margin is over the budget, or
+    no cheaper than the cheapest insertion of w so far, is skipped before
+    any path is built or searched; the comparison is strict, so it could
+    never have been chosen.  Paths are read off the parent pointers only for
+    the candidates left, once per (tree, w) in a step.
     """
     routes = [[DEPOT, v, DEPOT] for v in starts]
     lengths = [walk_length(graph, route) for route in routes]
     uncovered = set(targets) - set(starts)
+    margin = 1e-9 * (1.0 + l_max)
     while uncovered:
         # The graph is symmetric, so reversing the shortest b -> w path gives
         # the shortest w -> b one.
         on_routes = {a for route in routes for a in route}
-        trees = {a: _paths_through(graph, a, uncovered) for a in on_routes}
+        trees = {a: _paths_through(adjacency, a, uncovered) for a in on_routes}
+        slots = [(m, p, a, b, graph.lengths[(a, b)], trees[a][0], trees[b][0])
+                 for m, route in enumerate(routes)
+                 for p, (a, b) in enumerate(zip(route, route[1:]))]
+        paths: Dict[Tuple[int, int], List[int]] = {}
+
+        def path(a: int, w: int) -> List[int]:
+            if (a, w) not in paths:
+                paths[(a, w)] = _tree_path(trees[a][1], w)
+            return paths[(a, w)]
+
         choice = None
         for w in sorted(uncovered):
             cheapest = None
-            for m, route in enumerate(routes):
-                for p, (a, b) in enumerate(zip(route, route[1:])):
-                    if w not in trees[a] or w not in trees[b]:
+            for m, p, a, b, length, dist_a, dist_b in slots:
+                if w not in dist_a or w not in dist_b:
+                    continue
+                to_w, from_w = dist_a[w], dist_b[w]
+                floor = to_w + from_w - length - margin
+                if lengths[m] + floor > l_max or (cheapest is not None and floor >= cheapest[0]):
+                    continue
+                path_in = path(a, w)
+                path_out = path(b, w)[::-1]
+                if set(path_in[1:-1]) & set(path_out[1:-1]):
+                    off_dist, off_parent = _paths_through(adjacency, w, uncovered - set(path_in))
+                    if b not in off_dist:
                         continue
-                    to_w, path_in = trees[a][w]
-                    from_w, path_back = trees[b][w]
-                    path_out = path_back[::-1]
-                    if set(path_in[1:-1]) & set(path_out[1:-1]):
-                        off = _paths_through(graph, w, uncovered - set(path_in))
-                        if b not in off:
-                            continue
-                        from_w, path_out = off[b]
-                    cost = to_w + from_w - graph.lengths[(a, b)]
-                    if lengths[m] + cost <= l_max and (cheapest is None or cost < cheapest[0]):
-                        cheapest = (cost, m, p, path_in + path_out[1:])
+                    from_w, path_out = off_dist[b], _tree_path(off_parent, b)
+                cost = to_w + from_w - length
+                if lengths[m] + cost <= l_max and (cheapest is None or cost < cheapest[0]):
+                    cheapest = (cost, m, p, path_in + path_out[1:])
             if cheapest is None:
                 return None
             if choice is None or cheapest[0] > choice[0]:
@@ -336,15 +366,18 @@ def _insertion_cover(
 
 
 def _paths_through(
-    graph: Graph, source: int, through: Set[int]
-) -> Dict[int, Tuple[float, List[int]]]:
+    adjacency: Adjacency, source: int, through: Set[int]
+) -> Tuple[Dict[int, float], Dict[int, int]]:
     """Shortest paths from source whose intermediate vertices all lie in through.
 
-    Maps each vertex reached to (length, path from source).  Dijkstra that
-    only expands the source and vertices of through; ties keep the path
-    found first.
+    Returns (dist, parent): the length of the path to each vertex reached,
+    and each reached vertex's predecessor on it (the source has none);
+    _tree_path reads a path off the parents.  Dijkstra that only expands the
+    source and vertices of through, over adjacency[v], v's (u, length)
+    out-edges in ascending u; ties keep the path found first.
     """
-    best: Dict[int, Tuple[float, List[int]]] = {source: (0.0, [source])}
+    dist: Dict[int, float] = {source: 0.0}
+    parent: Dict[int, int] = {}
     heap = [(0.0, source)]
     done: Set[int] = set()
     while heap:
@@ -352,14 +385,22 @@ def _paths_through(
         if v in done:
             continue
         done.add(v)
-        path = best[v][1]
-        for u in graph.out_neighbors(v):
-            nd = d + graph.lengths[(v, u)]
-            if u not in best or nd < best[u][0]:
-                best[u] = (nd, path + [u])
+        for u, length in adjacency[v]:
+            nd = d + length
+            if u not in dist or nd < dist[u]:
+                dist[u] = nd
+                parent[u] = v
                 if u in through:
                     heapq.heappush(heap, (nd, u))
-    return best
+    return dist, parent
+
+
+def _tree_path(parent: Dict[int, int], w: int) -> List[int]:
+    """The path from a _paths_through tree's source to w, read off its parents."""
+    path = [w]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def infeasibility_proof(structure: Structure) -> Optional[str]:

@@ -53,9 +53,9 @@ def write_results(path: str, rows: List[Dict[str, str]]) -> None:
 def read_results(path: str) -> List[Dict]:
     """Rows with typed fields: H int, total_cost float, the lists split and parsed.
 
-    A row with fewer or more cells than the header, or a second row for the
-    same (instance_id, planner) pair, raises ValueError naming the file and
-    the line.
+    A row with fewer or more cells than the header, a second row for the
+    same (instance_id, planner) pair, or a malformed cell (see _typed_row)
+    raises ValueError naming the file and the line.
     """
     out: List[Dict] = []
     seen: Dict[Tuple[str, str], int] = {}
@@ -76,21 +76,37 @@ def read_results(path: str) -> List[Dict]:
                 raise ValueError(f"{path}: line {reader.line_num} repeats {pair[0]},{pair[1]} "
                                  f"from line {seen[pair]}")
             seen[pair] = reader.line_num
-            out.append(
-                {
-                    "instance_id": raw["instance_id"],
-                    "H": int(raw["H"]),
-                    "planner": raw["planner"],
-                    "total_cost": float(raw["total_cost"]),
-                    "iter_costs": _parse_floats(raw["iter_costs"]),
-                    "iter_seconds": _parse_floats(raw["iter_seconds"]),
-                    "iter_statuses": raw["iter_statuses"].split(_LIST_SEP)
-                    if raw["iter_statuses"]
-                    else [],
-                    "failed": raw["failed"] == "1",
-                }
-            )
+            try:
+                out.append(_typed_row(raw))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num} {exc}") from None
     return out
+
+
+def _typed_row(raw: Dict[str, str]) -> Dict:
+    """raw's cells typed; ValueError unless H is an integer, failed is 0 or 1,
+    the numbers parse, and each per-iteration list has H entries, as
+    run_episode records one per round."""
+    try:
+        horizon = int(raw["H"])
+    except ValueError:
+        raise ValueError(f"has H {raw['H']!r}, not an integer") from None
+    if raw["failed"] not in ("0", "1"):
+        raise ValueError(f"has failed {raw['failed']!r}, not 0 or 1")
+    row = {
+        "instance_id": raw["instance_id"],
+        "H": horizon,
+        "planner": raw["planner"],
+        "total_cost": float(raw["total_cost"]),
+        "iter_costs": _parse_floats(raw["iter_costs"]),
+        "iter_seconds": _parse_floats(raw["iter_seconds"]),
+        "iter_statuses": raw["iter_statuses"].split(_LIST_SEP) if raw["iter_statuses"] else [],
+        "failed": raw["failed"] == "1",
+    }
+    for column in ("iter_costs", "iter_seconds", "iter_statuses"):
+        if len(row[column]) != horizon:
+            raise ValueError(f"has {column} of length {len(row[column])}, not H = {horizon}")
+    return row
 
 
 def _parse_floats(cell: str) -> List[float]:

@@ -12,9 +12,12 @@ round is; test_heldkarp.py covers the DP.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from patrolopt import milp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
@@ -22,7 +25,7 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
-from patrolopt.certify import Structure, repair_walk
+from patrolopt.certify import Structure, _insertion_cover, _paths_through, _tree_path, repair_walk
 from patrolopt.tocp import (
     audit_solution,
     build_top,
@@ -193,6 +196,128 @@ def test_detour_back_avoids_the_way_out(highs_calls):
     sol = solve(model)
     assert highs_calls == []
     assert extract_routes(sol, handles, g).routes == [[1, 2, 3, 5, 4, 1]]
+
+
+def reference_paths_through(graph, source, through):
+    """_paths_through before parent pointers, kept verbatim as the reference.
+
+    It copies the path on every relaxation and reads each edge's length from
+    graph.lengths; _paths_through must find the same lengths and paths.
+    """
+    best = {source: (0.0, [source])}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        path = best[v][1]
+        for u in graph.out_neighbors(v):
+            nd = d + graph.lengths[(v, u)]
+            if u not in best or nd < best[u][0]:
+                best[u] = (nd, path + [u])
+                if u in through:
+                    heapq.heappush(heap, (nd, u))
+    return best
+
+
+def reference_insertion_cover(graph, targets, starts, l_max):
+    """_insertion_cover before the bound check, kept verbatim as the reference.
+
+    It builds both paths of every candidate and searches off the first path
+    whenever they cross; _insertion_cover must grow the same routes.
+    """
+    routes = [[DEPOT, v, DEPOT] for v in starts]
+    lengths = [walk_length(graph, route) for route in routes]
+    uncovered = set(targets) - set(starts)
+    while uncovered:
+        on_routes = {a for route in routes for a in route}
+        trees = {a: reference_paths_through(graph, a, uncovered) for a in on_routes}
+        choice = None
+        for w in sorted(uncovered):
+            cheapest = None
+            for m, route in enumerate(routes):
+                for p, (a, b) in enumerate(zip(route, route[1:])):
+                    if w not in trees[a] or w not in trees[b]:
+                        continue
+                    to_w, path_in = trees[a][w]
+                    from_w, path_back = trees[b][w]
+                    path_out = path_back[::-1]
+                    if set(path_in[1:-1]) & set(path_out[1:-1]):
+                        off = reference_paths_through(graph, w, uncovered - set(path_in))
+                        if b not in off:
+                            continue
+                        from_w, path_out = off[b]
+                    cost = to_w + from_w - graph.lengths[(a, b)]
+                    if lengths[m] + cost <= l_max and (cheapest is None or cost < cheapest[0]):
+                        cheapest = (cost, m, p, path_in + path_out[1:])
+            if cheapest is None:
+                return None
+            if choice is None or cheapest[0] > choice[0]:
+                choice = cheapest
+        _, m, p, detour = choice
+        routes[m] = routes[m][:p] + detour + routes[m][p + 2:]
+        lengths[m] = walk_length(graph, routes[m])
+        uncovered -= set(detour)
+    return routes
+
+
+@st.composite
+def cover_searches(draw):
+    """A symmetric graph on 2-10 vertices with a depot edge, 1-3 start vertices
+    among the depot's neighbours, targets that hold them and all but at most
+    two other vertices, and a budget.
+
+    Half the graphs have integer lengths and budgets, so equal paths, equal
+    insertion costs and routes exactly at the budget are common; the other
+    half have random float lengths and budgets.  Each other pair of vertices
+    is joined with chance 1/2 or 3/4: the dense graphs offer each vertex many
+    insertions, whose order the bound check must not change.
+    """
+    n = draw(st.integers(2, 10))
+    integral = draw(st.booleans())
+    length = (st.integers(1, 4).map(float) if integral
+              else st.floats(0.05, 4.0, allow_nan=False, allow_infinity=False))
+    joined = draw(st.integers(2, 3))
+    edges = [(1, 2, draw(length))] + [
+        (i, j, draw(length)) for i in range(1, n + 1) for j in range(max(i + 1, 3), n + 1)
+        if draw(st.integers(0, 3)) < joined]
+    graph = make_graph(n, edges)
+    starts = draw(st.lists(st.sampled_from(graph.out_neighbors(DEPOT)), min_size=1,
+                           max_size=3, unique=True))
+    dropped = draw(st.sets(st.integers(2, n), max_size=2))
+    targets = sorted(set(starts) | (set(range(2, n + 1)) - dropped))
+    l_max = draw(st.integers(3, 40).map(float) if integral
+                 else st.floats(3.0, 40.0, allow_nan=False, allow_infinity=False))
+    return graph, targets, starts, l_max
+
+
+def adjacency_of(graph):
+    return {v: [(u, graph.lengths[(v, u)]) for u in graph.out_neighbors(v)]
+            for v in range(1, graph.num_vertices + 1)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cover_searches())
+def test_trees_match_the_path_copying_search(case):
+    graph, targets, _, _ = case
+    adjacency = adjacency_of(graph)
+    for source in range(1, graph.num_vertices + 1):
+        dist, parent = _paths_through(adjacency, source, set(targets))
+        expected = reference_paths_through(graph, source, set(targets))
+        assert dist == {v: length for v, (length, _) in expected.items()}
+        assert {v: _tree_path(parent, v) for v in dist} == {
+            v: path for v, (_, path) in expected.items()}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(case=cover_searches())
+def test_cover_matches_the_path_copying_search(case):
+    graph, targets, starts, l_max = case
+    expected = reference_insertion_cover(graph, targets, starts, l_max)
+    event("cover" if expected is not None else "no cover")
+    assert _insertion_cover(graph, adjacency_of(graph), targets, starts, l_max) == expected
 
 
 def test_cut_vertex_without_a_cover_falls_back_to_highs(highs_calls, no_dp):

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line entry point, in process via main()."""
 
+import csv
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -411,6 +412,30 @@ def test_a_long_results_row_exits_two(command, suite_dir, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {results}: line 2 has more than {len(results_io.COLUMNS)} cells\n")
     assert not os.path.exists(str(tmp_path / "curves.svg"))
+
+
+@pytest.mark.parametrize("column, cell, message", [
+    ("failed", "yes", "has failed 'yes', not 0 or 1"),
+    ("H", "two", "has H 'two', not an integer"),
+    ("iter_costs", "0.5|0.25|0.125", "has iter_costs of length 3, not H = 2"),
+    ("iter_seconds", "0.5", "has iter_seconds of length 1, not H = 2"),
+    ("iter_statuses", "optimal|optimal|optimal", "has iter_statuses of length 3, not H = 2"),
+], ids=("failed", "H", "iter_costs", "iter_seconds", "iter_statuses"))
+def test_a_malformed_results_cell_exits_two(column, cell, message, suite_dir, tmp_path,
+                                            capsys):
+    # the first H = 2 row gets the bad cell; stats names the file and its line
+    results = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite_dir, "--planners", "greedy",
+                 "--out", results]) == 0
+    with open(results, newline="") as fh:
+        table = list(csv.reader(fh))
+    line = next(k for k, row in enumerate(table) if row[table[0].index("H")] == "2")
+    table[line][table[0].index(column)] = cell
+    with open(results, "w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+    capsys.readouterr()
+    assert main(["stats", "--results", results]) == 2
+    assert capsys.readouterr().err == f"error: {results}: line {line + 1} {message}\n"
 
 
 def test_plot_plan_without_an_instance_exits_two(suite_dir, tmp_path, capsys):
