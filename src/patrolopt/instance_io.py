@@ -12,7 +12,10 @@ the C JSON encoder, and lays the cells out itself, so one rendering of an
 instance at its longest horizon yields the file text of every shorter
 horizon.  The reader turns every malformed value into an
 InstanceFormatError that names the file: counts must be JSON integers (not
-bools or fractions), and rates, mu_default included, finite and >= 0.
+bools or fractions); positions, lengths, l_max, rates and noise_stddev
+finite JSON numbers (not bools), and rates, mu_default included, >= 0.  The
+growth table, the bulk of a file, is checked in one pass against the clip
+range, which rejects NaN and the infinities but not a bool.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .cost_process import CLIP_RANGE
 from .graph import Graph, symmetrize
 
 FORMAT_VERSION = 1
+_NUMBER_TYPES = frozenset((int, float))  # the types json.load gives a number
 
 
 class InstanceFormatError(ValueError):
@@ -50,7 +54,6 @@ class Instance:
     noise_stddev: float
     kappa: List[List[float]]  # N rows by H columns
     seed_escalations: int = 0
-    version: int = FORMAT_VERSION
 
 
 def instance_id(instance: Instance) -> str:
@@ -90,7 +93,7 @@ def instance_texts(instance: Instance, horizons: Sequence[int]) -> List[str]:
     newline writes.  Every number is formatted once, in one encoder call,
     and every horizon's text is cut from the same cells.
     """
-    scalars = [instance.version, instance.seed, instance.num_vertices, instance.num_agents,
+    scalars = [FORMAT_VERSION, instance.seed, instance.num_vertices, instance.num_agents,
                instance.l_max, float(instance.mu_default), float(instance.noise_stddev),
                int(instance.seed_escalations), *horizons]
     rows = [(float(x), float(y)) for x, y in instance.positions]
@@ -149,6 +152,11 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
         except (TypeError, ValueError, OverflowError) as exc:
             fail(f"{what} holds a value that is not a number ({exc})")
 
+    def numbers(what: str, values: list) -> None:
+        # float() would also read true as 1.0 and parse a string
+        if not _NUMBER_TYPES.issuperset(map(type, values)):
+            fail(f"{what} holds a value that is not a number")
+
     def count(what: str, value) -> int:
         # a bool, a fraction or a string is not one, though int() takes it
         if type(value) is not int:
@@ -178,6 +186,7 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
         fail("H must be >= 1")
     if m < 1:
         fail("M must be >= 1")
+    numbers("l_max", [payload["l_max"]])
     l_max = converted("l_max", float, payload["l_max"])
     if not (math.isfinite(l_max) and l_max > 0):
         fail("l_max must be positive and finite")
@@ -187,13 +196,19 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     for row in positions:
         if not isinstance(row, list) or len(row) != 2:
             fail(f"position row {row} is not [x, y]")
+    xy = [v for row in positions for v in row]
+    numbers("positions", xy)
     positions = converted("positions", lambda rows: [(float(x), float(y)) for x, y in rows],
                           positions)
+    if not all(map(math.isfinite, xy)):
+        fail("positions must be finite")
     for row in payload["edges"]:
         if not isinstance(row, list) or len(row) != 3:
             fail(f"edge row {row} is not [i, j, length]")
         if type(row[0]) is not int or type(row[1]) is not int:
             fail(f"edge row {row} names a vertex that is not an integer")
+        if type(row[2]) not in _NUMBER_TYPES:
+            fail(f"edge row {row} has a length that is not a number")
     edges: List[Tuple[int, int, float]] = converted(
         "edges", lambda rows: [(i, j, float(l)) for i, j, l in rows], payload["edges"])
     seen_pairs = set()
@@ -213,15 +228,18 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
     for v in must_visit:
         if not 2 <= v <= n:
             fail(f"must_visit vertex {v} out of range (depot excluded)")
+    numbers("mu_star", payload["mu_star"])
     mu_star = converted("mu_star", lambda vs: [float(v) for v in vs], payload["mu_star"])
     if len(mu_star) != n:
         fail(f"mu_star has {len(mu_star)} entries, want N={n}")
     for v in mu_star:
         if not (math.isfinite(v) and v >= 0):
             fail("mu_star entries must be finite and nonnegative")
+    numbers("mu_default", [payload["mu_default"]])
     mu_default = converted("mu_default", float, payload["mu_default"])
     if not (math.isfinite(mu_default) and mu_default >= 0):
         fail("mu_default must be finite and nonnegative")
+    numbers("noise_stddev", [payload["noise_stddev"]])
     noise = converted("noise_stddev", float, payload["noise_stddev"])
     if noise < 0 or not math.isfinite(noise):
         fail("noise_stddev must be nonnegative")

@@ -32,7 +32,7 @@ from . import milp
 from .certify import Structure
 from .cost_process import CostState
 from .estimator import EstimatorState
-from .graph import DEPOT, FleetPlan, all_pairs_shortest
+from .graph import DEPOT, FleetPlan
 from .greedy import UnreachableMustVisitError, greedy_plan
 from .instance_io import Instance, instance_graph, instance_id, kappa_table
 from .tocp import _build_answered, extract_routes, plan_round
@@ -118,8 +118,8 @@ def _structure(instance: Instance, planner: str, time_limit: Optional[float]) ->
         raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
     milp.check_time_limit(time_limit)
     graph = instance_graph(instance)
-    return Structure(graph, all_pairs_shortest(graph), instance.num_agents, instance.l_max,
-                     instance.must_visit, planner)
+    return Structure(graph, None, instance.num_agents, instance.l_max, instance.must_visit,
+                     planner)
 
 
 def _plan_round(

@@ -195,7 +195,7 @@ def greedy_certificate(structure: Structure, c_hat: np.ndarray) -> Optional[List
         return None
     if not plan.visited().issuperset(s.targets):
         return None
-    repaired = [repair_walk(route, s) if len(route) > 1 else route for route in plan.routes]
+    repaired = [repair_walk(route, s) for route in plan.routes]
     if None in repaired:
         return None
     return fleet_walks(s, repaired)

@@ -1,0 +1,34 @@
+"""The pinned digests of tools/identity.py over the default suite and top's covers.
+
+The DP digest takes about 9 s, so only tools/identity.py itself prints it.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+
+import pytest
+
+PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "identity.py")
+
+
+@pytest.fixture(scope="module")
+def identity():
+    spec = importlib.util.spec_from_file_location("identity", PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_default_suite_digest_is_pinned(identity):
+    digest, files, _ = identity.suite_digest()
+    assert (files, digest) == (
+        600, "2a049c27643c9480cde34e9d044f35b1b898b649a2f95ba9b9ae08ada0b66988")
+
+
+def test_the_cover_digest_is_pinned(identity):
+    digest, certified, times = identity.cover_digest()
+    assert (len(times), certified, digest) == (
+        240, 140, "105d6c392ea6500d09b2049160933745f8614329207c874f37a91223a42d6498")

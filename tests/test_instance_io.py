@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.cli import main
 from patrolopt.instance_io import (
+    FORMAT_VERSION,
     Instance,
     InstanceFormatError,
     instance_graph,
@@ -247,12 +248,56 @@ def infinite_default_rate(payload):
     return payload
 
 
+def nan_position(payload):
+    # json writes and reads NaN and Infinity, though JSON has neither
+    payload["positions"][0][0] = float("nan")
+    return payload
+
+
+def infinite_position(payload):
+    payload["positions"][1][1] = float("inf")
+    return payload
+
+
+# float() reads true as 1.0
+def boolean_position(payload):
+    payload["positions"][0][1] = True
+    return payload
+
+
+def boolean_edge_length(payload):
+    payload["edges"][0][2] = True
+    return payload
+
+
+def boolean_budget(payload):
+    payload["l_max"] = True
+    return payload
+
+
+def boolean_rate(payload):
+    payload["mu_star"][0] = True
+    return payload
+
+
+def boolean_default_rate(payload):
+    payload["mu_default"] = True
+    return payload
+
+
+def boolean_noise(payload):
+    payload["noise_stddev"] = True
+    return payload
+
+
 @pytest.mark.parametrize(
     "malform", (top_level_number, null_vertex_count, null_edge_vertex, null_kappa_row, string_rate,
                 fractional_must_visit, fractional_agent_count, boolean_agent_count,
                 string_horizon, fractional_edge_vertex, boolean_seed, fractional_escalations,
                 boolean_version, fractional_version, negative_default_rate, nan_default_rate,
-                infinite_default_rate))
+                infinite_default_rate, nan_position, infinite_position, boolean_position,
+                boolean_edge_length, boolean_budget, boolean_rate, boolean_default_rate,
+                boolean_noise))
 def test_malformed_values_are_format_errors(malform, tmp_path, sample, capsys):
     payload, _ = load_payload(tmp_path, sample)
     path = rewrite(tmp_path, malform(payload), name="malformed.json")
@@ -266,7 +311,7 @@ def test_malformed_values_are_format_errors(malform, tmp_path, sample, capsys):
 def reference_text(instance):
     """The file text as json.dump(payload, fh, indent=1) plus a newline wrote it."""
     payload = {
-        "version": instance.version,
+        "version": FORMAT_VERSION,
         "seed": instance.seed,
         "H": instance.horizon,
         "N": instance.num_vertices,
