@@ -254,7 +254,8 @@ def _read_plan_json(path: str, num_vertices: int) -> FleetPlan:
                              f"1..{num_vertices}")
     if not all(type(v) in (int, float) for v in lengths):
         raise ValueError(f"{path}: lengths {lengths!r} are not all numbers")
-    if not all(-math.inf < v < math.inf for v in lengths):  # NaN fails both
+    # NaN fails both comparisons; an int past the largest float would not convert
+    if not all(-sys.float_info.max <= v <= sys.float_info.max for v in lengths):
         raise ValueError(f"{path}: lengths {lengths!r} are not all finite")
     return FleetPlan(routes=routes, lengths=[float(v) for v in lengths])
 

@@ -364,8 +364,9 @@ def test_stats_pair_with_a_planner_without_rows_exits_two(suite_dir, tmp_path, c
     ({"routes": [[1, 0, 1]], "lengths": [2.0]}, "[1, 0, 1] is not a list of vertices"),
     ({"routes": [[1, 2, 1]], "lengths": [None]}, "not all numbers"),
     ({"routes": [[1, 2, 1]], "lengths": [float("nan")]}, "not all finite"),
+    ({"routes": [[1, 2, 1]], "lengths": [10 ** 400]}, "not all finite"),
 ), ids=("not-an-object", "no-lengths", "lengths-count", "null-route", "vertex-above-n",
-        "vertex-zero", "null-length", "nan-length"))
+        "vertex-zero", "null-length", "nan-length", "huge-length"))
 def test_plot_rejects_a_malformed_plan(payload, message, suite_dir, tmp_path, capsys):
     instance = os.path.join(suite_dir, "H1", "seed1.json")
     plan = str(tmp_path / "plan.json")

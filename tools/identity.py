@@ -55,7 +55,7 @@ VARIANTS = ("tocp", "top")
 def best_of(repeat, call, setup=tuple):
     """call(*setup()) run repeat times, setup outside the timing: (output, best seconds)."""
     best = float("inf")
-    for _ in range(max(repeat, 1)):
+    for _ in range(repeat):
         args = setup()
         t0 = time.perf_counter()
         out = call(*args)
@@ -83,7 +83,7 @@ def suite_digest(repeat=1):
     with tempfile.TemporaryDirectory() as root:
         suite_dir = os.path.join(root, "default")
 
-        def new_suite_dir():  # each run writes into an empty directory, as `gen` does
+        def new_suite_dir():  # generate_suite refuses a directory with content
             shutil.rmtree(suite_dir, ignore_errors=True)
             return BenchmarkConfig(), suite_dir
 
