@@ -237,7 +237,10 @@ def _cmd_stats(args) -> int:
 def _read_plan_json(path: str, num_vertices: int) -> FleetPlan:
     """The plan a solve run wrote; ValueError unless it fits a graph of num_vertices."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: plan JSON is not an object")
     routes = payload.get("routes")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -81,25 +82,32 @@ def validate(graph: Graph) -> Optional[str]:
 class DistanceMatrix:
     """All-pairs shortest path distances with next-hop route reconstruction.
 
-    ``dist[i, j]`` is inf when j is unreachable from i.  ``next_hop[i, j]`` is
-    the successor of i on a shortest i->j path, or -1 when there is none.
+    ``dist[i, j]`` is inf when j is unreachable from i.  ``next_hop[i][j]``,
+    a nested list, is the successor of i on a shortest i->j path, or -1 when
+    there is none.  ``rows`` is ``dist`` as nested lists of floats, for loops
+    that read it one entry at a time.
     """
 
     dist: np.ndarray
-    next_hop: np.ndarray
+    next_hop: List[List[int]]
+
+    @cached_property
+    def rows(self) -> List[List[float]]:
+        return self.dist.tolist()
 
     def shortest_path(self, i: int, j: int) -> Optional[List[int]]:
         """Vertex list i..j along a shortest path, or None if unreachable."""
         if i == j:
             return [i]
-        if self.next_hop[i, j] < 0:
+        nxt = self.next_hop
+        if nxt[i][j] < 0:
             return None
         path = [i]
         cur = i
         while cur != j:
-            cur = int(self.next_hop[cur, j])
+            cur = nxt[cur][j]
             path.append(cur)
-            if len(path) > self.dist.shape[0]:
+            if len(path) > len(nxt):
                 raise RuntimeError("next-hop table is cyclic")
         return path
 
@@ -127,7 +135,7 @@ def all_pairs_shortest(graph: Graph) -> DistanceMatrix:
         if better.any():
             dist[better] = via[better]
             nxt[better] = np.broadcast_to(nxt[:, k : k + 1], nxt.shape)[better]
-    return DistanceMatrix(dist=dist, next_hop=nxt)
+    return DistanceMatrix(dist=dist, next_hop=nxt.tolist())
 
 
 def reachable_round_trip(graph: Graph, dm: DistanceMatrix, l_max: float) -> Set[int]:

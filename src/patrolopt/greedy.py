@@ -7,10 +7,16 @@ distance vertex instead, and when nothing worthwhile remains it heads home.
 Vertices passed through along the way count as visited and leave the pools,
 so later agents do not re-plan trips to them.  Under tocp the round
 cascade, tocp.answer_round, tries this plan first (tocp.greedy_certificate).
+
+The loop reads Python floats: the distances through DistanceMatrix.rows and
+c_hat as a list.  Each sum and comparison is the same IEEE double operation,
+in the same association order, as on the numpy arrays, so plans and lengths
+are bit-for-bit those of an array-indexed loop.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence, Set
 
 import numpy as np
@@ -38,64 +44,58 @@ def greedy_plan(
     instance is rejected; with at most one required vertex per agent that
     also guarantees all of them get served.
     """
-    d = dist.dist
+    d = dist.rows
+    c = c_hat.tolist()
+    back = [row[DEPOT] for row in d]
     n = graph.num_vertices
     for v in must_visit:
-        trip = d[DEPOT, v] + d[v, DEPOT]
-        if trip > l_max or trip == np.inf:  # inf > inf is false under an infinite budget
+        trip = d[DEPOT][v] + back[v]
+        if trip > l_max or trip == math.inf:  # inf > inf is false under an infinite budget
             raise UnreachableMustVisitError(
                 f"must-visit vertex {v} has no round trip within budget {l_max}"
             )
     required: Set[int] = set(int(v) for v in must_visit)
     # The depot's component only: graphs are symmetric, so every leg in it is finite.
-    optional = {v for v in range(1, n + 1) if v != DEPOT and d[DEPOT, v] < np.inf} - required
+    optional = {v for v in range(1, n + 1) if v != DEPOT and d[DEPOT][v] < math.inf} - required
 
     routes: List[List[int]] = [[DEPOT] for _ in range(num_agents)]
     spent = [0.0 for _ in range(num_agents)]
     position = [DEPOT for _ in range(num_agents)]
     finished = [False for _ in range(num_agents)]
 
-    def within_budget(m: int, v: int) -> bool:
-        # Same association order as the spent updates, so the final walk
-        # length compares against l_max exactly as it was accumulated.
-        return (spent[m] + d[position[m], v]) + d[v, DEPOT] <= l_max
-
     def move_to(m: int, v: int) -> None:
         path = dist.shortest_path(position[m], v)
         if path is None:
             raise RuntimeError(f"no path {position[m]} -> {v} despite finite distance")
-        spent[m] += d[position[m], v]
+        spent[m] += d[position[m]][v]
         routes[m].extend(path[1:])
-        for w in path:
-            required.discard(w)
-            optional.discard(w)
+        required.difference_update(path)
+        optional.difference_update(path)
         position[m] = v
 
     while not all(finished):
         for m in range(num_agents):
             if finished[m]:
                 continue
-            here = position[m]
-            reachable_required = [v for v in required if within_budget(m, v)]
+            row, so_far = d[position[m]], spent[m]
+            # The budget test sums in the order of the spent updates, so the
+            # final walk length compares against l_max exactly as it was accumulated.
+            reachable_required = [v for v in required if (so_far + row[v]) + back[v] <= l_max]
             if reachable_required:
-                target = min(reachable_required, key=lambda v: (d[here, v], v))
-                move_to(m, target)
+                move_to(m, min(reachable_required, key=lambda v: (row[v], v)))
                 continue
             best = None
-            best_ratio = -np.inf
+            best_ratio = -math.inf
             for v in sorted(optional):
-                if not within_budget(m, v):
-                    continue
-                if c_hat[v] <= 0.0:
-                    continue
-                ratio = c_hat[v] / d[here, v]
-                if ratio > best_ratio:
-                    best = v
-                    best_ratio = ratio
+                if c[v] > 0.0 and (so_far + row[v]) + back[v] <= l_max:
+                    ratio = c[v] / row[v]
+                    if ratio > best_ratio:
+                        best = v
+                        best_ratio = ratio
             if best is not None:
                 move_to(m, best)
                 continue
             move_to(m, DEPOT)
             finished[m] = True
 
-    return FleetPlan(routes=routes, lengths=[float(s) for s in spent])
+    return FleetPlan(routes=routes, lengths=spent)

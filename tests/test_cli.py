@@ -379,6 +379,18 @@ def test_plot_rejects_a_malformed_plan(payload, message, suite_dir, tmp_path, ca
     assert not os.path.exists(out)
 
 
+def test_plot_names_a_plan_that_is_not_json(suite_dir, tmp_path, capsys):
+    instance = os.path.join(suite_dir, "H1", "seed1.json")
+    plan = str(tmp_path / "plan.json")
+    with open(plan, "w") as fh:
+        fh.write('{"routes": [[1, 2, 1]],\n')
+    out = str(tmp_path / "map.svg")
+    assert main(["plot", "--instance", instance, "--plan", plan, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan}: not valid JSON (")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", (["stats"], ["plot", "--out", "curves.svg"]),
                          ids=("stats", "plot"))
 def test_a_short_results_row_exits_two(command, suite_dir, tmp_path, capsys):

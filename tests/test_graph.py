@@ -10,6 +10,7 @@ import pytest
 
 from patrolopt.graph import (
     DEPOT,
+    DistanceMatrix,
     Graph,
     all_pairs_shortest,
     reachable_round_trip,
@@ -105,6 +106,28 @@ def test_shortest_path_reconstruction_is_consistent():
                 assert path[0] == s and path[-1] == v
                 total = sum(g.lengths[(a, b)] for a, b in zip(path, path[1:]))
                 assert abs(total - dm.dist[s][v]) < 1e-12
+
+
+def test_paths_hold_python_ints_and_rows_mirror_the_distances():
+    # routes are written to JSON, which takes no numpy integer
+    rng = np.random.default_rng(7)
+    g = random_graph(rng, 8)
+    dm = all_pairs_shortest(g)
+    assert dm.rows == dm.dist.tolist()
+    assert dm.rows is dm.rows  # computed once, then shared
+    for s in range(1, 9):
+        for v in range(1, 9):
+            path = dm.shortest_path(s, v)
+            assert path is not None and all(type(w) is int for w in path)
+
+
+def test_a_cyclic_next_hop_table_raises():
+    # 1 -> 3 goes through 2, and 2 -> 3 back through 1
+    nxt = [[-1] * 4 for _ in range(4)]
+    nxt[1][3], nxt[2][3] = 2, 1
+    dm = DistanceMatrix(dist=np.ones((4, 4)), next_hop=nxt)
+    with pytest.raises(RuntimeError, match="cyclic"):
+        dm.shortest_path(1, 3)
 
 
 def test_unreachable_vertices_report_infinity():

@@ -1,4 +1,5 @@
-"""The pinned digests of tools/identity.py over the default suite and top's covers.
+"""The pinned digests of tools/identity.py over the default suite, greedy's
+episodes on it and top's covers.
 
 The DP digest takes about 9 s, so only tools/identity.py itself prints it.
 """
@@ -22,10 +23,22 @@ def identity():
     return module
 
 
-def test_the_default_suite_digest_is_pinned(identity):
-    digest, files, _ = identity.suite_digest()
-    assert (files, digest) == (
+@pytest.fixture(scope="module")
+def default_suite(identity):
+    with identity.default_suite() as (root, paths, _):
+        yield root, paths
+
+
+def test_the_default_suite_digest_is_pinned(identity, default_suite):
+    root, paths = default_suite
+    assert (len(paths), identity.suite_digest(root, paths)) == (
         600, "2a049c27643c9480cde34e9d044f35b1b898b649a2f95ba9b9ae08ada0b66988")
+
+
+def test_the_greedy_digest_is_pinned(identity, default_suite):
+    digest, rounds, _ = identity.greedy_digest(*default_suite)
+    assert (rounds, digest) == (
+        3600, "fe36b3546617d6d20d7f36f442c1ea14d205dd9bdd6ff681572ae84721080eae")
 
 
 def test_the_cover_digest_is_pinned(identity):

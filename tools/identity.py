@@ -1,4 +1,4 @@
-"""Three digests that pin the program's outputs, with the times of the code they cover.
+"""Four digests that pin the program's outputs, with the times of the code they cover.
 
     PYTHONPATH=src python3 tools/identity.py [--repeat 3]
 
@@ -7,6 +7,11 @@ benchgen.generate_suite writes it into a new temporary directory named
 default.  The digest reads each file's path relative to the temporary root,
 then its bytes, in generate_suite's order (the scheme of
 tests/test_benchgen.py::test_suite_bytes_are_pinned, which covers seeds 1-5).
+
+Greedy: greedy_plan's answer in every round of the 600 greedy episodes
+simulator.run_episode runs on that suite, file by file in the suite's
+order: each round's routes and lengths, or the UnreachableMustVisitError
+it raised.  Only greedy_plan is timed, its total over the episodes.
 
 DP: the exact DP's answers on 3,348 rounds: the round-1 structures of
 default seeds 1-60 and tight-law seeds 1-40 under tocp and top, with M = 1,
@@ -31,6 +36,7 @@ same DP answers and find the same covers exactly when the digests match.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import os
@@ -40,12 +46,13 @@ import time
 
 import numpy as np
 
-from patrolopt import heldkarp
+from patrolopt import heldkarp, simulator
 from patrolopt.benchgen import BenchmarkConfig, generate_instance, generate_suite
 from patrolopt.certify import Structure
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import all_pairs_shortest
-from patrolopt.instance_io import instance_graph
+from patrolopt.greedy import UnreachableMustVisitError
+from patrolopt.instance_io import instance_graph, read_instance
 
 TIGHT_LAW = {"budget_base": 12.0, "budget_span_per_vertex": 0.5, "vertex_choices": (10, 12, 14)}
 LAWS = (("default", {}), ("tight", TIGHT_LAW))
@@ -78,8 +85,9 @@ def print_slowest(times):
         print(f"  {seconds * 1000:8.1f} ms  {label}")
 
 
-def suite_digest(repeat=1):
-    """(sha256, file count, best generate_suite seconds) of the default suite."""
+@contextlib.contextmanager
+def default_suite(repeat=1):
+    """(temporary root, file paths, best generate_suite seconds) of the default suite."""
     with tempfile.TemporaryDirectory() as root:
         suite_dir = os.path.join(root, "default")
 
@@ -88,12 +96,56 @@ def suite_digest(repeat=1):
             return BenchmarkConfig(), suite_dir
 
         paths, seconds = best_of(repeat, generate_suite, new_suite_dir)
-        digest = hashlib.sha256()
-        for path in paths:
-            digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode())
-            with open(path, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest(), len(paths), seconds
+        yield root, paths, seconds
+
+
+def suite_digest(root, paths):
+    """sha256 of the suite files' names under root and their bytes."""
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode())
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def greedy_digest(root, paths, repeat=1):
+    """(sha256, round count, best total greedy_plan seconds) of greedy's episodes on the suite."""
+    real = simulator.greedy_plan
+    records = []
+    took = [0.0]
+
+    def recorded(*args):
+        t0 = time.perf_counter()
+        try:
+            plan = real(*args)
+        except UnreachableMustVisitError as exc:
+            records.append(repr(exc))
+            raise
+        finally:
+            took[0] += time.perf_counter() - t0
+        records.append(f"{plan.routes} {plan.lengths!r}")
+        return plan
+
+    instances = [(os.path.relpath(path, root).replace(os.sep, "/"), read_instance(path))
+                 for path in paths]
+    best = float("inf")
+    simulator.greedy_plan = recorded
+    try:
+        for _ in range(repeat):
+            digest = hashlib.sha256()
+            rounds = 0
+            took[0] = 0.0
+            for name, instance in instances:
+                records.clear()
+                simulator.run_episode(instance, "greedy")
+                for t, record in enumerate(records, 1):
+                    digest.update(f"{name} t={t}: {record}\n".encode())
+                rounds += len(records)
+            best = min(best, took[0])
+    finally:
+        simulator.greedy_plan = real
+    return digest.hexdigest(), rounds, best
 
 
 def dp_digest(repeat=1):
@@ -160,10 +212,15 @@ def main() -> None:
                         help="runs of each timed call; its time is the best")
     repeat = max(parser.parse_args().repeat, 1)
 
-    digest, files, seconds = suite_digest(repeat)
-    print(f"files: {files}")
-    print(f"sha256: {digest}")
-    print(f"generate_suite: best of {repeat}, {seconds:.3f} s")
+    with default_suite(repeat) as (root, paths, seconds):
+        print(f"files: {len(paths)}")
+        print(f"sha256: {suite_digest(root, paths)}")
+        print(f"generate_suite: best of {repeat}, {seconds:.3f} s")
+
+        digest, rounds, seconds = greedy_digest(root, paths, repeat)
+        print(f"greedy rounds: {rounds} in {len(paths)} episodes")
+        print(f"sha256: {digest}")
+        print(f"greedy_plan: best of {repeat}, {seconds:.3f} s in total")
 
     digest, counts, round_times, table_times = dp_digest(repeat)
     print(f"rounds: {sum(counts.values())} ({counts['optima']} optima, "
