@@ -99,11 +99,15 @@ def default_suite(repeat=1):
         yield root, paths, seconds
 
 
+def relative_name(root, path):
+    return os.path.relpath(path, root).replace(os.sep, "/")
+
+
 def suite_digest(root, paths):
     """sha256 of the suite files' names under root and their bytes."""
     digest = hashlib.sha256()
     for path in paths:
-        digest.update(os.path.relpath(path, root).replace(os.sep, "/").encode())
+        digest.update(relative_name(root, path).encode())
         with open(path, "rb") as fh:
             digest.update(fh.read())
     return digest.hexdigest()
@@ -113,9 +117,10 @@ def greedy_digest(root, paths, repeat=1):
     """(sha256, round count, best total greedy_plan seconds) of greedy's episodes on the suite."""
     real = simulator.greedy_plan
     records = []
-    took = [0.0]
+    seconds = 0.0
 
     def recorded(*args):
+        nonlocal seconds
         t0 = time.perf_counter()
         try:
             plan = real(*args)
@@ -123,26 +128,25 @@ def greedy_digest(root, paths, repeat=1):
             records.append(repr(exc))
             raise
         finally:
-            took[0] += time.perf_counter() - t0
+            seconds += time.perf_counter() - t0
         records.append(f"{plan.routes} {plan.lengths!r}")
         return plan
 
-    instances = [(os.path.relpath(path, root).replace(os.sep, "/"), read_instance(path))
-                 for path in paths]
+    instances = [(relative_name(root, path), read_instance(path)) for path in paths]
     best = float("inf")
     simulator.greedy_plan = recorded
     try:
         for _ in range(repeat):
             digest = hashlib.sha256()
             rounds = 0
-            took[0] = 0.0
+            seconds = 0.0
             for name, instance in instances:
                 records.clear()
                 simulator.run_episode(instance, "greedy")
                 for t, record in enumerate(records, 1):
                     digest.update(f"{name} t={t}: {record}\n".encode())
                 rounds += len(records)
-            best = min(best, took[0])
+            best = min(best, seconds)
     finally:
         simulator.greedy_plan = real
     return digest.hexdigest(), rounds, best
