@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,37 +79,33 @@ def draw_structure(config: BenchmarkConfig, effective_seed: int) -> StructureDra
     Order: N, positions, per-vertex out-degrees, l_max, M, required-count
     draw, mu_star.  Changing this order changes every suite, so don't.
     """
-    rng = np.random.default_rng((effective_seed, _STRUCTURE_TAG))
+    rng = np.random.Generator(np.random.PCG64((effective_seed, _STRUCTURE_TAG)))
     n = int(rng.choice(np.asarray(config.vertex_choices)))
     others = rng.uniform(-SQUARE_HALF_WIDTH, SQUARE_HALF_WIDTH, size=(n - 1, 2))
     positions: List[Tuple[float, float]] = [(0.0, 0.0)]
-    positions += [(float(x), float(y)) for x, y in others]
-    out_degrees = [int(v) for v in rng.choice(np.asarray(config.out_degree_choices), size=n)]
+    positions += [(x, y) for x, y in others.tolist()]
+    out_degrees = rng.choice(np.asarray(config.out_degree_choices), size=n).tolist()
     l_max = float(config.budget_base + rng.uniform(0.0, config.budget_span_per_vertex * n))
     num_agents = int(rng.choice(np.asarray(config.agent_choices)))
     required_draw = int(rng.choice(np.asarray(config.required_draw_choices)))
-    mu_star = [float(v) for v in rng.uniform(RATE_LOW, RATE_HIGH, size=n)]
+    mu_star = rng.uniform(RATE_LOW, RATE_HIGH, size=n).tolist()
 
-    # Pairwise Euclidean lengths, computed once per unordered pair so both
-    # directions carry the identical float.
-    pair_len: Dict[Tuple[int, int], float] = {}
-
-    def length(i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in pair_len:
-            (xa, ya), (xb, yb) = positions[key[0] - 1], positions[key[1] - 1]
-            pair_len[key] = math.hypot(xa - xb, ya - yb)
-        return pair_len[key]
+    # Pairwise Euclidean lengths, computed once per unordered pair, lower
+    # index first, so both directions carry the identical float.
+    pair_len = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        xa, ya = positions[a - 1]
+        for b in range(a + 1, n + 1):
+            xb, yb = positions[b - 1]
+            pair_len[a][b] = pair_len[b][a] = math.hypot(xa - xb, ya - yb)
 
     chosen_pairs = set()
     for i in range(1, n + 1):
-        ranked = sorted(
-            (j for j in range(1, n + 1) if j != i),
-            key=lambda j: (length(i, j), j),
-        )
+        # a stable sort over ascending j breaks length ties to the lower index
+        ranked = sorted((j for j in range(1, n + 1) if j != i), key=pair_len[i].__getitem__)
         for j in ranked[: out_degrees[i - 1]]:
             chosen_pairs.add((min(i, j), max(i, j)))
-    edges = [(i, j, pair_len[(i, j)]) for (i, j) in sorted(chosen_pairs)]
+    edges = [(i, j, pair_len[i][j]) for (i, j) in sorted(chosen_pairs)]
     return StructureDraw(
         num_vertices=n,
         positions=positions,
@@ -155,7 +151,7 @@ def generate_instance(config: BenchmarkConfig, seed: int, horizon: int) -> Insta
         # Separate stream for the required-vertex pick: it can only be drawn
         # after shortest paths exist, so it gets its own tag instead of
         # continuing the structure stream.
-        rng = np.random.default_rng((effective_seed, _STRUCTURE_TAG, 1))
+        rng = np.random.Generator(np.random.PCG64((effective_seed, _STRUCTURE_TAG, 1)))
         must_visit = sorted(
             int(v) for v in rng.choice(np.asarray(pool), size=required_count, replace=False)
         )

@@ -38,10 +38,11 @@ def sample_growth(params: GrowthParams, stream_seed: int, t: int) -> np.ndarray:
     """
     if t < 1:
         raise ValueError(f"iteration index must be >= 1, got {t}")
-    rng = np.random.default_rng((stream_seed, t))
+    rng = np.random.Generator(np.random.PCG64((stream_seed, t)))
     mu = np.asarray(params.mu_star, dtype=float)
-    draws = rng.normal(loc=mu, scale=params.noise_stddev)
-    draws = np.clip(draws, *CLIP_RANGE)
+    # loc + scale * z over the same draws, as rng.normal(loc=mu, scale=noise) computes it
+    draws = mu + params.noise_stddev * rng.standard_normal(len(mu))
+    np.clip(draws, *CLIP_RANGE, out=draws)
     draws[0] = 0.0
     return draws
 

@@ -117,24 +117,31 @@ def all_pairs_shortest(graph: Graph) -> DistanceMatrix:
 
     Ties between equal-length paths resolve to the smallest intermediate
     vertex index because relaxation only replaces on strict improvement and
-    pivots are scanned in ascending order.
+    pivots are scanned in ascending order.  Each pivot writes in place
+    through two buffers all pivots share.  Pivot k never improves row k or
+    column k, as dist[k, k] is 0, so the column it copies next hops from is
+    never written while it is read.
     """
     n = graph.num_vertices
     dist = np.full((n + 1, n + 1), INF)
     nxt = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    for i in range(1, n + 1):
-        dist[i, i] = 0.0
-        nxt[i, i] = i
-    for (i, j), l in graph.edge_items():
-        if l < dist[i, j]:
-            dist[i, j] = l
-            nxt[i, j] = j
+    vertices = np.arange(1, n + 1)
+    dist[vertices, vertices] = 0.0
+    nxt[vertices, vertices] = vertices
+    if graph.lengths:  # each edge once, so no edge reads another's write
+        i, j = np.array(list(graph.lengths), dtype=np.int64).T
+        lengths = np.array(list(graph.lengths.values()), dtype=float)
+        kept = lengths < dist[i, j]
+        i, j = i[kept], j[kept]
+        dist[i, j] = lengths[kept]
+        nxt[i, j] = j
+    via = np.empty_like(dist)
+    better = np.empty(dist.shape, dtype=bool)
     for k in range(1, n + 1):
-        via = dist[:, k : k + 1] + dist[k : k + 1, :]
-        better = via < dist
-        if better.any():
-            dist[better] = via[better]
-            nxt[better] = np.broadcast_to(nxt[:, k : k + 1], nxt.shape)[better]
+        np.add(dist[:, k : k + 1], dist[k : k + 1, :], out=via)
+        np.less(via, dist, out=better)
+        np.copyto(dist, via, where=better)
+        np.copyto(nxt, nxt[:, k : k + 1], where=better)
     return DistanceMatrix(dist=dist, next_hop=nxt.tolist())
 
 

@@ -25,7 +25,7 @@ from .graph import DEPOT, DistanceMatrix, FleetPlan, Graph
 
 
 class UnreachableMustVisitError(ValueError):
-    """A required vertex has no depot round trip within the budget."""
+    """A required vertex has no depot round trip within the budget, or greedy left it unserved."""
 
 
 def greedy_plan(
@@ -42,7 +42,8 @@ def greedy_plan(
     reach never enter the pools, so every leg weighed is finite.  Every
     required vertex must have a round trip within the budget, else the
     instance is rejected; with at most one required vertex per agent that
-    also guarantees all of them get served.
+    also guarantees all of them get served.  With more, the agents may all
+    head home with one unserved, and that raises the same error.
     """
     d = dist.rows
     c = c_hat.tolist()
@@ -98,4 +99,8 @@ def greedy_plan(
             move_to(m, DEPOT)
             finished[m] = True
 
+    if required:
+        raise UnreachableMustVisitError(
+            f"must-visit vertices {sorted(required)} left unserved within budget {l_max}"
+        )
     return FleetPlan(routes=routes, lengths=spent)

@@ -14,8 +14,9 @@ horizon.  The reader turns every malformed value into an
 InstanceFormatError that names the file: counts must be JSON integers (not
 bools or fractions); positions, lengths, l_max, rates and noise_stddev
 finite JSON numbers (not bools), and rates, mu_default included, >= 0.  The
-growth table, the bulk of a file, is checked in one pass against the clip
-range, which rejects NaN and the infinities but not a bool.
+growth table, the bulk of a file, must hold JSON numbers (not bools) inside
+the clip range, which also rejects NaN and the infinities.  Its type check
+is one pass in C, and only a table with an integer in it is converted.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, List, NoReturn, Sequence, Tuple
 
 import numpy as np
@@ -251,7 +253,11 @@ def instance_from_payload(payload: Dict, origin: str = "<payload>") -> Instance:
             fail(f"kappa row {r} is not a list")
         if len(row) != h:
             fail(f"kappa row {r} has {len(row)} columns, want H={h}")
-    kappa = converted("kappa", lambda rows: [[float(v) for v in row] for row in rows], kappa)
+    types = set(map(type, chain.from_iterable(kappa)))
+    if not _NUMBER_TYPES.issuperset(types):
+        fail("kappa holds a value that is not a number")
+    if int in types:  # json reads every number the writer wrote as a float
+        kappa = converted("kappa", lambda rows: [[float(v) for v in row] for row in rows], kappa)
     lo, hi = CLIP_RANGE
     for row in kappa:
         for v in row:

@@ -6,11 +6,15 @@ import hashlib
 import math
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolopt import benchgen
 from patrolopt.benchgen import (
     BenchmarkConfig,
+    StructureDraw,
     draw_structure,
     generate_instance,
     generate_suite,
@@ -59,6 +63,73 @@ def test_out_degrees_before_symmetrization():
         assert len(s.out_degrees) == s.num_vertices
         assert all(d in cfg.out_degree_choices for d in s.out_degrees)
         assert s.edges == _nearest_neighbor_edges(s)
+
+
+def reference_draw_structure(config, effective_seed):
+    """draw_structure before the pair-length table, kept verbatim as the
+    reference: default_rng, a dict of pair lengths and a (length, j) key."""
+    rng = np.random.default_rng((effective_seed, benchgen._STRUCTURE_TAG))
+    n = int(rng.choice(np.asarray(config.vertex_choices)))
+    others = rng.uniform(-benchgen.SQUARE_HALF_WIDTH, benchgen.SQUARE_HALF_WIDTH, size=(n - 1, 2))
+    positions = [(0.0, 0.0)]
+    positions += [(float(x), float(y)) for x, y in others]
+    out_degrees = [int(v) for v in rng.choice(np.asarray(config.out_degree_choices), size=n)]
+    l_max = float(config.budget_base + rng.uniform(0.0, config.budget_span_per_vertex * n))
+    num_agents = int(rng.choice(np.asarray(config.agent_choices)))
+    required_draw = int(rng.choice(np.asarray(config.required_draw_choices)))
+    mu_star = [float(v) for v in rng.uniform(benchgen.RATE_LOW, benchgen.RATE_HIGH, size=n)]
+
+    pair_len = {}
+
+    def length(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in pair_len:
+            (xa, ya), (xb, yb) = positions[key[0] - 1], positions[key[1] - 1]
+            pair_len[key] = math.hypot(xa - xb, ya - yb)
+        return pair_len[key]
+
+    chosen_pairs = set()
+    for i in range(1, n + 1):
+        ranked = sorted(
+            (j for j in range(1, n + 1) if j != i),
+            key=lambda j: (length(i, j), j),
+        )
+        for j in ranked[: out_degrees[i - 1]]:
+            chosen_pairs.add((min(i, j), max(i, j)))
+    edges = [(i, j, pair_len[(i, j)]) for (i, j) in sorted(chosen_pairs)]
+    return StructureDraw(
+        num_vertices=n,
+        positions=positions,
+        out_degrees=out_degrees,
+        edges=edges,
+        l_max=l_max,
+        num_agents=num_agents,
+        required_draw=required_draw,
+        mu_star=mu_star,
+    )
+
+
+TIGHT_LAW = {"budget_base": 12.0, "budget_span_per_vertex": 0.5, "vertex_choices": (10, 12, 14)}
+choices = st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)
+random_configs = st.builds(
+    BenchmarkConfig,
+    vertex_choices=st.lists(st.integers(2, 20), min_size=1, max_size=4).map(tuple),
+    out_degree_choices=choices,
+    budget_base=st.floats(1.0, 30.0),
+    budget_span_per_vertex=st.floats(0.0, 3.0),
+    agent_choices=choices,
+    required_draw_choices=choices,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=st.one_of(st.sampled_from([BenchmarkConfig(), BenchmarkConfig(**TIGHT_LAW),
+                                         BenchmarkConfig(vertex_choices=(2, 3))]),
+                        random_configs),
+       seed=st.integers(1, 10**8))
+def test_structures_match_the_dict_ranking_reference(config, seed):
+    # repr, so a numpy scalar or an int where a float was shows
+    assert repr(draw_structure(config, seed)) == repr(reference_draw_structure(config, seed))
 
 
 def test_edge_lengths_are_euclidean_and_stored_once():

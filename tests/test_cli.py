@@ -94,6 +94,20 @@ def test_solve_reports_infeasible_with_exit_one(tmp_path):
     assert payload["routes"] is None
 
 
+def test_simulate_fails_a_greedy_episode_that_skips_a_required_vertex(tmp_path, capsys):
+    # one agent within l_max 2 reaches vertex 2 or vertex 3, never both
+    instance = make_instance(3, [(1, 2, 1.0), (1, 3, 1.0)], l_max=2.0, horizon=2,
+                             kappa=[[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]], must_visit=[2, 3])
+    path = str(tmp_path / "star.json")
+    write_instance(instance, path)
+    out = str(tmp_path / "out.csv")
+    assert main(["simulate", "--instance", path, "--planner", "greedy", "--out", out]) == 0
+    assert "failed=1" in capsys.readouterr().out
+    [row] = results_io.read_results(out)
+    assert row["failed"] == 1
+    assert row["iter_statuses"] == ["infeasible", "infeasible"]
+
+
 @pytest.mark.parametrize("planner", ("tocp", "top"))
 @pytest.mark.parametrize("num_vertices", (1, 3))
 def test_solve_answers_an_edgeless_instance_as_infeasible(planner, num_vertices, tmp_path):

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolopt.cost_process import (
+    CLIP_RANGE,
     CostState,
     GrowthParams,
     materialize_kappa,
@@ -66,6 +69,28 @@ def test_sample_mean_tracks_rate_when_clipping_is_slack():
     p = params([0.5], noise=0.1)
     draws = [sample_growth(p, 1000 + k, 1)[1] for k in range(20000)]
     assert abs(float(np.mean(draws)) - 0.5) < 0.005
+
+
+def reference_sample_growth(params, stream_seed, t):
+    """sample_growth before the direct PCG64 stream, kept verbatim as the reference."""
+    rng = np.random.default_rng((stream_seed, t))
+    mu = np.asarray(params.mu_star, dtype=float)
+    draws = rng.normal(loc=mu, scale=params.noise_stddev)
+    draws = np.clip(draws, *CLIP_RANGE)
+    draws[0] = 0.0
+    return draws
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mu=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0)),
+                   min_size=1, max_size=25),
+       noise=st.one_of(st.sampled_from([0.0, 0.1]), st.floats(0.0, 2.0)),
+       stream_seed=st.integers(0, 2**40), t=st.integers(1, 12))
+def test_draws_match_the_normal_and_clip_reference(mu, noise, stream_seed, t):
+    # bytes, so a signed zero that moves shows
+    p = params(mu, noise)
+    got = sample_growth(p, stream_seed, t)
+    assert got.tobytes() == reference_sample_growth(p, stream_seed, t).tobytes()
 
 
 def test_materialize_matches_per_iteration_sampling():

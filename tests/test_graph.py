@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolopt.graph import (
     DEPOT,
@@ -90,6 +92,54 @@ def test_all_pairs_matches_dijkstra_on_random_graphs():
                 assert abs(dm.dist[s][v] - ref[v]) < 1e-12 or (
                     math.isinf(dm.dist[s][v]) and math.isinf(ref[v])
                 )
+
+
+def reference_all_pairs_shortest(graph):
+    """Floyd-Warshall with masked gathers, before the in-place pivots, kept
+    verbatim as the reference: (dist, next_hop as nested lists)."""
+    n = graph.num_vertices
+    dist = np.full((n + 1, n + 1), math.inf)
+    nxt = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    for i in range(1, n + 1):
+        dist[i, i] = 0.0
+        nxt[i, i] = i
+    for (i, j), l in graph.edge_items():
+        if l < dist[i, j]:
+            dist[i, j] = l
+            nxt[i, j] = j
+    for k in range(1, n + 1):
+        via = dist[:, k : k + 1] + dist[k : k + 1, :]
+        better = via < dist
+        if better.any():
+            dist[better] = via[better]
+            nxt[better] = np.broadcast_to(nxt[:, k : k + 1], nxt.shape)[better]
+    return dist, nxt.tolist()
+
+
+@st.composite
+def tied_split_graphs(draw):
+    """Symmetric graphs on 1-12 vertices with lengths 1-3, so many shortest
+    paths tie, cut into up to three blocks with no edge between them."""
+    n = draw(st.integers(1, 12))
+    cuts = draw(st.sets(st.integers(2, max(n, 2)), max_size=2))
+
+    def block(v):
+        return sum(v >= c for c in cuts)
+
+    edges = [(i, j, float(draw(st.integers(1, 3))))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if block(i) == block(j) and draw(st.booleans())]
+    return make_graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(graph=tied_split_graphs())
+def test_distances_and_next_hops_match_the_masked_reference(graph):
+    dm = all_pairs_shortest(graph)
+    dist, next_hop = reference_all_pairs_shortest(graph)
+    assert dm.dist.dtype == dist.dtype
+    assert dm.dist.tobytes() == dist.tobytes()
+    assert dm.next_hop == next_hop
 
 
 def test_shortest_path_reconstruction_is_consistent():

@@ -157,6 +157,16 @@ def test_unreachable_must_visit_raises_under_an_infinite_budget():
         greedy_plan(g, all_pairs_shortest(g), np.zeros(5), 1, np.inf, must_visit=[3])
 
 
+def test_a_required_vertex_left_unserved_raises():
+    # one agent can afford the trip to 2 or to 3, not both
+    g = make_graph(3, [(1, 2, 1.0), (1, 3, 1.0)])
+    with pytest.raises(UnreachableMustVisitError, match=r"\[3\] left unserved"):
+        greedy_plan(g, all_pairs_shortest(g), np.zeros(4), 1, 2.0, must_visit=[2, 3])
+    # a second agent serves both
+    plan = greedy_plan(g, all_pairs_shortest(g), np.zeros(4), 2, 2.0, must_visit=[2, 3])
+    assert plan.routes == [[1, 2, 1], [1, 3, 1]]
+
+
 def test_unaffordable_rewards_are_skipped():
     g = make_graph(3, [(1, 2, 1.0), (2, 3, 10.0)])
     dist = all_pairs_shortest(g)
@@ -206,18 +216,23 @@ def split_rounds(draw):
     """A round whose graph has vertices the depot cannot reach.
 
     Vertices 1..k are joined only among themselves and k+1..n only among
-    themselves, each pair by chance, so the depot's side may be split too.
-    Predictions are laced with zeros, must-visit vertices lie in the depot's
-    component, up to one more of them than agents, so an agent may weigh a
-    required vertex after its first leg, and a third of the budgets are
-    infinite.  Lengths and rewards mix dyadic values with ones like 0.1 and
-    2.9, whose sums round.
+    themselves, so at least one vertex lies outside the depot's component.
+    The depot's side, of four or more vertices, hangs on a random tree
+    whose links are each kept three times in four, plus chance chords, so
+    it is usually one component but may be split.  Predictions are laced
+    with zeros, must-visit vertices lie in the depot's component, up to one
+    more of them than agents, so an agent may weigh a required vertex after
+    its first leg, and a third of the budgets are infinite.  Lengths and
+    rewards mix dyadic values with ones like 0.1 and 2.9, whose sums round.
     """
-    n = draw(st.integers(2, 9))
-    k = draw(st.integers(1, n - 1))
+    n = draw(st.integers(5, 10))
+    k = draw(st.integers(4, n - 1))
     length = st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.1, 0.7, 1.3, 2.9])
-    edges = [(i, j, draw(length)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             if (i <= k) == (j <= k) and draw(st.booleans())]
+    links = {(draw(st.integers(1, v - 1)), v): draw(length)
+             for v in range(2, k + 1) if draw(st.integers(0, 3)) > 0}
+    links.update(((i, j), draw(length)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if (i <= k) == (j <= k) and draw(st.booleans()))
+    edges = [(i, j, l) for (i, j), l in sorted(links.items())]
     graph = make_graph(n, edges)
     dist = all_pairs_shortest(graph)
     rewards = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 0.1, 0.7, 1.3, 2.9]),
@@ -237,6 +252,11 @@ def assert_plans_match(graph, dist, c_hat, agents, l_max, must):
         expected = reference_greedy_plan(graph, dist, c_hat, agents, l_max, must)
     except Exception as exc:
         with pytest.raises(type(exc)):
+            greedy_plan(graph, dist, c_hat, agents, l_max, must)
+        return
+    if not expected.visited().issuperset(must):
+        # the reference returns a plan that skips a required vertex; greedy_plan refuses
+        with pytest.raises(UnreachableMustVisitError):
             greedy_plan(graph, dist, c_hat, agents, l_max, must)
         return
     plan = greedy_plan(graph, dist, c_hat, agents, l_max, must)

@@ -290,6 +290,12 @@ def boolean_noise(payload):
     return payload
 
 
+def boolean_kappa(payload):
+    # inside the clip range as 1.0
+    payload["kappa"][1][0] = True
+    return payload
+
+
 @pytest.mark.parametrize(
     "malform", (top_level_number, null_vertex_count, null_edge_vertex, null_kappa_row, string_rate,
                 fractional_must_visit, fractional_agent_count, boolean_agent_count,
@@ -297,7 +303,7 @@ def boolean_noise(payload):
                 boolean_version, fractional_version, negative_default_rate, nan_default_rate,
                 infinite_default_rate, nan_position, infinite_position, boolean_position,
                 boolean_edge_length, boolean_budget, boolean_rate, boolean_default_rate,
-                boolean_noise))
+                boolean_noise, boolean_kappa))
 def test_malformed_values_are_format_errors(malform, tmp_path, sample, capsys):
     payload, _ = load_payload(tmp_path, sample)
     path = rewrite(tmp_path, malform(payload), name="malformed.json")

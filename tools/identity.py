@@ -7,6 +7,8 @@ benchgen.generate_suite writes it into a new temporary directory named
 default.  The digest reads each file's path relative to the temporary root,
 then its bytes, in generate_suite's order (the scheme of
 tests/test_benchgen.py::test_suite_bytes_are_pinned, which covers seeds 1-5).
+Both generate_suite and reading every file back with read_instance are
+timed; together they are the set-up a suite workload pays.
 
 Greedy: greedy_plan's answer in every round of the 600 greedy episodes
 simulator.run_episode runs on that suite, file by file in the suite's
@@ -220,6 +222,8 @@ def main() -> None:
         print(f"files: {len(paths)}")
         print(f"sha256: {suite_digest(root, paths)}")
         print(f"generate_suite: best of {repeat}, {seconds:.3f} s")
+        _, seconds = best_of(repeat, lambda: [read_instance(path) for path in paths])
+        print(f"read_instance: best of {repeat}, {seconds:.3f} s over {len(paths)} files")
 
         digest, rounds, seconds = greedy_digest(root, paths, repeat)
         print(f"greedy rounds: {rounds} in {len(paths)} episodes")
