@@ -19,9 +19,9 @@ ends at v in S, one popcount layer at a time:
 S fits one tour when min over v of g[S, v] + leg(v, 1) is within the limit.
 No tour that leaves v last gets home in less than the shortest path from v
 to the depot, so an entry above the limit less that path is stored as inf
-and never extended.  A layer keeps only its live rows, those with a finite
-entry, as ascending masks and their rows; the table stops at the first
-layer with none.
+and never extended.  A layer keeps only its live masks, those with a
+finite entry, ascending, and g over them one column per mask, so the push
+runs along the masks; the table stops at the first layer with none.
 The fleet covers unions of M pairwise disjoint fitting sets: exactly M
 nonempty ones under top, where every agent must leave the depot and no two
 may share a vertex; at most M under tocp, whose spare agents take an
@@ -64,16 +64,25 @@ from .graph import DEPOT, DistanceMatrix, Graph
 
 # Element operations one round may spend in the dense worst case (see
 # table_work).  R = 17 targets with M = 2 agents (151.6 million) fit: when
-# every set fits one tour the table takes 0.21-0.26 s under tocp and
-# 0.29-0.35 s under top, with 28-30 MiB of traced arrays, on one 2-core
-# x86_64 machine.  Default seed 1's round 1 (R = 17, M = 2) keeps few live
-# rows and takes 0.015-0.019 s (tocp) and 0.007-0.009 s (top, whose unions
-# mark 62,229 pairs).  R = 18 with one agent does not fit.
+# every set fits one tour (18 vertices joined pairwise by edges of length
+# uniform in [1, 2], an unbounded budget) the table takes 0.055-0.076 s
+# under tocp and 0.10-0.12 s under top, with 27-31 MiB of traced arrays
+# (tracemalloc's peak).  Default seed 1's round 1 (R = 17, M = 2) keeps few
+# live rows and takes 0.0042-0.0046 s (tocp) and 0.0023-0.0027 s (top, whose
+# unions mark 62,229 pairs).  Each range runs from the best to the median of
+# 7 builds, over three runs on one 2-core x86_64 machine with numpy 2.4.
+# R = 18 with one agent does not fit.
 MAX_WORK = 160_000_000
-# Masks per vectorised step; bounds the (masks, R) temporaries.
+# Masks per vectorised step; bounds the (R, masks) temporaries.
 _CHUNK = 1024
 # table_work units one marked top pair is worth when _unions picks its path.
 _PAIR_COST = 3
+# _or_from_above's words: _WORDS[k] is the little-endian dtype of 2^k
+# one-byte masks and, for each bit b < k, the word with a 1 in every byte
+# whose index lacks b
+_WORDS = [(word, [word.type(sum(1 << 8 * j for j in range(word.itemsize) if not j >> b & 1))
+                  for b in range(k)])
+          for k, word in enumerate(np.dtype(f"<u{1 << k}") for k in range(4))]
 
 
 @dataclass
@@ -92,12 +101,13 @@ class RoundOptimum:
 class FleetTable:
     """What a round's optimum needs that c_hat does not change (see fleet_table).
 
-    layers are _held_karp's live rows, layers[k - 1] those of popcount k;
-    unions[j] the unions of j + 1 disjoint fitting sets (under tocp from the
-    maximal ones), and choices, ascending, the eligible ones: last unions
-    that hold every must-visit vertex and have no such union one bit above
-    them (none: no plan exists).  inner and close are the legs; dist and
-    around expand tocp's into paths.
+    layers are _held_karp's (masks, cols), layers[k - 1] those of popcount
+    k, with cols[v, i] = g[masks[i], v]; unions[j] the unions of j + 1
+    disjoint fitting sets (under tocp from the maximal ones), and choices,
+    ascending, the eligible ones: last unions that hold every must-visit
+    vertex and have no such union one bit above them (none: no plan
+    exists).  inner and close are the legs; dist and around expand tocp's
+    into paths.
     """
 
     targets: List[int]
@@ -216,52 +226,69 @@ def _bit_halves(a: np.ndarray, r: int) -> Iterator[Tuple[int, np.ndarray, np.nda
 def _held_karp(
     first: np.ndarray, legs: np.ndarray, slack: np.ndarray, limit: float
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Held–Karp's live rows, one (masks, rows) layer per popcount from 1 up, and fits.
+    """Held–Karp's live masks, one (masks, cols) layer per popcount from 1 up, and fits.
 
-    masks ascend, and rows[i, v] is g[masks[i], v], the shortest
+    masks ascend, and cols[v, i] is g[masks[i], v], the shortest
     depot -> ... -> v path through the targets of the mask: inf when v is not
     in the mask or when the path exceeds slack[v], since no tour then fits.
-    A row is stored only when it holds a finite entry.  legs is inner with
-    close as one more column.  Every row of layer k, in chunks of _CHUNK,
-    takes min over v of g[S, v] + legs[v, w]: for each w outside S it is
-    pushed to g[S + w, w], and in the last column it is S's shortest tour,
-    which sets fits[S] when within limit.  S + w has no other way to end at
-    w, so the next layer's rows are a scatter of the pushes.  Two arrays over
-    all masks, reused by every layer, merge the pushes without a sort: seen
-    marks the pushed masks, which read back in ascending order, and slot
-    maps each to its row.  The table ends at the first layer with no row.
+    A mask is stored only when its column holds a finite entry.  legs is
+    inner with close as one more column.  Every mask of layer k, in chunks of
+    _CHUNK, takes min over v of g[S, v] + legs[v, w], one add and one minimum
+    per v over the chunk's masks: for each w outside S it is pushed to
+    g[S + w, w], and in the last row it is S's shortest tour, which sets
+    fits[S] when within limit.  S + w has no other way to end at w, so each
+    cell of the next layer is written by exactly one push, in any order.  Two
+    arrays over all masks, reused by every layer, merge the pushes without a
+    sort: seen marks the pushed masks, which read back in ascending order,
+    and slot maps each to its column.  The table ends at the first layer
+    with no mask.
     """
     r = first.shape[0]
     bits = 1 << np.arange(r, dtype=np.int64)
     near = np.flatnonzero(first <= slack)
     masks = bits[near]
-    rows = np.full((near.size, r), np.inf)
-    rows[np.arange(near.size), near] = first[near]
+    cols = np.full((r, near.size), np.inf)
+    cols[near, np.arange(near.size)] = first[near]
     fits = np.zeros(1 << r, dtype=bool)
     seen = np.zeros(1 << r, dtype=bool)
     slot = np.empty(1 << r, dtype=np.int64)
     layers = []
-    while masks.size:
-        layers.append((masks, rows))
-        heads, ends, values = [], [], []
-        for lo in range(0, masks.size, _CHUNK):
-            chunk = rows[lo:lo + _CHUNK]
-            step = chunk[:, :1] + legs[0]
-            for v in range(1, r):
-                np.minimum(step, chunk[:, v:v + 1] + legs[v], out=step)
-            s = masks[lo:lo + _CHUNK]
-            fits[s] = step[:, r] <= limit
-            i, w = np.nonzero(((s[:, None] & bits) == 0) & (step[:, :r] <= slack))
-            heads.append(s[i] | bits[w])
-            ends.append(w)
-            values.append(step[i, w])
-        pushed = np.concatenate(heads)
-        seen[pushed] = True
-        masks = np.flatnonzero(seen)
-        seen[masks] = False
-        slot[masks] = np.arange(masks.size)
-        rows = np.full((masks.size, r), np.inf)
-        rows[slot[pushed], np.concatenate(ends)] = np.concatenate(values)
+    # numpy runs a broadcast ufunc whose inner axis is shorter than a third of
+    # its buffer size, 8,192 elements by default, through that buffer, which
+    # doubled the push's time on chunks of 128-2,730 masks (numpy 2.4).  With
+    # 1,024 elements a chunk of 342 masks or more runs unbuffered, while a
+    # small layer's few masks still fit one buffer or a few.  Leaving
+    # np.errstate restores the size; every entry is the same.
+    with np.errstate():
+        np.setbufsize(1024)
+        while masks.size:
+            layers.append((masks, cols))
+            heads, ends, values = [], [], []
+            for lo in range(0, masks.size, _CHUNK):
+                chunk = cols[:, lo:lo + _CHUNK]
+                step = chunk[0] + legs[0, :, None]
+                tmp = np.empty_like(step)
+                for v in range(1, r):
+                    np.minimum(step, np.add(chunk[v], legs[v, :, None], out=tmp), out=step)
+                s = masks[lo:lo + _CHUNK]
+                fits[s] = step[r] <= limit
+                # S + w for every (w, S), which differs from S where w is outside
+                # it; the pushes are read at flat indices into its first r rows
+                grown = s | bits[:, None]
+                flat = np.flatnonzero((grown != s) & (step[:r] <= slack[:, None]))
+                heads.append(grown.reshape(-1)[flat])
+                ends.append(flat // s.size)
+                values.append(step.reshape(-1)[flat])
+                # freed before the next chunk's and the scatter's arrays, which
+                # then reuse their memory instead of growing the heap
+                del step, tmp, grown, flat
+            pushed = np.concatenate(heads)
+            seen[pushed] = True
+            masks = np.flatnonzero(seen)
+            seen[masks] = False
+            slot[masks] = np.arange(masks.size)
+            cols = np.full((r, masks.size), np.inf)
+            cols[np.concatenate(ends), slot[pushed]] = np.concatenate(values)
     return layers, fits
 
 
@@ -322,8 +349,7 @@ def _unions(fits: np.ndarray, r: int, num_agents: int, closed: bool) -> List[np.
             for heads, tails in blocks:
                 _mark_pairs(marks, heads, tails, disjoint=not closed)
             if closed:
-                for _, lower, upper in _bit_halves(marks, r):
-                    lower |= upper
+                _or_from_above(marks, marks, r)
             unions.append(marks)
             continue
         if f_hat is None:
@@ -347,9 +373,29 @@ def _mark_pairs(marks: np.ndarray, heads: np.ndarray, tails: np.ndarray, disjoin
 def _maximal(family: np.ndarray, r: int) -> np.ndarray:
     """The members of a family, ascending, with no member one bit larger above them."""
     above = np.zeros_like(family)
-    for (_, lower, _), (_, _, upper) in zip(_bit_halves(above, r), _bit_halves(family, r)):
-        lower |= upper
+    _or_from_above(above, family, r)
     return np.flatnonzero(family & ~above)
+
+
+def _or_from_above(out: np.ndarray, family: np.ndarray, r: int) -> None:
+    """out[S] |= family[S + b] for every bit b < r outside S, bit by bit from the lowest up.
+
+    out and family are contiguous bools over the 2^r masks; with out as
+    family itself this is the downward closure.  Both are read as
+    little-endian words of 2^min(r, 3) masks, one byte each, so mask S is
+    byte S mod 8 of word S >> 3.  A bit b < 3 moves bytes within each word:
+    a shift down by 8 << b bits, masked to the bytes whose index lacks b
+    (_WORDS).  A higher bit is bit b - 3 of the word index, which _bit_halves
+    walks.
+    """
+    word, low_bytes = _WORDS[min(r, 3)]
+    dst, src = out.view(word), family.view(word)
+    moved = np.empty_like(src)
+    for b, keep in enumerate(low_bytes):
+        np.right_shift(src, 8 << b, out=moved)
+        dst |= np.bitwise_and(moved, keep, out=moved)
+    for (_, lower, _), (_, _, upper) in zip(_bit_halves(dst, r - 3), _bit_halves(src, r - 3)):
+        lower |= upper
 
 
 def _ranked_zeta(member: np.ndarray, pop: np.ndarray) -> np.ndarray:
@@ -427,6 +473,6 @@ def _tour(mask: int, table: FleetTable) -> List[int]:
 
 
 def _row(mask: int, table: FleetTable) -> np.ndarray:
-    """g[mask, :], found in its popcount's layer; mask must be live."""
-    masks, rows = table.layers[mask.bit_count() - 1]
-    return rows[np.searchsorted(masks, mask)]
+    """g[mask, :], one column of its popcount's layer; mask must be live."""
+    masks, cols = table.layers[mask.bit_count() - 1]
+    return cols[:, np.searchsorted(masks, mask)]

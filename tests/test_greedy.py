@@ -222,8 +222,12 @@ def split_rounds(draw):
     it is usually one component but may be split.  Predictions are laced
     with zeros, must-visit vertices lie in the depot's component, up to one
     more of them than agents, so an agent may weigh a required vertex after
-    its first leg, and a third of the budgets are infinite.  Lengths and
-    rewards mix dyadic values with ones like 0.1 and 2.9, whose sums round.
+    its first leg, and a third of the budgets are infinite.  A third of the
+    rounds whose component outnumbers the agents crowd them instead: more
+    required vertices than agents under a budget of the longest of their
+    depot round trips, so each passes the entry check but the agents may
+    head home with one unserved.  Lengths and rewards mix dyadic values
+    with ones like 0.1 and 2.9, whose sums round.
     """
     n = draw(st.integers(5, 10))
     k = draw(st.integers(4, n - 1))
@@ -242,8 +246,12 @@ def split_rounds(draw):
     finite = st.sampled_from([0.0, 2.0, 3.0, 4.5, 6.0, 9.0, 14.0])
     l_max = np.inf if draw(st.integers(0, 2)) == 0 else draw(finite)
     component = [v for v in range(2, n + 1) if dist.dist[DEPOT, v] < np.inf]
-    must = draw(st.lists(st.sampled_from(component), max_size=agents + 1, unique=True)
-                if component else st.just([]))
+    if len(component) > agents and draw(st.integers(0, 2)) == 0:
+        must = draw(st.lists(st.sampled_from(component), min_size=agents + 1, unique=True))
+        l_max = max(float(dist.dist[DEPOT, v] + dist.dist[v, DEPOT]) for v in must)
+    else:
+        must = draw(st.lists(st.sampled_from(component), max_size=agents + 1, unique=True)
+                    if component else st.just([]))
     return graph, dist, c_hat, agents, l_max, must
 
 

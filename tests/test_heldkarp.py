@@ -394,3 +394,110 @@ def test_default_seed_1_table_keeps_only_live_rows():
         tracemalloc.stop()
     assert peak < 27.4 / 2 * 2 ** 20
     assert sum(masks.size for masks, _ in table.layers) == 7_333
+
+
+def _row_held_karp(first, legs, slack, limit, chunk=1024):
+    """The row-layout table, kept verbatim as the reference: layers of (masks,
+    rows) with rows[i, v] = g[masks[i], v], pushed one (chunk, R + 1) block
+    per v."""
+    r = first.shape[0]
+    bits = 1 << np.arange(r, dtype=np.int64)
+    near = np.flatnonzero(first <= slack)
+    masks = bits[near]
+    rows = np.full((near.size, r), np.inf)
+    rows[np.arange(near.size), near] = first[near]
+    fits = np.zeros(1 << r, dtype=bool)
+    seen = np.zeros(1 << r, dtype=bool)
+    slot = np.empty(1 << r, dtype=np.int64)
+    layers = []
+    while masks.size:
+        layers.append((masks, rows))
+        heads, ends, values = [], [], []
+        for lo in range(0, masks.size, chunk):
+            block = rows[lo:lo + chunk]
+            step = block[:, :1] + legs[0]
+            for v in range(1, r):
+                np.minimum(step, block[:, v:v + 1] + legs[v], out=step)
+            s = masks[lo:lo + chunk]
+            fits[s] = step[:, r] <= limit
+            i, w = np.nonzero(((s[:, None] & bits) == 0) & (step[:, :r] <= slack))
+            heads.append(s[i] | bits[w])
+            ends.append(w)
+            values.append(step[i, w])
+        pushed = np.concatenate(heads)
+        seen[pushed] = True
+        masks = np.flatnonzero(seen)
+        seen[masks] = False
+        slot[masks] = np.arange(masks.size)
+        rows = np.full((masks.size, r), np.inf)
+        rows[slot[pushed], np.concatenate(ends)] = np.concatenate(values)
+    return layers, fits
+
+
+@pytest.mark.parametrize("chunk", (None, 3), ids=("chunk-1024", "chunk-3"))
+@pytest.mark.parametrize("variant", ("tocp", "top"))
+@pytest.mark.parametrize("r", range(1, 13))
+def test_column_table_matches_the_row_table(r, variant, chunk, monkeypatch):
+    # few distinct lengths, so many sums tie, and some like 0.1 and 0.7 whose
+    # sums round; top's legs are single edges, about a third of them missing
+    # (inf), and its closing legs too.  The limits run from a table that
+    # stops after a layer or two to one where every set fits.  A chunk of 3
+    # splits every layer, and the scatter takes its pushes in another order
+    # than the reference's
+    if chunk:
+        monkeypatch.setattr(heldkarp, "_CHUNK", chunk)
+    rng = np.random.default_rng([r, variant == "top"])
+    lengths = np.array([1.0, 1.0, 2.0, 0.5, 0.1, 0.7, 2.9])
+    for limit in (1.5, 0.2 * r + 2.0, 0.4 * r + 2.0, 0.7 * r + 2.0, 4.0 * r):
+        first, legs = rng.choice(lengths, r), rng.choice(lengths, (r, r + 1))
+        back = rng.choice(lengths, r)
+        if variant == "top":
+            first[rng.random(r) < 0.35] = np.inf
+            legs[rng.random(legs.shape) < 0.35] = np.inf
+        slack = limit - back + 1e-9 * (1.0 + limit)
+        bufsize = np.getbufsize()
+        layers, fits = heldkarp._held_karp(first, legs, slack, limit)
+        assert np.getbufsize() == bufsize  # the push's small ufunc buffer does not leak
+        expect_layers, expect_fits = _row_held_karp(first, legs, slack, limit)
+        assert len(layers) == len(expect_layers)
+        for (masks, cols), (expect_masks, rows) in zip(layers, expect_layers):
+            assert masks.tobytes() == expect_masks.tobytes()
+            assert cols.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+        assert fits.tobytes() == expect_fits.tobytes()
+
+
+def _bit_loop_above(family, r):
+    """above[S]: some member is S plus one bit, by _bit_halves bit by bit (the reference)."""
+    above = np.zeros_like(family)
+    for (_, lower, _), (_, _, upper) in zip(heldkarp._bit_halves(above, r),
+                                            heldkarp._bit_halves(family, r)):
+        lower |= upper
+    return above
+
+
+def _bit_loop_closure(family, r):
+    """Every subset of a member, by _bit_halves bit by bit (the reference)."""
+    closed = family.copy()
+    for _, lower, upper in heldkarp._bit_halves(closed, r):
+        lower |= upper
+    return closed
+
+
+@pytest.mark.parametrize("r", range(13))
+def test_word_passes_match_the_bit_loops(r):
+    # every density from no member to every set, and single members, at
+    # every word width: r < 3 packs all 2^r masks into one word
+    rng = np.random.default_rng(r)
+    families = [rng.random(1 << r) < density
+                for density in (0.0, 0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98, 1.0)]
+    for member in rng.integers(0, 1 << r, size=3):
+        families.append(np.arange(1 << r) == member)
+    for family in families:
+        above = np.zeros_like(family)
+        heldkarp._or_from_above(above, family, r)
+        assert above.tobytes() == _bit_loop_above(family, r).tobytes()
+        expect = np.flatnonzero(family & ~_bit_loop_above(family, r))
+        assert heldkarp._maximal(family, r).tobytes() == expect.tobytes()
+        closed = family.copy()
+        heldkarp._or_from_above(closed, closed, r)
+        assert closed.tobytes() == _bit_loop_closure(family, r).tobytes()

@@ -23,7 +23,8 @@ uniform random one and that one with 40% of its entries zeroed.  A record
 is heldkarp.best_round's value and walks, the proof that no union covers
 the must-visit vertices, or None above heldkarp.MAX_WORK.  Certificates
 and the infeasibility proof are not consulted, so every round reaches the
-table.  Only heldkarp.fleet_table and best_round are timed.
+table.  Only heldkarp.fleet_table and best_round are timed; the slowest
+tables are printed with their live rows, the masks the table keeps.
 
 Cover: top's Structure.cover_walks (the walks, or None) on the round-1
 structures of default and tight-law seeds 1-120 with the drawn fleet and
@@ -82,9 +83,11 @@ def round_one(seed_counts):
             yield law_index, law_name, seed, instance, graph, all_pairs_shortest(graph)
 
 
-def print_slowest(times):
+def print_slowest(times, notes=None):
+    """The five slowest labels with their times, each followed by its note if notes has one."""
     for label, seconds in sorted(times.items(), key=lambda item: -item[1])[:5]:
-        print(f"  {seconds * 1000:8.1f} ms  {label}")
+        note = f", {notes[label]}" if notes and label in notes else ""
+        print(f"  {seconds * 1000:8.1f} ms  {label}{note}")
 
 
 @contextlib.contextmanager
@@ -156,15 +159,22 @@ def greedy_digest(root, paths, repeat=1):
 
 def dp_digest(repeat=1):
     """(sha256, counts of optima, proofs and None, best_round seconds per variant,
-    fleet_table seconds per structure label) of the DP's answers."""
+    fleet_table seconds and live-row counts per structure label) of the DP's answers.
+
+    A table's live rows are the masks its layers keep; a label above the cap
+    has no count.
+    """
     real = heldkarp.fleet_table
     table_times = {}
+    live_rows = {}
     round_times = dict.fromkeys(VARIANTS, 0.0)
     counts = {"optima": 0, "proofs": 0, "none": 0}
     digest = hashlib.sha256()
 
     def timed(*table_args):
         table, table_times[label] = best_of(repeat, real, lambda: table_args)
+        if table is not None:
+            live_rows[label] = f"{sum(masks.size for masks, _ in table.layers):,} live rows"
         return table
 
     heldkarp.fleet_table = timed
@@ -195,7 +205,7 @@ def dp_digest(repeat=1):
                     digest.update(f"{label} c={c_name}: {record}\n".encode())
     finally:
         heldkarp.fleet_table = real
-    return digest.hexdigest(), counts, round_times, table_times
+    return digest.hexdigest(), counts, round_times, table_times, live_rows
 
 
 def cover_digest(repeat=1):
@@ -230,7 +240,7 @@ def main() -> None:
         print(f"sha256: {digest}")
         print(f"greedy_plan: best of {repeat}, {seconds:.3f} s in total")
 
-    digest, counts, round_times, table_times = dp_digest(repeat)
+    digest, counts, round_times, table_times, live_rows = dp_digest(repeat)
     print(f"rounds: {sum(counts.values())} ({counts['optima']} optima, "
           f"{counts['proofs']} proofs, {counts['none']} above the cap)")
     print(f"sha256: {digest}")
@@ -241,7 +251,7 @@ def main() -> None:
         for v in VARIANTS)
     print(f"fleet_table: {len(table_times)} tables, {sum(table_times.values()):.3f} s in total "
           f"({per_variant}); slowest:")
-    print_slowest(table_times)
+    print_slowest(table_times, live_rows)
 
     digest, certified, times = cover_digest(repeat)
     print(f"structures: {len(times)} ({certified} certified)")
