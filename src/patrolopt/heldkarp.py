@@ -65,10 +65,10 @@ from .graph import DEPOT, DistanceMatrix, Graph
 # Element operations one round may spend in the dense worst case (see
 # table_work).  R = 17 targets with M = 2 agents (151.6 million) fit: when
 # every set fits one tour (18 vertices joined pairwise by edges of length
-# uniform in [1, 2], an unbounded budget) the table takes 0.055-0.076 s
+# uniform in [1, 2], an unbounded budget) the table takes 0.054-0.076 s
 # under tocp and 0.10-0.12 s under top, with 27-31 MiB of traced arrays
 # (tracemalloc's peak).  Default seed 1's round 1 (R = 17, M = 2) keeps few
-# live rows and takes 0.0042-0.0046 s (tocp) and 0.0023-0.0027 s (top, whose
+# live rows and takes 0.0043-0.0063 s (tocp) and 0.0024-0.0041 s (top, whose
 # unions mark 62,229 pairs).  Each range runs from the best to the median of
 # 7 builds, over three runs on one 2-core x86_64 machine with numpy 2.4.
 # R = 18 with one agent does not fit.
