@@ -396,10 +396,11 @@ def test_default_seed_1_table_keeps_only_live_rows():
     assert sum(masks.size for masks, _ in table.layers) == 7_333
 
 
-def _row_held_karp(first, legs, slack, limit, chunk=1024):
+def _row_held_karp(first, legs, slack, limit):
     """The row-layout table, kept verbatim as the reference: layers of (masks,
     rows) with rows[i, v] = g[masks[i], v], pushed one (chunk, R + 1) block
     per v."""
+    chunk = 1024
     r = first.shape[0]
     bits = 1 << np.arange(r, dtype=np.int64)
     near = np.flatnonzero(first <= slack)
