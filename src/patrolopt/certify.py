@@ -3,13 +3,13 @@
 This module holds the walk rules, the walk repairs, top's cover search and
 the infeasibility proofs.  The cascade that puts them together,
 tocp.answer_round, lives in tocp beside its callers: it settles most rounds
-by a certificate, an infeasibility proof or the exact DP, in that order,
+by an infeasibility proof, a certificate or the exact DP, in that order,
 reading a Structure and c_hat, never a model.  This module imports neither
 greedy nor tocp.  Across an episode only c_hat changes: the graph, the
 fleet, the budget and the must-visit vertices stay, and so do the model's
 rows.  A Structure holds those, checked once, and keeps what the cascade
-derives from them alone (the targets, the proof, top's cover walks and the
-DP's table), so the episode loop pays for each once.
+derives from them alone (the targets, the out-edge table, the proof, top's
+cover walks and the DP's table), so the episode loop pays for each once.
 
 Certified rounds: under tocp the greedy planner runs on c_hat, and its
 plan, repaired, is the certificate (tocp.greedy_certificate), but only
@@ -24,12 +24,13 @@ depot cycle per agent, no two sharing a non-depot vertex, grown by farthest
 insertion until together they visit the same reachable set (see
 Structure.cover_walks).
 
-Proven-infeasible rounds: a round without a certificate is checked for
-reasons no plan can exist (see infeasibility_proof), such as a must-visit
-vertex beyond every depot round trip or, under ``top``, on no simple depot
-cycle within the budget.
+Proven-infeasible rounds: every round is first checked for reasons no plan
+can exist (see infeasibility_proof), such as a must-visit vertex beyond
+every depot round trip or, under ``top``, on no simple depot cycle within
+the budget.  A structure with a proof has no certificate, so checking it
+first changes no answer, and it spares top the failed cover search.
 
-Exact rounds: a round with neither a certificate nor a proof goes to the
+Exact rounds: a round with neither a proof nor a certificate goes to the
 Held–Karp DP of ``heldkarp`` when its table is small enough.  Its
 optimal walks, with doubled edges simplified away, are the answer and its
 value the bound; when no union of tours covers the must-visit vertices,
@@ -116,6 +117,13 @@ class Structure:
         return all_pairs_shortest(Graph(n, {e: l for e, l in lengths.items() if DEPOT not in e}))
 
     @cached_property
+    def adjacency(self) -> Adjacency:
+        """The graph's out-edges as _paths_through reads them."""
+        graph = self.graph
+        return {v: [(u, graph.lengths[(v, u)]) for u in graph.out_neighbors(v)]
+                for v in range(1, graph.num_vertices + 1)}
+
+    @cached_property
     def proof(self) -> Optional[str]:
         """infeasibility_proof of this structure."""
         return infeasibility_proof(self)
@@ -150,10 +158,8 @@ class Structure:
             for far in firsts[m_count:]
             for k in reversed(range(m_count))
         ]
-        adjacency = {v: [(u, graph.lengths[(v, u)]) for u in graph.out_neighbors(v)]
-                     for v in range(1, graph.num_vertices + 1)}
         for starts in start_sets:
-            routes = _insertion_cover(graph, adjacency, self.targets, starts, l_max)
+            routes = _insertion_cover(graph, self.adjacency, self.targets, starts, l_max)
             if routes is not None:
                 return fleet_walks(self, routes)
         return None
@@ -418,6 +424,16 @@ def infeasibility_proof(structure: Structure) -> Optional[str]:
         Each agent's walk is a simple cycle through the depot, so the
         shortest one through v is [1, v, 1] or the cheapest pair of
         internally vertex-disjoint depot -> v paths (_disjoint_pair_length).
+
+    Suurballe's search for that pair is the dear part, so two cheaper tests
+    clear v first, each naming a simple depot cycle through v within the
+    limit: [1, v, 1] fits it, or the shortest depot -> v path has inner
+    vertices and, together with the shortest depot -> v path that avoids
+    them (one _paths_through search), fits it with the margin 1e-9 (1 +
+    limit).  The two paths are internally disjoint, so the cheapest pair is
+    no longer; the margin absorbs the rounding of the same lengths summed in
+    another order.  Only a vertex neither test clears reaches Suurballe, so
+    the proof is the one Suurballe on every must-visit vertex would give.
     """
     graph, l_max, limit = structure.graph, structure.l_max, structure.limit
     d = structure.dist.dist
@@ -433,10 +449,18 @@ def infeasibility_proof(structure: Structure) -> Optional[str]:
         return (f"{len(firsts)} depot neighbours can start a walk within l_max "
                 f"{l_max}; the agents need {need}")
     if single_visit:
+        margin = 1e-9 * (1.0 + limit)
+        others = set(range(2, graph.num_vertices + 1))
         for v in structure.must:
-            cycle = _disjoint_pair_length(graph, v)
-            if (DEPOT, v) in graph.lengths:
-                cycle = min(cycle, 2 * graph.lengths[(DEPOT, v)])
+            out_and_back = 2 * graph.lengths.get((DEPOT, v), np.inf)
+            if out_and_back <= limit:
+                continue
+            inner = structure.dist.shortest_path(DEPOT, v)[1:-1]
+            if inner:
+                avoiding, _ = _paths_through(structure.adjacency, DEPOT, others.difference(inner))
+                if d[DEPOT, v] + avoiding.get(v, np.inf) <= limit - margin:
+                    continue
+            cycle = min(_disjoint_pair_length(graph, v), out_and_back)
             if cycle > limit:
                 return (f"must-visit vertex {v} lies on no simple depot cycle within "
                         f"l_max: {cycle} > {l_max}")

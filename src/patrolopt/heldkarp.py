@@ -386,7 +386,7 @@ def _or_from_above(out: np.ndarray, family: np.ndarray, r: int) -> None:
     byte S mod 8 of word S >> 3.  A bit b < 3 moves bytes within each word:
     a shift down by 8 << b bits, masked to the bytes whose index lacks b
     (_WORDS).  A higher bit is bit b - 3 of the word index, which _bit_halves
-    walks.
+    walks, once when out is family.
     """
     word, low_bytes = _WORDS[min(r, 3)]
     dst, src = out.view(word), family.view(word)
@@ -394,7 +394,12 @@ def _or_from_above(out: np.ndarray, family: np.ndarray, r: int) -> None:
     for b, keep in enumerate(low_bytes):
         np.right_shift(src, 8 << b, out=moved)
         dst |= np.bitwise_and(moved, keep, out=moved)
-    for (_, lower, _), (_, _, upper) in zip(_bit_halves(dst, r - 3), _bit_halves(src, r - 3)):
+    if out is family:
+        halves = ((lower, upper) for _, lower, upper in _bit_halves(dst, r - 3))
+    else:
+        halves = ((lower, upper) for (_, lower, _), (_, _, upper)
+                  in zip(_bit_halves(dst, r - 3), _bit_halves(src, r - 3)))
+    for lower, upper in halves:
         lower |= upper
 
 

@@ -20,11 +20,11 @@ one unit per visited vertex and drops one at each, which rules out subtours
 detached from the depot.  Every row is "<=" or "=".
 
 Answered rounds: answer_round, the cascade, settles most rounds without
-the model, by a certificate (greedy_certificate under tocp), an
-infeasibility proof or the exact DP, from a certify.Structure that holds
-everything of the round but c_hat.  Its building blocks, the walk rules,
-repairs, cover search and proofs, live in certify (see that module); the
-cascade lives here beside its two consumers.  Both first pass c_hat
+the model, by an infeasibility proof, a certificate (greedy_certificate
+under tocp, the cover under top) or the exact DP, in that order, from a
+certify.Structure that holds everything of the round but c_hat.  Its
+building blocks, the walk rules, repairs, cover search and proofs, live in
+certify (see that module); the cascade lives here beside its two consumers.  Both first pass c_hat
 through Structure.check_c_hat, so every prediction is finite and >= 0;
 then an answer's walks break no rule of certify.broken_rules and reach its
 bound, and neither consumer tests them again.  plan_round, which the
@@ -152,23 +152,28 @@ def answer_round(
 ) -> Union[Tuple[List[List[int]], float], str, None]:
     """A round's answer without the model: (walks, bound), a proof string, or None.
 
-    The certificate comes first: greedy_certificate under tocp, the
-    structure's cover_walks under top, each with the round-trip bound.  A
-    round without one is checked for an infeasibility proof, then handed to
-    the exact DP, whose optimal walks, with doubled edges simplified away,
-    come with its value as the bound and whose absence of any covering union
-    is the proof.  Walks always break none of broken_rules; None (a round
-    above the DP's cost cap, or whose optimal walks end up over l_max) means
-    only HiGHS can answer.  c_hat must have passed Structure.check_c_hat:
-    the bounds and the DP's weights take it as non-negative.
+    The structure's infeasibility proof comes first, read once per episode.
+    Then the certificate: greedy_certificate under tocp, the structure's
+    cover_walks under top, each with the round-trip bound.  A round with
+    neither goes to the exact DP, whose optimal walks, with doubled edges
+    simplified away, come with its value as the bound and whose absence of
+    any covering union is the proof.  The order changes no answer, since a
+    structure with a proof has no certificate: certified walks fit l_max,
+    and a cover's are simple depot cycles through every target that start
+    at M distinct depot neighbours.  It spares top the failed cover search
+    of a proven round.  Walks always break none of broken_rules; None (a
+    round above the DP's cost cap, or whose optimal walks end up over l_max)
+    means only HiGHS can answer.  c_hat must have passed
+    Structure.check_c_hat: the bounds and the DP's weights take it as
+    non-negative.
     """
+    if structure.proof is not None:
+        return structure.proof
     certified = (greedy_certificate(structure, c_hat) if structure.variant == "tocp"
                  else structure.cover_walks)
     if certified is not None:
         # no plan collects more than c_hat summed over the targets
         return certified, float(sum(float(c_hat[v]) for v in structure.targets))
-    if structure.proof is not None:
-        return structure.proof
     table = structure.table
     if table is None or isinstance(table, str):
         return table

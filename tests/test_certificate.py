@@ -16,17 +16,26 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from patrolopt import milp
+from patrolopt import certify, milp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
-from patrolopt.certify import Structure, _insertion_cover, _paths_through, _tree_path, repair_walk
+from patrolopt.certify import (
+    Structure,
+    _disjoint_pair_length,
+    _insertion_cover,
+    _paths_through,
+    _tree_path,
+    infeasibility_proof,
+    repair_walk,
+)
 from patrolopt.tocp import (
+    answer_round,
     audit_solution,
     build_top,
     build_tocp,
@@ -487,6 +496,130 @@ def test_benchmark_rounds_without_a_simple_cycle_are_proven_without_highs(
     sol = solve(model)
     assert (sol.status, sol.node_count, sol.assignment) == (INFEASIBLE, 0, None)
     assert highs_calls == []
+
+
+def test_proven_top_round_skips_the_cover_search(monkeypatch):
+    # the proof comes before the cover: with the cover first, this round
+    # made 21 failed _insertion_cover attempts before the proof settled it
+    calls = []
+    real = certify._insertion_cover
+    monkeypatch.setattr(certify, "_insertion_cover", lambda *args: calls.append(1) or real(*args))
+    instance = generate_instance(BenchmarkConfig(**TIGHT_LAW), 8, 1)
+    structure = Structure(instance_graph(instance), None, instance.num_agents, instance.l_max,
+                          instance.must_visit, "top")
+    c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
+    answer = answer_round(structure, c_hat)
+    assert answer == structure.proof
+    assert answer.startswith("must-visit vertex 2 lies on no simple depot cycle")
+    assert calls == []
+
+
+def test_proven_structures_have_no_certificate():
+    # answer_round reads the proof first; that changes no answer only if no
+    # structure with a proof has a greedy certificate or a cover
+    proven = dict.fromkeys(("tocp", "top"), 0)
+    for law in ({}, TIGHT_LAW):
+        for seed in range(1, 121):
+            instance = generate_instance(BenchmarkConfig(**law), seed, 1)
+            graph = instance_graph(instance)
+            dist = all_pairs_shortest(graph)
+            c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
+            for variant in proven:
+                structure = Structure(graph, dist, instance.num_agents, instance.l_max,
+                                      instance.must_visit, variant)
+                if structure.proof is None:
+                    continue
+                proven[variant] += 1
+                assert structure.cover_walks is None
+                assert greedy_certificate(structure, c_hat) is None
+    # no drawn must-visit set gives tocp a proof; the property test below
+    # holds tocp's proofs to the same rule
+    assert proven == {"tocp": 0, "top": 11}
+
+
+def reference_infeasibility_proof(structure):
+    """infeasibility_proof before its cheap clears, kept verbatim as the reference.
+
+    It runs Suurballe's search on every must-visit vertex under top;
+    infeasibility_proof must give the same string.
+    """
+    graph, l_max, limit = structure.graph, structure.l_max, structure.limit
+    d = structure.dist.dist
+    for v in structure.must:
+        if d[DEPOT, v] + d[v, DEPOT] > limit:
+            return (f"must-visit vertex {v} has no depot round trip within l_max: "
+                    f"{d[DEPOT, v] + d[v, DEPOT]} > {l_max}")
+    single_visit = structure.variant == "top"
+    need = structure.num_agents if single_visit else 1
+    firsts = [w for w in graph.out_neighbors(DEPOT)
+              if graph.lengths[(DEPOT, w)] + d[w, DEPOT] <= limit]
+    if len(firsts) < need:
+        return (f"{len(firsts)} depot neighbours can start a walk within l_max "
+                f"{l_max}; the agents need {need}")
+    if single_visit:
+        for v in structure.must:
+            cycle = _disjoint_pair_length(graph, v)
+            if (DEPOT, v) in graph.lengths:
+                cycle = min(cycle, 2 * graph.lengths[(DEPOT, v)])
+            if cycle > limit:
+                return (f"must-visit vertex {v} lies on no simple depot cycle within "
+                        f"l_max: {cycle} > {l_max}")
+    return None
+
+
+@st.composite
+def proof_rounds(draw):
+    """Structure arguments: a symmetric graph on 2-9 vertices, 1-3 agents, a
+    budget, 1-3 must-visit vertices and the planner, top twice as often as
+    tocp.
+
+    A random tree joins the vertices, so many edges are bridges, and each
+    other pair is joined with chance 1/3.  Half the graphs have integer
+    lengths and budgets, so tied paths and cycles exactly at the budget are
+    common.  In half of them one depot edge is made longer than half the
+    budget and its far end made a must-visit vertex: its out-and-back does
+    not fit, and it may or may not lie on a longer cycle that does.
+    """
+    n = draw(st.integers(2, 9))
+    integral = draw(st.booleans())
+    length = (st.integers(1, 4).map(float) if integral
+              else st.floats(0.05, 4.0, allow_nan=False, allow_infinity=False))
+    edges = {(draw(st.integers(1, v - 1)), v): draw(length) for v in range(2, n + 1)}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (i, j) not in edges and draw(st.integers(0, 2)) == 0:
+                edges[(i, j)] = draw(length)
+    l_max = draw(st.integers(3, 20).map(float) if integral
+                 else st.floats(3.0, 20.0, allow_nan=False, allow_infinity=False))
+    must = set(draw(st.lists(st.integers(2, n), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        far = draw(st.sampled_from(sorted(j for i, j in edges if i == DEPOT)))
+        edges[(DEPOT, far)] = l_max / 2 + draw(st.sampled_from([0.5, 1.0, 2.0]))
+        must.add(far)
+    graph = make_graph(n, [(a, b, l) for (a, b), l in sorted(edges.items())])
+    return (graph, None, draw(st.integers(1, 3)), l_max, sorted(must),
+            draw(st.sampled_from(("tocp", "top", "top"))))
+
+
+# Suurballe's trap: the shortest depot -> 4 path, 1-2-3-4, blocks every
+# other, yet 1-2-4 and 1-3-4 form a cycle of length 8
+TRAP = make_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 3, 3.0), (2, 4, 3.0)])
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(case=proof_rounds())
+@example(case=(TRAP, None, 1, 8.0, [4], "top"))
+@example(case=(TRAP, None, 1, 7.5, [4], "top"))
+def test_proof_matches_suurballe_on_every_must_visit_vertex(case):
+    structure = Structure(*case)
+    expected = reference_infeasibility_proof(structure)
+    event("no proof" if expected is None else expected.split(":")[0].split(" ", 3)[-1])
+    assert infeasibility_proof(structure) == expected
+    if expected is not None:
+        # so answer_round may read the proof before any certificate
+        c_hat = np.ones(structure.graph.num_vertices + 1)
+        assert structure.cover_walks is None
+        assert greedy_certificate(structure, c_hat) is None
 
 
 @pytest.mark.parametrize("law, seed", [

@@ -1,5 +1,5 @@
 """The pinned digests of tools/identity.py over the default suite, greedy's
-episodes on it and top's covers.
+episodes on it, top's covers and the infeasibility proofs.
 
 The DP digest takes about 9 s, so only tools/identity.py itself prints it.
 """
@@ -45,3 +45,9 @@ def test_the_cover_digest_is_pinned(identity):
     digest, certified, times = identity.cover_digest()
     assert (len(times), certified, digest) == (
         240, 140, "105d6c392ea6500d09b2049160933745f8614329207c874f37a91223a42d6498")
+
+
+def test_the_proof_digest_is_pinned(identity):
+    digest, calls, proven, _ = identity.proof_digest()
+    assert (calls, proven, digest) == (
+        4320, 183, "1c525a08454810bd499e4b6c37e3280680ee116bb49b324540f29d4b049b2839")

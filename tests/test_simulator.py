@@ -381,9 +381,9 @@ def test_planned_round_matches_the_solved_model(variant, dp, case):
     ("greedy", [(1, 2, 1.0), (1, 3, 1.0)]),
 ])
 def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
-    # the graph check, the cover, the proof and the DP's table read no
-    # predictions: every round reaches them, yet an episode computes each
-    # once, and a single-round solve does the same work once more
+    # the graph check, the proof, the cover and the DP's table read no
+    # predictions: every round reaches them, in that order, yet an episode
+    # computes each once, and a single-round solve does the same work once more
     calls = []
     for module in (tocp, certify):  # whichever of them checks the graph
         monkeypatch.setattr(module, "validate", counted(calls, "validate", validate),
@@ -397,7 +397,7 @@ def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
     status = STATUS_HEURISTIC if variant == "greedy" else "optimal"
     assert result.statuses == [status] * 3
     expected = {"tocp": ["validate", "infeasibility_proof", "_held_karp"],
-                "top": ["validate", "_insertion_cover", "infeasibility_proof", "_held_karp"],
+                "top": ["validate", "infeasibility_proof", "_insertion_cover", "_held_karp"],
                 "greedy": ["validate"]}[variant]
     assert calls == expected
     del calls[:]

@@ -12,7 +12,8 @@ drift favours neither side.  The run length is BENCHMARK.json's run_seconds.
 For every end-to-end metric of BENCHMARK.json the file records each side's
 values, median and quartiles, the pairs the change won (ties count for
 neither), the change's median over the parent's, and the gap between the
-medians over the parent's interquartile range.  It also records each run's
+medians over the parent's interquartile range, which is printed beside the
+pairs won: a small claim needs both.  It also records each run's
 digest, checks and failed operations, failed_round_frac and
 residual_cost_mean, each side's median attempted operations, the machine of
 the first run (nproc, Python, numpy, scipy), and each checkout's commit, the
@@ -151,10 +152,12 @@ def main() -> int:
             "runs": runs,
         }
         for name, c in report["workloads"][workload]["metrics"].items():
+            gap = c["gap_over_parent_iqr"]
+            gap = "no parent IQR" if gap is None else f"{gap:.2f} parent IQRs"
             passes = (f", attempted {attempted['parent']:g} -> {attempted['change']:g}"
                       if name == "peak_rss_mb" else "")
             print(f"{workload} {name}: {c['parent']['median']:.6g} -> "
-                  f"{c['change']['median']:.6g} (won {c['pairs_won']}/{pairs}{passes})")
+                  f"{c['change']['median']:.6g} (won {c['pairs_won']}/{pairs}, {gap}{passes})")
         print(f"{workload} digests_match: {str(digests_match).lower()}")
     for top in ("src", "tests"):
         print(f"{top} lines: {report['parent']['lines'][top]} -> "

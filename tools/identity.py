@@ -1,4 +1,4 @@
-"""Four digests that pin the program's outputs, with the times of the code they cover.
+"""Five digests that pin the program's outputs, with the times of the code they cover.
 
     PYTHONPATH=src python3 tools/identity.py [--repeat 3]
 
@@ -31,9 +31,14 @@ structures of default and tight-law seeds 1-120 with the drawn fleet and
 must-visit set.  Each search runs on a fresh Structure, the distances
 computed outside the timing.
 
+Proof: infeasibility_proof (the proof string, or None) on the same 240
+structures under tocp and top, with the drawn must-visit set and 8 random
+ones of 1-4 vertices, seeded by law and seed: 4,320 proofs.  Each runs on
+a fresh Structure, built outside the timing.
+
 The tight law is the tight-exact workload's.  Each timed call takes the
 best of --repeat runs.  Two checkouts write the same suite, compute the
-same DP answers and find the same covers exactly when the digests match.
+same DP answers, covers and proofs exactly when the digests match.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import numpy as np
 
 from patrolopt import heldkarp, simulator
 from patrolopt.benchgen import BenchmarkConfig, generate_instance, generate_suite
-from patrolopt.certify import Structure
+from patrolopt.certify import Structure, infeasibility_proof
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import all_pairs_shortest
 from patrolopt.greedy import UnreachableMustVisitError
@@ -222,6 +227,27 @@ def cover_digest(repeat=1):
     return digest.hexdigest(), certified, times
 
 
+def proof_digest(repeat=1):
+    """(sha256, calls, proofs found, best infeasibility_proof seconds per variant)."""
+    digest = hashlib.sha256()
+    times = dict.fromkeys(VARIANTS, 0.0)
+    calls = proven = 0
+    for law_index, law_name, seed, instance, graph, dist in round_one((120, 120)):
+        rng = np.random.default_rng([law_index, seed])
+        musts = [("drawn", list(instance.must_visit))] + [
+            (f"random{k}", sorted(rng.choice(np.arange(2, instance.num_vertices + 1),
+                                             1 + k % 4, replace=False).tolist()))
+            for k in range(8)]
+        for variant, (must_name, must) in itertools.product(VARIANTS, musts):
+            args = (graph, dist, instance.num_agents, instance.l_max, must, variant)
+            proof, took = best_of(repeat, infeasibility_proof, lambda: (Structure(*args),))
+            times[variant] += took
+            calls += 1
+            proven += proof is not None
+            digest.update(f"{law_name} {seed} {variant} must={must_name}: {proof}\n".encode())
+    return digest.hexdigest(), calls, proven, times
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1,
@@ -258,6 +284,12 @@ def main() -> None:
     print(f"sha256: {digest}")
     print(f"cover_walks: best of {repeat}, {sum(times.values()):.3f} s in total; slowest:")
     print_slowest(times)
+
+    digest, calls, proven, times = proof_digest(repeat)
+    print(f"proof calls: {calls} ({proven} proofs)")
+    print(f"sha256: {digest}")
+    print(f"infeasibility_proof: best of {repeat}, {sum(times.values()):.3f} s in total "
+          f"(tocp {times['tocp']:.3f} s, top {times['top']:.3f} s)")
 
 
 if __name__ == "__main__":
