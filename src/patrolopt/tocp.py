@@ -24,21 +24,22 @@ the model, by an infeasibility proof, a certificate (greedy_certificate
 under tocp, the cover under top) or the exact DP, in that order, from a
 certify.Structure that holds everything of the round but c_hat.  Its
 building blocks, the walk rules, repairs, cover search and proofs, live in
-certify (see that module); the cascade lives here beside its two consumers.  Both first pass c_hat
-through Structure.check_c_hat, so every prediction is finite and >= 0;
-then an answer's walks break no rule of certify.broken_rules and reach its
-bound, and neither consumer tests them again.  plan_round, which the
-simulator's episode loop calls with the Structure it builds once per
-episode, restitches the walks into routes as extract_routes would, so
-answered rounds build no model; it builds one only for a round HiGHS must
-solve.  _build_answered builds a Structure's model and attaches the
-answer: the walks as the certificate, encoded without a solver (once an
-agent's closed walk is fixed, so is its flow: the p-th edge carries one
-unit for each non-depot vertex the walk first enters after position p, see
-plan_to_assignment), or the proof, so milp.solve, the one check of the
-certificate's rows, skips HiGHS on it.  build_tocp and build_top call it
-on a fresh Structure; the simulator's single-round solve calls it on the
-Structure its episode setup builds.
+certify (see that module); the cascade lives here beside its two
+consumers.  Both first pass c_hat through Structure.check_c_hat, so every
+prediction is finite and >= 0; then an answer's walks break no rule of
+certify.broken_rules and reach its bound, and neither consumer tests them
+again.  plan_round, which the simulator's episode loop calls with the
+Structure it builds once per episode, restitches the walks into routes as
+extract_routes would, so answered rounds build no model; it builds one
+only for a round HiGHS must solve.  _build_answered builds a Structure's
+model and attaches the answer: the walks as the certificate, encoded
+without a solver (once an agent's closed walk is fixed, so is its flow:
+the p-th edge carries one unit for each non-depot vertex the walk first
+enters after position p, see plan_to_assignment), or the proof, so
+milp.solve, the one check of the certificate's rows, skips HiGHS on
+it.  build_tocp and build_top call it on a fresh Structure; the
+simulator's single-round solve calls it on the Structure its episode setup
+builds.
 """
 
 from __future__ import annotations
