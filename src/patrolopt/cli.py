@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from . import benchgen, results_io, stats, svgplot
 from .graph import FleetPlan
 from .instance_io import read_instance
-from .simulator import PLANNERS, run_episode, solve_single_round
+from .simulator import PLANNERS, run_episode, run_episodes, solve_single_round
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -156,36 +156,51 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _suite_key(path: str) -> Tuple[int, int]:
+    """(horizon, seed) from a suite file's H<horizon>/seed<seed>.json name."""
+    h_part = os.path.basename(os.path.dirname(path))
+    s_part = os.path.basename(path)
+    try:
+        return (int(h_part[1:]), int(s_part[4:-5]))
+    except ValueError:
+        raise ValueError(f"{path}: suite files are named H<horizon>/seed<seed>.json "
+                         f"with integer horizon and seed") from None
+
+
 def _suite_instance_paths(suite_dir: str) -> List[str]:
     """The suite's files in (horizon, seed) order; ValueError names the first file
-    whose H<horizon>/seed<seed>.json name does not parse or disagrees with its instance."""
-    paths = glob(os.path.join(suite_dir, "H*", "seed*.json"))
+    whose H<horizon>/seed<seed>.json name does not parse or disagrees with its instance,
+    and the first two files whose names give the same horizon and seed."""
+    paths = sorted(glob(os.path.join(suite_dir, "H*", "seed*.json")))
     if not paths:
         raise FileNotFoundError(f"no instance files under {suite_dir}")
-
-    def key(path: str):
-        h_part = os.path.basename(os.path.dirname(path))
-        s_part = os.path.basename(path)
-        try:
-            return (int(h_part[1:]), int(s_part[4:-5]))
-        except ValueError:
-            raise ValueError(f"{path}: suite files are named H<horizon>/seed<seed>.json "
-                             f"with integer horizon and seed") from None
-
-    paths.sort(key=key)
+    paths.sort(key=_suite_key)
+    for first, second in zip(paths, paths[1:]):
+        if _suite_key(first) == _suite_key(second):
+            horizon, seed = _suite_key(first)
+            raise ValueError(f"{first} and {second} both name horizon {horizon} and seed {seed}")
     for path in paths:
         instance = read_instance(path)
-        if (instance.horizon, instance.seed) != key(path):
+        if (instance.horizon, instance.seed) != _suite_key(path):
             raise ValueError(f"{path}: holds horizon {instance.horizon} and seed "
                              f"{instance.seed}, not what its name says")
     return paths
 
 
-def _bench_episode(job: Tuple[str, str, Optional[float]]) -> Dict[str, str]:
-    path, planner, time_limit = job
-    instance = read_instance(path)
-    result = run_episode(instance, planner, time_limit=time_limit)
-    return results_io.result_to_row(result)
+def _bench_seed(job: Tuple[List[str], List[str], Optional[float]]) -> List[List[Dict[str, str]]]:
+    """The rows of one seed's files (in ascending horizon), one row per planner for each file.
+
+    Each planner runs the files' episodes with simulator.run_episodes, so a
+    (seed, planner) builds one certify.Structure where the files agree on its
+    inputs, and the worker holds one structure at a time.
+    """
+    paths, planners, time_limit = job
+    instances = [read_instance(path) for path in paths]
+    rows: List[List[Dict[str, str]]] = [[] for _ in paths]
+    for planner in planners:
+        for file_rows, result in zip(rows, run_episodes(instances, planner, time_limit)):
+            file_rows.append(results_io.result_to_row(result))
+    return rows
 
 
 def _cmd_bench(args) -> int:
@@ -198,17 +213,27 @@ def _cmd_bench(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     paths = _suite_instance_paths(args.suite)
-    jobs = [(path, planner, args.time_limit) for path in paths for planner in planners]
-    rows: List[Dict[str, str]] = []
-    # --jobs 1 runs the episodes in this process.  Either way rows land in
-    # submission order regardless of completion order, so the CSV is
-    # deterministic for a given suite and planner list.
+    seeds: Dict[int, List[str]] = {}
+    for path in paths:
+        seeds.setdefault(_suite_key(path)[1], []).append(path)
+    jobs = [(files, planners, args.time_limit) for files in seeds.values()]
+    total = len(paths) * len(planners)
+    done = 0
+    rows: Dict[str, List[Dict[str, str]]] = {}
+    # One job per seed; --jobs 1 runs them in this process.  Either way the
+    # rows are written in (horizon, seed, planner) order regardless of
+    # completion order, so the CSV is deterministic for a given suite and
+    # planner list.
     with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext()) as pool:
-        for i, row in enumerate((map if pool is None else pool.map)(_bench_episode, jobs)):
-            rows.append(row)
-            print(f"bench {i + 1}/{len(jobs)} done", file=sys.stderr)
-    results_io.write_results(args.out, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        for files, seed_rows in zip(seeds.values(),
+                                    (map if pool is None else pool.map)(_bench_seed, jobs)):
+            for path, file_rows in zip(files, seed_rows):
+                rows[path] = file_rows
+                for _ in file_rows:
+                    done += 1
+                    print(f"bench {done}/{total} done", file=sys.stderr)
+    results_io.write_results(args.out, (row for path in paths for row in rows[path]))
+    print(f"wrote {total} rows to {args.out}")
     return 0
 
 

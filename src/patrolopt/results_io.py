@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .simulator import EpisodeResult
 
@@ -40,7 +40,7 @@ def result_to_row(result: EpisodeResult) -> Dict[str, str]:
     }
 
 
-def write_results(path: str, rows: List[Dict[str, str]]) -> None:
+def write_results(path: str, rows: Iterable[Dict[str, str]]) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="") as fh:

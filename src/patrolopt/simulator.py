@@ -18,13 +18,20 @@ runs greedy_plan; tocp and top go through tocp.plan_round, where a round a
 certificate, the exact DP or an infeasibility proof answers builds no model,
 and the Structure keeps the proof, top's cover and the DP's table for every
 round after the first that needs them.
+
+A Structure reads no prediction, so episodes whose instances agree on its
+inputs can share one: run_episodes runs several instances with one planner
+and builds a new structure only when an instance's inputs differ from the
+previous one's, and run_episode is its single-instance case.  bench runs a
+seed's horizons this way, so each (seed, planner) builds its distances,
+proof, cover, DP table and greedy's distance rows once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -66,7 +73,45 @@ def run_episode(
     time_limit bounds each round's MIP solve in seconds; greedy ignores it,
     but a negative or non-finite one raises ValueError for every planner.
     """
-    structure = _structure(instance, planner, time_limit)
+    return next(run_episodes([instance], planner, time_limit, keep_plans))
+
+
+def run_episodes(
+    instances: Iterable[Instance],
+    planner: str,
+    time_limit: Optional[float] = None,
+    keep_plans: bool = False,
+) -> Iterator[EpisodeResult]:
+    """run_episode on each instance in turn, sharing one Structure while the inputs allow.
+
+    An instance reuses the previous one's structure when it agrees on every
+    input a Structure reads (_structure_inputs); otherwise it gets its own.
+    Only one structure is held at a time.  Each result is what run_episode
+    returns on that instance alone, apart from compute_seconds: the first
+    episode on a structure pays for what it computes on first use.
+    """
+    structure = inputs = None
+    for instance in instances:
+        key = _structure_inputs(instance)
+        if key != inputs:
+            structure = None  # release the old structure before building the next
+            structure, inputs = _structure(instance, planner, time_limit), key
+        yield _episode(instance, structure, time_limit, keep_plans)
+
+
+def _structure_inputs(instance: Instance) -> tuple:
+    """What _structure reads of the instance: N, edges, M, l_max and must_visit."""
+    return (instance.num_vertices, instance.edges, instance.num_agents, instance.l_max,
+            instance.must_visit)
+
+
+def _episode(
+    instance: Instance,
+    structure: Structure,
+    time_limit: Optional[float],
+    keep_plans: bool,
+) -> EpisodeResult:
+    """One episode on the instance, planned on a structure built from its inputs."""
     cost = CostState(kappa_table(instance))
     est = EstimatorState(instance.num_vertices, instance.mu_default)
 
@@ -100,7 +145,7 @@ def run_episode(
 
     return EpisodeResult(
         instance_id=instance_id(instance),
-        planner=planner,
+        planner=structure.variant,
         horizon=instance.horizon,
         residual_costs=residuals,
         total_cost=float(sum(residuals)),

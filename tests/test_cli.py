@@ -4,13 +4,15 @@ import csv
 import json
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
-from patrolopt import benchgen, results_io
+from patrolopt import benchgen, certify, results_io
 from patrolopt.cli import main
 from patrolopt.graph import DEPOT
-from patrolopt.instance_io import write_instance
+from patrolopt.instance_io import read_instance, write_instance
+from patrolopt.simulator import run_episode
 
 from test_simulator import make_instance
 
@@ -183,6 +185,64 @@ def test_bench_rows_agree_across_worker_counts(suite_dir, tmp_path):
         "H1_seed1", "H1_seed1", "H1_seed2", "H1_seed2",
     ]
     assert [r["planner"] for r in rows_serial[:2]] == ["tocp", "greedy"]
+
+
+def spy_structures(monkeypatch):
+    """The (variant, l_max) of every certify.Structure built from now on."""
+    built = []
+    real = certify.Structure.__init__
+
+    def init(self, graph, dist, num_agents, l_max, must_visit, variant):
+        built.append((variant, l_max))
+        real(self, graph, dist, num_agents, l_max, must_visit, variant)
+
+    monkeypatch.setattr(certify.Structure, "__init__", init)
+    return built
+
+
+def test_bench_builds_one_structure_per_seed_and_planner(suite_dir, tmp_path, monkeypatch,
+                                                         capsys):
+    # 4 seeds by 2 horizons by 3 planners: 24 episodes on 12 structures
+    built = spy_structures(monkeypatch)
+    out = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite_dir, "--planners", "tocp,top,greedy", "--jobs", "1",
+                 "--out", out]) == 0
+    assert len(built) == 12
+    assert sorted(variant for variant, _ in built) == ["greedy"] * 4 + ["tocp"] * 4 + ["top"] * 4
+    assert len(results_io.read_results(out)) == 24
+    assert capsys.readouterr().err.splitlines() == [f"bench {i}/24 done" for i in range(1, 25)]
+
+
+def test_bench_gives_a_file_that_differs_its_own_structure(suite_dir, tmp_path, monkeypatch):
+    # a hand-edited H2/seed2.json halves l_max, an input of the structure
+    suite = str(tmp_path / "suite")
+    for h in (1, 2):
+        for seed in range(1, 5):
+            name = os.path.join(f"H{h}", f"seed{seed}.json")
+            copy_suite_file(suite_dir, name, suite, name)
+    edited = os.path.join(suite, "H2", "seed2.json")
+    instance = read_instance(edited)
+    instance = replace(instance, l_max=instance.l_max / 2)
+    write_instance(instance, edited)
+    built = spy_structures(monkeypatch)
+    out = str(tmp_path / "r.csv")
+    planners = ("tocp", "top", "greedy")
+    assert main(["bench", "--suite", suite, "--planners", ",".join(planners), "--jobs", "1",
+                 "--out", out]) == 0
+    assert len(built) == 15
+    assert [b for b in built if b[1] == instance.l_max] == [(p, instance.l_max) for p in planners]
+    with open(out, newline="") as fh:
+        rows = {(r["instance_id"], r["planner"]): r for r in csv.DictReader(fh)}
+    unedited = read_instance(os.path.join(suite_dir, "H2", "seed2.json"))
+    for planner in planners:
+        row = rows["H2_seed2", planner]
+        alone = results_io.result_to_row(run_episode(instance, planner))
+        # on the H1 file's structure the edited file would repeat the unedited file's row
+        before = results_io.result_to_row(run_episode(unedited, planner))
+        for r in (row, alone, before):
+            r.pop("iter_seconds")
+        assert row == alone
+        assert row != before
 
 
 def test_stats_prints_comparison(suite_dir, tmp_path, capsys):
@@ -523,4 +583,21 @@ def test_bench_rejects_a_suite_file_named_after_another_instance(suite_dir, tmp_
     assert capsys.readouterr().err == (
         f"error: {os.path.join(suite, 'H2', 'seed9.json')}: holds horizon 2 and seed 1, "
         f"not what its name says\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("name", (os.path.join("H2", "seed01.json"),
+                                  os.path.join("H02", "seed1.json")),
+                         ids=("seed", "horizon"))
+def test_bench_rejects_two_files_named_for_one_instance(name, suite_dir, tmp_path, capsys):
+    # both names parse to horizon 2 and seed 1: their rows would repeat H2_seed1's
+    suite = str(tmp_path / "suite")
+    original = os.path.join("H2", "seed1.json")
+    copy_suite_file(suite_dir, original, suite, original)
+    copy_suite_file(suite_dir, original, suite, name)
+    out = str(tmp_path / "r.csv")
+    assert main(["bench", "--suite", suite, "--planners", "greedy", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {os.path.join(suite, name)} and {os.path.join(suite, original)} both name "
+        f"horizon 2 and seed 1\n")
     assert not os.path.exists(out)

@@ -1,5 +1,5 @@
 """The pinned digests of tools/identity.py over the default suite, greedy's
-episodes on it, top's covers and the infeasibility proofs.
+episodes on it, top's covers, the infeasibility proofs and bench's rows.
 
 The DP digest takes about 9 s, so only tools/identity.py itself prints it.
 """
@@ -51,3 +51,9 @@ def test_the_proof_digest_is_pinned(identity):
     digest, calls, proven, _ = identity.proof_digest()
     assert (calls, proven, digest) == (
         4320, 183, "1c525a08454810bd499e4b6c37e3280680ee116bb49b324540f29d4b049b2839")
+
+
+def test_the_bench_digest_is_pinned(identity):
+    digest, rows, _ = identity.bench_digest()
+    assert (rows, digest) == (
+        150, "11b55e7aba0017a81afbde258c870a45ac4f31e46a1215f6cc6aae0e62725569")

@@ -12,7 +12,8 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.graph import DEPOT, all_pairs_shortest, validate
 from patrolopt.instance_io import Instance, instance_graph, kappa_table
-from patrolopt.simulator import PLANNERS, STATUS_HEURISTIC, run_episode, solve_single_round
+from patrolopt.simulator import (PLANNERS, STATUS_HEURISTIC, run_episode, run_episodes,
+                                 solve_single_round)
 
 from conftest import tiny_rounds
 from oracle import brute_force_single_iteration
@@ -403,6 +404,29 @@ def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
     del calls[:]
     assert solve_single_round(instance, variant)[1] == status
     assert calls == expected
+
+
+@pytest.mark.parametrize("planner", PLANNERS)
+def test_episodes_on_a_shared_structure_match_episodes_run_alone(planner, monkeypatch):
+    # default seed 1 at H = 2 and 4, then with one agent fewer, then at H = 6:
+    # a structure for the first two, one for the smaller fleet, one for H = 6
+    config = BenchmarkConfig()
+    instances = [generate_instance(config, 1, h) for h in (2, 4, 6)]
+    instances.insert(2, replace(instances[0], num_agents=instances[0].num_agents - 1))
+    alone = [run_episode(instance, planner, keep_plans=True) for instance in instances]
+    built = []
+    real = certify.Structure.__init__
+
+    def init(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(certify.Structure, "__init__", init)
+    shared = list(run_episodes(instances, planner, keep_plans=True))
+    assert [args[2] for args in built] == [2, 1, 2]  # num_agents
+    for a, b in zip(alone, shared):
+        a.compute_seconds = b.compute_seconds = []
+        assert a == b
 
 
 def _rebuilt_episode(instance, planner):

@@ -1,4 +1,4 @@
-"""Five digests that pin the program's outputs, with the times of the code they cover.
+"""Six digests that pin the program's outputs, with the times of the code they cover.
 
     PYTHONPATH=src python3 tools/identity.py [--repeat 3]
 
@@ -36,15 +36,21 @@ structures under tocp and top, with the drawn must-visit set and 8 random
 ones of 1-4 vertices, seeded by law and seed: 4,320 proofs.  Each runs on
 a fresh Structure, built outside the timing.
 
+Bench: the rows `patrolopt bench --planners tocp,top,greedy --jobs 1`
+writes for default seeds 1-10 at H = 2, 4, 6, 8 and 10 (150 rows, no HiGHS
+round), each row's cells with iter_seconds masked, the header first.  The
+whole bench command is timed.
+
 The tight law is the tight-exact workload's.  Each timed call takes the
 best of --repeat runs.  Two checkouts write the same suite, compute the
-same DP answers, covers and proofs exactly when the digests match.
+same DP answers, covers, proofs and bench rows exactly when the digests match.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import itertools
 import os
@@ -54,7 +60,7 @@ import time
 
 import numpy as np
 
-from patrolopt import heldkarp, simulator
+from patrolopt import cli, heldkarp, simulator
 from patrolopt.benchgen import BenchmarkConfig, generate_instance, generate_suite
 from patrolopt.certify import Structure, infeasibility_proof
 from patrolopt.estimator import EstimatorState
@@ -248,6 +254,33 @@ def proof_digest(repeat=1):
     return digest.hexdigest(), calls, proven, times
 
 
+def bench_digest(repeat=1):
+    """(sha256, row count, best bench seconds) of bench's rows on default seeds 1-10."""
+    with tempfile.TemporaryDirectory() as root:
+        suite_dir = os.path.join(root, "suite")
+        generate_suite(BenchmarkConfig(seeds=tuple(range(1, 11))), suite_dir)
+        out = os.path.join(root, "results.csv")
+        argv = ["bench", "--suite", suite_dir, "--planners", "tocp,top,greedy", "--jobs", "1",
+                "--out", out]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            code, seconds = best_of(repeat, cli.main, lambda: (argv,))
+        if code != 0:
+            raise RuntimeError(f"bench exited {code}")
+        digest = hashlib.sha256()
+        with open(out, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            masked = header.index("iter_seconds")
+            digest.update(f"{header}\n".encode())
+            rows = 0
+            for row in reader:
+                row[masked] = ""
+                digest.update(f"{row}\n".encode())
+                rows += 1
+    return digest.hexdigest(), rows, seconds
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=1,
@@ -290,6 +323,11 @@ def main() -> None:
     print(f"sha256: {digest}")
     print(f"infeasibility_proof: best of {repeat}, {sum(times.values()):.3f} s in total "
           f"(tocp {times['tocp']:.3f} s, top {times['top']:.3f} s)")
+
+    digest, rows, seconds = bench_digest(repeat)
+    print(f"bench rows: {rows}")
+    print(f"sha256: {digest}")
+    print(f"bench: best of {repeat}, {seconds:.3f} s")
 
 
 if __name__ == "__main__":
