@@ -85,24 +85,20 @@ def run_episodes(
     """run_episode on each instance in turn, sharing one Structure while the inputs allow.
 
     An instance reuses the previous one's structure when it agrees on every
-    input a Structure reads (_structure_inputs); otherwise it gets its own.
-    Only one structure is held at a time.  Each result is what run_episode
-    returns on that instance alone, apart from compute_seconds: the first
-    episode on a structure pays for what it computes on first use.
+    input a Structure reads: N, edges, M, l_max and must_visit; otherwise it
+    gets its own.  Only one structure is held at a time.  Each result is
+    what run_episode returns on that instance alone, apart from
+    compute_seconds: the first episode on a structure pays for what it
+    computes on first use.
     """
     structure = inputs = None
     for instance in instances:
-        key = _structure_inputs(instance)
+        key = (instance.num_vertices, instance.edges, instance.num_agents, instance.l_max,
+               instance.must_visit)
         if key != inputs:
             structure = None  # release the old structure before building the next
             structure, inputs = _structure(instance, planner, time_limit), key
         yield _episode(instance, structure, time_limit, keep_plans)
-
-
-def _structure_inputs(instance: Instance) -> tuple:
-    """What _structure reads of the instance: N, edges, M, l_max and must_visit."""
-    return (instance.num_vertices, instance.edges, instance.num_agents, instance.l_max,
-            instance.must_visit)
 
 
 def _episode(
