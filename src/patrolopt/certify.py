@@ -1,24 +1,28 @@
 """The building blocks for answering a planning round without its MIP.
 
-This module holds the walk rules, the walk repairs, top's cover search and
-the infeasibility proofs.  The cascade that puts them together,
-tocp.answer_round, lives in tocp beside its callers: it settles most rounds
-by an infeasibility proof, a certificate or the exact DP, in that order,
-reading a Structure and c_hat, never a model.  This module imports neither
-greedy nor tocp.  Across an episode only c_hat changes: the graph, the
-fleet, the budget and the must-visit vertices stay, and so do the model's
-rows.  A Structure holds those, checked once, and keeps what the cascade
-derives from them alone (the targets, the out-edge table, the proof, top's
-cover walks and the DP's table), so the episode loop pays for each once.
+This module holds the walk rules, the walk repairs, the certificates that
+read no c_hat and the infeasibility proofs.  The cascade that puts them
+together, tocp.answer_round, lives in tocp beside its callers: it settles
+most rounds by an infeasibility proof, a certificate or the exact DP, in
+that order, reading a Structure and c_hat, never a model.  This module
+imports neither greedy nor tocp.  Across an episode only c_hat changes: the
+graph, the fleet, the budget and the must-visit vertices stay, and so do the
+model's rows.  A Structure holds those, checked once, and keeps what the
+cascade derives from them alone (the targets, the out-edge table, the
+proof, top's cover walks, tocp's kept walks and the DP's table), so the
+episode loop pays for each once.
 
-Certified rounds: under tocp the greedy planner runs on c_hat, and its
-plan, repaired, is the certificate (tocp.greedy_certificate), but only
-when it visits every vertex whose depot round trip fits the budget (within
-the solver's feasibility tolerance).  Such a plan collects the sum of the
-non-negative c_hat over those vertices, and no plan can collect more, so it
-is optimal once its walks break none of the rules of broken_rules.  Ties
-therefore break towards visiting: a certified round visits everything
-reachable, zero-valued vertices included.  Greedy walks rarely satisfy the
+Certified rounds: a certificate visits every vertex whose depot round trip
+fits the budget (within the solver's feasibility tolerance).  Such a plan
+collects the sum of the non-negative c_hat over those vertices, and no plan
+can collect more, so it is optimal once its walks break none of the rules
+of broken_rules.  Ties therefore break towards visiting: a certified round
+visits everything reachable, zero-valued vertices included.  Under tocp the
+greedy planner runs on c_hat first, and its plan, repaired, is the
+certificate when it visits all those vertices (tocp.greedy_certificate).
+When it does not, the structure's kept walks are: every target placed in
+at most M tours by farthest insertion, once per episode, as they read no
+c_hat (see Structure.kept_walks).  Greedy walks rarely satisfy the
 single-visit rule, so top's certificate is built differently: one simple
 depot cycle per agent, no two sharing a non-depot vertex, grown by farthest
 insertion until together they visit the same reachable set (see
@@ -81,8 +85,8 @@ class Structure:
             raise ModelError(f"graph invalid: {problem}")
         if int(num_agents) < 1:
             raise ModelError("need at least one agent")
-        if l_max <= 0:
-            raise ModelError("travel budget must be positive")
+        if not 0 < l_max < np.inf:  # NaN fails both comparisons
+            raise ModelError("travel budget must be positive and finite")
         self.must = tuple(sorted(set(int(v) for v in must_visit)))
         for v in self.must:
             if not 2 <= v <= graph.num_vertices:
@@ -165,6 +169,27 @@ class Structure:
         return None
 
     @cached_property
+    def kept_walks(self) -> Optional[List[List[int]]]:
+        """tocp's kept certificate: closed walks through every target within l_max, or None.
+
+        Under tocp a plan that visits every target collects the round-trip
+        bound for any c_hat >= 0, so one such plan is optimal in every round
+        of an episode.  _farthest_insertion places every target in at most M
+        tours along the DP's tocp legs, which expand into walks as
+        heldkarp.best_round's do.  They never pass the depot mid-walk, so
+        simplify_walk is all repair_walk would do; fleet_walks gives idle
+        agents their out-and-back and checks the rules.  None when some
+        target fits no tour or a walk breaks a rule.  The tours read no
+        c_hat, so an episode builds them once, and only when greedy's
+        per-round certificate first fails.
+        """
+        tours = _farthest_insertion(self)
+        if tours is None:
+            return None
+        return fleet_walks(self, [simplify_walk(heldkarp.tocp_walk(tour, self.dist, self.around))
+                                  for tour in tours if tour])
+
+    @cached_property
     def table(self) -> Union[heldkarp.FleetTable, str, None]:
         """The DP's table, the proof that no union of tours covers the must-visit
         vertices, or None above heldkarp.MAX_WORK."""
@@ -177,6 +202,67 @@ class Structure:
             self.graph, self.dist, self.around if self.variant == "tocp" else None,
             self.targets, self.num_agents, self.limit, self.must)
         return proof if table is not None and not table.choices.size else table
+
+
+def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
+    """Every target in at most M tours within l_max, by farthest insertion, or None.
+
+    A tour is a sequence of targets on the DP's tocp legs: the shortest path
+    from the depot to its first target and from its last one back, and the
+    shortest depot-free path between consecutive targets.  Inserting w
+    between stops a and b (the depot at either end) costs leg(a, w) +
+    leg(w, b) - leg(a, b), and an empty tour offers w its round trip.  w's
+    cheapest insertion is the least such cost that keeps its tour within
+    l_max, ties to the lowest tour and then the earliest position.  Every
+    step inserts the target whose cheapest insertion is dearest, ties to the
+    lowest index (Rosenkrantz, Stearns and Lewis, SIAM J. Comput. 6, 1977),
+    and recomputes the insertions into the tour it grew alone: the other
+    tours' stay as they were.  None once some target has no insertion left.
+    The legs are read as scalar lists, as greedy_plan reads its distances.
+    """
+    home = structure.dist.rows
+    legs = [list(row) for row in structure.around.rows]
+    legs[DEPOT] = list(home[DEPOT])
+    for v, row in enumerate(legs):
+        row[DEPOT] = home[v][DEPOT]
+    l_max = structure.l_max
+    tours = [[DEPOT, DEPOT] for _ in range(structure.num_agents)]
+    lengths = [0.0] * structure.num_agents
+    left = list(structure.targets)
+
+    def insertions(m: int) -> Dict[int, Optional[Tuple[float, int]]]:
+        """(cost, position) of each left target's cheapest insertion into tour m, or None."""
+        tour, length = tours[m], lengths[m]
+        out: Dict[int, Optional[Tuple[float, int]]] = {}
+        for w in left:
+            back, best = legs[w], None
+            for p in range(len(tour) - 1):
+                a, b = tour[p], tour[p + 1]
+                cost = legs[a][w] + back[b] - legs[a][b]
+                if length + cost <= l_max and (best is None or cost < best[0]):
+                    best = (cost, p)
+            out[w] = best
+        return out
+
+    per_tour = [insertions(m) for m in range(structure.num_agents)]
+    while left:
+        choice = None
+        for w in left:
+            cheapest = None
+            for m, found in enumerate(per_tour):
+                option = found[w]
+                if option is not None and (cheapest is None or option[0] < cheapest[0]):
+                    cheapest = (option[0], m, option[1], w)
+            if cheapest is None:
+                return None
+            if choice is None or cheapest[0] > choice[0]:
+                choice = cheapest
+        _, m, p, w = choice
+        tours[m].insert(p + 1, w)
+        lengths[m] = sum(legs[a][b] for a, b in zip(tours[m], tours[m][1:]))
+        left.remove(w)
+        per_tour[m] = insertions(m)
+    return [tour[1:-1] for tour in tours]
 
 
 def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:

@@ -196,12 +196,21 @@ def best_round(table: FleetTable, c_hat: np.ndarray) -> RoundOptimum:
         order = [targets[b] for b in _tour(part, table)]
         if table.around is None:
             walks.append([DEPOT] + order + [DEPOT])
-            continue
-        walk = table.dist.shortest_path(DEPOT, order[0])
-        for a, b in zip(order, order[1:]):
-            walk += table.around.shortest_path(a, b)[1:]
-        walks.append(walk + table.dist.shortest_path(order[-1], DEPOT)[1:])
+        else:
+            walks.append(tocp_walk(order, table.dist, table.around))
     return RoundOptimum(value=float(best), walks=walks)
+
+
+def tocp_walk(order: Sequence[int], dist: DistanceMatrix, around: DistanceMatrix) -> List[int]:
+    """The closed walk through the targets of order along tocp's legs, expanded into paths.
+
+    Shortest paths lead from the depot to the first target and from the last
+    one back; those between targets avoid the depot.  Every leg must exist.
+    """
+    walk = dist.shortest_path(DEPOT, order[0])
+    for a, b in zip(order, order[1:]):
+        walk += around.shortest_path(a, b)[1:]
+    return walk + dist.shortest_path(order[-1], DEPOT)[1:]
 
 
 def _bit_halves(a: np.ndarray, r: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from patrolopt import certify, milp
+from patrolopt import certify, heldkarp, milp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
@@ -41,6 +41,7 @@ from patrolopt.tocp import (
     build_tocp,
     extract_routes,
     greedy_certificate,
+    plan_round,
     plan_to_assignment,
 )
 
@@ -416,6 +417,45 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tiny_rounds())
+def test_kept_certificate_visits_every_target_and_rounds_reach_the_optimum(case):
+    graph, c_hat, agents, l_max, must = case
+    dist = all_pairs_shortest(graph)
+    structure = Structure(graph, dist, agents, l_max, must, "tocp")
+    oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, dist=dist)
+    kept = structure.kept_walks
+    event("kept" if kept is not None else "none")
+    if kept is not None:
+        assert certify.broken_rules(structure, kept) == []
+        assert all(walk_length(graph, walk) <= l_max for walk in kept)
+        assert set(structure.targets) <= {v for walk in kept for v in walk}
+    plan, status = plan_round(structure, c_hat, None)
+    if not oracle.feasible:
+        assert status == INFEASIBLE
+        return
+    assert status == OPTIMAL
+    assert abs(plan.reward(c_hat) - oracle.reward) <= 1e-9
+
+
+def test_loose_exact_structure_1_builds_no_table(monkeypatch):
+    # default seed 1's first round predicts the same cost everywhere, so
+    # greedy misses a target; the only union the DP could choose is all 17
+    tables = []
+    monkeypatch.setattr(heldkarp, "fleet_table", lambda *args: tables.append(args))
+    instance = generate_instance(BenchmarkConfig(), 1, 1)
+    structure = Structure(instance_graph(instance), None, instance.num_agents, instance.l_max,
+                          instance.must_visit, "tocp")
+    c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
+    assert greedy_certificate(structure, c_hat) is None
+    plan, status = plan_round(structure, c_hat, None)
+    assert tables == []
+    assert status == OPTIMAL
+    assert len(structure.targets) == 17
+    assert plan.visited() >= set(structure.targets)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tiny_rounds())
 def test_top_matches_brute_force_with_and_without_its_certificate(case):
     graph, c_hat, agents, l_max, must = case
     dist = all_pairs_shortest(graph)
@@ -619,6 +659,7 @@ def test_proof_matches_suurballe_on_every_must_visit_vertex(case):
         # so answer_round may read the proof before any certificate
         c_hat = np.ones(structure.graph.num_vertices + 1)
         assert structure.cover_walks is None
+        assert structure.kept_walks is None
         assert greedy_certificate(structure, c_hat) is None
 
 

@@ -1,5 +1,6 @@
 """The pinned digests of tools/identity.py over the default suite, greedy's
-episodes on it, top's covers, the infeasibility proofs and bench's rows.
+episodes on it, top's covers, tocp's kept certificates, the infeasibility
+proofs and bench's rows.
 
 The DP digest takes about 9 s, so only tools/identity.py itself prints it.
 """
@@ -42,9 +43,15 @@ def test_the_greedy_digest_is_pinned(identity, default_suite):
 
 
 def test_the_cover_digest_is_pinned(identity):
-    digest, certified, times = identity.cover_digest()
+    digest, certified, times = identity.certificate_digest("top")
     assert (len(times), certified, digest) == (
         240, 140, "105d6c392ea6500d09b2049160933745f8614329207c874f37a91223a42d6498")
+
+
+def test_the_kept_certificate_digest_is_pinned(identity):
+    digest, certified, times = identity.certificate_digest("tocp")
+    assert (len(times), certified, digest) == (
+        240, 189, "1aefc4084a07c7806549aca8a10187c518d0f4ef91ab823d9b7c548800f08857")
 
 
 def test_the_proof_digest_is_pinned(identity):

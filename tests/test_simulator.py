@@ -1,5 +1,6 @@
 """Episode loop: per-round accounting, failure handling, and determinism."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -255,6 +256,18 @@ def test_episode_is_deterministic_apart_from_wall_clock():
     assert a.failed == b.failed
 
 
+@pytest.mark.parametrize("planner", PLANNERS)
+@pytest.mark.parametrize("l_max", (float("nan"), float("inf")), ids=("nan", "inf"))
+def test_a_budget_that_is_not_finite_is_rejected(planner, l_max):
+    # every planner plans on the same checked structure, so none of them can
+    # answer such a round: a NaN budget fits no walk and an infinite one fits
+    # every walk, yet the model cannot hold it as a coefficient
+    kappa = [[0.0], [0.25], [0.125]]
+    instance = make_instance(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)], l_max, 1, kappa)
+    with pytest.raises(milp.ModelError, match="travel budget must be positive and finite"):
+        run_episode(instance, planner)
+
+
 def test_unknown_planner_is_rejected():
     instance = bench_instance()
     with pytest.raises(ValueError, match="unknown planner"):
@@ -374,7 +387,8 @@ def test_planned_round_matches_the_solved_model(variant, dp, case):
 
 
 @pytest.mark.parametrize("variant, edges", [
-    # greedy reaches 3 from 2 through the depot, so no certificate holds
+    # greedy reaches 3 from 2 through the depot, and no walk avoids it, so no
+    # certificate holds
     ("tocp", [(1, 2, 1.0), (1, 3, 1.0)]),
     # 3 is reached only by entering 2 twice, so no cycle cover holds
     ("top", [(1, 2, 1.0), (2, 3, 1.0)]),
@@ -382,22 +396,22 @@ def test_planned_round_matches_the_solved_model(variant, dp, case):
     ("greedy", [(1, 2, 1.0), (1, 3, 1.0)]),
 ])
 def test_structure_work_runs_once_per_episode(variant, edges, monkeypatch):
-    # the graph check, the proof, the cover and the DP's table read no
+    # the graph check, the proof, the certificates and the DP's table read no
     # predictions: every round reaches them, in that order, yet an episode
     # computes each once, and a single-round solve does the same work once more
     calls = []
     for module in (tocp, certify):  # whichever of them checks the graph
         monkeypatch.setattr(module, "validate", counted(calls, "validate", validate),
                             raising=False)
-    for module, name in ((certify, "_insertion_cover"), (certify, "infeasibility_proof"),
-                         (heldkarp, "_held_karp")):
+    for module, name in ((certify, "_insertion_cover"), (certify, "_farthest_insertion"),
+                         (certify, "infeasibility_proof"), (heldkarp, "_held_karp")):
         monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
     kappa = [[0.0] * 3, [0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]
     instance = make_instance(3, edges, 4.0, 3, kappa)
     result = run_episode(instance, variant)
     status = STATUS_HEURISTIC if variant == "greedy" else "optimal"
     assert result.statuses == [status] * 3
-    expected = {"tocp": ["validate", "infeasibility_proof", "_held_karp"],
+    expected = {"tocp": ["validate", "infeasibility_proof", "_farthest_insertion", "_held_karp"],
                 "top": ["validate", "infeasibility_proof", "_insertion_cover", "_held_karp"],
                 "greedy": ["validate"]}[variant]
     assert calls == expected
@@ -427,6 +441,29 @@ def test_episodes_on_a_shared_structure_match_episodes_run_alone(planner, monkey
     for a, b in zip(alone, shared):
         a.compute_seconds = b.compute_seconds = []
         assert a == b
+
+
+@pytest.mark.parametrize("law, seed, digest", [
+    pytest.param({}, 1, "56b2a421a6bf13f087e4d13be6b2d8442701ee8c81e8096f7a98b3188a0f8a3e",
+                 id="default-1"),
+    pytest.param(TIGHT_LAW, 9, "1ed724b516e78a1106e08a7ca11933bc3535235cb705c7fbe1a4e4de64954e0d",
+                 id="tight-9"),
+])
+def test_the_kept_certificate_is_built_once_per_structure(law, seed, digest, monkeypatch):
+    # greedy misses the bound in default seed 1's first round, and the kept
+    # certificate answers every round it misses after that.  Tight-law seed
+    # 9 has none: its DP optimum covers 8 of its 11 targets, so its rows are
+    # those of the cascade without the kept certificate
+    built = []
+    monkeypatch.setattr(certify, "_farthest_insertion",
+                        counted(built, "_farthest_insertion", certify._farthest_insertion))
+    instance = generate_instance(BenchmarkConfig(**law), seed, 10)
+    result = run_episode(instance, "tocp", keep_plans=True)
+    assert built == ["_farthest_insertion"]
+    assert result.statuses == ["optimal"] * 10
+    rows = "".join(f"{cost!r} {status} {plan.routes}\n" for cost, status, plan
+                   in zip(result.residual_costs, result.statuses, result.plans))
+    assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
 
 def _rebuilt_episode(instance, planner):

@@ -1,4 +1,4 @@
-"""Six digests that pin the program's outputs, with the times of the code they cover.
+"""Seven digests that pin the program's outputs, with the times of the code they cover.
 
     PYTHONPATH=src python3 tools/identity.py [--repeat 3]
 
@@ -31,6 +31,9 @@ structures of default and tight-law seeds 1-120 with the drawn fleet and
 must-visit set.  Each search runs on a fresh Structure, the distances
 computed outside the timing.
 
+Kept: tocp's Structure.kept_walks (the walks, or None) on the same 240
+structures, as the cover digest reads top's.
+
 Proof: infeasibility_proof (the proof string, or None) on the same 240
 structures under tocp and top, with the drawn must-visit set and 8 random
 ones of 1-4 vertices, seeded by law and seed: 4,320 proofs.  Each runs on
@@ -43,7 +46,8 @@ whole bench command is timed.
 
 The tight law is the tight-exact workload's.  Each timed call takes the
 best of --repeat runs.  Two checkouts write the same suite, compute the
-same DP answers, covers, proofs and bench rows exactly when the digests match.
+same DP answers, covers, kept certificates, proofs and bench rows exactly
+when the digests match.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ import contextlib
 import csv
 import hashlib
 import itertools
+import operator
 import os
 import shutil
 import tempfile
@@ -71,6 +76,7 @@ from patrolopt.instance_io import instance_graph, read_instance
 TIGHT_LAW = {"budget_base": 12.0, "budget_span_per_vertex": 0.5, "vertex_choices": (10, 12, 14)}
 LAWS = (("default", {}), ("tight", TIGHT_LAW))
 VARIANTS = ("tocp", "top")
+CERTIFICATES = {"top": "cover_walks", "tocp": "kept_walks"}
 
 
 def best_of(repeat, call, setup=tuple):
@@ -219,15 +225,20 @@ def dp_digest(repeat=1):
     return digest.hexdigest(), counts, round_times, table_times, live_rows
 
 
-def cover_digest(repeat=1):
-    """(sha256, certified count, cover_walks seconds per structure label) of top's covers."""
+def certificate_digest(variant, repeat=1):
+    """(sha256, certified count, seconds per structure label) of a variant's certificates.
+
+    The certificate is CERTIFICATES[variant], a Structure attribute: top's
+    cover_walks or tocp's kept_walks.
+    """
     digest = hashlib.sha256()
     times = {}
     certified = 0
     for _, law_name, seed, instance, graph, dist in round_one((120, 120)):
         label = f"{law_name} {seed}"
-        args = (graph, dist, instance.num_agents, instance.l_max, instance.must_visit, "top")
-        walks, times[label] = best_of(repeat, lambda s: s.cover_walks, lambda: (Structure(*args),))
+        args = (graph, dist, instance.num_agents, instance.l_max, instance.must_visit, variant)
+        walks, times[label] = best_of(repeat, operator.attrgetter(CERTIFICATES[variant]),
+                                      lambda: (Structure(*args),))
         certified += walks is not None
         digest.update(f"{label}: {walks}\n".encode())
     return digest.hexdigest(), certified, times
@@ -312,11 +323,12 @@ def main() -> None:
           f"({per_variant}); slowest:")
     print_slowest(table_times, live_rows)
 
-    digest, certified, times = cover_digest(repeat)
-    print(f"structures: {len(times)} ({certified} certified)")
-    print(f"sha256: {digest}")
-    print(f"cover_walks: best of {repeat}, {sum(times.values()):.3f} s in total; slowest:")
-    print_slowest(times)
+    for variant, attribute in CERTIFICATES.items():
+        digest, certified, times = certificate_digest(variant, repeat)
+        print(f"{variant} structures: {len(times)} ({certified} certified)")
+        print(f"sha256: {digest}")
+        print(f"{attribute}: best of {repeat}, {sum(times.values()):.3f} s in total; slowest:")
+        print_slowest(times)
 
     digest, calls, proven, times = proof_digest(repeat)
     print(f"proof calls: {calls} ({proven} proofs)")
