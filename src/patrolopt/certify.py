@@ -227,18 +227,18 @@ def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
         row[DEPOT] = home[v][DEPOT]
     l_max = structure.l_max
     tours = [[DEPOT, DEPOT] for _ in range(structure.num_agents)]
-    lengths = [0.0] * structure.num_agents
     left = list(structure.targets)
 
     def insertions(m: int) -> Dict[int, Optional[Tuple[float, int]]]:
         """(cost, position) of each left target's cheapest insertion into tour m, or None."""
-        tour, length = tours[m], lengths[m]
+        tour = tours[m]
+        length = sum(legs[a][b] for a, b in zip(tour, tour[1:]))
         out: Dict[int, Optional[Tuple[float, int]]] = {}
         for w in left:
-            back, best = legs[w], None
+            from_w, best = legs[w], None
             for p in range(len(tour) - 1):
                 a, b = tour[p], tour[p + 1]
-                cost = legs[a][w] + back[b] - legs[a][b]
+                cost = legs[a][w] + from_w[b] - legs[a][b]
                 if length + cost <= l_max and (best is None or cost < best[0]):
                     best = (cost, p)
             out[w] = best
@@ -259,7 +259,6 @@ def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
                 choice = cheapest
         _, m, p, w = choice
         tours[m].insert(p + 1, w)
-        lengths[m] = sum(legs[a][b] for a, b in zip(tours[m], tours[m][1:]))
         left.remove(w)
         per_tour[m] = insertions(m)
     return [tour[1:-1] for tour in tours]
