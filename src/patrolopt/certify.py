@@ -5,28 +5,27 @@ read no c_hat and the infeasibility proofs.  The cascade that puts them
 together, tocp.answer_round, lives in tocp beside its callers: it settles
 most rounds by an infeasibility proof, a certificate or the exact DP, in
 that order, reading a Structure and c_hat, never a model.  This module
-imports neither greedy nor tocp.  Across an episode only c_hat changes: the
-graph, the fleet, the budget and the must-visit vertices stay, and so do the
-model's rows.  A Structure holds those, checked once, and keeps what the
-cascade derives from them alone (the targets, the out-edge table, the
-proof, top's cover walks, tocp's kept walks and the DP's table), so the
-episode loop pays for each once.
+imports greedy, which imports only graph, and not tocp.  Across an episode
+only c_hat changes: the graph, the fleet, the budget and the must-visit
+vertices stay, and so do the model's rows.  A Structure holds those,
+checked once, and keeps what the cascade derives from them alone (the
+targets, the out-edge table, the proof, the certificate and the DP's
+table), so the episode loop pays for each once.
 
 Certified rounds: a certificate visits every vertex whose depot round trip
 fits the budget (within the solver's feasibility tolerance).  Such a plan
-collects the sum of the non-negative c_hat over those vertices, and no plan
-can collect more, so it is optimal once its walks break none of the rules
-of broken_rules.  Ties therefore break towards visiting: a certified round
-visits everything reachable, zero-valued vertices included.  Under tocp the
-greedy planner runs on c_hat first, and its plan, repaired, is the
-certificate when it visits all those vertices (tocp.greedy_certificate).
-When it does not, the structure's kept walks are: every target placed in
-at most M tours by farthest insertion, once per episode, as they read no
-c_hat (see Structure.kept_walks).  Greedy walks rarely satisfy the
+collects the sum of the non-negative c_hat over those vertices whatever
+c_hat is, and no plan can collect more, so it is optimal in every round
+once its walks break none of the rules of broken_rules.  Ties therefore
+break towards visiting: a certified round visits everything reachable,
+zero-valued vertices included.  Under tocp the certificate is the greedy
+planner's plan on unit predictions, repaired (_greedy_walks), or, when it
+misses one of those vertices, every target placed in at most M tours by
+farthest insertion (_farthest_insertion).  Greedy walks rarely satisfy the
 single-visit rule, so top's certificate is built differently: one simple
 depot cycle per agent, no two sharing a non-depot vertex, grown by farthest
-insertion until together they visit the same reachable set (see
-Structure.cover_walks).
+insertion until together they visit the same reachable set (_cover_walks).
+Structure.certified_walks keeps the one its variant reads.
 
 Proven-infeasible rounds: every round is first checked for reasons no plan
 can exist (see infeasibility_proof), such as a must-visit vertex beyond
@@ -61,6 +60,7 @@ from .graph import (
     validate,
     walk_length,
 )
+from .greedy import UnreachableMustVisitError, greedy_plan
 from .milp import FEASIBILITY_TOL, ModelError
 
 # Each vertex's out-edges as (head, length), heads ascending.
@@ -133,61 +133,17 @@ class Structure:
         return infeasibility_proof(self)
 
     @cached_property
-    def cover_walks(self) -> Optional[List[List[int]]]:
-        """top's certificate: the walks of a vertex-disjoint cycle cover, or None.
+    def certified_walks(self) -> Optional[List[List[int]]]:
+        """The structure's certificate: walks that visit every target, or None.
 
-        The cover visits the vertices tocp.greedy_certificate must visit, the
-        targets.  Each agent gets one simple depot cycle and no two cycles
-        share a non-depot vertex, so the cover satisfies the single-visit
-        rows; when it visits every target it reaches the same round-trip
-        bound.  The cycles ignore c_hat, so an episode finds them once.
-
-        Each agent needs its own first vertex: a depot neighbour whose
-        out-and-back fits l_max, by (edge length, index).  The M nearest
-        start, then every set that swaps one of them for a farther one:
-        1 + M(d - M) sets for d candidates, each grown by _insertion_cover
-        until one covers the targets.  A required vertex outside them gets
-        no cover, since the round is infeasible.
+        Such walks collect the round-trip bound for any c_hat >= 0, so they
+        are optimal in every round of an episode, and an episode finds them
+        once.  Under top they are _cover_walks; under tocp _greedy_walks, or
+        _farthest_insertion's when greedy misses a target.
         """
-        graph, l_max, m_count = self.graph, self.l_max, self.num_agents
-        firsts = sorted(
-            (v for v in graph.out_neighbors(DEPOT) if 2 * graph.lengths[(DEPOT, v)] <= l_max),
-            key=lambda v: (graph.lengths[(DEPOT, v)], v),
-        )
-        if len(firsts) < m_count or not set(self.must) <= set(self.targets):
-            return None
-        nearest = firsts[:m_count]
-        start_sets = [nearest] + [
-            nearest[:k] + [far] + nearest[k + 1:]
-            for far in firsts[m_count:]
-            for k in reversed(range(m_count))
-        ]
-        for starts in start_sets:
-            routes = _insertion_cover(graph, self.adjacency, self.targets, starts, l_max)
-            if routes is not None:
-                return fleet_walks(self, routes)
-        return None
-
-    @cached_property
-    def kept_walks(self) -> Optional[List[List[int]]]:
-        """tocp's kept certificate: closed walks through every target within l_max, or None.
-
-        Under tocp a plan that visits every target collects the round-trip
-        bound for any c_hat >= 0, so one such plan is optimal in every round
-        of an episode.  _farthest_insertion places every target in at most M
-        tours along the DP's tocp legs, which expand into walks as
-        heldkarp.best_round's do.  They never pass the depot mid-walk, so
-        simplify_walk is all repair_walk would do; fleet_walks gives idle
-        agents their out-and-back and checks the rules.  None when some
-        target fits no tour or a walk breaks a rule.  The tours read no
-        c_hat, so an episode builds them once, and only when greedy's
-        per-round certificate first fails.
-        """
-        tours = _farthest_insertion(self)
-        if tours is None:
-            return None
-        return fleet_walks(self, [simplify_walk(heldkarp.tocp_walk(tour, self.dist, self.around))
-                                  for tour in tours if tour])
+        if self.variant == "top":
+            return _cover_walks(self)
+        return _greedy_walks(self) or _farthest_insertion(self)
 
     @cached_property
     def table(self) -> Union[heldkarp.FleetTable, str, None]:
@@ -204,8 +160,66 @@ class Structure:
         return proof if table is not None and not table.choices.size else table
 
 
+def _cover_walks(structure: Structure) -> Optional[List[List[int]]]:
+    """top's certificate: the walks of a vertex-disjoint cycle cover, or None.
+
+    Each agent gets one simple depot cycle and no two cycles share a
+    non-depot vertex, so the cover satisfies the single-visit rows; when it
+    visits every target it reaches the round-trip bound.
+
+    Each agent needs its own first vertex: a depot neighbour whose
+    out-and-back fits l_max, by (edge length, index).  The M nearest start,
+    then every set that swaps one of them for a farther one: 1 + M(d - M)
+    sets for d candidates, each grown by _insertion_cover until one covers
+    the targets.  A required vertex outside them gets no cover, since the
+    round is infeasible.
+    """
+    graph, l_max, m_count = structure.graph, structure.l_max, structure.num_agents
+    firsts = sorted(
+        (v for v in graph.out_neighbors(DEPOT) if 2 * graph.lengths[(DEPOT, v)] <= l_max),
+        key=lambda v: (graph.lengths[(DEPOT, v)], v),
+    )
+    if len(firsts) < m_count or not set(structure.must) <= set(structure.targets):
+        return None
+    nearest = firsts[:m_count]
+    start_sets = [nearest] + [
+        nearest[:k] + [far] + nearest[k + 1:]
+        for far in firsts[m_count:]
+        for k in reversed(range(m_count))
+    ]
+    for starts in start_sets:
+        routes = _insertion_cover(graph, structure.adjacency, structure.targets, starts, l_max)
+        if routes is not None:
+            return fleet_walks(structure, routes)
+    return None
+
+
+def _greedy_walks(structure: Structure) -> Optional[List[List[int]]]:
+    """greedy_plan's walks on unit predictions, repaired, when they visit every target.
+
+    Unit predictions make greedy take the nearest reachable vertex.  On a
+    cold-start round, which predicts the same cost everywhere, the plan is
+    the one greedy makes on that round's c_hat.  Routes pass through
+    repair_walk, and fleet_walks gives idle agents their out-and-back and
+    checks the rules; None when greedy raises, misses a target or a walk
+    breaks a rule.
+    """
+    s = structure
+    unit = np.ones(s.graph.num_vertices + 1)
+    try:
+        plan = greedy_plan(s.graph, s.dist, unit, s.num_agents, s.l_max, s.must)
+    except UnreachableMustVisitError:
+        return None
+    if not plan.visited().issuperset(s.targets):
+        return None
+    repaired = [repair_walk(route, s) for route in plan.routes]
+    if None in repaired:
+        return None
+    return fleet_walks(s, repaired)
+
+
 def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
-    """Every target in at most M tours within l_max, by farthest insertion, or None.
+    """Closed walks through every target within l_max by farthest insertion, or None.
 
     A tour is a sequence of targets on the DP's tocp legs: the shortest path
     from the depot to its first target and from its last one back, and the
@@ -219,6 +233,11 @@ def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
     and recomputes the insertions into the tour it grew alone: the other
     tours' stay as they were.  None once some target has no insertion left.
     The legs are read as scalar lists, as greedy_plan reads its distances.
+
+    The tours expand into walks as heldkarp.best_round's do.  They never
+    pass the depot mid-walk, so simplify_walk is all repair_walk would do;
+    fleet_walks gives idle agents their out-and-back and checks the rules,
+    and gives None when a walk breaks one.
     """
     home = structure.dist.rows
     legs = [list(row) for row in structure.around.rows]
@@ -261,7 +280,9 @@ def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
         tours[m].insert(p + 1, w)
         left.remove(w)
         per_tour[m] = insertions(m)
-    return [tour[1:-1] for tour in tours]
+    return fleet_walks(structure, [
+        simplify_walk(heldkarp.tocp_walk(tour[1:-1], structure.dist, structure.around))
+        for tour in tours if len(tour) > 2])
 
 
 def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:

@@ -220,11 +220,12 @@ def _cmd_bench(args) -> int:
     total = len(paths) * len(planners)
     done = 0
     rows: Dict[str, List[Dict[str, str]]] = {}
-    # One job per seed; --jobs 1 runs them in this process.  Either way the
-    # rows are written in (horizon, seed, planner) order regardless of
-    # completion order, so the CSV is deterministic for a given suite and
-    # planner list.
-    with (ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1 else nullcontext()) as pool:
+    # One job per seed, on at most one worker per job; a single worker runs
+    # them in this process.  Either way the rows are written in (horizon,
+    # seed, planner) order regardless of completion order, so the CSV is
+    # deterministic for a given suite and planner list.
+    workers = min(args.jobs, len(jobs))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()) as pool:
         for files, seed_rows in zip(seeds.values(),
                                     (map if pool is None else pool.map)(_bench_seed, jobs)):
             for path, file_rows in zip(files, seed_rows):

@@ -6,7 +6,8 @@ once no required vertex is reachable it chases the best predicted-cost-per-
 distance vertex instead, and when nothing worthwhile remains it heads home.
 Vertices passed through along the way count as visited and leave the pools,
 so later agents do not re-plan trips to them.  Under tocp the round
-cascade, tocp.answer_round, tries this plan first (tocp.greedy_certificate).
+cascade's certificate is this plan on unit predictions, made once per
+episode, when it visits every target (certify.Structure.certified_walks).
 
 The loop reads Python floats: the distances through DistanceMatrix.rows and
 c_hat as a list.  Each sum and comparison is the same IEEE double operation,

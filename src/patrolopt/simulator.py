@@ -16,15 +16,16 @@ graph, distances, fleet, budget and must-visit vertices, checked once), for
 greedy too; _plan_round plans one round from it with any planner.  Greedy
 runs greedy_plan; tocp and top go through tocp.plan_round, where a round a
 certificate, the exact DP or an infeasibility proof answers builds no model,
-and the Structure keeps the proof, top's cover, tocp's kept walks and the
-DP's table for every round after the first that needs them.
+and the Structure keeps the proof, the certificate (top's cover, or tocp's
+walks through every target) and the DP's table for every round after the
+first that needs them.
 
 A Structure reads no prediction, so episodes whose instances agree on its
 inputs can share one: run_episodes runs several instances with one planner
 and builds a new structure only when an instance's inputs differ from the
 previous one's, and run_episode is its single-instance case.  bench runs a
 seed's horizons this way, so each (seed, planner) builds its distances,
-proof, cover, kept walks, DP table and greedy's distance rows once.
+proof, certificate, DP table and greedy's distance rows once.
 """
 
 from __future__ import annotations

@@ -20,27 +20,26 @@ one unit per visited vertex and drops one at each, which rules out subtours
 detached from the depot.  Every row is "<=" or "=".
 
 Answered rounds: answer_round, the cascade, settles most rounds without
-the model, by an infeasibility proof, a certificate (greedy_certificate,
-then the structure's kept walks, under tocp; the cover under top) or the
-exact DP, in that order, from a certify.Structure that holds everything of
-the round but c_hat.  Its
-building blocks, the walk rules, repairs, cover search and proofs, live in
-certify (see that module); the cascade lives here beside its two
-consumers.  Both first pass c_hat through Structure.check_c_hat, so every
-prediction is finite and >= 0; then an answer's walks break no rule of
-certify.broken_rules and reach its bound, and neither consumer tests them
-again.  plan_round, which the simulator's episode loop calls with the
-Structure it builds once per episode, restitches the walks into routes as
-extract_routes would, so answered rounds build no model; it builds one
-only for a round HiGHS must solve.  _build_answered builds a Structure's
-model and attaches the answer: the walks as the certificate, encoded
-without a solver (once an agent's closed walk is fixed, so is its flow:
-the p-th edge carries one unit for each non-depot vertex the walk first
-enters after position p, see plan_to_assignment), or the proof, so
-milp.solve, the one check of the certificate's rows, skips HiGHS on
-it.  build_tocp and build_top call it on a fresh Structure; the
-simulator's single-round solve calls it on the Structure its episode setup
-builds.
+the model, by an infeasibility proof, the certificate or the exact DP, in
+that order, from a certify.Structure that holds everything of the round but
+c_hat and keeps its proof and certificate (certified_walks), so the cascade
+reads no variant.  Its building blocks, the walk rules, repairs,
+certificates and proofs, live in certify (see that module); the cascade
+lives here beside its two consumers.  Both first pass c_hat through
+Structure.check_c_hat, so every prediction is finite and >= 0; then an
+answer's walks break no rule of certify.broken_rules and reach its bound,
+and neither consumer tests them again.  plan_round, which the simulator's
+episode loop calls with the Structure it builds once per episode,
+restitches the walks into routes as extract_routes would, so answered
+rounds build no model; it builds one only for a round HiGHS must solve.
+_build_answered builds a Structure's model and attaches the answer: the
+walks as the certificate, encoded without a solver (once an agent's closed
+walk is fixed, so is its flow: the p-th edge carries one unit for each
+non-depot vertex the walk first enters after position p, see
+plan_to_assignment), or the proof, so milp.solve, the one check of the
+certificate's rows, skips HiGHS on it.  build_tocp and build_top call it on
+a fresh Structure; the simulator's single-round solve calls it on the
+Structure its episode setup builds.
 """
 
 from __future__ import annotations
@@ -51,9 +50,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import heldkarp
-from .certify import Structure, fleet_walks, repair_walk, simplify_walk
+from .certify import Structure, fleet_walks, simplify_walk
 from .graph import DEPOT, DistanceMatrix, FleetPlan, Graph, walk_length
-from .greedy import UnreachableMustVisitError, greedy_plan
+# re-exported: the benchmark (perfbench/checks.py, perfbench/tracing.py) imports it from here
+from .greedy import UnreachableMustVisitError
 from .milp import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, MilpModel, MilpSolution, solve
 
 
@@ -154,29 +154,22 @@ def answer_round(
 ) -> Union[Tuple[List[List[int]], float], str, None]:
     """A round's answer without the model: (walks, bound), a proof string, or None.
 
-    The structure's infeasibility proof comes first, read once per episode.
-    Then the certificate, with the round-trip bound: under tocp
-    greedy_certificate, or the structure's kept_walks when greedy misses a
-    target, and under top the structure's cover_walks.  Both structure
-    certificates are found once per episode.  A round with neither goes to
-    the exact DP, whose optimal walks, with doubled edges simplified away,
-    come with its value as the bound and whose absence of any covering union
-    is the proof.  The order changes no answer, since a structure with a
-    proof has no certificate: certified walks fit l_max, and a cover's are
-    simple depot cycles through every target that start at M distinct depot
-    neighbours.  It spares top the failed cover search
-    of a proven round.  Walks always break none of broken_rules; None (a
-    round above the DP's cost cap, or whose optimal walks end up over l_max)
-    means only HiGHS can answer.  c_hat must have passed
-    Structure.check_c_hat: the bounds and the DP's weights take it as
-    non-negative.
+    It reads the structure's infeasibility proof, then its certified_walks
+    with the round-trip bound, both found once per episode, then the exact
+    DP, whose optimal walks, with doubled edges simplified away, come with
+    its value as the bound and whose absence of any covering union is the
+    proof.  The order changes no answer, since a structure with a proof has
+    no certificate: certified walks fit l_max, and a cover's are simple
+    depot cycles through every target that start at M distinct depot
+    neighbours.  It spares top the failed cover search of a proven round.
+    Walks always break none of broken_rules; None (a round above the DP's
+    cost cap, or whose optimal walks end up over l_max) means only HiGHS can
+    answer.  c_hat must have passed Structure.check_c_hat: the bounds and
+    the DP's weights take it as non-negative.
     """
     if structure.proof is not None:
         return structure.proof
-    if structure.variant == "tocp":
-        certified = greedy_certificate(structure, c_hat) or structure.kept_walks
-    else:
-        certified = structure.cover_walks
+    certified = structure.certified_walks
     if certified is not None:
         # no plan collects more than c_hat summed over the targets
         return certified, float(sum(float(c_hat[v]) for v in structure.targets))
@@ -186,30 +179,6 @@ def answer_round(
     optimum = heldkarp.best_round(table, c_hat)
     walks = fleet_walks(structure, [simplify_walk(walk) for walk in optimum.walks])
     return None if walks is None else (walks, optimum.value)
-
-
-def greedy_certificate(structure: Structure, c_hat: np.ndarray) -> Optional[List[List[int]]]:
-    """The greedy plan's walks when they reach the round-trip bound, or None.
-
-    The bound sums c_hat over the targets, every vertex whose depot round
-    trip fits the limit, since HiGHS accepts a walk that far over l_max.  A
-    greedy plan that visits all of those vertices collects the bound, as
-    c_hat >= 0, so no plan can beat it.  Greedy plans that miss one are
-    dropped.  That fixes the tie rule: a certified round visits everything
-    reachable, zero-valued vertices too.  Routes pass through repair_walk,
-    and walks that still break a rule of broken_rules give no certificate.
-    """
-    s = structure
-    try:
-        plan = greedy_plan(s.graph, s.dist, c_hat, s.num_agents, s.l_max, s.must)
-    except UnreachableMustVisitError:
-        return None
-    if not plan.visited().issuperset(s.targets):
-        return None
-    repaired = [repair_walk(route, s) for route in plan.routes]
-    if None in repaired:
-        return None
-    return fleet_walks(s, repaired)
 
 
 def _build_fleet_model(

@@ -23,14 +23,19 @@ from patrolopt import certify, heldkarp, milp
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
+from patrolopt.greedy import UnreachableMustVisitError, greedy_plan
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
 from patrolopt.certify import (
     Structure,
+    _cover_walks,
     _disjoint_pair_length,
+    _farthest_insertion,
+    _greedy_walks,
     _insertion_cover,
     _paths_through,
     _tree_path,
+    fleet_walks,
     infeasibility_proof,
     repair_walk,
 )
@@ -40,7 +45,6 @@ from patrolopt.tocp import (
     build_top,
     build_tocp,
     extract_routes,
-    greedy_certificate,
     plan_round,
     plan_to_assignment,
 )
@@ -141,7 +145,7 @@ def test_idle_agents_take_the_cheapest_out_and_back(bridge, highs_calls):
     model, handles = build_tocp(graph, c_hat, 2, l_max, dist=dist)
     sol = solve(model)
     assert highs_calls == []
-    assert extract_routes(sol, handles, graph).routes == [[1, 2, 3, 2, 1], [1, 2, 1]]
+    assert extract_routes(sol, handles, graph).routes == [[1, 2, 1], [1, 2, 3, 2, 1]]
 
 
 def test_single_visit_model_never_carries_a_candidate(bridge, star, no_dp):
@@ -400,9 +404,9 @@ def test_tocp_matches_brute_force_with_and_without_its_certificate(case):
     assert audit_solution(graph, sol, handles) == []
     if certificate is None:
         return
-    greedy = greedy_certificate(handles.structure, c_hat)
-    if greedy is not None and np.array_equal(sol.assignment,
-                                             plan_to_assignment(greedy, model, handles)):
+    certified = handles.structure.certified_walks
+    if certified is not None and np.array_equal(sol.assignment,
+                                                plan_to_assignment(certified, model, handles)):
         plan = extract_routes(sol, handles, graph)
         reachable = {v for v in range(1, graph.num_vertices + 1)
                      if dist.dist[1, v] + dist.dist[v, 1] <= l_max}
@@ -422,7 +426,7 @@ def test_kept_certificate_visits_every_target_and_rounds_reach_the_optimum(case)
     dist = all_pairs_shortest(graph)
     structure = Structure(graph, dist, agents, l_max, must, "tocp")
     oracle = brute_force_single_iteration(graph, c_hat, agents, l_max, must, dist=dist)
-    kept = structure.kept_walks
+    kept = structure.certified_walks
     event("kept" if kept is not None else "none")
     if kept is not None:
         assert certify.broken_rules(structure, kept) == []
@@ -445,7 +449,7 @@ def test_loose_exact_structure_1_builds_no_table(monkeypatch):
     structure = Structure(instance_graph(instance), None, instance.num_agents, instance.l_max,
                           instance.must_visit, "tocp")
     c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(1)
-    assert greedy_certificate(structure, c_hat) is None
+    assert _greedy_walks(structure) is None
     plan, status = plan_round(structure, c_hat, None)
     assert tables == []
     assert status == OPTIMAL
@@ -556,8 +560,11 @@ def test_proven_top_round_skips_the_cover_search(monkeypatch):
 
 def test_proven_structures_have_no_certificate():
     # answer_round reads the proof first; that changes no answer only if no
-    # structure with a proof has a greedy certificate or a cover
+    # structure with a proof has greedy's walks or a cover.  Round 1 predicts
+    # the same cost everywhere, so where greedy's repaired plan on it visits
+    # every target and keeps the walk rules, tocp's certificate is that plan
     proven = dict.fromkeys(("tocp", "top"), 0)
+    greedy_certified = 0
     for law in ({}, TIGHT_LAW):
         for seed in range(1, 121):
             instance = generate_instance(BenchmarkConfig(**law), seed, 1)
@@ -567,14 +574,27 @@ def test_proven_structures_have_no_certificate():
             for variant in proven:
                 structure = Structure(graph, dist, instance.num_agents, instance.l_max,
                                       instance.must_visit, variant)
+                if variant == "tocp":
+                    try:
+                        plan = greedy_plan(graph, dist, c_hat, instance.num_agents,
+                                           instance.l_max, instance.must_visit)
+                    except UnreachableMustVisitError:
+                        plan = None
+                    if plan is not None and plan.visited() >= set(structure.targets):
+                        repaired = [repair_walk(route, structure) for route in plan.routes]
+                        walks = None if None in repaired else fleet_walks(structure, repaired)
+                        if walks is not None:
+                            assert structure.certified_walks == walks
+                            greedy_certified += 1
                 if structure.proof is None:
                     continue
                 proven[variant] += 1
-                assert structure.cover_walks is None
-                assert greedy_certificate(structure, c_hat) is None
+                assert structure.certified_walks is None
+                assert _greedy_walks(structure) is None
     # no drawn must-visit set gives tocp a proof; the property test below
     # holds tocp's proofs to the same rule
     assert proven == {"tocp": 0, "top": 11}
+    assert greedy_certified == 107 + 36  # default, tight
 
 
 def reference_infeasibility_proof(structure):
@@ -657,10 +677,9 @@ def test_proof_matches_suurballe_on_every_must_visit_vertex(case):
     assert infeasibility_proof(structure) == expected
     if expected is not None:
         # so answer_round may read the proof before any certificate
-        c_hat = np.ones(structure.graph.num_vertices + 1)
-        assert structure.cover_walks is None
-        assert structure.kept_walks is None
-        assert greedy_certificate(structure, c_hat) is None
+        assert _cover_walks(structure) is None
+        assert _farthest_insertion(structure) is None
+        assert _greedy_walks(structure) is None
 
 
 @pytest.mark.parametrize("law, seed", [
@@ -686,7 +705,7 @@ def test_answered_rounds_never_call_scipy(answer, bridge, monkeypatch):
     graph, dist, c_hat, l_max = bridge
     if answer == "greedy":
         model, _ = build_tocp(graph, c_hat, 1, l_max, dist=dist)
-        assert greedy_certificate(Structure(graph, dist, 1, l_max, (), "tocp"), c_hat) is not None
+        assert Structure(graph, dist, 1, l_max, (), "tocp").certified_walks is not None
     elif answer == "cover":
         g = make_graph(5, [(1, 2, 1.0), (1, 4, 1.0), (1, 3, 1.5), (1, 5, 1.5),
                            (2, 3, 1.0), (4, 5, 1.0)])

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from patrolopt import benchgen, certify, results_io
+from patrolopt import benchgen, certify, cli, results_io
 from patrolopt.cli import main
 from patrolopt.graph import DEPOT
 from patrolopt.instance_io import read_instance, write_instance
@@ -185,6 +185,42 @@ def test_bench_rows_agree_across_worker_counts(suite_dir, tmp_path):
         "H1_seed1", "H1_seed1", "H1_seed2", "H1_seed2",
     ]
     assert [r["planner"] for r in rows_serial[:2]] == ["tocp", "greedy"]
+
+
+class RecordingExecutor:
+    """A ProcessPoolExecutor stand-in that records max_workers and maps in this process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_bench_starts_no_more_workers_than_seeds(suite_dir, tmp_path, monkeypatch):
+    # a process pool forks all its workers at the first submit, so --jobs 8
+    # on two seeds must ask for two
+    suite = str(tmp_path / "suite")
+    for h in (1, 2):
+        for seed in (1, 2):
+            name = os.path.join(f"H{h}", f"seed{seed}.json")
+            copy_suite_file(suite_dir, name, suite, name)
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingExecutor(made, max_workers))
+    argv = ["bench", "--suite", suite, "--planners", "tocp,greedy"]
+    serial, pooled = str(tmp_path / "serial.csv"), str(tmp_path / "pooled.csv")
+    assert main(argv + ["--jobs", "1", "--out", serial]) == 0
+    assert main(argv + ["--jobs", "8", "--out", pooled]) == 0
+    assert made == [2]
+    assert rows_without_timing(pooled) == rows_without_timing(serial)
+    assert len(rows_without_timing(serial)) == 4 * 2  # instances times planners
 
 
 def spy_structures(monkeypatch):

@@ -20,8 +20,8 @@ from patrolopt.estimator import EstimatorState
 from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, solve
-from patrolopt.certify import Structure
-from patrolopt.tocp import audit_solution, build_top, build_tocp, extract_routes, greedy_certificate
+from patrolopt.certify import Structure, _greedy_walks
+from patrolopt.tocp import audit_solution, build_top, build_tocp, extract_routes
 
 from conftest import make_graph, tiny_rounds
 from oracle import brute_force_single_iteration
@@ -78,7 +78,7 @@ def test_dp_matches_brute_force(variant, case):
 ], ids=("tight-7", "tight-9", "tight-10", "default-1-tocp", "default-1-top"))
 def test_benchmark_rounds_without_a_certificate_skip_highs(law, seed, build, optimum,
                                                           highs_calls):
-    # round-1 models neither the greedy nor the cover certificate answers,
+    # round-1 models neither greedy's walks nor the cover certifies,
     # on which HiGHS took 0.2-12 s; default 1 has R = 17 targets and M = 2
     instance = generate_instance(BenchmarkConfig(**law), seed, 1)
     graph = instance_graph(instance)
@@ -87,9 +87,9 @@ def test_benchmark_rounds_without_a_certificate_skip_highs(law, seed, build, opt
     model, handles = build(graph, c_hat, instance.num_agents, instance.l_max,
                            instance.must_visit, dist=dist)
     if build is build_tocp:
-        assert greedy_certificate(handles.structure, c_hat) is None
+        assert _greedy_walks(handles.structure) is None
     else:
-        assert handles.structure.cover_walks is None
+        assert handles.structure.certified_walks is None
     sol = solve(model)
     assert highs_calls == []
     assert (sol.status, sol.node_count, sol.gap) == (OPTIMAL, 0, 0.0)

@@ -51,7 +51,7 @@ def test_the_cover_digest_is_pinned(identity):
 def test_the_kept_certificate_digest_is_pinned(identity):
     digest, certified, times = identity.certificate_digest("tocp")
     assert (len(times), certified, digest) == (
-        240, 189, "1aefc4084a07c7806549aca8a10187c518d0f4ef91ab823d9b7c548800f08857")
+        240, 189, "4a15e528081e5816dba9408845bca3dd6cd94a7fcd6f7a8fbb31221a80a6cfb5")
 
 
 def test_the_proof_digest_is_pinned(identity):

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused import, parameter or definition.
 
-Every name a package module imports is used in that module, every parameter
+Every name a package module imports is used in that module, or imported
+from it by the benchmark or the tools (a re-export), every parameter
 a package function takes is read in its body, and every function and class
 the package defines is named somewhere in the code that runs it: the
 package, the benchmark (perfbench/) or the tools (tools/), never only in the
@@ -23,8 +24,9 @@ import patrolopt
 PACKAGE_DIR = os.path.dirname(patrolopt.__file__)
 MODULES = sorted(f for f in os.listdir(PACKAGE_DIR) if f.endswith(".py"))
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# The code that runs the package; a definition only tests name is dead.
-CALLER_DIRS = ("src", "perfbench", "tools")
+# The code outside the package that runs it; a definition only tests name is dead.
+OUTSIDE_DIRS = ("perfbench", "tools")
+CALLER_DIRS = ("src",) + OUTSIDE_DIRS
 
 
 def read(path):
@@ -32,8 +34,12 @@ def read(path):
         return fh.read()
 
 
-def unused_imports(source: str):
-    """(line, name) for each imported name the module never references."""
+def unused_imports(source: str, reexported=frozenset()):
+    """(line, name) for each imported name the module never references.
+
+    A name in reexported, one other code imports from the module, counts as
+    used.
+    """
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
@@ -44,7 +50,8 @@ def unused_imports(source: str):
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name not in reexported)
 
 
 def unused_parameters(source: str):
@@ -87,22 +94,34 @@ def referenced_names(sources):
     return out
 
 
-def caller_sources():
-    for top in CALLER_DIRS:
+def caller_sources(tops=CALLER_DIRS):
+    for top in tops:
         for root, _, files in os.walk(os.path.join(REPO_DIR, top)):
             for f in sorted(files):
                 if f.endswith(".py"):
                     yield read(os.path.join(root, f))
 
 
+def reexports(sources, module):
+    """The names any of the sources imports from patrolopt.<module>."""
+    return {name for source in sources for _, imported_from, name in package_names_imported(source)
+            if imported_from == f"patrolopt.{module}"}
+
+
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport sys\nfrom typing import List, Set\nx: List[int] = sys.argv\n"
     assert unused_imports(source) == [(1, "os"), (3, "Set")]
+    # a caller that imports Set from the module makes it a re-export; os
+    # stays unused, and so does an import a caller takes from another module
+    callers = ["from patrolopt.graph import Set, os\n",
+               "def setup():\n    from patrolopt.plan import Set\n"]
+    assert unused_imports(source, reexports(callers, "plan")) == [(1, "os")]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    assert unused_imports(read(os.path.join(PACKAGE_DIR, module))) == []
+    reexported = reexports(caller_sources(OUTSIDE_DIRS), module[:-3])
+    assert unused_imports(read(os.path.join(PACKAGE_DIR, module)), reexported) == []
 
 
 def test_the_check_sees_an_unused_parameter():
@@ -211,7 +230,7 @@ def test_the_check_sees_an_import_that_does_not_resolve():
         (1, "patrolopt", "no_such_module"), (3, "patrolopt.tocp", "no_such_name")]
 
 
-@pytest.mark.parametrize("top", ("perfbench", "tools"))
+@pytest.mark.parametrize("top", OUTSIDE_DIRS)
 def test_benchmark_and_tools_import_only_what_the_package_has(top):
     missing = []
     for root, _, files in os.walk(os.path.join(REPO_DIR, top)):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 
-from patrolopt import certify, heldkarp, milp, tocp
+from patrolopt import certify, greedy, heldkarp, milp, tocp
 from patrolopt.cost_process import CostState
 from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
@@ -450,10 +450,10 @@ def test_episodes_on_a_shared_structure_match_episodes_run_alone(planner, monkey
                  id="tight-9"),
 ])
 def test_the_kept_certificate_is_built_once_per_structure(law, seed, digest, monkeypatch):
-    # greedy misses the bound in default seed 1's first round, and the kept
-    # certificate answers every round it misses after that.  Tight-law seed
-    # 9 has none: its DP optimum covers 8 of its 11 targets, so its rows are
-    # those of the cascade without the kept certificate
+    # greedy on unit predictions misses a target in default seed 1's
+    # structure, so farthest insertion's walks answer every round.  Tight-law
+    # seed 9 has no certificate: its DP optimum covers 8 of its 11 targets,
+    # so its rows are those of the cascade without one
     built = []
     monkeypatch.setattr(certify, "_farthest_insertion",
                         counted(built, "_farthest_insertion", certify._farthest_insertion))
@@ -464,6 +464,28 @@ def test_the_kept_certificate_is_built_once_per_structure(law, seed, digest, mon
     rows = "".join(f"{cost!r} {status} {plan.routes}\n" for cost, status, plan
                    in zip(result.residual_costs, result.statuses, result.plans))
     assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("law, seed, by_greedy", [({}, 2, True), (TIGHT_LAW, 9, False)],
+                         ids=("default-2", "tight-9"))
+def test_greedy_runs_at_most_once_per_tocp_structure(law, seed, by_greedy, monkeypatch):
+    # greedy's walks certify default seed 2's structure, so every round reads
+    # them; tight-law seed 9 has no certificate and its rounds go to the DP.
+    # Either way greedy reads no round's predictions
+    instance = generate_instance(BenchmarkConfig(**law), seed, 10)
+    walks = certify._greedy_walks(certify.Structure(
+        instance_graph(instance), None, instance.num_agents, instance.l_max,
+        instance.must_visit, "tocp"))
+    assert (walks is not None) == by_greedy
+    calls = []
+    for module in (tocp, certify):  # whichever of them runs greedy
+        monkeypatch.setattr(module, "greedy_plan",
+                            counted(calls, "greedy_plan", greedy.greedy_plan), raising=False)
+    result = run_episode(instance, "tocp", keep_plans=True)
+    assert result.statuses == ["optimal"] * 10
+    assert len(calls) <= 1
+    if by_greedy:
+        assert [plan.routes for plan in result.plans] == [walks] * 10
 
 
 def _rebuilt_episode(instance, planner):

@@ -26,13 +26,15 @@ and the infeasibility proof are not consulted, so every round reaches the
 table.  Only heldkarp.fleet_table and best_round are timed; the slowest
 tables are printed with their live rows, the masks the table keeps.
 
-Cover: top's Structure.cover_walks (the walks, or None) on the round-1
-structures of default and tight-law seeds 1-120 with the drawn fleet and
-must-visit set.  Each search runs on a fresh Structure, the distances
-computed outside the timing.
+Cover: top's Structure.certified_walks, its cycle cover (the walks, or
+None), on the round-1 structures of default and tight-law seeds 1-120 with
+the drawn fleet and must-visit set.  Each search runs on a fresh Structure,
+the distances computed outside the timing.
 
-Kept: tocp's Structure.kept_walks (the walks, or None) on the same 240
-structures, as the cover digest reads top's.
+Kept: tocp's Structure.certified_walks (the walks, or None) on the same 240
+structures, as the cover digest reads top's: greedy's plan on unit
+predictions, repaired, or farthest insertion's walks where greedy misses a
+target.
 
 Proof: infeasibility_proof (the proof string, or None) on the same 240
 structures under tocp and top, with the drawn must-visit set and 8 random
@@ -76,7 +78,6 @@ from patrolopt.instance_io import instance_graph, read_instance
 TIGHT_LAW = {"budget_base": 12.0, "budget_span_per_vertex": 0.5, "vertex_choices": (10, 12, 14)}
 LAWS = (("default", {}), ("tight", TIGHT_LAW))
 VARIANTS = ("tocp", "top")
-CERTIFICATES = {"top": "cover_walks", "tocp": "kept_walks"}
 
 
 def best_of(repeat, call, setup=tuple):
@@ -226,18 +227,15 @@ def dp_digest(repeat=1):
 
 
 def certificate_digest(variant, repeat=1):
-    """(sha256, certified count, seconds per structure label) of a variant's certificates.
-
-    The certificate is CERTIFICATES[variant], a Structure attribute: top's
-    cover_walks or tocp's kept_walks.
-    """
+    """(sha256, certified count, seconds per structure label) of a variant's
+    Structure.certified_walks."""
     digest = hashlib.sha256()
     times = {}
     certified = 0
     for _, law_name, seed, instance, graph, dist in round_one((120, 120)):
         label = f"{law_name} {seed}"
         args = (graph, dist, instance.num_agents, instance.l_max, instance.must_visit, variant)
-        walks, times[label] = best_of(repeat, operator.attrgetter(CERTIFICATES[variant]),
+        walks, times[label] = best_of(repeat, operator.attrgetter("certified_walks"),
                                       lambda: (Structure(*args),))
         certified += walks is not None
         digest.update(f"{label}: {walks}\n".encode())
@@ -323,11 +321,12 @@ def main() -> None:
           f"({per_variant}); slowest:")
     print_slowest(table_times, live_rows)
 
-    for variant, attribute in CERTIFICATES.items():
+    for variant in ("top", "tocp"):
         digest, certified, times = certificate_digest(variant, repeat)
         print(f"{variant} structures: {len(times)} ({certified} certified)")
         print(f"sha256: {digest}")
-        print(f"{attribute}: best of {repeat}, {sum(times.values()):.3f} s in total; slowest:")
+        print(f"certified_walks: best of {repeat}, {sum(times.values()):.3f} s in total; "
+              "slowest:")
         print_slowest(times)
 
     digest, calls, proven, times = proof_digest(repeat)
