@@ -285,40 +285,54 @@ def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
         for tour in tours if len(tour) > 2])
 
 
-def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:
-    """The walk rules a fleet plan breaks; empty when every row of the model holds.
+def execution_faults(structure: Structure, routes: List[List[int]]) -> List[str]:
+    """The rules every executed plan keeps, greedy's too; empty when it keeps them all.
 
-    One closed walk per agent, from the depot and back, on real edges, with
-    no directed edge used twice, no pass through the depot mid-walk and a
-    length within the limit; the walks cover every must-visit vertex, and
-    under top no vertex is entered twice.  Every row of the model holds for
-    tocp.plan_to_assignment's encoding of a plan that breaks none of these,
-    and some row fails for a plan on real edges that breaks one, so checking
-    the rules stands in for encoding and checking every row.
+    One walk per agent, each [1] (the agent stays home) or closed at the
+    depot, on real edges and with a walk_length within the limit; the walks
+    cover every must-visit vertex.  Each walk is read once by walk_length
+    and once by a set update.
     """
     broken = []
     if len(routes) != structure.num_agents:
         broken.append(f"{len(routes)} walks for {structure.num_agents} agents")
+    missed = set(structure.must)
     for route in routes:
-        if len(route) == 1:
-            broken.append("idle agent")
-            continue
-        edges = list(zip(route, route[1:]))
         if route[0] != DEPOT or route[-1] != DEPOT:
             broken.append("not closed at the depot")
+        try:
+            if walk_length(structure.graph, route) > structure.limit:
+                broken.append("over l_max")
+        except KeyError:
+            broken.append("not on real edges")
+        missed.difference_update(route[1:])
+    if missed:
+        broken.append("must-visit vertex missed")
+    return broken
+
+
+def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:
+    """The walk rules a fleet plan breaks; empty when every row of the model holds.
+
+    The rules of execution_faults, and besides them no idle agent, no
+    directed edge used twice and no pass through the depot mid-walk, and
+    under top no vertex entered twice.  Every row of the model holds for
+    tocp.plan_to_assignment's encoding of a plan that breaks none of these,
+    and some row fails for a plan on real edges that breaks one, so checking
+    the rules stands in for encoding and checking every row.
+    """
+    broken = execution_faults(structure, routes)
+    for route in routes:
+        edges = list(zip(route, route[1:]))
+        if not edges:
+            broken.append("idle agent")
         if DEPOT in route[1:-1]:
             broken.append("depot passed mid-walk")
         if len(set(edges)) < len(edges):
             broken.append("directed edge used twice")
-        if not all(e in structure.graph.lengths for e in edges):
-            broken.append("not on real edges")
-        elif walk_length(structure.graph, route) > structure.limit:
-            broken.append("over l_max")
     entered = [v for route in routes for v in route[1:] if v != DEPOT]
     if structure.variant == "top" and len(set(entered)) < len(entered):
         broken.append("vertex entered twice")
-    if not set(structure.must) <= set(entered):
-        broken.append("must-visit vertex missed")
     return broken
 
 

@@ -14,11 +14,13 @@ run_episode and solve_single_round share one dispatch.  _structure checks
 the planner and the time limit and builds the run's certify.Structure (its
 graph, distances, fleet, budget and must-visit vertices, checked once), for
 greedy too; _plan_round plans one round from it with any planner.  Greedy
-runs greedy_plan; tocp and top go through tocp.plan_round, where a round a
-certificate, the exact DP or an infeasibility proof answers builds no model,
-and the Structure keeps the proof, the certificate (top's cover, or tocp's
-walks through every target) and the DP's table for every round after the
-first that needs them.
+runs greedy_plan, and _episode checks its plan against
+certify.execution_faults after the round's timer stops and before the
+visits are charged, raising RuntimeError on a broken rule.  tocp and top
+go through tocp.plan_round, where a round a certificate, the exact DP or an
+infeasibility proof answers builds no model, and the Structure keeps the
+proof, the certificate (top's cover, or tocp's walks through every target)
+and the DP's table for every round after the first that needs them.
 
 A Structure reads no prediction, so episodes whose instances agree on its
 inputs can share one: run_episodes runs several instances with one planner
@@ -37,7 +39,7 @@ from typing import Iterable, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from . import milp
-from .certify import Structure
+from .certify import Structure, execution_faults
 from .cost_process import CostState
 from .estimator import EstimatorState
 from .graph import DEPOT, FleetPlan
@@ -127,6 +129,10 @@ def _episode(
         else:
             plan, status = _plan_round(structure, c_hat, time_limit)
         seconds.append(time.perf_counter() - t0)
+        if structure.variant == "greedy" and plan is not None:
+            faults = execution_faults(structure, plan.routes)
+            if faults:
+                raise RuntimeError(f"round {t}: greedy's plan breaks {', '.join(faults)}")
         statuses.append(status)
         if plan is None:
             failed = True

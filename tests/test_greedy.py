@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Set
 
 import numpy as np
@@ -11,19 +12,22 @@ from hypothesis import strategies as st
 
 from patrolopt.benchgen import generate_instance
 from patrolopt.graph import DEPOT, FleetPlan, all_pairs_shortest, walk_length
-from patrolopt.greedy import greedy_plan
+from patrolopt.greedy import UnreachableMustVisitError, greedy_plan
 from patrolopt.instance_io import instance_graph, kappa_table
-from patrolopt.tocp import UnreachableMustVisitError
 
 from oracle import brute_force_single_iteration
 from conftest import make_graph, tiny_config
 
 
-def reference_greedy_plan(graph, dist, c_hat, num_agents, l_max, must_visit=()):
+def reference_greedy_plan(graph, dist, c_hat, num_agents, l_max, must_visit=(), seen=None):
     """The loop before the depot-component pool, kept verbatim as the reference.
 
     It tests every candidate leg for finiteness and has a claim-in-place
-    branch; greedy_plan drops both and must plan exactly as this does.
+    branch; greedy_plan drops both and must plan exactly as this does.  The
+    one addition is seen: when given a set, it records the moves of two or
+    more hops that matter to a loop which walks its paths itself, "claim"
+    for a move out that claims a vertex predicting a positive cost and
+    "home" for a way home that passes one.
     """
     d = dist.dist
     n = graph.num_vertices
@@ -50,6 +54,12 @@ def reference_greedy_plan(graph, dist, c_hat, num_agents, l_max, must_visit=()):
         path = dist.shortest_path(position[m], v)
         if path is None:
             raise RuntimeError(f"no path {position[m]} -> {v} despite finite distance")
+        if seen is not None and len(path) > 2:
+            if v == DEPOT and any(c_hat[w] > 0.0 for w in path[1:-1]):
+                seen.add("home")
+            if v != DEPOT and any(c_hat[w] > 0.0 and (w in optional or w in required)
+                                  for w in path[1:]):
+                seen.add("claim")
         spent[m] += d[position[m], v]
         routes[m].extend(path[1:])
         for w in path:
@@ -167,6 +177,33 @@ def test_a_required_vertex_left_unserved_raises():
     assert plan.routes == [[1, 2, 1], [1, 3, 1]]
 
 
+def test_a_vertex_passed_on_the_way_home_is_not_chased_again():
+    # agent 1 takes 2 and then 3, agent 2 takes 5 and then 6; at 3, agent 1
+    # cannot afford 4, as (0.4 + 0.7 + 0.1) + 0.3 rounds above 1.5, yet its
+    # way home, (0.4 + 0.7) + 0.4, fits and passes 4.  Agent 2, at 6, could
+    # afford 4 but finds it claimed and heads home.  With exact sums a vertex
+    # on a shortest way home always fits, so only a rounding sets this up.
+    g = make_graph(6, [(1, 2, 0.4), (2, 3, 0.7), (3, 4, 0.1), (1, 4, 0.3), (1, 5, 0.1),
+                       (5, 6, 0.2)])
+    c = np.array([0.0, 0.0, 5.0, 3.0, 2.0, 1.0, 2.0])
+    assert ((0.4 + 0.7) + 0.1) + 0.3 > 1.5
+    plan = greedy_plan(g, all_pairs_shortest(g), c, 2, 1.5)
+    assert plan.routes == [[1, 2, 3, 4, 1], [1, 5, 6, 5, 1]]
+    assert plan.lengths == [(0.4 + 0.7) + 0.4, (0.1 + 0.2) + 0.3]
+
+
+def test_a_required_vertex_passed_on_the_way_to_another_is_served():
+    # from 2 the nearer required vertex 3 does not fit, as (0.4 + 0.7) + 0.8
+    # rounds above 1.9, but 4 does, (0.4 + 0.9) + 0.6, and the way to 4
+    # passes 3, which is then served and not visited again.  As above, only a
+    # rounding can leave the nearer vertex of such a path out of budget.
+    g = make_graph(4, [(1, 2, 0.4), (2, 3, 0.7), (3, 4, 0.2), (1, 4, 0.6)])
+    assert (0.4 + 0.7) + 0.8 > 1.9
+    plan = greedy_plan(g, all_pairs_shortest(g), np.zeros(5), 1, 1.9, must_visit=[2, 3, 4])
+    assert plan.routes == [[1, 2, 3, 4, 1]]
+    assert plan.lengths == [1.9]
+
+
 def test_unaffordable_rewards_are_skipped():
     g = make_graph(3, [(1, 2, 1.0), (2, 3, 10.0)])
     dist = all_pairs_shortest(g)
@@ -255,9 +292,9 @@ def split_rounds(draw):
     return graph, dist, c_hat, agents, l_max, must
 
 
-def assert_plans_match(graph, dist, c_hat, agents, l_max, must):
+def assert_plans_match(graph, dist, c_hat, agents, l_max, must, seen=None):
     try:
-        expected = reference_greedy_plan(graph, dist, c_hat, agents, l_max, must)
+        expected = reference_greedy_plan(graph, dist, c_hat, agents, l_max, must, seen)
     except Exception as exc:
         with pytest.raises(type(exc)):
             greedy_plan(graph, dist, c_hat, agents, l_max, must)
@@ -272,10 +309,25 @@ def assert_plans_match(graph, dist, c_hat, agents, l_max, must):
     assert plan.lengths == expected.lengths
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(case=split_rounds())
-def test_plans_match_the_reference_loop(case):
-    assert_plans_match(*case)
+def test_plans_match_the_reference_loop():
+    """400 drawn rounds, enough of them with moves of several hops through valued vertices.
+
+    The examples are counted from the reference's own moves: one that
+    claims a vertex with a positive prediction on a move out of two or more
+    hops, and one whose way home passes such a vertex.
+    """
+    examples = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=split_rounds())
+    def check(case):
+        seen = set()
+        assert_plans_match(*case, seen=seen)
+        examples.update(seen)
+
+    check()
+    assert examples["claim"] >= 100
+    assert examples["home"] >= 100
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

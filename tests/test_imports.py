@@ -183,6 +183,14 @@ def package_imports(source: str):
     return out
 
 
+def test_greedy_imports_nothing_from_the_package_but_graph():
+    # certify imports greedy, so greedy importing anything above graph
+    # could close a cycle
+    source = read(os.path.join(PACKAGE_DIR, "greedy.py"))
+    assert package_imports(source) == {"graph"}
+    assert package_imports(source + "from .milp import ModelError\n") == {"graph", "milp"}
+
+
 def function_imports(source: str):
     """(line, function) for each import inside a function body."""
     return sorted({(node.lineno, fn.name) for fn in ast.walk(ast.parse(source))

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 
-from patrolopt import certify, greedy, heldkarp, milp, tocp
+from patrolopt import certify, greedy, heldkarp, milp, simulator, tocp
 from patrolopt.cost_process import CostState
 from patrolopt.estimator import EstimatorState
 from patrolopt.benchgen import BenchmarkConfig, generate_instance
-from patrolopt.graph import DEPOT, all_pairs_shortest, validate
+from patrolopt.graph import DEPOT, FleetPlan, all_pairs_shortest, validate
 from patrolopt.instance_io import Instance, instance_graph, kappa_table
 from patrolopt.simulator import (PLANNERS, STATUS_HEURISTIC, run_episode, run_episodes,
                                  solve_single_round)
@@ -486,6 +486,41 @@ def test_greedy_runs_at_most_once_per_tocp_structure(law, seed, by_greedy, monke
     assert len(calls) <= 1
     if by_greedy:
         assert [plan.routes for plan in result.plans] == [walks] * 10
+
+
+def path_instance():
+    """The path 1 - 2 - 3 with unit roads, two agents, budget 6 and must-visit vertex 3."""
+    return make_instance(3, [(1, 2, 1.0), (2, 3, 1.0)], l_max=6.0, horizon=2,
+                         kappa=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], num_agents=2,
+                         must_visit=[3])
+
+
+def planted(monkeypatch, routes):
+    """Make the simulator's greedy_plan return routes; the check reads no ledger."""
+    plan = FleetPlan(routes, [0.0] * len(routes))
+    monkeypatch.setattr(simulator, "greedy_plan", lambda *args: plan)
+
+
+@pytest.mark.parametrize("routes, rule", [
+    ([[1, 2, 3, 2, 1]], "1 walks for 2 agents"),
+    ([[1, 2, 3, 2, 1], [1, 2]], "not closed at the depot"),
+    ([[1, 2, 3, 2, 1], [1, 3, 1]], "not on real edges"),
+    ([[1, 2, 3, 2, 1, 2, 1, 2, 1], [1]], "over l_max"),
+    ([[1, 2, 1], [1]], "must-visit vertex missed"),
+], ids=("walk-count", "open", "off-road", "over-budget", "must-missed"))
+def test_a_greedy_plan_that_breaks_a_rule_is_not_charged(routes, rule, monkeypatch):
+    planted(monkeypatch, routes)
+    with pytest.raises(RuntimeError, match=f"round 1: greedy's plan breaks {rule}$"):
+        run_episode(path_instance(), "greedy")
+
+
+def test_greedy_may_idle_reuse_an_edge_and_pass_the_depot(monkeypatch):
+    # broken_rules forbids all three, but no row of a model binds greedy
+    routes = [[1, 2, 1, 2, 3, 2, 1], [1]]
+    planted(monkeypatch, routes)
+    result = run_episode(path_instance(), "greedy", keep_plans=True)
+    assert [plan.routes for plan in result.plans] == [routes, routes]
+    assert result.residual_costs == [0.0, 0.0]
 
 
 def _rebuilt_episode(instance, planner):
