@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
+from math import inf
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -63,8 +64,9 @@ from .graph import (
 from .greedy import UnreachableMustVisitError, greedy_plan
 from .milp import FEASIBILITY_TOL, ModelError
 
-# Each vertex's out-edges as (head, length), heads ascending.
-Adjacency = Dict[int, List[Tuple[int, float]]]
+# Each vertex's out-edges as (head, length), heads ascending, indexed by
+# vertex; slot 0 is unused.
+Adjacency = List[List[Tuple[int, float]]]
 
 
 class Structure:
@@ -124,8 +126,8 @@ class Structure:
     def adjacency(self) -> Adjacency:
         """The graph's out-edges as _paths_through reads them."""
         graph = self.graph
-        return {v: [(u, graph.lengths[(v, u)]) for u in graph.out_neighbors(v)]
-                for v in range(1, graph.num_vertices + 1)}
+        return [[]] + [[(u, graph.lengths[(v, u)]) for u in graph.out_neighbors(v)]
+                       for v in range(1, graph.num_vertices + 1)]
 
     @cached_property
     def proof(self) -> Optional[str]:
@@ -424,35 +426,47 @@ def _insertion_cover(
     (a, b) by the shortest a -> w path through uncovered vertices, then the
     shortest w -> b path through uncovered vertices off the first path; its
     cost is their length minus the edge (a, b), and the route must stay
-    within l_max.  Every step inserts the vertex whose cheapest insertion is
-    dearest (farthest insertion; ties to the lowest index), which covers the
-    whole detour.  The attempt fails once some uncovered vertex has no
-    insertion at all.  adjacency is the graph's out-edges as _paths_through
-    reads them.
+    within l_max.  w's cheapest insertion is the least (cost, slot), a slot
+    being (route, position) in route order.  Every step inserts the vertex
+    whose cheapest insertion is dearest (farthest insertion; ties to the
+    lowest index), which covers the whole detour.  The attempt fails once
+    some uncovered vertex has no insertion at all.  adjacency is the graph's
+    out-edges as _paths_through reads them.
 
-    Each step grows one _paths_through tree from every route vertex, and a
-    candidate (w, a, b) is first bounded from the trees' distances alone:
-    d(a, w) + d(b, w) - len(a, b).  The way back off the first path only
-    avoids more vertices, so its length is no shorter, bar the rounding of
-    the same edges summed in reverse, which the margin 1e-9 (1 + l_max)
-    absorbs.  A candidate whose bound less the margin is over the budget, or
-    no cheaper than the cheapest insertion of w so far, is skipped before
-    any path is built or searched; the comparison is strict, so it could
-    never have been chosen.  Paths are read off the parent pointers only for
-    the candidates left, once per (tree, w) in a step.
+    Each step grows one _paths_through tree from every route vertex, and
+    each slot (a, b) of w is first bounded from the trees' distances alone:
+    its floor d(a, w) + d(b, w) - len(a, b) less the margin 1e-9 (1 +
+    l_max).  The way back off the first path only avoids more vertices, so
+    it is no shorter, bar the rounding of the same edges summed in reverse,
+    which the margin absorbs: no insertion costs less than its floor.  Slots
+    whose floor is over the budget are dropped, and the rest are tried in
+    (floor, slot) order, so once a slot's (floor, slot) exceeds the least
+    (cost, slot) found, none left can beat it and w's cheapest insertion is
+    known.  Paths are read off the parent pointers only for the slots
+    tried, once per (tree, w) in a step.  w is also abandoned as soon as it
+    has an insertion no dearer than the step's choice so far: its cheapest
+    is then no dearer either, and only a strictly dearer vertex replaces the
+    choice, so w cannot be chosen.
     """
     routes = [[DEPOT, v, DEPOT] for v in starts]
     lengths = [walk_length(graph, route) for route in routes]
-    uncovered = set(targets) - set(starts)
+    uncovered = [False] * len(adjacency)
+    for v in targets:
+        uncovered[v] = True
+    for v in starts:
+        uncovered[v] = False
+    left = [v for v in range(len(adjacency)) if uncovered[v]]
     margin = 1e-9 * (1.0 + l_max)
-    while uncovered:
+    while left:
         # The graph is symmetric, so reversing the shortest b -> w path gives
         # the shortest w -> b one.
-        on_routes = {a for route in routes for a in route}
-        trees = {a: _paths_through(adjacency, a, uncovered) for a in on_routes}
-        slots = [(m, p, a, b, graph.lengths[(a, b)], trees[a][0], trees[b][0])
+        trees = {a: _paths_through(adjacency, a, uncovered)
+                 for a in {a for route in routes for a in route}}
+        slots = [(m, p, a, b, graph.lengths[(a, b)])
                  for m, route in enumerate(routes)
                  for p, (a, b) in enumerate(zip(route, route[1:]))]
+        bounds = [(trees[a][0], trees[b][0], length, lengths[m])
+                  for m, _, a, b, length in slots]
         paths: Dict[Tuple[int, int], List[int]] = {}
 
         def path(a: int, w: int) -> List[int]:
@@ -461,70 +475,84 @@ def _insertion_cover(
             return paths[(a, w)]
 
         choice = None
-        for w in sorted(uncovered):
+        for w in left:
+            # an unreached w has an inf floor, which no budget fits
+            order = sorted([
+                (floor, k) for k, (dist_a, dist_b, length, used) in enumerate(bounds)
+                if used + (floor := dist_a[w] + dist_b[w] - length - margin) <= l_max])
             cheapest = None
-            for m, p, a, b, length, dist_a, dist_b in slots:
-                if w not in dist_a or w not in dist_b:
-                    continue
-                to_w, from_w = dist_a[w], dist_b[w]
-                floor = to_w + from_w - length - margin
-                if lengths[m] + floor > l_max or (cheapest is not None and floor >= cheapest[0]):
-                    continue
+            for floor, k in order:
+                if cheapest is not None and (floor, k) > cheapest[:2]:
+                    break
+                m, p, a, b, length = slots[k]
+                to_w, from_w = trees[a][0][w], trees[b][0][w]
                 path_in = path(a, w)
                 path_out = path(b, w)[::-1]
                 if set(path_in[1:-1]) & set(path_out[1:-1]):
-                    off_dist, off_parent = _paths_through(adjacency, w, uncovered - set(path_in))
-                    if b not in off_dist:
+                    through = uncovered[:]
+                    for v in path_in:
+                        through[v] = False
+                    off_dist, off_parent = _paths_through(adjacency, w, through)
+                    if off_dist[b] == inf:
                         continue
                     from_w, path_out = off_dist[b], _tree_path(off_parent, b)
                 cost = to_w + from_w - length
-                if lengths[m] + cost <= l_max and (cheapest is None or cost < cheapest[0]):
-                    cheapest = (cost, m, p, path_in + path_out[1:])
+                if lengths[m] + cost <= l_max and (cheapest is None or (cost, k) < cheapest[:2]):
+                    cheapest = (cost, k, m, p, path_in + path_out[1:])
+                    if choice is not None and cost <= choice[0]:
+                        break
             if cheapest is None:
                 return None
             if choice is None or cheapest[0] > choice[0]:
                 choice = cheapest
-        _, m, p, detour = choice
+        _, _, m, p, detour = choice
         routes[m] = routes[m][:p] + detour + routes[m][p + 2:]
         lengths[m] = walk_length(graph, routes[m])
-        uncovered -= set(detour)
+        for v in detour:
+            uncovered[v] = False
+        left = [v for v in left if uncovered[v]]
     return routes
 
 
 def _paths_through(
-    adjacency: Adjacency, source: int, through: Set[int]
-) -> Tuple[Dict[int, float], Dict[int, int]]:
+    adjacency: Adjacency, source: int, through: List[bool]
+) -> Tuple[List[float], List[int]]:
     """Shortest paths from source whose intermediate vertices all lie in through.
 
-    Returns (dist, parent): the length of the path to each vertex reached,
-    and each reached vertex's predecessor on it (the source has none);
-    _tree_path reads a path off the parents.  Dijkstra that only expands the
-    source and vertices of through, over adjacency[v], v's (u, length)
-    out-edges in ascending u; ties keep the path found first.
+    through[v] says whether v may be passed through.  Returns (dist,
+    parent), lists indexed by vertex: the length of the path to each vertex,
+    inf where none is found, and each reached vertex's predecessor on it, 0
+    for the source and the vertices not reached; _tree_path reads a path off
+    the parents.  Dijkstra that only expands the source and vertices of
+    through, over adjacency[v], v's (u, length) out-edges in ascending u;
+    ties keep the path found first.  A popped entry longer than its
+    vertex's distance is stale: with lengths >= 0 no vertex's distance falls
+    once it is expanded, so that skips exactly the entries of expanded
+    vertices.
     """
-    dist: Dict[int, float] = {source: 0.0}
-    parent: Dict[int, int] = {}
+    dist = [inf] * len(adjacency)
+    parent = [0] * len(adjacency)
+    dist[source] = 0.0
     heap = [(0.0, source)]
-    done: Set[int] = set()
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
+        d, v = pop(heap)
+        if d > dist[v]:
             continue
-        done.add(v)
         for u, length in adjacency[v]:
             nd = d + length
-            if u not in dist or nd < dist[u]:
+            if nd < dist[u]:
                 dist[u] = nd
                 parent[u] = v
-                if u in through:
-                    heapq.heappush(heap, (nd, u))
+                if through[u]:
+                    push(heap, (nd, u))
     return dist, parent
 
 
-def _tree_path(parent: Dict[int, int], w: int) -> List[int]:
+def _tree_path(parent: List[int], w: int) -> List[int]:
     """The path from a _paths_through tree's source to w, read off its parents."""
     path = [w]
-    while path[-1] in parent:
+    while parent[path[-1]]:
         path.append(parent[path[-1]])
     return path[::-1]
 
@@ -570,15 +598,17 @@ def infeasibility_proof(structure: Structure) -> Optional[str]:
                 f"{l_max}; the agents need {need}")
     if single_visit:
         margin = 1e-9 * (1.0 + limit)
-        others = set(range(2, graph.num_vertices + 1))
         for v in structure.must:
             out_and_back = 2 * graph.lengths.get((DEPOT, v), np.inf)
             if out_and_back <= limit:
                 continue
             inner = structure.dist.shortest_path(DEPOT, v)[1:-1]
             if inner:
-                avoiding, _ = _paths_through(structure.adjacency, DEPOT, others.difference(inner))
-                if d[DEPOT, v] + avoiding.get(v, np.inf) <= limit - margin:
+                through = [False, False] + [True] * (graph.num_vertices - 1)
+                for u in inner:
+                    through[u] = False
+                avoiding, _ = _paths_through(structure.adjacency, DEPOT, through)
+                if d[DEPOT, v] + avoiding[v] <= limit - margin:
                     continue
             cycle = min(_disjoint_pair_length(graph, v), out_and_back)
             if cycle > limit:

@@ -8,6 +8,7 @@ gives the same numbers that were computed.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from typing import Dict, Iterable, List, Tuple
 
@@ -85,21 +86,24 @@ def read_results(path: str) -> List[Dict]:
 
 def _typed_row(raw: Dict[str, str]) -> Dict:
     """raw's cells typed; ValueError unless H is an integer, failed is 0 or 1,
-    the numbers parse, and each per-iteration list has H entries, as
-    run_episode records one per round."""
+    the numbers parse and are finite, and each per-iteration list has H
+    entries, as run_episode records one per round."""
     try:
         horizon = int(raw["H"])
     except ValueError:
         raise ValueError(f"has H {raw['H']!r}, not an integer") from None
     if raw["failed"] not in ("0", "1"):
         raise ValueError(f"has failed {raw['failed']!r}, not 0 or 1")
+    total_cost = float(raw["total_cost"])
+    if not math.isfinite(total_cost):
+        raise ValueError(f"has total_cost {raw['total_cost']!r}, not a finite number")
     row = {
         "instance_id": raw["instance_id"],
         "H": horizon,
         "planner": raw["planner"],
-        "total_cost": float(raw["total_cost"]),
-        "iter_costs": _parse_floats(raw["iter_costs"]),
-        "iter_seconds": _parse_floats(raw["iter_seconds"]),
+        "total_cost": total_cost,
+        "iter_costs": _parse_floats("iter_costs", raw["iter_costs"]),
+        "iter_seconds": _parse_floats("iter_seconds", raw["iter_seconds"]),
         "iter_statuses": raw["iter_statuses"].split(_LIST_SEP) if raw["iter_statuses"] else [],
         "failed": raw["failed"] == "1",
     }
@@ -109,7 +113,9 @@ def _typed_row(raw: Dict[str, str]) -> Dict:
     return row
 
 
-def _parse_floats(cell: str) -> List[float]:
-    if not cell:
-        return []
-    return [float(v) for v in cell.split(_LIST_SEP)]
+def _parse_floats(column: str, cell: str) -> List[float]:
+    """cell's '|'-joined numbers; ValueError naming the column unless all are finite."""
+    values = [float(v) for v in cell.split(_LIST_SEP)] if cell else []
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"has {column} {cell!r}, not finite numbers")
+    return values

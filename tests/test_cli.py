@@ -536,7 +536,15 @@ def test_a_long_results_row_exits_two(command, suite_dir, tmp_path, capsys):
 ], ids=("failed", "H", "iter_costs", "iter_seconds", "iter_statuses"))
 def test_a_malformed_results_cell_exits_two(column, cell, message, suite_dir, tmp_path,
                                             capsys):
-    # the first H = 2 row gets the bad cell; stats names the file and its line
+    # stats names the file and the line of the bad cell
+    results, line = results_with_cell(suite_dir, tmp_path, column, cell)
+    capsys.readouterr()
+    assert main(["stats", "--results", results]) == 2
+    assert capsys.readouterr().err == f"error: {results}: line {line} {message}\n"
+
+
+def results_with_cell(suite_dir, tmp_path, column, cell):
+    """bench's greedy results with cell in column of the first H = 2 row: (path, line)."""
     results = str(tmp_path / "r.csv")
     assert main(["bench", "--suite", suite_dir, "--planners", "greedy",
                  "--out", results]) == 0
@@ -546,9 +554,36 @@ def test_a_malformed_results_cell_exits_two(column, cell, message, suite_dir, tm
     table[line][table[0].index(column)] = cell
     with open(results, "w", newline="") as fh:
         csv.writer(fh).writerows(table)
+    return results, line + 1
+
+
+NON_FINITE = [("total_cost", "nan", "has total_cost 'nan', not a finite number"),
+              ("iter_costs", "0.5|inf", "has iter_costs '0.5|inf', not finite numbers"),
+              ("iter_seconds", "-inf|0.25", "has iter_seconds '-inf|0.25', not finite numbers")]
+
+
+@pytest.mark.parametrize("column, cell, message", NON_FINITE,
+                         ids=[column for column, _, _ in NON_FINITE])
+def test_read_results_rejects_non_finite_numbers(column, cell, message, suite_dir, tmp_path):
+    results, line = results_with_cell(suite_dir, tmp_path, column, cell)
+    with pytest.raises(ValueError) as raised:
+        results_io.read_results(results)
+    assert str(raised.value) == f"{results}: line {line} {message}"
+
+
+@pytest.mark.parametrize("command", (["stats", "--pair", "greedy,greedy"],
+                                     ["plot", "--out", "curves.svg"]), ids=("stats", "plot"))
+@pytest.mark.parametrize("column, cell, message", NON_FINITE,
+                         ids=[column for column, _, _ in NON_FINITE])
+def test_non_finite_results_exit_two(command, column, cell, message, suite_dir, tmp_path,
+                                     capsys):
+    # before the reader checked, plot drew nan coordinates and stats named no line
+    results, line = results_with_cell(suite_dir, tmp_path, column, cell)
     capsys.readouterr()
-    assert main(["stats", "--results", results]) == 2
-    assert capsys.readouterr().err == f"error: {results}: line {line + 1} {message}\n"
+    command = [str(tmp_path / part) if part.endswith(".svg") else part for part in command]
+    assert main(command + ["--results", results]) == 2
+    assert capsys.readouterr().err == f"error: {results}: line {line} {message}\n"
+    assert not os.path.exists(str(tmp_path / "curves.svg"))
 
 
 def test_plot_plan_without_an_instance_exits_two(suite_dir, tmp_path, capsys):

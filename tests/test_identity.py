@@ -43,13 +43,13 @@ def test_the_greedy_digest_is_pinned(identity, default_suite):
 
 
 def test_the_cover_digest_is_pinned(identity):
-    digest, certified, times = identity.certificate_digest("top")
+    digest, certified, times, _ = identity.certificate_digest("top")
     assert (len(times), certified, digest) == (
         240, 140, "105d6c392ea6500d09b2049160933745f8614329207c874f37a91223a42d6498")
 
 
 def test_the_kept_certificate_digest_is_pinned(identity):
-    digest, certified, times = identity.certificate_digest("tocp")
+    digest, certified, times, _ = identity.certificate_digest("tocp")
     assert (len(times), certified, digest) == (
         240, 189, "4a15e528081e5816dba9408845bca3dd6cd94a7fcd6f7a8fbb31221a80a6cfb5")
 

@@ -29,7 +29,9 @@ tables are printed with their live rows, the masks the table keeps.
 Cover: top's Structure.certified_walks, its cycle cover (the walks, or
 None), on the round-1 structures of default and tight-law seeds 1-120 with
 the drawn fleet and must-visit set.  Each search runs on a fresh Structure,
-the distances computed outside the timing.
+the distances computed outside the timing.  The search time and the
+certify._insertion_cover attempts are also printed apart for the certified
+and the uncertified structures: an uncertified one tries every start set.
 
 Kept: tocp's Structure.certified_walks (the walks, or None) on the same 240
 structures, as the cover digest reads top's: greedy's plan on unit
@@ -67,7 +69,7 @@ import time
 
 import numpy as np
 
-from patrolopt import cli, heldkarp, simulator
+from patrolopt import certify, cli, heldkarp, simulator
 from patrolopt.benchgen import BenchmarkConfig, generate_instance, generate_suite
 from patrolopt.certify import Structure, infeasibility_proof
 from patrolopt.estimator import EstimatorState
@@ -227,19 +229,38 @@ def dp_digest(repeat=1):
 
 
 def certificate_digest(variant, repeat=1):
-    """(sha256, certified count, seconds per structure label) of a variant's
-    Structure.certified_walks."""
+    """(sha256, certified count, seconds per structure label, searches) of a
+    variant's Structure.certified_walks.
+
+    searches maps each label to (certified or not, the _insertion_cover
+    attempts of one search); only top's cover makes any.
+    """
+    real = certify._insertion_cover
+    attempts = 0
+
+    def counted(*args):
+        nonlocal attempts
+        attempts += 1
+        return real(*args)
+
     digest = hashlib.sha256()
     times = {}
-    certified = 0
-    for _, law_name, seed, instance, graph, dist in round_one((120, 120)):
-        label = f"{law_name} {seed}"
-        args = (graph, dist, instance.num_agents, instance.l_max, instance.must_visit, variant)
-        walks, times[label] = best_of(repeat, operator.attrgetter("certified_walks"),
-                                      lambda: (Structure(*args),))
-        certified += walks is not None
-        digest.update(f"{label}: {walks}\n".encode())
-    return digest.hexdigest(), certified, times
+    searches = {}
+    certify._insertion_cover = counted
+    try:
+        for _, law_name, seed, instance, graph, dist in round_one((120, 120)):
+            label = f"{law_name} {seed}"
+            args = (graph, dist, instance.num_agents, instance.l_max, instance.must_visit,
+                    variant)
+            attempts = 0
+            walks, times[label] = best_of(repeat, operator.attrgetter("certified_walks"),
+                                          lambda: (Structure(*args),))
+            searches[label] = (walks is not None, attempts // repeat)
+            digest.update(f"{label}: {walks}\n".encode())
+    finally:
+        certify._insertion_cover = real
+    certified = sum(found for found, _ in searches.values())
+    return digest.hexdigest(), certified, times, searches
 
 
 def proof_digest(repeat=1):
@@ -322,12 +343,18 @@ def main() -> None:
     print_slowest(table_times, live_rows)
 
     for variant in ("top", "tocp"):
-        digest, certified, times = certificate_digest(variant, repeat)
+        digest, certified, times, searches = certificate_digest(variant, repeat)
         print(f"{variant} structures: {len(times)} ({certified} certified)")
         print(f"sha256: {digest}")
         print(f"certified_walks: best of {repeat}, {sum(times.values()):.3f} s in total; "
               "slowest:")
         print_slowest(times)
+        if variant == "top":
+            for found, kind in ((True, "certified"), (False, "uncertified")):
+                labels = [label for label, (ok, _) in searches.items() if ok == found]
+                print(f"  {kind}: {len(labels)} structures, "
+                      f"{sum(times[label] for label in labels):.3f} s, "
+                      f"{sum(searches[label][1] for label in labels)} _insertion_cover attempts")
 
     digest, calls, proven, times = proof_digest(repeat)
     print(f"proof calls: {calls} ({proven} proofs)")
