@@ -288,7 +288,7 @@ def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
 
 
 def execution_faults(structure: Structure, routes: List[List[int]]) -> List[str]:
-    """The rules every executed plan keeps, greedy's too; empty when it keeps them all.
+    """The rules every executed plan keeps, whatever its planner; empty when it keeps them all.
 
     One walk per agent, each [1] (the agent stays home) or closed at the
     depot, on real edges and with a walk_length within the limit; the walks

@@ -18,8 +18,9 @@ from glob import glob
 from typing import Dict, List, Optional, Tuple
 
 from . import benchgen, results_io, stats, svgplot
+from .certify import Structure, execution_faults
 from .graph import FleetPlan
-from .instance_io import read_instance
+from .instance_io import Instance, instance_graph, read_instance
 from .simulator import PLANNERS, run_episode, run_episodes, solve_single_round
 
 
@@ -260,8 +261,13 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _read_plan_json(path: str, num_vertices: int) -> FleetPlan:
-    """The plan a solve run wrote; ValueError unless it fits a graph of num_vertices."""
+def _read_plan_json(path: str, instance: Instance) -> FleetPlan:
+    """The plan a solve run wrote; ValueError unless an episode on instance would execute it.
+
+    Its walks must keep certify.execution_faults' rules on the instance's
+    checked inputs, as the simulator requires of every plan it charges.
+    """
+    num_vertices = instance.num_vertices
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -277,7 +283,7 @@ def _read_plan_json(path: str, num_vertices: int) -> FleetPlan:
             and len(lengths) == len(routes)):
         raise ValueError(f"{path}: 'routes' and 'lengths' must be lists of equal length")
     for route in routes:
-        if not (isinstance(route, list)
+        if not (isinstance(route, list) and route
                 and all(type(v) is int and 1 <= v <= num_vertices for v in route)):
             raise ValueError(f"{path}: route {route!r} is not a list of vertices "
                              f"1..{num_vertices}")
@@ -286,6 +292,12 @@ def _read_plan_json(path: str, num_vertices: int) -> FleetPlan:
     # NaN fails both comparisons; an int past the largest float would not convert
     if not all(-sys.float_info.max <= v <= sys.float_info.max for v in lengths):
         raise ValueError(f"{path}: lengths {lengths!r} are not all finite")
+    # the rules read no planner, so any variant serves
+    structure = Structure(instance_graph(instance), None, instance.num_agents, instance.l_max,
+                          instance.must_visit, "greedy")
+    faults = execution_faults(structure, routes)
+    if faults:
+        raise ValueError(f"{path}: the plan breaks {', '.join(faults)} on this instance")
     return FleetPlan(routes=routes, lengths=[float(v) for v in lengths])
 
 
@@ -296,7 +308,7 @@ def _cmd_plot(args) -> int:
         raise ValueError("--plan needs --instance: a plan is drawn on its instance")
     if args.instance is not None:
         instance = read_instance(args.instance)
-        plan = _read_plan_json(args.plan, instance.num_vertices) if args.plan else None
+        plan = _read_plan_json(args.plan, instance) if args.plan else None
         svgplot.write_svg(svgplot.render_instance(instance, plan), args.out)
     else:
         rows = results_io.read_results(args.results)

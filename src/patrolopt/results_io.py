@@ -12,7 +12,8 @@ import math
 import os
 from typing import Dict, Iterable, List, Tuple
 
-from .simulator import EpisodeResult
+from . import milp
+from .simulator import STATUS_HEURISTIC, EpisodeResult
 
 COLUMNS = [
     "instance_id",
@@ -26,6 +27,9 @@ COLUMNS = [
 ]
 
 _LIST_SEP = "|"
+# what run_episode records for a round: a milp status, or greedy's
+_STATUSES = (milp.OPTIMAL, milp.FEASIBLE_TIMEOUT, milp.TIMEOUT_NO_SOLUTION, milp.INFEASIBLE,
+             STATUS_HEURISTIC)
 
 
 def result_to_row(result: EpisodeResult) -> Dict[str, str]:
@@ -86,8 +90,9 @@ def read_results(path: str) -> List[Dict]:
 
 def _typed_row(raw: Dict[str, str]) -> Dict:
     """raw's cells typed; ValueError unless H is an integer, failed is 0 or 1,
-    the numbers parse and are finite, and each per-iteration list has H
-    entries, as run_episode records one per round."""
+    the numbers parse and are finite, the costs are >= 0 (costs grow from
+    zero), every status is one run_episode records, and each per-iteration
+    list has H entries, as run_episode records one per round."""
     try:
         horizon = int(raw["H"])
     except ValueError:
@@ -97,6 +102,8 @@ def _typed_row(raw: Dict[str, str]) -> Dict:
     total_cost = float(raw["total_cost"])
     if not math.isfinite(total_cost):
         raise ValueError(f"has total_cost {raw['total_cost']!r}, not a finite number")
+    if total_cost < 0.0:
+        raise ValueError(f"has total_cost {raw['total_cost']!r}, below 0")
     row = {
         "instance_id": raw["instance_id"],
         "H": horizon,
@@ -107,6 +114,12 @@ def _typed_row(raw: Dict[str, str]) -> Dict:
         "iter_statuses": raw["iter_statuses"].split(_LIST_SEP) if raw["iter_statuses"] else [],
         "failed": raw["failed"] == "1",
     }
+    if min(row["iter_costs"], default=0.0) < 0.0:
+        raise ValueError(f"has iter_costs {raw['iter_costs']!r}, not all >= 0")
+    for status in row["iter_statuses"]:
+        if status not in _STATUSES:
+            raise ValueError(f"has iter_statuses entry {status!r}, not one of "
+                             f"{', '.join(_STATUSES)}")
     for column in ("iter_costs", "iter_seconds", "iter_statuses"):
         if len(row[column]) != horizon:
             raise ValueError(f"has {column} of length {len(row[column])}, not H = {horizon}")

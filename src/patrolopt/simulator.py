@@ -14,13 +14,14 @@ run_episode and solve_single_round share one dispatch.  _structure checks
 the planner and the time limit and builds the run's certify.Structure (its
 graph, distances, fleet, budget and must-visit vertices, checked once), for
 greedy too; _plan_round plans one round from it with any planner.  Greedy
-runs greedy_plan, and _episode checks its plan against
-certify.execution_faults after the round's timer stops and before the
-visits are charged, raising RuntimeError on a broken rule.  tocp and top
-go through tocp.plan_round, where a round a certificate, the exact DP or an
-infeasibility proof answers builds no model, and the Structure keeps the
-proof, the certificate (top's cover, or tocp's walks through every target)
-and the DP's table for every round after the first that needs them.
+runs greedy_plan; tocp and top go through tocp.plan_round, where a round a
+certificate, the exact DP or an infeasibility proof answers builds no
+model, and the Structure keeps the proof, the certificate (top's cover, or
+tocp's walks through every target) and the DP's table for every round after
+the first that needs them.  Whichever planner made it, a plan passes
+_check_plan (certify.execution_faults) after the round's timer stops and
+before its visits are charged, and solve_single_round checks the plan it
+returns the same way: a broken rule raises RuntimeError.
 
 A Structure reads no prediction, so episodes whose instances agree on its
 inputs can share one: run_episodes runs several instances with one planner
@@ -129,10 +130,7 @@ def _episode(
         else:
             plan, status = _plan_round(structure, c_hat, time_limit)
         seconds.append(time.perf_counter() - t0)
-        if structure.variant == "greedy" and plan is not None:
-            faults = execution_faults(structure, plan.routes)
-            if faults:
-                raise RuntimeError(f"round {t}: greedy's plan breaks {', '.join(faults)}")
+        _check_plan(structure, plan, t)
         statuses.append(status)
         if plan is None:
             failed = True
@@ -184,6 +182,14 @@ def _plan_round(
     return plan, STATUS_HEURISTIC
 
 
+def _check_plan(structure: Structure, plan: Optional[FleetPlan], t: int) -> None:
+    """RuntimeError naming round t and the broken rules unless plan is None or executable."""
+    if plan is not None:
+        faults = execution_faults(structure, plan.routes)
+        if faults:
+            raise RuntimeError(f"round {t}: {structure.variant}'s plan breaks {', '.join(faults)}")
+
+
 def solve_single_round(
     instance: Instance,
     planner: str,
@@ -195,11 +201,11 @@ def solve_single_round(
     Predicted costs come from the untrained estimator (every vertex at the
     prior default rate times the iteration index).  Returns (plan or None,
     status, model stats dict).  The setup is run_episode's: one Structure,
-    for greedy too.  Greedy plans through the episode's round call and its
-    stats name the planner alone.  The MIP planners build their model from
-    the same Structure, with answer_round's answer attached, even when that
-    answer settles the round, since the stats report the model's size and
-    the solver's outcome.
+    for greedy too, and the plan passes the episode's check.  Greedy plans
+    through the episode's round call and its stats name the planner alone.
+    The MIP planners build their model from the same Structure, with
+    answer_round's answer attached, even when that answer settles the round,
+    since the stats report the model's size and the solver's outcome.
     """
     structure = _structure(instance, planner, time_limit)
     if not 1 <= iteration <= instance.horizon:
@@ -207,18 +213,22 @@ def solve_single_round(
     c_hat = EstimatorState(instance.num_vertices, instance.mu_default).predicted_cost(iteration)
     if planner == "greedy":
         plan, status = _plan_round(structure, c_hat, time_limit)
-        return plan, status, {"planner": planner}
-    model, handles = _build_answered(structure, c_hat)
-    solution = milp.solve(model, time_limit=time_limit)
-    plan = extract_routes(solution, handles, structure.graph) if solution.has_assignment else None
-    stats = {
-        "planner": planner,
-        "num_variables": model.num_variables,
-        "num_constraints": len(model.constraints),
-        "status": solution.status,
-        "objective": solution.objective_value,
-        "gap": solution.gap,
-        "node_count": solution.node_count,
-        "infeasibility_proof": model.infeasibility_proof,
-    }
-    return plan, solution.status, stats
+        stats = {"planner": planner}
+    else:
+        model, handles = _build_answered(structure, c_hat)
+        solution = milp.solve(model, time_limit=time_limit)
+        plan = (extract_routes(solution, handles, structure.graph) if solution.has_assignment
+                else None)
+        status = solution.status
+        stats = {
+            "planner": planner,
+            "num_variables": model.num_variables,
+            "num_constraints": len(model.constraints),
+            "status": solution.status,
+            "objective": solution.objective_value,
+            "gap": solution.gap,
+            "node_count": solution.node_count,
+            "infeasibility_proof": model.infeasibility_proof,
+        }
+    _check_plan(structure, plan, iteration)
+    return plan, status, stats

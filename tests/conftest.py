@@ -37,6 +37,32 @@ def no_dp(monkeypatch):
     monkeypatch.setattr(heldkarp, "MAX_WORK", -1)
 
 
+class DrawnRng:
+    """The numpy Generator calls a case builder makes, answered by Hypothesis's draw.
+
+    A builder written against a seeded numpy.random.default_rng, whose cases
+    a test can count whatever else ran in the process, then also serves a
+    Hypothesis search, which can shrink what it finds.
+    """
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def integers(self, low, high):
+        """An int in [low, high), as Generator.integers draws it."""
+        return self.draw(st.integers(low, high - 1))
+
+    def uniform(self, low, high):
+        return self.draw(st.floats(low, high, exclude_max=True))
+
+
+def distinct(rng, items, low, high):
+    """low to high distinct members of items (fewer if it has fewer), in draw order."""
+    pool = list(items)
+    count = int(rng.integers(low, min(high, len(pool)) + 1))
+    return [pool.pop(int(rng.integers(0, len(pool)))) for _ in range(count)]
+
+
 @st.composite
 def tiny_rounds(draw):
     """A connected graph on at most 6 vertices, rewards with zeros, 1-2 agents."""
@@ -123,6 +149,11 @@ def horizon_gap_instance():
             [4.0, 0.0],
         ],
     )
+
+
+# The tight-exact benchmark's budget law (perfbench/workloads.py): greedy
+# often misses the round-trip bound there.
+TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
 
 
 def tiny_config(**overrides):

@@ -23,7 +23,7 @@ from patrolopt.benchgen import (
 from patrolopt.graph import all_pairs_shortest, reachable_round_trip
 from patrolopt.instance_io import instance_graph, read_instance, write_instance
 
-from conftest import tiny_config
+from conftest import TIGHT_LAW, tiny_config
 
 
 def test_draws_stay_in_their_configured_ranges():
@@ -109,7 +109,6 @@ def reference_draw_structure(config, effective_seed):
     )
 
 
-TIGHT_LAW = {"budget_base": 12.0, "budget_span_per_vertex": 0.5, "vertex_choices": (10, 12, 14)}
 choices = st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple)
 random_configs = st.builds(
     BenchmarkConfig,

@@ -490,6 +490,27 @@ def test_plot_rejects_a_malformed_plan(payload, message, suite_dir, tmp_path, ca
     assert not os.path.exists(out)
 
 
+def test_plot_rejects_a_plan_that_does_not_belong_to_its_instance(tmp_path, capsys):
+    # default seed 1 (N = 18, M = 2, vertex 3 required) has no road 1 - 4,
+    # and seed 2's plan (N = 16) fits its vertex range but not its roads
+    suite = str(tmp_path / "suite")
+    assert main(["gen", "--out", suite, "--seeds", "1..2", "--horizons", "2"]) == 0
+    seed1, seed2 = (os.path.join(suite, "H2", f"seed{s}.json") for s in (1, 2))
+    off_road = str(tmp_path / "off-road.json")
+    with open(off_road, "w") as fh:
+        json.dump({"routes": [[1, 4, 1], [1, 3, 1]], "lengths": [2.0, 2.0]}, fh)
+    borrowed = str(tmp_path / "seed2-plan.json")
+    assert main(["solve", "--instance", seed2, "--planner", "greedy", "--out", borrowed]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "map.svg")
+    for plan, rules in ((off_road, "not on real edges"),
+                        (borrowed, "not on real edges, not on real edges")):
+        assert main(["plot", "--instance", seed1, "--plan", plan, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {plan}: the plan breaks {rules} on this instance\n")
+        assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", (["stats"], ["plot", "--out", "curves.svg"]),
                          ids=("stats", "plot"))
 def test_a_short_results_row_exits_two(command, suite_dir, tmp_path, capsys):
@@ -533,14 +554,23 @@ def test_a_long_results_row_exits_two(command, suite_dir, tmp_path, capsys):
     ("iter_costs", "0.5|0.25|0.125", "has iter_costs of length 3, not H = 2"),
     ("iter_seconds", "0.5", "has iter_seconds of length 1, not H = 2"),
     ("iter_statuses", "optimal|optimal|optimal", "has iter_statuses of length 3, not H = 2"),
-], ids=("failed", "H", "iter_costs", "iter_seconds", "iter_statuses"))
+    ("total_cost", "-5.0", "has total_cost '-5.0', below 0"),
+    ("iter_costs", "0.5|-2.5", "has iter_costs '0.5|-2.5', not all >= 0"),
+    ("iter_statuses", "heuristic|bogus", "has iter_statuses entry 'bogus', not one of "
+     "optimal, feasible-timeout, timeout-no-solution, infeasible, heuristic"),
+], ids=("failed", "H", "iter_costs", "iter_seconds", "iter_statuses", "negative-total",
+        "negative-iter-cost", "unknown-status"))
 def test_a_malformed_results_cell_exits_two(column, cell, message, suite_dir, tmp_path,
                                             capsys):
-    # stats names the file and the line of the bad cell
+    # stats and plot name the file and the line of the bad cell, and plot draws nothing
     results, line = results_with_cell(suite_dir, tmp_path, column, cell)
     capsys.readouterr()
     assert main(["stats", "--results", results]) == 2
     assert capsys.readouterr().err == f"error: {results}: line {line} {message}\n"
+    out = str(tmp_path / "curves.svg")
+    assert main(["plot", "--results", results, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {results}: line {line} {message}\n"
+    assert not os.path.exists(out)
 
 
 def results_with_cell(suite_dir, tmp_path, column, cell):

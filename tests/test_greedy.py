@@ -16,7 +16,7 @@ from patrolopt.greedy import UnreachableMustVisitError, greedy_plan
 from patrolopt.instance_io import instance_graph, kappa_table
 
 from oracle import brute_force_single_iteration
-from conftest import make_graph, tiny_config
+from conftest import DrawnRng, distinct, make_graph, tiny_config
 
 
 def reference_greedy_plan(graph, dist, c_hat, num_agents, l_max, must_visit=(), seen=None):
@@ -248,9 +248,8 @@ def test_greedy_never_beats_exhaustive_search():
     assert checked >= 5
 
 
-@st.composite
-def split_rounds(draw):
-    """A round whose graph has vertices the depot cannot reach.
+def split_round(rng):
+    """A round whose graph has vertices the depot cannot reach, drawn from rng (see DrawnRng).
 
     Vertices 1..k are joined only among themselves and k+1..n only among
     themselves, so at least one vertex lies outside the depot's component.
@@ -266,30 +265,35 @@ def split_rounds(draw):
     head home with one unserved.  Lengths and rewards mix dyadic values
     with ones like 0.1 and 2.9, whose sums round.
     """
-    n = draw(st.integers(5, 10))
-    k = draw(st.integers(4, n - 1))
-    length = st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.1, 0.7, 1.3, 2.9])
-    links = {(draw(st.integers(1, v - 1)), v): draw(length)
-             for v in range(2, k + 1) if draw(st.integers(0, 3)) > 0}
-    links.update(((i, j), draw(length)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                 if (i <= k) == (j <= k) and draw(st.booleans()))
+    def pick(values):
+        return values[int(rng.integers(0, len(values)))]
+
+    n = int(rng.integers(5, 11))
+    k = int(rng.integers(4, n))
+    lengths = [1.0, 1.5, 2.0, 3.0, 0.1, 0.7, 1.3, 2.9]
+    links = {(int(rng.integers(1, v)), v): pick(lengths)
+             for v in range(2, k + 1) if rng.integers(0, 4) > 0}
+    links.update(((i, j), pick(lengths)) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if (i <= k) == (j <= k) and rng.integers(0, 2) == 1)
     edges = [(i, j, l) for (i, j), l in sorted(links.items())]
     graph = make_graph(n, edges)
     dist = all_pairs_shortest(graph)
-    rewards = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0, 0.1, 0.7, 1.3, 2.9]),
-                            min_size=n, max_size=n))
+    rewards = [pick([0.0, 0.0, 0.5, 1.0, 3.0, 0.1, 0.7, 1.3, 2.9]) for _ in range(n)]
     c_hat = np.array([0.0] + rewards)
-    agents = draw(st.integers(1, 3))
-    finite = st.sampled_from([0.0, 2.0, 3.0, 4.5, 6.0, 9.0, 14.0])
-    l_max = np.inf if draw(st.integers(0, 2)) == 0 else draw(finite)
+    agents = int(rng.integers(1, 4))
+    l_max = np.inf if rng.integers(0, 3) == 0 else pick([0.0, 2.0, 3.0, 4.5, 6.0, 9.0, 14.0])
     component = [v for v in range(2, n + 1) if dist.dist[DEPOT, v] < np.inf]
-    if len(component) > agents and draw(st.integers(0, 2)) == 0:
-        must = draw(st.lists(st.sampled_from(component), min_size=agents + 1, unique=True))
+    if len(component) > agents and rng.integers(0, 3) == 0:
+        must = distinct(rng, component, agents + 1, len(component))
         l_max = max(float(dist.dist[DEPOT, v] + dist.dist[v, DEPOT]) for v in must)
     else:
-        must = draw(st.lists(st.sampled_from(component), max_size=agents + 1, unique=True)
-                    if component else st.just([]))
+        must = distinct(rng, component, 0, agents + 1)
     return graph, dist, c_hat, agents, l_max, must
+
+
+@st.composite
+def split_rounds(draw):
+    return split_round(DrawnRng(draw))
 
 
 def assert_plans_match(graph, dist, c_hat, agents, l_max, must, seen=None):
@@ -312,20 +316,18 @@ def assert_plans_match(graph, dist, c_hat, agents, l_max, must, seen=None):
 def test_plans_match_the_reference_loop():
     """400 drawn rounds, enough of them with moves of several hops through valued vertices.
 
-    The examples are counted from the reference's own moves: one that
-    claims a vertex with a positive prediction on a move out of two or more
-    hops, and one whose way home passes such a vertex.
+    Round k is drawn from default_rng(k), so the rounds and their counts are
+    the same whatever else ran.  The examples are counted from the
+    reference's own moves: one that claims a vertex with a positive
+    prediction on a move out of two or more hops, and one whose way home
+    passes such a vertex.
     """
     examples = Counter()
-
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(case=split_rounds())
-    def check(case):
+    for k in range(400):
         seen = set()
-        assert_plans_match(*case, seen=seen)
+        assert_plans_match(*split_round(np.random.default_rng(k)), seen=seen)
         examples.update(seen)
-
-    check()
+    # the reference makes 193 such claims and 197 such ways home
     assert examples["claim"] >= 100
     assert examples["home"] >= 100
 

@@ -23,10 +23,8 @@ from patrolopt.milp import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, solve
 from patrolopt.certify import Structure, _greedy_walks
 from patrolopt.tocp import audit_solution, build_top, build_tocp, extract_routes
 
-from conftest import make_graph, tiny_rounds
+from conftest import TIGHT_LAW, make_graph, tiny_rounds
 from oracle import brute_force_single_iteration
-
-TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
 
 
 def _mask_sums(weights, r):

@@ -16,7 +16,7 @@ from patrolopt.instance_io import Instance, instance_graph, kappa_table
 from patrolopt.simulator import (PLANNERS, STATUS_HEURISTIC, run_episode, run_episodes,
                                  solve_single_round)
 
-from conftest import tiny_rounds
+from conftest import TIGHT_LAW, tiny_rounds
 from oracle import brute_force_single_iteration
 
 
@@ -51,9 +51,6 @@ def bench_instance(seed=3, horizon=3):
         required_draw_choices=(0, 1),
     )
     return generate_instance(config, seed, horizon)
-
-
-TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
 
 
 def cut_seed_2():
@@ -495,23 +492,52 @@ def path_instance():
                          must_visit=[3])
 
 
-def planted(monkeypatch, routes):
-    """Make the simulator's greedy_plan return routes; the check reads no ledger."""
+def planted(monkeypatch, routes, planner="greedy"):
+    """Make the simulator's round call for planner return routes; the check reads no ledger."""
     plan = FleetPlan(routes, [0.0] * len(routes))
-    monkeypatch.setattr(simulator, "greedy_plan", lambda *args: plan)
+    if planner == "greedy":
+        monkeypatch.setattr(simulator, "greedy_plan", lambda *args: plan)
+    else:
+        monkeypatch.setattr(simulator, "plan_round", lambda *args: (plan, milp.OPTIMAL))
 
 
 @pytest.mark.parametrize("routes, rule", [
     ([[1, 2, 3, 2, 1]], "1 walks for 2 agents"),
     ([[1, 2, 3, 2, 1], [1, 2]], "not closed at the depot"),
     ([[1, 2, 3, 2, 1], [1, 3, 1]], "not on real edges"),
-    ([[1, 2, 3, 2, 1, 2, 1, 2, 1], [1]], "over l_max"),
-    ([[1, 2, 1], [1]], "must-visit vertex missed"),
-], ids=("walk-count", "open", "off-road", "over-budget", "must-missed"))
+], ids=("walk-count", "open", "off-road"))
 def test_a_greedy_plan_that_breaks_a_rule_is_not_charged(routes, rule, monkeypatch):
+    # route extraction and the cascade's stitching give one closed walk per
+    # agent on real edges, so greedy alone can break these three
     planted(monkeypatch, routes)
     with pytest.raises(RuntimeError, match=f"round 1: greedy's plan breaks {rule}$"):
         run_episode(path_instance(), "greedy")
+
+
+@pytest.mark.parametrize("planner", PLANNERS)
+@pytest.mark.parametrize("routes, rule", [
+    ([[1, 2, 3, 2, 1, 2, 1, 2, 1], [1]], "over l_max"),
+    ([[1, 2, 1], [1]], "must-visit vertex missed"),
+], ids=("over-budget", "must-missed"))
+def test_a_plan_that_breaks_a_rule_is_not_charged(routes, rule, planner, monkeypatch):
+    # no stitching checks a walk's length or the must-visit set, so every
+    # planner's plan is checked for both before its visits are charged
+    planted(monkeypatch, routes, planner)
+    with pytest.raises(RuntimeError, match=f"round 1: {planner}'s plan breaks {rule}$"):
+        run_episode(path_instance(), planner)
+
+
+@pytest.mark.parametrize("planner, name, routes, rule", [
+    ("greedy", "greedy_plan", [[1, 2, 1], [1]], "must-visit vertex missed"),
+    ("tocp", "extract_routes", [[1, 2, 3, 2, 1, 2, 1, 2, 1], [1]], "over l_max"),
+], ids=("greedy", "tocp"))
+def test_a_single_round_plan_that_breaks_a_rule_is_not_returned(planner, name, routes, rule,
+                                                                monkeypatch):
+    # solve writes what solve_single_round returns, so it runs the episode's check
+    plan = FleetPlan(routes, [0.0] * len(routes))
+    monkeypatch.setattr(simulator, name, lambda *args: plan)
+    with pytest.raises(RuntimeError, match=f"round 2: {planner}'s plan breaks {rule}$"):
+        solve_single_round(path_instance(), planner, iteration=2)
 
 
 def test_greedy_may_idle_reuse_an_edge_and_pass_the_depot(monkeypatch):

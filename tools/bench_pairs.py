@@ -36,6 +36,7 @@ import sys
 import time
 
 INFO_KEYS = ("failed_round_frac", "residual_cost_mean")
+LINE_COUNTED = ("src", "tests", "tools")
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -108,7 +109,7 @@ def checkout(root: str) -> dict:
 
     return {"commit": git("rev-parse", "HEAD"), "src_tree": git("rev-parse", "HEAD:src"),
             "uncommitted": bool(git("status", "--porcelain", "--", "src", "perfbench")),
-            "lines": {top: python_lines(root, top) for top in ("src", "tests")}}
+            "lines": {top: python_lines(root, top) for top in LINE_COUNTED}}
 
 
 def main() -> int:
@@ -159,7 +160,7 @@ def main() -> int:
             print(f"{workload} {name}: {c['parent']['median']:.6g} -> "
                   f"{c['change']['median']:.6g} (won {c['pairs_won']}/{pairs}, {gap}{passes})")
         print(f"{workload} digests_match: {str(digests_match).lower()}")
-    for top in ("src", "tests"):
+    for top in LINE_COUNTED:
         print(f"{top} lines: {report['parent']['lines'][top]} -> "
               f"{report['change']['lines'][top]}")
     out = f"BENCH_{args.label}.json"
