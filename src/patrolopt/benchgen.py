@@ -41,6 +41,10 @@ RATE_HIGH = 0.9
 NOISE_STDDEV = 0.1
 MU_DEFAULT = 0.5
 MAX_ESCALATIONS = 50
+# The tight budget law, as BenchmarkConfig overrides: a base of 12, 0.5 per
+# vertex and N in {10, 12, 14}.  Greedy often misses the round-trip bound
+# under it, and top fails whole episodes.
+TIGHT_LAW = {"budget_base": 12.0, "budget_span_per_vertex": 0.5, "vertex_choices": (10, 12, 14)}
 
 
 @dataclass

@@ -141,11 +141,18 @@ class Structure:
         Such walks collect the round-trip bound for any c_hat >= 0, so they
         are optimal in every round of an episode, and an episode finds them
         once.  Under top they are _cover_walks; under tocp _greedy_walks, or
-        _farthest_insertion's when greedy misses a target.
+        _farthest_insertion's when greedy misses a target.  Neither search
+        runs where _far_apart finds M + 1 targets no two of which one walk
+        within l_max can visit: no M walks then visit every target, so the
+        search could only fail.  Under tocp greedy, the cheap path, runs
+        first.
         """
         if self.variant == "top":
-            return _cover_walks(self)
-        return _greedy_walks(self) or _farthest_insertion(self)
+            return None if _far_apart(self) else _cover_walks(self)
+        walks = _greedy_walks(self)
+        if walks is None and not _far_apart(self):
+            walks = _farthest_insertion(self)
+        return walks
 
     @cached_property
     def table(self) -> Union[heldkarp.FleetTable, str, None]:
@@ -287,13 +294,85 @@ def _farthest_insertion(structure: Structure) -> Optional[List[List[int]]]:
         for tour in tours if len(tour) > 2])
 
 
+def _far_apart(structure: Structure) -> bool:
+    """Whether some M + 1 targets conflict pairwise, so no certificate exists.
+
+    Targets a and b conflict when d(1, a) + d(a, b) + d(b, 1) and d(1, b) +
+    d(b, a) + d(a, 1) both exceed the limit.  A closed depot walk that
+    visits a and then b is no shorter than the first, and one that visits b
+    first no shorter than the second, so no walk within l_max visits both;
+    the limit's slack over l_max absorbs the rounding of the shortest paths
+    against a walk's edges summed in order.  M walks that visit every target
+    would put two of M + 1 pairwise conflicting ones on one walk, so such a
+    clique rules out every certificate.  It reads the distances alone, as
+    scalar lists, and each pair once; bit j of neighbours[i] marks a
+    conflict of targets i and j.
+    """
+    targets = structure.targets
+    size = structure.num_agents + 1
+    if len(targets) < size:
+        return False
+    rows, limit = structure.dist.rows, structure.limit
+    out = [rows[DEPOT][a] for a in targets]
+    back = [rows[a][DEPOT] for a in targets]
+    neighbours = [0] * len(targets)
+    for i, a in enumerate(targets):
+        from_a = rows[a]
+        for j in range(i + 1, len(targets)):
+            b = targets[j]
+            if (out[i] + from_a[b] + back[j] > limit
+                    and out[j] + rows[b][a] + back[i] > limit):
+                neighbours[i] |= 1 << j
+                neighbours[j] |= 1 << i
+    return _has_clique(neighbours, size)
+
+
+def _has_clique(neighbours: List[int], size: int) -> bool:
+    """Whether the graph whose vertex k has neighbour bitmask neighbours[k] has a size-clique.
+
+    Bron–Kerbosch with Tomita's pivot (Theor. Comput. Sci. 363, 2006): it
+    meets every maximal clique at most once and stops at the first clique of
+    size vertices, so its work is bounded by the 3^(n/3) maximal cliques n
+    vertices can have (Moon and Moser, Israel J. Math. 3, 1965), about 1,050
+    at n = 19.  A branch whose clique and candidates together fall short of
+    size is cut.
+    """
+
+    def grows(count: int, candidates: int, excluded: int) -> bool:
+        if count >= size:
+            return True
+        if count + candidates.bit_count() < size:
+            return False
+        pivot = max(_bits(candidates | excluded),
+                    key=lambda u: (candidates & neighbours[u]).bit_count())
+        for v in _bits(candidates & ~neighbours[pivot]):
+            if grows(count + 1, candidates & neighbours[v], excluded & neighbours[v]):
+                return True
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+        return False
+
+    return grows(0, (1 << len(neighbours)) - 1, 0)
+
+
+def _bits(mask: int) -> List[int]:
+    """The positions of mask's set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def execution_faults(structure: Structure, routes: List[List[int]]) -> List[str]:
     """The rules every executed plan keeps, whatever its planner; empty when it keeps them all.
 
     One walk per agent, each [1] (the agent stays home) or closed at the
     depot, on real edges and with a walk_length within the limit; the walks
     cover every must-visit vertex.  Each walk is read once by walk_length
-    and once by a set update.
+    and once by a set update.  Each broken rule is named once, in the order
+    the walks first break it.
     """
     broken = []
     if len(routes) != structure.num_agents:
@@ -310,7 +389,7 @@ def execution_faults(structure: Structure, routes: List[List[int]]) -> List[str]
         missed.difference_update(route[1:])
     if missed:
         broken.append("must-visit vertex missed")
-    return broken
+    return list(dict.fromkeys(broken))
 
 
 def broken_rules(structure: Structure, routes: List[List[int]]) -> List[str]:

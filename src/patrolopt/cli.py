@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import benchgen, results_io, stats, svgplot
 from .certify import Structure, execution_faults
-from .graph import FleetPlan
+from .graph import FleetPlan, walk_length
 from .instance_io import Instance, instance_graph, read_instance
+from .milp import FEASIBILITY_TOL
 from .simulator import PLANNERS, run_episode, run_episodes, solve_single_round
 
 
@@ -265,7 +266,10 @@ def _read_plan_json(path: str, instance: Instance) -> FleetPlan:
     """The plan a solve run wrote; ValueError unless an episode on instance would execute it.
 
     Its walks must keep certify.execution_faults' rules on the instance's
-    checked inputs, as the simulator requires of every plan it charges.
+    checked inputs, as the simulator requires of every plan it charges, and
+    each recorded length must be its walk's walk_length within
+    FEASIBILITY_TOL: greedy records sums of shortest-path legs, which may
+    round differently from the walk's edges summed in order.
     """
     num_vertices = instance.num_vertices
     with open(path) as fh:
@@ -298,6 +302,11 @@ def _read_plan_json(path: str, instance: Instance) -> FleetPlan:
     faults = execution_faults(structure, routes)
     if faults:
         raise ValueError(f"{path}: the plan breaks {', '.join(faults)} on this instance")
+    for route, recorded in zip(routes, lengths):
+        length = walk_length(structure.graph, route)
+        if abs(recorded - length) > FEASIBILITY_TOL:
+            raise ValueError(f"{path}: walk {route} has length {length!r}, not the recorded "
+                             f"{recorded!r}")
     return FleetPlan(routes=routes, lengths=[float(v) for v in lengths])
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from patrolopt import heldkarp, milp
-from patrolopt.benchgen import BenchmarkConfig
+# the test modules read the tight budget law from here
+from patrolopt.benchgen import TIGHT_LAW, BenchmarkConfig
 from patrolopt.graph import Graph, all_pairs_shortest, symmetrize
 from patrolopt.instance_io import Instance
 
@@ -150,10 +151,6 @@ def horizon_gap_instance():
         ],
     )
 
-
-# The tight-exact benchmark's budget law (perfbench/workloads.py): greedy
-# often misses the round-trip bound there.
-TIGHT_LAW = dict(budget_base=12.0, budget_span_per_vertex=0.5, vertex_choices=(10, 12, 14))
 
 
 def tiny_config(**overrides):

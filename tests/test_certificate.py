@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from patrolopt.graph import DEPOT, all_pairs_shortest, walk_length
 from patrolopt.greedy import UnreachableMustVisitError, greedy_plan
 from patrolopt.instance_io import instance_graph
 from patrolopt.milp import INFEASIBLE, OPTIMAL, check_assignment, solve
+from patrolopt.simulator import run_episode
 from patrolopt.certify import (
     Structure,
     _cover_walks,
@@ -627,6 +629,75 @@ def test_proven_top_round_skips_the_cover_search(monkeypatch):
     assert answer == structure.proof
     assert answer.startswith("must-visit vertex 2 lies on no simple depot cycle")
     assert calls == []
+
+
+@pytest.mark.parametrize("leaves, agents, far", [
+    (2, 1, True),  # two leaves 2 apart from the depot, l_max 5: one walk cannot take both
+    (3, 2, True),  # three such leaves for two agents
+    (2, 2, False),  # two for two
+], ids=("two-leaves-one-agent", "three-leaves-two-agents", "two-leaves-two-agents"))
+def test_more_far_apart_targets_than_agents_rule_out_the_certificate(leaves, agents, far):
+    # the leaves hang 2 from the depot with l_max 5, so no walk takes two of
+    # them; the last vertex is 1 from the depot and from leaf 2, so it shares
+    # the walk 1 - v - 2 - 1 of length 4 with leaf 2 and adds no clique vertex
+    near = 2 + leaves
+    g = make_graph(near, [(1, v, 2.0) for v in range(2, near)] + [(1, near, 1.0),
+                                                                  (2, near, 1.0)])
+    for variant in ("tocp", "top"):
+        structure = Structure(g, None, agents, 5.0, (), variant)
+        assert structure.targets == tuple(range(2, near + 1))
+        assert certify._far_apart(structure) is far
+        assert (structure.certified_walks is None) is far
+
+
+def test_far_apart_top_structure_makes_no_cover_search(monkeypatch):
+    # tight-law seed 9 (M = 2) has three targets no two of which fit one
+    # walk; before _far_apart its top episode made 11 failed cover attempts
+    calls = []
+    real = certify._insertion_cover
+    monkeypatch.setattr(certify, "_insertion_cover", lambda *args: calls.append(1) or real(*args))
+    result = run_episode(generate_instance(BenchmarkConfig(**TIGHT_LAW), 9, 2), "top")
+    assert result.statuses == [OPTIMAL, OPTIMAL]
+    assert calls == []
+
+
+def test_far_apart_structures_have_no_covering_union():
+    # wherever _far_apart fires on a tight-law round-1 structure (R <= 13),
+    # the exact DP finds no union of M fitting sets holding every target,
+    # or proves the round infeasible
+    fired = dict.fromkeys(("tocp", "top"), 0)
+    for seed in range(1, 121):
+        instance = generate_instance(BenchmarkConfig(**TIGHT_LAW), seed, 1)
+        graph = instance_graph(instance)
+        dist = all_pairs_shortest(graph)
+        for variant in fired:
+            structure = Structure(graph, dist, instance.num_agents, instance.l_max,
+                                  instance.must_visit, variant)
+            if not certify._far_apart(structure):
+                continue
+            fired[variant] += 1
+            table = structure.table
+            assert isinstance(table, str) or not table.unions[-1][-1]  # the full target mask
+    assert fired == {"tocp": 41, "top": 41}
+
+
+def test_clique_search_matches_every_subset():
+    # 300 seeded random graphs on up to 9 vertices, of random density, every
+    # clique size asked
+    sizes = Counter()
+    for case in range(300):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(1, 10))
+        density = rng.uniform(0.2, 1.0)
+        edges = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density}
+        neighbours = [sum(1 << b for b in range(n) if (a, b) in edges or (b, a) in edges)
+                      for a in range(n)]
+        largest = max(k for k in range(1, n + 1) for group in combinations(range(n), k)
+                      if all(pair in edges for pair in combinations(group, 2)))
+        sizes[largest] += 1
+        for size in range(1, n + 2):
+            assert certify._has_clique(neighbours, size) is (size <= largest)
+    assert min(sizes[k] for k in range(1, 7)) >= 15  # largest cliques of 1 to 6
 
 
 def test_proven_structures_have_no_certificate():

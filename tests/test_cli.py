@@ -311,6 +311,25 @@ def test_plot_instance_map(suite_dir, tmp_path):
     ET.fromstring(read_bytes(overlay))
 
 
+def test_plot_rejects_a_recorded_length_that_is_not_its_walks(suite_dir, tmp_path, capsys):
+    instance = os.path.join(suite_dir, "H1", "seed3.json")
+    plan = str(tmp_path / "plan.json")
+    assert main(["solve", "--instance", instance, "--planner", "tocp", "--out", plan]) == 0
+    with open(plan) as fh:
+        payload = json.load(fh)
+    assert len(payload["lengths"]) == 1
+    payload["lengths"] = [99.0]
+    with open(plan, "w") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    out = str(tmp_path / "map.svg")
+    assert main(["plot", "--instance", instance, "--plan", plan, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {plan}: walk {payload['routes'][0]} has length ")
+    assert err.endswith(", not the recorded 99.0\n")
+    assert not os.path.exists(out)
+
+
 def test_plot_cost_curves(suite_dir, tmp_path):
     results = str(tmp_path / "r.csv")
     assert main(["bench", "--suite", suite_dir, "--planners", "tocp,greedy",
@@ -504,7 +523,7 @@ def test_plot_rejects_a_plan_that_does_not_belong_to_its_instance(tmp_path, caps
     capsys.readouterr()
     out = str(tmp_path / "map.svg")
     for plan, rules in ((off_road, "not on real edges"),
-                        (borrowed, "not on real edges, not on real edges")):
+                        (borrowed, "not on real edges")):
         assert main(["plot", "--instance", seed1, "--plan", plan, "--out", out]) == 2
         assert capsys.readouterr().err == (
             f"error: {plan}: the plan breaks {rules} on this instance\n")

@@ -48,10 +48,10 @@ writes for default seeds 1-10 at H = 2, 4, 6, 8 and 10 (150 rows, no HiGHS
 round), each row's cells with iter_seconds masked, the header first.  The
 whole bench command is timed.
 
-The tight law is the tight-exact workload's.  Each timed call takes the
-best of --repeat runs.  Two checkouts write the same suite, compute the
-same DP answers, covers, kept certificates, proofs and bench rows exactly
-when the digests match.
+The tight law is benchgen.TIGHT_LAW, the tight-exact workload's.  Each
+timed call takes the best of --repeat runs.  Two checkouts write the same
+suite, compute the same DP answers, covers, kept certificates, proofs and
+bench rows exactly when the digests match.
 """
 
 from __future__ import annotations
@@ -70,14 +70,13 @@ import time
 import numpy as np
 
 from patrolopt import certify, cli, heldkarp, simulator
-from patrolopt.benchgen import BenchmarkConfig, generate_instance, generate_suite
+from patrolopt.benchgen import TIGHT_LAW, BenchmarkConfig, generate_instance, generate_suite
 from patrolopt.certify import Structure, infeasibility_proof
 from patrolopt.estimator import EstimatorState
 from patrolopt.graph import all_pairs_shortest
 from patrolopt.greedy import UnreachableMustVisitError
 from patrolopt.instance_io import instance_graph, read_instance
 
-TIGHT_LAW = {"budget_base": 12.0, "budget_span_per_vertex": 0.5, "vertex_choices": (10, 12, 14)}
 LAWS = (("default", {}), ("tight", TIGHT_LAW))
 VARIANTS = ("tocp", "top")
 
@@ -233,33 +232,41 @@ def certificate_digest(variant, repeat=1):
     variant's Structure.certified_walks.
 
     searches maps each label to (certified or not, the _insertion_cover
-    attempts of one search); only top's cover makes any.
+    attempts of one search, whether certify._far_apart settled it without a
+    search); only top's cover makes any attempts.
     """
-    real = certify._insertion_cover
+    real_cover, real_far = certify._insertion_cover, certify._far_apart
     attempts = 0
+    settled = False
 
     def counted(*args):
         nonlocal attempts
         attempts += 1
-        return real(*args)
+        return real_cover(*args)
+
+    def far_apart(structure):
+        nonlocal settled
+        settled = real_far(structure)
+        return settled
 
     digest = hashlib.sha256()
     times = {}
     searches = {}
-    certify._insertion_cover = counted
+    certify._insertion_cover, certify._far_apart = counted, far_apart
     try:
         for _, law_name, seed, instance, graph, dist in round_one((120, 120)):
             label = f"{law_name} {seed}"
             args = (graph, dist, instance.num_agents, instance.l_max, instance.must_visit,
                     variant)
             attempts = 0
+            settled = False
             walks, times[label] = best_of(repeat, operator.attrgetter("certified_walks"),
                                           lambda: (Structure(*args),))
-            searches[label] = (walks is not None, attempts // repeat)
+            searches[label] = (walks is not None, attempts // repeat, settled)
             digest.update(f"{label}: {walks}\n".encode())
     finally:
-        certify._insertion_cover = real
-    certified = sum(found for found, _ in searches.values())
+        certify._insertion_cover, certify._far_apart = real_cover, real_far
+    certified = sum(found for found, _, _ in searches.values())
     return digest.hexdigest(), certified, times, searches
 
 
@@ -351,10 +358,16 @@ def main() -> None:
         print_slowest(times)
         if variant == "top":
             for found, kind in ((True, "certified"), (False, "uncertified")):
-                labels = [label for label, (ok, _) in searches.items() if ok == found]
+                labels = [label for label, (ok, _, _) in searches.items() if ok == found]
                 print(f"  {kind}: {len(labels)} structures, "
                       f"{sum(times[label] for label in labels):.3f} s, "
                       f"{sum(searches[label][1] for label in labels)} _insertion_cover attempts")
+        for law_name, _ in LAWS:
+            outcomes = [(ok, settled) for label, (ok, _, settled) in searches.items()
+                        if label.split()[0] == law_name]
+            print(f"  {law_name}: {sum(not ok for ok, _ in outcomes)} uncertified, "
+                  f"{sum(settled for _, settled in outcomes)} settled by _far_apart "
+                  "without a search")
 
     digest, calls, proven, times = proof_digest(repeat)
     print(f"proof calls: {calls} ({proven} proofs)")
