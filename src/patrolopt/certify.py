@@ -25,7 +25,13 @@ farthest insertion (_farthest_insertion).  Greedy walks rarely satisfy the
 single-visit rule, so top's certificate is built differently: one simple
 depot cycle per agent, no two sharing a non-depot vertex, grown by farthest
 insertion until together they visit the same reachable set (_cover_walks).
-Structure.certified_walks keeps the one its variant reads.
+Structure.certified_walks keeps the one its variant reads.  Before the
+cover search, and under tocp between greedy and farthest insertion, it
+looks for M + 1 targets no two of which one depot walk within l_max can
+visit, judged from the shortest-path distances alone (_far_apart).  M
+walks cannot visit them all, so where they exist no certificate does, and
+skipping the search changes no answer: the round goes to the DP, as after a
+failed search.
 
 Proven-infeasible rounds: every round is first checked for reasons no plan
 can exist (see infeasibility_proof), such as a must-visit vertex beyond
@@ -307,14 +313,25 @@ def _far_apart(structure: Structure) -> bool:
     clique rules out every certificate.  It reads the distances alone, as
     scalar lists, and each pair once; bit j of neighbours[i] marks a
     conflict of targets i and j.
+
+    Since d(a, b) <= d(a, 1) + d(1, b), conflicting targets have round
+    trips that sum to more than the limit, so at most one target of such a
+    clique has a round trip within half the limit.  Fewer than M targets
+    beyond it therefore settle the answer as no before any pair is read;
+    where rounding breaks the triangle inequality this can only miss a
+    clique, which leaves the search to run as before.
     """
     targets = structure.targets
     size = structure.num_agents + 1
     if len(targets) < size:
         return False
-    rows, limit = structure.dist.rows, structure.limit
-    out = [rows[DEPOT][a] for a in targets]
-    back = [rows[a][DEPOT] for a in targets]
+    d, limit = structure.dist.dist, structure.limit
+    from_depot, to_depot = d[DEPOT].tolist(), d[:, DEPOT].tolist()
+    out = [from_depot[a] for a in targets]
+    back = [to_depot[a] for a in targets]
+    if sum(x + y > limit / 2 for x, y in zip(out, back)) < size - 1:
+        return False
+    rows = structure.dist.rows
     neighbours = [0] * len(targets)
     for i, a in enumerate(targets):
         from_a = rows[a]

@@ -31,12 +31,17 @@ None), on the round-1 structures of default and tight-law seeds 1-120 with
 the drawn fleet and must-visit set.  Each search runs on a fresh Structure,
 the distances computed outside the timing.  The search time and the
 certify._insertion_cover attempts are also printed apart for the certified
-and the uncertified structures: an uncertified one tries every start set.
+and the uncertified structures: an uncertified one tries every start set,
+unless certify._far_apart finds M + 1 targets no two of which fit one walk.
+Per law, the count of uncertified structures and of those _far_apart
+settled without a search follows.  No proof is consulted, so proven
+structures count among the uncertified.
 
 Kept: tocp's Structure.certified_walks (the walks, or None) on the same 240
 structures, as the cover digest reads top's: greedy's plan on unit
 predictions, repaired, or farthest insertion's walks where greedy misses a
-target.
+target and _far_apart does not rule a certificate out; the same per-law
+counts follow.
 
 Proof: infeasibility_proof (the proof string, or None) on the same 240
 structures under tocp and top, with the drawn must-visit set and 8 random
